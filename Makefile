@@ -2,6 +2,8 @@
 #
 #   make build       compile everything
 #   make test        tier-1: full test suite (what CI gates on)
+#   make vet         go vet plus a gofmt gate: fails if `gofmt -l .` lists
+#                    any file
 #   make check       vet + the API-surface gate (api.txt) + race-enabled
 #                    tests for the concurrent packages (experiment runner,
 #                    result cache, simulation service) — keeps the
@@ -53,6 +55,8 @@ test:
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 # -short skips the slow paper-shape regressions (tier-1's job); the
 # singleflight/worker-pool/cache concurrency tests all run in short mode.

@@ -14,8 +14,8 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"dmdc/internal/xrand"
+	"fmt"
 
 	"dmdc/internal/bpred"
 	"dmdc/internal/cache"
@@ -185,19 +185,19 @@ type Sim struct {
 	fetchQ     []isa.Inst
 	fetchQMeta []fetchMeta
 	fqHead     int
-	replayQ     []isa.Inst // correct-path instructions to re-inject after a replay
-	rqHead      int
+	replayQ    []isa.Inst // correct-path instructions to re-inject after a replay
+	rqHead     int
 	// squashScratch carries the squashed-but-correct-path instructions from
 	// squashAfter into flushFetchQ, where it ping-pongs with replayQ's
 	// backing array; the two never alias.
 	squashScratch []isa.Inst
-	wpActive    bool
-	wpStream    InstSource
-	wpBranchAge uint64
-	fetchResume uint64 // fetch stalled until this cycle
-	fetchSalt   uint64
-	lastGenPC   uint64 // next correct-path fetch PC (I-cache proxy)
-	lastWPPC    uint64 // next wrong-path fetch PC
+	wpActive      bool
+	wpStream      InstSource
+	wpBranchAge   uint64
+	fetchResume   uint64 // fetch stalled until this cycle
+	fetchSalt     uint64
+	lastGenPC     uint64 // next correct-path fetch PC (I-cache proxy)
+	lastWPPC      uint64 // next wrong-path fetch PC
 
 	// Scheduling. wakeMode selects the issue scheduler (see wakeup.go);
 	// the default is the event-driven one. The scan's waiting list and
@@ -232,7 +232,7 @@ type Sim struct {
 
 	// In-flight load count (policy capacity gate).
 	inflightLoads int
-	loadCap       int // policy LoadCapacity, resolved once at construction
+	loadCap       int     // policy LoadCapacity, resolved once at construction
 	wlBatch       Batcher // wl's batch refinement, nil if unsupported
 	faultsActive  bool    // !faults.Zero(), cached off the dispatch path
 

@@ -254,7 +254,7 @@ func TestFleetSharedStoreHandoff(t *testing.T) {
 	defer tsC.Close()
 
 	specs := map[string]experiments.JobSpec{
-		first.Jobs[0].ID: quickSpec("gzip"),
+		first.Jobs[0].ID:   quickSpec("gzip"),
 		pending.Jobs[0].ID: mediumSpec("art"),
 		pending.Jobs[1].ID: quickSpec("gcc"),
 		pending.Jobs[2].ID: quickSpec("swim"),

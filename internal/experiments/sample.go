@@ -106,10 +106,15 @@ type SampledResult struct {
 }
 
 // RunSampled executes one sampled-mode logical run: a single functional
-// pass over the workload emits a checkpoint at each sample point, the
-// detailed intervals run as independent checkpoint jobs (in process or on
-// sp.Backend), and the per-interval deltas are aggregated in interval
-// order. The scheduler itself never runs detailed timing.
+// pass over the workload cuts a checkpoint at each sample point and
+// dispatches that interval as an independent checkpoint job (in process
+// or on sp.Backend) at once, so the detailed intervals overlap the rest of
+// the pass. The per-interval deltas are aggregated in interval order. The
+// scheduler itself never runs detailed timing.
+//
+// The run fails fast: the first error — the pass's, an interval's, or
+// ctx's — cancels the intervals still running, drops those still queued,
+// and is returned once every dispatched interval has stopped.
 func RunSampled(ctx context.Context, sp SampleSpec) (*SampledResult, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -132,78 +137,116 @@ func RunSampled(ctx context.Context, sp SampleSpec) (*SampledResult, error) {
 		return nil, err
 	}
 
-	// Functional pass: walk the run once, dropping a checkpoint and a
-	// cumulative-counter snapshot at the start of each detailed interval.
-	period := sp.Job.Insts / uint64(sp.Intervals)
-	gap := period - sp.IntervalInsts
-	jobs := make([]JobSpec, sp.Intervals)
-	baselines := make([]*core.Result, sp.Intervals)
-	starts := make([]uint64, sp.Intervals)
-	var pos uint64
-	for i := 0; i < sp.Intervals; i++ {
-		warm := gap
-		if sp.Warmup > 0 && sp.Warmup < gap {
-			warm = sp.Warmup
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		runErr error // the first error; later ones are its consequences
+	)
+	fail := func(err error) {
+		mu.Lock()
+		if runErr == nil {
+			runErr = err
 		}
-		if err := sim.FastForward(gap-warm, false); err != nil {
-			return nil, err
-		}
-		if err := sim.FastForward(warm, true); err != nil {
-			return nil, err
-		}
-		pos += gap
-		blob, err := sim.SaveCheckpoint()
-		if err != nil {
-			return nil, err
-		}
-		base, err := sim.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		sum := sha256.Sum256(blob)
-		job := sp.Job
-		job.Insts = sp.IntervalInsts
-		job.Checkpoint = blob
-		job.CheckpointRef = hex.EncodeToString(sum[:])
-		jobs[i] = job
-		baselines[i] = base
-		starts[i] = pos
-		// Step functionally over the interval itself; the detailed replay
-		// of these instructions happens in the interval job.
-		if err := sim.FastForward(sp.IntervalInsts, true); err != nil {
-			return nil, err
-		}
-		pos += sp.IntervalInsts
+		mu.Unlock()
+		cancel()
 	}
 
 	// Detailed intervals, sharded. Results land by index, so completion
 	// order cannot affect the aggregate.
 	results := make([]*core.Result, sp.Intervals)
-	errs := make([]error, sp.Intervals)
 	par := sp.Parallelism
 	if par <= 0 {
 		par = 4
 	}
 	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if sp.Backend != nil {
-				results[i], errs[i] = sp.Backend.Run(ctx, jobs[i])
-			} else {
-				results[i], errs[i] = ExecuteJob(ctx, jobs[i])
+	dispatch := func(i int, job JobSpec) {
+		defer wg.Done()
+		select {
+		case sem <- struct{}{}:
+		case <-ctx.Done():
+			fail(ctx.Err())
+			return
+		}
+		defer func() { <-sem }()
+		if err := ctx.Err(); err != nil { // cancelled while queued
+			fail(err)
+			return
+		}
+		var r *core.Result
+		var err error
+		if sp.Backend != nil {
+			r, err = sp.Backend.Run(ctx, job)
+		} else {
+			r, err = ExecuteJob(ctx, job)
+		}
+		if err != nil {
+			fail(fmt.Errorf("experiments: interval %d: %w", i, err))
+			return
+		}
+		results[i] = r
+	}
+
+	// Functional pass: walk the run once, cutting a checkpoint and a
+	// cumulative-counter snapshot at the start of each detailed interval
+	// and handing the interval straight to dispatch.
+	period := sp.Job.Insts / uint64(sp.Intervals)
+	gap := period - sp.IntervalInsts
+	baselines := make([]*core.Result, sp.Intervals)
+	starts := make([]uint64, sp.Intervals)
+	refs := make([]string, sp.Intervals)
+	pass := func() error {
+		var pos uint64
+		for i := 0; i < sp.Intervals; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-		}(i)
+			warm := gap
+			if sp.Warmup > 0 && sp.Warmup < gap {
+				warm = sp.Warmup
+			}
+			if err := sim.FastForward(gap-warm, false); err != nil {
+				return err
+			}
+			if err := sim.FastForward(warm, true); err != nil {
+				return err
+			}
+			pos += gap
+			blob, err := sim.SaveCheckpoint()
+			if err != nil {
+				return err
+			}
+			base, err := sim.Snapshot()
+			if err != nil {
+				return err
+			}
+			sum := sha256.Sum256(blob)
+			job := sp.Job
+			job.Insts = sp.IntervalInsts
+			job.Checkpoint = blob
+			job.CheckpointRef = hex.EncodeToString(sum[:])
+			baselines[i], starts[i], refs[i] = base, pos, job.CheckpointRef
+			wg.Add(1)
+			go dispatch(i, job)
+			// Step functionally over the interval itself; the detailed replay
+			// of these instructions happens in the interval job. The last
+			// interval has no successor to reach.
+			if i+1 < sp.Intervals {
+				if err := sim.FastForward(sp.IntervalInsts, true); err != nil {
+					return err
+				}
+			}
+			pos += sp.IntervalInsts
+		}
+		return nil
+	}
+	if err := pass(); err != nil {
+		fail(err)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: interval %d: %w", i, err)
-		}
+	if runErr != nil {
+		return nil, runErr
 	}
 
 	out := &SampledResult{
@@ -221,7 +264,7 @@ func RunSampled(ctx context.Context, sp SampleSpec) (*SampledResult, error) {
 			Insts:         r.Insts - base.Insts,
 			Cycles:        r.Cycles - base.Cycles,
 			Replays:       uint64(r.Stats.Get("core_replays_total") - base.Stats.Get("core_replays_total")),
-			CheckpointRef: jobs[i].CheckpointRef,
+			CheckpointRef: refs[i],
 		}
 		out.MeasuredInsts += iv.Insts
 		out.MeasuredCycles += iv.Cycles

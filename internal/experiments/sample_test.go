@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dmdc/internal/config"
+	"dmdc/internal/core"
 )
 
 var updateSampled = flag.Bool("update", false, "rewrite testdata/sampled_error_bounds.json")
@@ -106,6 +110,73 @@ func TestSampledDeterminism(t *testing.T) {
 	}
 	if ra.CPI <= 0 || ra.EstimatedCycles == 0 {
 		t.Errorf("degenerate aggregate: cpi=%v estimated=%d", ra.CPI, ra.EstimatedCycles)
+	}
+}
+
+// failingBackend runs interval jobs in process, counting Run calls, and
+// fails the one whose checkpoint ref is failRef.
+type failingBackend struct {
+	failRef string
+	calls   atomic.Int32
+}
+
+var errIntervalFailed = errors.New("interval failed on purpose")
+
+func (b *failingBackend) Name() string { return "failing" }
+
+func (b *failingBackend) Run(ctx context.Context, job JobSpec) (*core.Result, error) {
+	b.calls.Add(1)
+	if job.CheckpointRef == b.failRef {
+		return nil, errIntervalFailed
+	}
+	return ExecuteJob(ctx, job)
+}
+
+// TestSampledFailFast fails interval 0 of 8 with one interval slot: the
+// run must return interval 0's own error — not a sibling's cancellation —
+// and must not go on to run every queued interval.
+func TestSampledFailFast(t *testing.T) {
+	t.Parallel()
+	sp := SampleSpec{
+		Job:       JobSpec{Machine: config.Config1(), Policy: "dmdc", Benchmark: "gcc", Insts: 160_000},
+		Intervals: 8, IntervalInsts: 2_000, Parallelism: 1,
+	}
+	ok, err := RunSampled(context.Background(), sp)
+	if err != nil {
+		t.Fatalf("RunSampled: %v", err)
+	}
+	b := &failingBackend{failRef: ok.Intervals[0].CheckpointRef}
+	sp.Backend = b
+	_, err = RunSampled(context.Background(), sp)
+	if !errors.Is(err, errIntervalFailed) || !strings.Contains(err.Error(), "interval 0:") {
+		t.Fatalf("RunSampled error = %v, want interval 0's %v", err, errIntervalFailed)
+	}
+	if n := b.calls.Load(); n >= int32(sp.Intervals) {
+		t.Fatalf("%d Run calls after interval 0 failed, want fewer than %d", n, sp.Intervals)
+	}
+}
+
+// TestSampledCancelledContext hands RunSampled an already cancelled
+// context for a 10M-instruction run: it must return ctx.Err() without
+// fast-forwarding the run or dispatching any interval.
+func TestSampledCancelledContext(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	b := &failingBackend{}
+	start := time.Now()
+	_, err := RunSampled(ctx, SampleSpec{
+		Job:       JobSpec{Machine: config.Config2(), Policy: "dmdc", Benchmark: "gcc", Insts: 10_000_000},
+		Intervals: 40, IntervalInsts: 10_000, Backend: b,
+	})
+	if err != context.Canceled {
+		t.Fatalf("RunSampled error = %v, want %v", err, context.Canceled)
+	}
+	if n := b.calls.Load(); n != 0 {
+		t.Fatalf("%d intervals dispatched on a cancelled context", n)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("RunSampled took %v to notice a cancelled context", d)
 	}
 }
 

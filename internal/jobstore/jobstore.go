@@ -192,13 +192,13 @@ type Store struct {
 	dir string
 	o   Options
 
-	mu             sync.Mutex
-	f              *os.File
-	size           int64
-	sizeAtCompact  int64
-	jobs           map[string]*JobRecord
-	seq            int
-	closed         bool
+	mu            sync.Mutex
+	f             *os.File
+	size          int64
+	sizeAtCompact int64
+	jobs          map[string]*JobRecord
+	seq           int
+	closed        bool
 }
 
 // Open opens (creating if needed) the store at dir and replays its

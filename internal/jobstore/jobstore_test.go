@@ -117,9 +117,9 @@ func TestJournalReplayEdgeCases(t *testing.T) {
 		// mutate corrupts the closed journal file in place.
 		mutate func(t *testing.T, path string)
 		// extra appends records before close (for duplicate/stale cases).
-		extra     func(t *testing.T, s *Store)
-		want      map[string]State
-		wantTorn  bool
+		extra       func(t *testing.T, s *Store)
+		want        map[string]State
+		wantTorn    bool
 		wantIgnored int
 	}{
 		{

@@ -50,6 +50,7 @@ type CAM struct {
 	replays    [NumCauses]uint64
 	searchCost float64
 	writeCost  float64
+	commitCost float64
 }
 
 // Validate reports the first configuration problem, or nil.
@@ -84,6 +85,7 @@ func NewCAM(cfg CAMConfig, em *energy.Model) (*CAM, error) {
 		em:         em,
 		searchCost: energy.CAMSearch(cfg.LQSize, energy.AddressBits),
 		writeCost:  energy.CAMAccess(cfg.LQSize, energy.AddressBits+8),
+		commitCost: energy.CAMAccess(cfg.LQSize, 16),
 	}
 	switch cfg.Filter {
 	case FilterYLA:
@@ -176,7 +178,7 @@ func (c *CAM) StoreCommit(*MemOp) {}
 
 // LoadCommit deallocates the load's LQ entry.
 func (c *CAM) LoadCommit(op *MemOp) *Replay {
-	c.em.Add(energy.CompLQ, energy.CAMAccess(c.cfg.LQSize, 16))
+	c.em.Add(energy.CompLQ, c.commitCost)
 	c.removeUpTo(op.Age)
 	return nil
 }

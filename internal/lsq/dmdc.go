@@ -129,6 +129,8 @@ type DMDC struct {
 	windowInsts, windowLoads      stats.Summary
 	windowSafeLoads               stats.Summary
 	windows, singleStoreWindows   uint64
+
+	queueSearchCost float64 // one checking-queue search, precomputed
 }
 
 // NewDMDC builds the policy; em may be energy.Disabled(). An invalid
@@ -138,9 +140,10 @@ func NewDMDC(cfg DMDCConfig, em *energy.Model) (*DMDC, error) {
 		return nil, &ConfigError{Policy: "dmdc", Err: err}
 	}
 	d := &DMDC{
-		cfg:   cfg,
-		em:    em,
-		ylaQW: NewYLAFile(cfg.YLARegs, QuadWordShift),
+		cfg:             cfg,
+		em:              em,
+		ylaQW:           NewYLAFile(cfg.YLARegs, QuadWordShift),
+		queueSearchCost: energy.CAMSearch(cfg.QueueSize, energy.AddressBits),
 	}
 	if cfg.Coherence {
 		d.ylaLine = NewYLAFile(cfg.LineYLARegs, CacheLineShift)
@@ -373,7 +376,7 @@ func containsIdx(s []uint32, v uint32) bool {
 
 // queueCheck is the associative checking-queue variant of LoadCommit.
 func (d *DMDC) queueCheck(op *MemOp) *Replay {
-	d.em.Add(energy.CompCheckTable, energy.CAMSearch(d.cfg.QueueSize, energy.AddressBits))
+	d.em.Add(energy.CompCheckTable, d.queueSearchCost)
 	if d.overflowPending {
 		// The queue lost a store: conservatively replay the first checked
 		// load so no violation can slip through.

@@ -194,7 +194,9 @@ func (t *Tiered) fetch(key string) (*core.Result, bool) {
 // consulted — an instance answers peers from what it holds, never by
 // fanning the request out again, so peer chains cannot recurse.
 func (t *Tiered) GetRaw(key string) ([]byte, bool) {
-	if rg, ok := t.local.(interface{ GetRaw(key string) ([]byte, bool) }); ok {
+	if rg, ok := t.local.(interface {
+		GetRaw(key string) ([]byte, bool)
+	}); ok {
 		return rg.GetRaw(key)
 	}
 	return nil, false

@@ -26,22 +26,23 @@ const (
 )
 
 // branchSite is one static branch with its behavioral pattern machine.
+// Data-dependent sites are taken with the profile's Branch.RandBias, held
+// as a cut in drawCuts.
 type branchSite struct {
-	kind     branchKind
-	bias     bool    // direction for biased sites
-	loopLen  int     // trip count for loop sites
-	pattern  []bool  // repeating sequence for pattern sites
-	randBias float64 // P(taken) for data-dependent sites
+	kind    branchKind
+	bias    bool   // direction for biased sites
+	loopLen int    // trip count for loop sites
+	pattern []bool // repeating sequence for pattern sites
 	// dynamic state (committed path only)
 	counter int
 }
 
 // direction advances the site's pattern machine and returns the outcome.
-func (s *branchSite) direction(rng *xrand.Rand) bool {
+func (s *branchSite) direction(rng *xrand.Rand, c *drawCuts) bool {
 	switch s.kind {
 	case brBiased:
 		// Rare inversions keep the predictor's counters saturated but honest.
-		if rng.Float64() < 0.03 {
+		if rng.Less(c.inversion) {
 			return !s.bias
 		}
 		return s.bias
@@ -57,13 +58,13 @@ func (s *branchSite) direction(rng *xrand.Rand) bool {
 		s.counter = (s.counter + 1) % len(s.pattern)
 		return out
 	default:
-		return rng.Float64() < s.randBias
+		return rng.Less(c.randBias)
 	}
 }
 
 // guess returns a plausible direction without mutating state; used for
 // wrong-path streams so they cannot perturb the committed-path machines.
-func (s *branchSite) guess(rng *xrand.Rand) bool {
+func (s *branchSite) guess(rng *xrand.Rand, c *drawCuts) bool {
 	switch s.kind {
 	case brBiased:
 		return s.bias
@@ -72,7 +73,56 @@ func (s *branchSite) guess(rng *xrand.Rand) bool {
 	case brPattern:
 		return s.pattern[s.counter]
 	default:
-		return rng.Float64() < s.randBias
+		return rng.Less(c.randBias)
+	}
+}
+
+// drawCuts holds, as xrand cuts, every probability the generator tests a
+// draw against, so the per-instruction paths compare integers instead of
+// converting each draw to a float. Built once per generator; each cut
+// consumes and decides exactly as the Float64 comparison it replaces.
+type drawCuts struct {
+	inversion    xrand.Cut // a biased branch goes against its bias: 0.03
+	randBias     xrand.Cut // a data-dependent branch is taken
+	loneReread   xrand.Cut // an aliased load computes its own address: 0.0005
+	shallow      xrand.Cut // an integer ALU op is address arithmetic: 0.45
+	chainALU     xrand.Cut // address arithmetic chains on the previous one: 0.5
+	pointerChase xrand.Cut
+	addrReady    xrand.Cut
+	storeReady   xrand.Cut
+	storePtr     xrand.Cut
+	fp           xrand.Cut
+	alias        xrand.Cut
+	sameStore    xrand.Cut // an aliased load re-reads within the store: 0.85
+	sameStream   xrand.Cut // a sequential access stays on its stream: 0.85
+	seq          xrand.Cut
+	seqStack     xrand.Cut // sequential or stack
+
+	// Geometric dependence distances: branch sources and recent loads
+	// (mean 2), address chains (1.2), and the profile's DepDistMean.
+	dist2, dist12, distDep geom
+}
+
+func newDrawCuts(p Profile) drawCuts {
+	return drawCuts{
+		inversion:    xrand.CutAt(0.03),
+		randBias:     xrand.CutAt(p.Branch.RandBias),
+		loneReread:   xrand.CutAt(0.0005),
+		shallow:      xrand.CutAt(0.45),
+		chainALU:     xrand.CutAt(0.5),
+		pointerChase: xrand.CutAt(p.PointerChase),
+		addrReady:    xrand.CutAt(p.AddrReadyFrac),
+		storeReady:   xrand.CutAt(p.StoreAddrReadyFrac),
+		storePtr:     xrand.CutAt(p.StorePtrFrac),
+		fp:           xrand.CutAt(p.FPFrac),
+		alias:        xrand.CutAt(p.AliasRate),
+		sameStore:    xrand.CutAt(0.85),
+		sameStream:   xrand.CutAt(0.85),
+		seq:          xrand.CutAt(p.SeqFrac),
+		seqStack:     xrand.CutAt(p.SeqFrac + p.StackFrac),
+		dist2:        newGeom(2.0),
+		dist12:       newGeom(1.2),
+		distDep:      newGeom(p.DepDistMean),
 	}
 }
 
@@ -98,6 +148,7 @@ type Generator struct {
 	pcToBlock map[uint64]int
 
 	rng  *xrand.Rand
+	cut  drawCuts
 	seq  uint64
 	cur  int // current block
 	slot int
@@ -126,7 +177,7 @@ type Generator struct {
 	seqPtrs      []uint64
 	seqStrides   []uint64
 	lastStream   int
-	storeRing    []memRef // recent committed-path store addresses
+	storeRing    [64]memRef // recent committed-path store addresses
 	storeHead    int
 	lastLoadAddr uint64
 }
@@ -148,11 +199,11 @@ func NewGenerator(p Profile) *Generator {
 	g := &Generator{
 		prof:         p,
 		rng:          xrand.New(p.Seed),
+		cut:          newDrawCuts(p),
 		regionBytes:  uint64(p.WorkingSetKB) * 1024,
 		nextIntDest:  8,
 		nextFPDest:   isa.NumIntRegs + 8,
 		lastLoadDest: 8,
-		storeRing:    make([]memRef, 64),
 	}
 	// The static CFG is a pure function of the profile, built from its own
 	// RNG (seeded p.Seed^0x5eed_b10c, never touching g.rng), so it is
@@ -311,11 +362,10 @@ func (g *Generator) sampleBranchSite(rng *xrand.Rand) branchSite {
 		}
 		return branchSite{kind: brPattern, pattern: pat}
 	default:
-		return branchSite{kind: brRandom, randBias: p.RandBias}
+		return branchSite{kind: brRandom}
 	}
 }
 
-// Next returns the next committed-path instruction.
 // NextBatch fills dst with the next committed-path instructions and
 // returns how many were written. It stops after emitting a branch so a
 // batching front end never pre-generates across a block boundary: the
@@ -324,25 +374,34 @@ func (g *Generator) sampleBranchSite(rng *xrand.Rand) branchSite {
 // run ahead of the last instruction the machine has fetched.
 func (g *Generator) NextBatch(dst []isa.Inst) int {
 	for i := range dst {
-		dst[i] = g.Next()
-		if dst[i].Op == isa.OpBranch {
+		in := &dst[i]
+		g.next(in)
+		if in.Op == isa.OpBranch {
 			return i + 1
 		}
 	}
 	return len(dst)
 }
 
+// Next returns the next committed-path instruction.
 func (g *Generator) Next() isa.Inst {
+	var in isa.Inst
+	g.next(&in)
+	return in
+}
+
+// next writes every field of the next committed-path instruction into in.
+func (g *Generator) next(in *isa.Inst) {
 	b := &g.blocks[g.cur]
 	if g.slot >= len(b.ops) {
 		// Branch slot.
-		taken := b.site.direction(g.rng)
-		in := isa.Inst{
+		taken := b.site.direction(g.rng, &g.cut)
+		*in = isa.Inst{
 			Seq:    g.seq,
 			PC:     b.branchPC(),
 			Op:     isa.OpBranch,
 			Dest:   isa.RegNone,
-			Src1:   g.recentIntReg(2.0),
+			Src1:   g.recentIntReg(g.cut.dist2),
 			Src2:   isa.RegNone,
 			Taken:  taken,
 			Target: g.blocks[b.taken].pc,
@@ -354,30 +413,34 @@ func (g *Generator) Next() isa.Inst {
 			g.cur = b.fallthru
 		}
 		g.slot = 0
-		return in
+		return
 	}
-	op := b.ops[g.slot]
-	pc := b.pc + uint64(g.slot)*4
-	size := b.sizes[g.slot]
-	g.slot++
-	in := g.fillDynamic(op, pc, size, g.rng, true)
-	in.Seq = g.seq
+	*in = isa.Inst{
+		Seq:  g.seq,
+		PC:   b.pc + uint64(g.slot)*4,
+		Op:   b.ops[g.slot],
+		Dest: isa.RegNone,
+		Src1: isa.RegNone,
+		Src2: isa.RegNone,
+		Size: b.sizes[g.slot],
+	}
 	g.seq++
-	return in
+	g.slot++
+	g.fillDynamic(in)
 }
 
-// fillDynamic populates registers and addresses for one instruction.
-// committed selects whether generator state (rings, stream pointers) is
-// updated; wrong-path streams pass false.
-func (g *Generator) fillDynamic(op isa.Op, pc uint64, size uint8, rng *xrand.Rand, committed bool) isa.Inst {
-	in := isa.Inst{PC: pc, Op: op, Dest: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone, Size: size}
-	switch op {
+// fillDynamic draws the registers and address of a non-branch instruction
+// whose static fields are set, and advances the generator's register and
+// address state past it.
+func (g *Generator) fillDynamic(in *isa.Inst) {
+	rng, c := g.rng, &g.cut
+	switch in.Op {
 	case isa.OpLoad:
 		var aliased bool
 		var aliasSrc int16
-		in.Addr, in.Size, aliased, aliasSrc = g.loadAddr(size, rng, committed)
+		in.Addr, in.Size, aliased, aliasSrc = g.loadAddr(in.Size)
 		switch {
-		case aliased && rng.Float64() < 0.0005:
+		case aliased && rng.Less(c.loneReread):
 			// A tiny fraction of re-reads compute their address
 			// independently and can race ahead of the store — the source
 			// of the paper's "few per million" genuine violations.
@@ -388,51 +451,41 @@ func (g *Generator) fillDynamic(op isa.Op, pc uint64, size uint8, rng *xrand.Ran
 			// store resolves.
 			in.Src1 = aliasSrc
 		default:
-			in.Src1 = g.addrReg(rng, true)
+			in.Src1 = g.addrReg(true)
 		}
-		in.Dest = g.allocDest(false, rng, committed)
-		if committed {
-			g.lastLoadDest = in.Dest
-			g.lastLoadAddr = in.Addr
-			g.loadRing[g.loadRingLen%len(g.loadRing)] = in.Dest
-			g.loadRingLen++
-		}
+		in.Dest = g.allocDest(false)
+		g.lastLoadDest = in.Dest
+		g.lastLoadAddr = in.Addr
+		g.loadRing[g.loadRingLen%len(g.loadRing)] = in.Dest
+		g.loadRingLen++
 	case isa.OpStore:
-		in.Addr = g.storeAddr(size, rng, committed)
-		in.Src1 = g.addrReg(rng, false)
-		in.Src2 = g.recentAnyReg(rng)
-		if committed {
-			g.pushStore(in.Addr, size, in.Src1)
-		}
-	case isa.OpBranch:
-		in.Src1 = g.recentIntReg(2.0)
+		in.Addr = g.commonAddr(in.Size)
+		in.Src1 = g.addrReg(false)
+		in.Src2 = g.recentAnyReg()
+		g.pushStore(in.Addr, in.Size, in.Src1)
 	default:
-		fp := op.IsFP()
-		in.Dest = g.allocDest(fp, rng, committed)
-		shallow := op == isa.OpIAlu && rng.Float64() < 0.45
-		if shallow {
+		fp := in.Op.IsFP()
+		in.Dest = g.allocDest(fp)
+		if in.Op == isa.OpIAlu && rng.Less(c.shallow) {
 			// Address arithmetic: induction updates and base+offset
 			// computes. Half chain on the previous address compute (i =
 			// i+1 style serial updates), bounding chain depth around two,
 			// so stores hanging off them resolve a few cycles after
 			// dispatch. Only these feed the address ring: real address
 			// chains do not hang off cache-missing data computation.
-			if g.aluRingLen > 0 && rng.Float64() < 0.5 {
+			if g.aluRingLen > 0 && rng.Less(c.chainALU) {
 				in.Src1 = g.aluRing[(g.aluRingLen-1)%len(g.aluRing)]
 			} else {
 				in.Src1 = int16(1 + rng.Intn(3))
 			}
 			in.Src2 = int16(1 + rng.Intn(3))
-		} else {
-			in.Src1 = g.recentReg(fp, rng)
-			in.Src2 = g.recentReg(fp, rng)
-		}
-		if committed && shallow {
 			g.aluRing[g.aluRingLen%len(g.aluRing)] = in.Dest
 			g.aluRingLen++
+		} else {
+			in.Src1 = g.recentReg(fp)
+			in.Src2 = g.recentReg(fp)
 		}
 	}
-	return in
 }
 
 // addrReg picks the address operand register. Loads mostly use stale base
@@ -443,17 +496,18 @@ func (g *Generator) fillDynamic(op isa.Op, pc uint64, size uint8, rng *xrand.Ran
 // past them, which is exactly the partial ordering YLA filtering exploits.
 // Store addresses never hang off load-fed chains: that heavy tail would
 // open enormous checking windows the paper's workloads do not show.
-func (g *Generator) addrReg(rng *xrand.Rand, isLoad bool) int16 {
+func (g *Generator) addrReg(isLoad bool) int16 {
+	rng, c := g.rng, &g.cut
 	if isLoad {
-		if rng.Float64() < g.prof.PointerChase {
+		if rng.Less(c.pointerChase) {
 			return g.lastLoadDest
 		}
-		if rng.Float64() < g.prof.AddrReadyFrac {
+		if rng.Less(c.addrReady) {
 			return int16(1 + rng.Intn(3)) // base registers r1..r3
 		}
-		return g.recentALUReg(rng, 1.2)
+		return g.recentALUReg()
 	}
-	if rng.Float64() < g.prof.StoreAddrReadyFrac {
+	if rng.Less(c.storeReady) {
 		return int16(1 + rng.Intn(3))
 	}
 	// Late store addresses split two ways: most follow a short address-
@@ -461,18 +515,18 @@ func (g *Generator) addrReg(rng *xrand.Rand, isLoad bool) int16 {
 	// of younger loads to slip past, which address banking then filters),
 	// and a minority are pointer-dependent (st [ptr->field]) — known only
 	// after a nearby load completes, with a long tail on cache misses.
-	if rng.Float64() >= g.prof.StorePtrFrac {
-		return g.recentALUReg(rng, 1.2)
+	if !rng.Less(c.storePtr) {
+		return g.recentALUReg()
 	}
-	return g.recentLoadReg(rng)
+	return g.recentLoadReg()
 }
 
 // recentLoadReg returns the destination of a recent load.
-func (g *Generator) recentLoadReg(rng *xrand.Rand) int16 {
+func (g *Generator) recentLoadReg() int16 {
 	if g.loadRingLen == 0 {
 		return 1
 	}
-	d := geomDist(rng, 2.0)
+	d := g.cut.dist2.draw(g.rng)
 	if d > g.loadRingLen {
 		d = g.loadRingLen
 	}
@@ -483,13 +537,13 @@ func (g *Generator) recentLoadReg(rng *xrand.Rand) int16 {
 }
 
 // recentALUReg returns the destination of an integer ALU operation about
-// `mean` ALU ops back; falls back to a base register before any ALU op
-// has been generated.
-func (g *Generator) recentALUReg(rng *xrand.Rand, mean float64) int16 {
+// 1.2 ALU ops back; falls back to a base register before any ALU op has
+// been generated.
+func (g *Generator) recentALUReg() int16 {
 	if g.aluRingLen == 0 {
 		return 1
 	}
-	d := geomDist(rng, mean)
+	d := g.cut.dist12.draw(g.rng)
 	if d > g.aluRingLen {
 		d = g.aluRingLen
 	}
@@ -501,12 +555,12 @@ func (g *Generator) recentALUReg(rng *xrand.Rand, mean float64) int16 {
 
 // allocDest cycles through the destination register pools, periodically
 // rewriting a base register to keep its producer fresh in the stream.
-func (g *Generator) allocDest(fp bool, rng *xrand.Rand, committed bool) int16 {
-	if !fp && committed {
+func (g *Generator) allocDest(fp bool) int16 {
+	if !fp {
 		g.baseRegTimer++
 		if g.baseRegTimer >= 251 { // prime so it drifts across blocks
 			g.baseRegTimer = 0
-			d := int16(1 + rng.Intn(3))
+			d := int16(1 + g.rng.Intn(3))
 			g.pushDest(d, false)
 			return d
 		}
@@ -514,24 +568,18 @@ func (g *Generator) allocDest(fp bool, rng *xrand.Rand, committed bool) int16 {
 	var d int16
 	if fp {
 		d = g.nextFPDest
-		if committed {
-			g.nextFPDest++
-			if g.nextFPDest >= isa.NumRegs {
-				g.nextFPDest = isa.NumIntRegs + 8
-			}
+		g.nextFPDest++
+		if g.nextFPDest >= isa.NumRegs {
+			g.nextFPDest = isa.NumIntRegs + 8
 		}
 	} else {
 		d = g.nextIntDest
-		if committed {
-			g.nextIntDest++
-			if g.nextIntDest >= isa.NumIntRegs {
-				g.nextIntDest = 8
-			}
+		g.nextIntDest++
+		if g.nextIntDest >= isa.NumIntRegs {
+			g.nextIntDest = 8
 		}
 	}
-	if committed {
-		g.pushDest(d, fp)
-	}
+	g.pushDest(d, fp)
 	return d
 }
 
@@ -545,27 +593,40 @@ func (g *Generator) pushDest(d int16, fp bool) {
 	g.destRingLen++
 }
 
-// geomDist draws a geometric dependence distance with the given mean.
-func geomDist(rng *xrand.Rand, mean float64) int {
+// geom draws geometric dependence distances with one mean, capped at 48:
+// each step past 1 takes a draw above 1/mean. A mean ≤ 1 always yields 1
+// and draws nothing.
+type geom struct {
+	stop  xrand.Cut // CutAbove(1/mean)
+	fixed bool      // mean ≤ 1
+}
+
+func newGeom(mean float64) geom {
 	if mean <= 1 {
+		return geom{fixed: true}
+	}
+	return geom{stop: xrand.CutAbove(1.0 / mean)}
+}
+
+func (gd geom) draw(rng *xrand.Rand) int {
+	if gd.fixed {
 		return 1
 	}
-	p := 1.0 / mean
 	d := 1
-	for rng.Float64() > p && d < 48 {
+	for !rng.Less(gd.stop) && d < 48 {
 		d++
 	}
 	return d
 }
 
-// recentIntReg returns an integer register written about `mean`
-// instructions ago.
-func (g *Generator) recentIntReg(mean float64) int16 {
+// recentIntReg returns an integer register written a distance drawn from
+// dist instructions ago.
+func (g *Generator) recentIntReg(dist geom) int16 {
 	n := g.destRingLen
 	if n == 0 {
 		return 1
 	}
-	d := geomDist(g.rng, mean)
+	d := dist.draw(g.rng)
 	if d > n {
 		d = n
 	}
@@ -575,9 +636,9 @@ func (g *Generator) recentIntReg(mean float64) int16 {
 	return g.destRing[(n-d)%len(g.destRing)]
 }
 
-func (g *Generator) recentReg(fp bool, rng *xrand.Rand) int16 {
+func (g *Generator) recentReg(fp bool) int16 {
 	if fp && g.fpRingLen > 0 {
-		d := geomDist(rng, g.prof.DepDistMean)
+		d := g.cut.distDep.draw(g.rng)
 		if d > g.fpRingLen {
 			d = g.fpRingLen
 		}
@@ -586,14 +647,14 @@ func (g *Generator) recentReg(fp bool, rng *xrand.Rand) int16 {
 		}
 		return g.fpRing[(g.fpRingLen-d)%len(g.fpRing)]
 	}
-	return g.recentIntReg(g.prof.DepDistMean)
+	return g.recentIntReg(g.cut.distDep)
 }
 
-func (g *Generator) recentAnyReg(rng *xrand.Rand) int16 {
-	if g.prof.FPFrac > 0 && rng.Float64() < g.prof.FPFrac && g.fpRingLen > 0 {
-		return g.recentReg(true, rng)
+func (g *Generator) recentAnyReg() int16 {
+	if g.prof.FPFrac > 0 && g.rng.Less(g.cut.fp) && g.fpRingLen > 0 {
+		return g.recentReg(true)
 	}
-	return g.recentIntReg(g.prof.DepDistMean)
+	return g.recentIntReg(g.cut.distDep)
 }
 
 func (g *Generator) pushStore(addr uint64, size uint8, src1 int16) {
@@ -615,16 +676,15 @@ func align(addr uint64, size uint8) uint64 { return addr - addr%uint64(size) }
 // loadAddr draws a load address from the profile's mixture of streams. It
 // returns the (possibly narrowed) access size, whether the load aliases a
 // recent store, and that store's address operand register.
-func (g *Generator) loadAddr(size uint8, rng *xrand.Rand, committed bool) (uint64, uint8, bool, int16) {
-	p := g.prof
+func (g *Generator) loadAddr(size uint8) (uint64, uint8, bool, int16) {
+	rng, c := g.rng, &g.cut
 	// Aliasing with a recent store takes priority: this is what creates
 	// forwarding and the rare genuine order violations.
-	if rng.Float64() < p.AliasRate {
-		back := 1 + rng.Intn(p.AliasWindow)
+	if rng.Less(c.alias) {
+		back := 1 + rng.Intn(g.prof.AliasWindow)
 		ref := g.storeBack(back)
 		src := ref.src1
-		r := rng.Float64()
-		if r < 0.85 || ref.size == 8 {
+		if rng.Less(c.sameStore) || ref.size == 8 {
 			// Exact or contained re-read: the SQ can forward this.
 			if size > ref.size {
 				size = ref.size
@@ -635,44 +695,39 @@ func (g *Generator) loadAddr(size uint8, rng *xrand.Rand, committed bool) (uint6
 		// so the SQ cannot supply all bytes ("partial memory matches").
 		return align(ref.addr, 8), 8, true, src
 	}
-	if rng.Float64() < p.PointerChase && g.lastLoadAddr != 0 {
+	if rng.Less(c.pointerChase) && g.lastLoadAddr != 0 {
 		// Dependent address: a scramble of the previous load's address,
 		// staying inside the working set.
 		h := g.lastLoadAddr*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 		return align(dataBase+h%g.regionBytes, size), size, false, 0
 	}
-	return g.commonAddr(size, rng, committed), size, false, 0
+	return g.commonAddr(size), size, false, 0
 }
 
-func (g *Generator) storeAddr(size uint8, rng *xrand.Rand, committed bool) uint64 {
-	return g.commonAddr(size, rng, committed)
-}
-
-// commonAddr draws from the sequential / stack / random mixture.
+// commonAddr draws from the sequential / stack / random mixture and
+// advances the sequential stream it walks.
 // Sequential accesses are bursty: consecutive memory operations often walk
 // the same stream (a[i], a[i+1], ... within one loop iteration), so loads
 // frequently touch the cache line a just-dispatched store wrote — adjacent
 // quad words, same line. Quad-word-interleaved YLA banks tell these apart;
 // line-interleaved banks cannot, which is the paper's Figure 2 contrast.
-func (g *Generator) commonAddr(size uint8, rng *xrand.Rand, committed bool) uint64 {
-	p := g.prof
-	r := rng.Float64()
+func (g *Generator) commonAddr(size uint8) uint64 {
+	rng, c := g.rng, &g.cut
+	r := rng.Draw()
 	switch {
-	case r < p.SeqFrac:
+	case r < c.seq:
 		i := g.lastStream
-		if rng.Float64() >= 0.85 {
+		if !rng.Less(c.sameStream) {
 			i = rng.Intn(len(g.seqPtrs))
 		}
 		a := g.seqPtrs[i]
-		if committed {
-			g.lastStream = i
-			g.seqPtrs[i] += g.seqStrides[i]
-			if g.seqPtrs[i] >= dataBase+g.regionBytes {
-				g.seqPtrs[i] = dataBase
-			}
+		g.lastStream = i
+		g.seqPtrs[i] += g.seqStrides[i]
+		if g.seqPtrs[i] >= dataBase+g.regionBytes {
+			g.seqPtrs[i] = dataBase
 		}
 		return align(a, size)
-	case r < p.SeqFrac+p.StackFrac:
+	case r < c.seqStack:
 		return align(stackBase+uint64(rng.Intn(stackSize)), size)
 	default:
 		return align(dataBase+uint64(rng.Int63n(int64(g.regionBytes))), size)
@@ -695,8 +750,6 @@ type WrongStream struct {
 	rng  *xrand.Rand
 	cur  int
 	slot int
-	// Frozen copies of address state so wrong-path addresses resemble the
-	// committed path without perturbing it.
 }
 
 // EnableWrongPathReuse makes subsequent WrongPath calls hand out one
@@ -743,7 +796,7 @@ func (g *Generator) WrongPath(branchPC uint64, taken bool, salt uint64) *WrongSt
 func (w *WrongStream) Next() isa.Inst {
 	b := &w.g.blocks[w.cur]
 	if w.slot >= len(b.ops) {
-		taken := b.site.guess(w.rng)
+		taken := b.site.guess(w.rng, &w.g.cut)
 		in := isa.Inst{
 			PC:     b.branchPC(),
 			Op:     isa.OpBranch,
@@ -792,13 +845,12 @@ func (w *WrongStream) Next() isa.Inst {
 // wrongPathAddr samples addresses from the same regions as the committed
 // path (streams are read, not advanced).
 func (g *Generator) wrongPathAddr(size uint8, rng *xrand.Rand) uint64 {
-	p := g.prof
-	r := rng.Float64()
+	r := rng.Draw()
 	switch {
-	case r < p.SeqFrac:
+	case r < g.cut.seq:
 		i := rng.Intn(len(g.seqPtrs))
 		return align(g.seqPtrs[i]+g.seqStrides[i], size)
-	case r < p.SeqFrac+p.StackFrac:
+	case r < g.cut.seqStack:
 		return align(stackBase+uint64(rng.Intn(stackSize)), size)
 	default:
 		return align(dataBase+uint64(rng.Int63n(int64(g.regionBytes))), size)
