@@ -8,9 +8,10 @@
 #                    tests for the concurrent packages (experiment runner,
 #                    result cache, simulation service) — keeps the
 #                    singleflight and worker-pool fixes fixed — plus the
-#                    soundness suite (oracle, fault injection, watchdog),
-#                    the wakeup-shadow scheduler cross-check, and a short
-#                    fuzz pass over every fuzz target
+#                    soundness suite (oracle, fault injection, watchdog,
+#                    wakeup invariant sweeps), the allocation budget, the
+#                    chaos, fleet and sampling gates, the benchmark smoke
+#                    run, a short fuzz pass and coverage
 #   make api-check   just the API-surface comparison
 #   make chaos       kill/restart durability matrix under -race: SIGKILL a
 #                    real dmdcd mid-matrix with a journal on disk, restart,
@@ -29,9 +30,6 @@
 #                    mid-run server kill, and the 5M-instruction
 #                    sampled-vs-full speedup acceptance
 #   make fuzz-short  90s split across the fuzz targets
-#   make wakeup-shadow  benchmark matrix with both issue schedulers in
-#                    lockstep under -race: the scan drives, the event
-#                    scheduler shadows every pick, any divergence fails
 #   make bench       simulator-throughput benchmarks (BENCH_COUNT reps),
 #                    medians recorded into BENCH_core.json via cmd/benchjson
 #   make bench-smoke one-iteration run of the simulator benchmarks — a fast
@@ -43,7 +41,7 @@ GO ?= go
 CACHE_DIR ?= .dmdc-cache
 BENCH_COUNT ?= 5
 
-.PHONY: all build test check vet api-check race soundness alloc-gate chaos fleet-check sample-check wakeup-shadow fuzz-short cover bench bench-smoke bench-all report clean-cache
+.PHONY: all build test check vet api-check race soundness alloc-gate chaos fleet-check sample-check fuzz-short cover bench bench-smoke bench-all report clean-cache
 
 all: build test check
 
@@ -69,13 +67,6 @@ race:
 soundness:
 	$(GO) test -run 'Soundness|Oracle|Watchdog|WrongPath|Fault|Invariant' ./internal/core/... ./internal/soundness/... ./internal/lsq/... ./internal/experiments/...
 
-# The scheduler cross-check: every benchmark on the primary and the
-# IQ-pressure machines, scan and event schedulers in lockstep (shadow
-# mode), plus the direct scan-vs-event fingerprint equivalence cells —
-# all under the race detector.
-wakeup-shadow:
-	$(GO) test -race -run 'TestWakeupShadowMatrix|TestWakeupSchedulerEquivalence' -count 1 .
-
 # 90 seconds of fuzzing split across the targets (seed corpora always run
 # as part of tier-1; this explores beyond them).
 fuzz-short:
@@ -83,8 +74,10 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpecParse -fuzztime 10s ./internal/soundness/
 	$(GO) test -run '^$$' -fuzz FuzzTraceEventExport -fuzztime 10s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 15s ./internal/jobstore/
-	$(GO) test -run '^$$' -fuzz FuzzWakeupScanEquivalence -fuzztime 15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzWakeupInvariants -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointRoundTrip -fuzztime 15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 5s ./internal/resultcache/
+	$(GO) test -run '^$$' -fuzz FuzzTraceReader -fuzztime 5s ./internal/tracefile/
 
 # The crash-safety matrix: journal replay edge cases, in-process
 # restart-resume, and a real dmdcd SIGKILLed mid-matrix with its journal
@@ -130,7 +123,7 @@ api-check:
 alloc-gate:
 	$(GO) test -run 'TestAllocationBudget' -count 1 .
 
-check: vet api-check race soundness alloc-gate chaos fleet-check sample-check wakeup-shadow bench-smoke fuzz-short cover
+check: vet api-check race soundness alloc-gate chaos fleet-check sample-check bench-smoke fuzz-short cover
 
 # Core-simulator throughput, recorded. Medians over BENCH_COUNT repetitions
 # land in the "current" section of BENCH_core.json; the "pre_pr8" section

@@ -14,6 +14,8 @@ package dmdc_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"testing"
@@ -142,5 +144,31 @@ func TestCheckpointRestoreGolden(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestCheckpointBytesPinned pins the checkpoint encoding itself: the
+// SHA-256 of a Config2/gcc/dmdc checkpoint saved mid-run, with a live
+// window, ready bitmap and consumer lists. Sampled-mode interval jobs are
+// content-addressed by these hashes, so any encoding drift — a field
+// added, dropped, reordered or written differently — moves every
+// interval's cache key. This fails the tier-1 suite first. After an
+// intentional format change, bump checkpoint.FormatVersion and re-pin.
+func TestCheckpointBytesPinned(t *testing.T) {
+	const (
+		insts = 20_000
+		want  = "80d91f4592f81ab93024b54b84b95022a272be4e28ef6a0f233409e7391ed069"
+	)
+	sim := newCellSim(t, dmdc.Config2(), "gcc", "dmdc-global")
+	if _, err := sim.Run(insts); err != nil {
+		t.Fatalf("run to %d: %v", insts, err)
+	}
+	blob, err := sim.SaveCheckpoint()
+	if err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	sum := sha256.Sum256(blob)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("checkpoint bytes changed: sha256 %s (%d bytes), pinned %s", got, len(blob), want)
 	}
 }

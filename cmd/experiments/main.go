@@ -61,7 +61,6 @@ func main() {
 		cacheDir   = flag.String("cache-dir", os.Getenv("DMDC_CACHE"), "persistent result cache directory (default $DMDC_CACHE; empty disables)")
 		cacheClear = flag.Bool("cache-clear", false, "clear the result cache and exit")
 		sound      = flag.Bool("soundness", false, "verify every commit of every run against a lockstep in-order oracle (bypasses the cache)")
-		wakeShadow = flag.Bool("wakeup-shadow", false, "run both issue schedulers in lockstep and fail on any pick divergence (bypasses the cache; in-process only)")
 		faultsFl   = flag.String("faults", "", "inject a deterministic fault campaign into every run, e.g. invburst=8@50,storedelay=40@7,spurious=97")
 		wdCycles   = flag.Uint64("watchdog-cycles", 0, "fail a run when no instruction commits for this many cycles (0 = default budget)")
 		telDir     = flag.String("telemetry-dir", "", "export per-job time series (CSV/JSON) and Chrome traces to this directory (enables telemetry)")
@@ -108,7 +107,6 @@ func main() {
 		Parallelism:    *par,
 		CacheDir:       *cacheDir,
 		Soundness:      *sound,
-		WakeupShadow:   *wakeShadow,
 		WatchdogCycles: *wdCycles,
 	}
 	if *faultsFl != "" {

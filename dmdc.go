@@ -65,7 +65,8 @@ func Config3() Machine { return config.Config3() }
 // ConfigIQPressure returns the off-paper scheduler stress machine: issue
 // queues far smaller than the ROB behind a tiny, slow L1D, so issue
 // wakeup runs IQ-full with long-latency loads. It exists for the golden
-// matrix and the wakeup shadow suite rather than the paper's evaluation.
+// matrix, which pins the issue scheduler under that pressure, rather than
+// the paper's evaluation.
 func ConfigIQPressure() Machine { return config.IQPressure() }
 
 // Benchmarks lists the 26 synthetic SPEC CPU2000 stand-ins.
@@ -201,27 +202,6 @@ func WithWatchdog(budget uint64) SimOption { return core.WithWatchdog(budget) }
 // WithInvariantChecking sweeps the pipeline's structural invariants every
 // n cycles, failing the run with a *SoundnessError on the first violation.
 func WithInvariantChecking(n uint64) SimOption { return core.WithInvariantChecking(n) }
-
-// WithEventWakeup selects the event-driven issue scheduler (the default):
-// per-producer consumer lists wake an age-ordered ready bitmap, so the
-// issue stage touches only ready instructions instead of scanning the
-// whole window. Cycle-for-cycle identical to the legacy scan.
-func WithEventWakeup() SimOption { return core.WithEventWakeup() }
-
-// WithScanWakeup selects the legacy per-cycle issue-window scan — the
-// verification reference for the event scheduler, identical in simulated
-// behavior and slower in wall-clock.
-func WithScanWakeup() SimOption { return core.WithScanWakeup() }
-
-// WithWakeupShadow runs both issue schedulers in lockstep, diffing every
-// issue pick; the first mismatch fails the run with a
-// *WakeupDivergenceError carrying a pipeline state dump. A shadow run
-// simulates identically to either scheduler alone.
-func WithWakeupShadow() SimOption { return core.WithWakeupShadow() }
-
-// WakeupDivergenceError reports a scan/event scheduler disagreement from
-// a WithWakeupShadow run (see that option).
-type WakeupDivergenceError = core.WakeupDivergenceError
 
 // TelemetryConfig parameterizes a telemetry sampler (cycle stride, ring
 // capacity; zero fields take defaults).

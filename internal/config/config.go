@@ -144,8 +144,8 @@ func Config3() Machine {
 // and slow lower levels. Loads miss constantly and hold their consumers
 // in the window for tens of cycles, so the scheduler runs IQ-full with
 // long-latency wakeups — the regime that exercises issue wakeup ordering
-// (and its squash interactions) hardest. Used by the golden matrix and
-// the wakeup shadow suite; not part of the paper's evaluation set.
+// (and its squash interactions) hardest. Used by the golden matrix; not
+// part of the paper's evaluation set.
 func IQPressure() Machine {
 	m := common("iqpress")
 	m.IQInt, m.IQFP = 12, 8

@@ -37,7 +37,6 @@ type Arena struct {
 	consPrev []int32
 	consOn   []int32
 
-	waiting       []schedEnt
 	dataWait      []wheelEv
 	sq            []sqEntry
 	fetchQ        []isa.Inst
@@ -111,7 +110,6 @@ func (a *Arena) ensure(robSize int) {
 			a.wheel[i] = a.wheel[i][:0]
 		}
 	}
-	a.waiting = a.waiting[:0]
 	a.dataWait = a.dataWait[:0]
 	a.sq = a.sq[:0]
 	a.fetchQ = a.fetchQ[:0]
@@ -132,7 +130,6 @@ func (a *Arena) attach(s *Sim) {
 	s.consPrev = a.consPrev
 	s.consOn = a.consOn
 	s.readyCnt = 0
-	s.waiting = a.waiting
 	s.dataWait = a.dataWait
 	s.sq = a.sq
 	s.fetchQ = a.fetchQ
@@ -146,7 +143,6 @@ func (a *Arena) attach(s *Sim) {
 // versions for the next run. The fixed-length arrays (ROB halves, the
 // wheel's outer array) are shared with the Sim and need no write-back.
 func (a *Arena) reclaim(s *Sim) {
-	a.waiting = s.waiting
 	a.dataWait = s.dataWait
 	a.sq = s.sq
 	a.fetchQ = s.fetchQ

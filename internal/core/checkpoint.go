@@ -64,8 +64,6 @@ func (s *Sim) checkpointable() error {
 		return refuse("fault injection")
 	case s.invariantEvery > 0:
 		return refuse("invariant sweeping")
-	case s.wakeMode == wakeupShadow:
-		return refuse("the wakeup shadow scheduler")
 	}
 	if _, ok := s.wl.(CheckpointableWorkload); !ok {
 		return fmt.Errorf("core: cannot checkpoint: workload %T is not checkpointable", s.wl)
@@ -89,13 +87,16 @@ func (s *Sim) SaveCheckpoint() ([]byte, error) {
 	e := checkpoint.NewEncoder()
 
 	// Header: identity of the simulation this state belongs to. Restore
-	// refuses a target built differently (Mismatch, never a guess).
+	// refuses a target built differently (Mismatch, never a guess). The
+	// scheduler byte is always 0, the one issue scheduler there is; it
+	// stays in the format so blobs, and the content addresses derived
+	// from their hashes, do not change.
 	e.Section("header")
 	e.String(s.cfg.Name)
 	e.String(s.wl.Meta().Name)
 	e.I64(s.wl.Meta().Seed)
 	e.String(s.pol.Name())
-	e.U8(uint8(s.wakeMode))
+	e.U8(0)
 	e.Bool(s.sqFilter)
 	e.U64(math.Float64bits(s.invRate))
 	e.U32(uint32(s.cfg.ROBSize))
@@ -182,12 +183,11 @@ func (s *Sim) SaveCheckpoint() ([]byte, error) {
 		e.U8(op.Bitmap)
 	}
 
+	// The sched section opens with a list count that is always 0 (no
+	// entries follow), kept for the same byte stability as the header's
+	// scheduler byte.
 	e.Section("sched")
-	e.U32(uint32(len(s.waiting)))
-	for _, w := range s.waiting {
-		e.U64(w.age)
-		e.U64(w.wake)
-	}
+	e.U32(0)
 	for _, w := range s.readyBM {
 		e.U64(w)
 	}
@@ -277,8 +277,8 @@ func (s *Sim) RestoreCheckpoint(data []byte) error {
 	if v := d.String(); d.Err() == nil && v != s.pol.Name() {
 		return checkpoint.Mismatchf("header", "policy %q, restore target is %q", v, s.pol.Name())
 	}
-	if v := d.U8(); d.Err() == nil && v != uint8(s.wakeMode) {
-		return checkpoint.Mismatchf("header", "wakeup mode %d, restore target uses %d", v, s.wakeMode)
+	if v := d.U8(); d.Err() == nil && v != 0 {
+		return checkpoint.Mismatchf("header", "scheduler %d, restore target uses 0", v)
 	}
 	if v := d.Bool(); d.Err() == nil && v != s.sqFilter {
 		return checkpoint.Mismatchf("header", "SQ filter %v, restore target has %v", v, s.sqFilter)
@@ -408,10 +408,8 @@ func (s *Sim) RestoreCheckpoint(data []byte) error {
 	}
 
 	d.Section("sched")
-	nw := d.Count(maxQueue)
-	s.waiting = s.waiting[:0]
-	for i := 0; i < nw; i++ {
-		s.waiting = append(s.waiting, schedEnt{age: d.U64(), wake: d.U64()})
+	if n := d.U32(); d.Err() == nil && n != 0 {
+		return checkpoint.Corruptf("sched", "%d entries in a list that is always empty", n)
 	}
 	s.readyCnt = 0
 	for i := range s.readyBM {

@@ -228,7 +228,6 @@ func (s *Sim) squashAfter(keepAge uint64, save bool) {
 	saved := s.squashScratch[:0]
 	var firstBranchCp uint32
 	var sawBranch bool
-	evWake := s.wakeMode != wakeupScan
 	idx := s.idxOf(from)
 	for age := from; age <= tailAge; age++ {
 		slot := idx
@@ -237,15 +236,13 @@ func (s *Sim) squashAfter(keepAge uint64, save bool) {
 		if idx++; idx == len(s.robHot) {
 			idx = 0
 		}
-		if evWake {
-			// Event-wakeup teardown by age range: drop the slot's ready
-			// bit and unlink it from the consumer list it is parked on
-			// (the producer may survive the squash). The slot's own
-			// consumer list needs no walk — every member is younger,
-			// hence also in this squash range, and unlinks itself here.
-			s.clearReady(slot)
-			s.unpark(slot)
-		}
+		// Wakeup teardown by age range: drop the slot's ready bit and
+		// unlink it from the consumer list it is parked on (the producer
+		// may survive the squash). The slot's own consumer list needs no
+		// walk — every member is younger, hence also in this squash range,
+		// and unlinks itself here.
+		s.clearReady(slot)
+		s.unpark(slot)
 		if save && !h.wrongPath() {
 			saved = append(saved, d.inst)
 		}
@@ -282,16 +279,9 @@ func (s *Sim) squashAfter(keepAge uint64, save bool) {
 		// The restore appended a bogus outcome bit; acceptable noise — the
 		// branch will re-predict when refetched.
 	}
-	// Purge squashed ages from the scheduling lists (ages are about to be
-	// recycled, so liveness checks alone would not catch them), and
+	// Purge squashed ages from the store data-wait list (ages are about to
+	// be recycled, so liveness checks alone would not catch them), and
 	// rebuild the rename map from the surviving entries.
-	w := s.waiting[:0]
-	for _, se := range s.waiting {
-		if se.age < from {
-			w = append(w, se)
-		}
-	}
-	s.waiting = w
 	dw := s.dataWait[:0]
 	for _, ev := range s.dataWait {
 		if ev.age < from {

@@ -36,16 +36,15 @@ const (
 	stCompleted              // result available / ready to commit
 )
 
-// hotEntry is the half of a ROB slot the per-cycle scans touch: the
-// issue stage re-reads age, notBefore, the producer links, state, and
-// the op class for every waiting instruction every cycle, and the
-// complete and commit stages test the same fields. At 48 bytes, a
-// 256-entry ROB's hot state is ~12KB — resident in L1 — where the
-// previous ~200-byte combined entries spanned four lines each and the
-// scan's strided reads evicted one another. The bulky instruction and
-// branch-recovery state live in the parallel robData array, touched
-// once per stage transition, and the per-slot MemOps in the memOps
-// arena (struct-of-arrays, all indexed by the same slot).
+// hotEntry is the half of a ROB slot the per-cycle stages touch: the
+// issue stage reads age, notBefore, the producer links, state, and the
+// op class of every ready candidate, and the complete and commit stages
+// test the same fields. At 48 bytes, a 256-entry ROB's hot state is
+// ~12KB — resident in L1 — where ~200-byte combined entries would span
+// four lines each. The bulky instruction and branch-recovery state live
+// in the parallel robData array, touched once per stage transition, and
+// the per-slot MemOps in the memOps arena (struct-of-arrays, all indexed
+// by the same slot).
 type hotEntry struct {
 	age       uint64
 	notBefore uint64 // earliest cycle the op may (re)attempt issue
@@ -82,7 +81,7 @@ func (h *hotEntry) wrongPath() bool { return h.flags&fWrongPath != 0 }
 
 // robData is the cold half of a ROB slot: the full instruction plus the
 // branch-recovery state, read at stage boundaries (dispatch, branch
-// resolve, commit, squash) but never inside the per-entry issue scan.
+// resolve, commit, squash) but never by the issue stage's gates.
 type robData struct {
 	inst isa.Inst
 
@@ -199,17 +198,11 @@ type Sim struct {
 	lastGenPC     uint64 // next correct-path fetch PC (I-cache proxy)
 	lastWPPC      uint64 // next wrong-path fetch PC
 
-	// Scheduling. wakeMode selects the issue scheduler (see wakeup.go);
-	// the default is the event-driven one. The scan's waiting list and
-	// the event scheduler's ready bitmap + consumer lists are maintained
-	// per mode (shadow maintains both).
-	wakeMode wakeupMode
-	waiting  []schedEnt // scan modes: stWaiting entries, age-ascending, with sleep hints
-	// Event-wakeup state, all slot-indexed and arena-backed: readyBM is
-	// the issue-ready bitmap (readyCnt its exact population count), and
-	// consHead/consNext/consPrev/consOn form the intrusive doubly-linked
-	// per-producer consumer lists (-1 terminated; consOn[c] is the
-	// producer slot c is parked on, -1 when not parked).
+	// Scheduling (see wakeup.go), all slot-indexed and arena-backed:
+	// readyBM is the issue-ready bitmap (readyCnt its exact population
+	// count), and consHead/consNext/consPrev/consOn form the intrusive
+	// doubly-linked per-producer consumer lists (-1 terminated; consOn[c]
+	// is the producer slot c is parked on, -1 when not parked).
 	readyBM  []uint64
 	readyCnt int
 	consHead []int32
@@ -453,36 +446,6 @@ func (s *Sim) lookupProducer(reg int16) uint64 {
 // producer's hot entry; a negative slot index already means ready.
 func srcReady(h *hotEntry, prodAge uint64) bool {
 	return h.age != prodAge || h.state == stCompleted
-}
-
-// sleepHint returns the earliest cycle a consumer blocked on producer p
-// could find it completed. An issued producer completes exactly when its
-// scheduled event fires (compCycle is rewritten on every schedule, and the
-// only stIssued entries without a live schedule are data-waiting stores,
-// which have no register consumers). A still-waiting producer was already
-// scanned earlier this cycle (the issue scan is age-ordered), so it issues
-// at cycle+1 at the earliest and completes no sooner than cycle+2. The
-// producer cannot leave the window (age recycling) before completing
-// either, so srcReady cannot flip before the returned cycle.
-// schedEnt is one issue-queue scan entry. wake is a scheduler-only sleep
-// hint: the earliest cycle a readiness recheck could possibly succeed,
-// derived from the blocking producer's known completion cycle. Skipping a
-// sleeping entry never misses an issue opportunity (srcReady cannot flip
-// before the producer's scheduled completion fires), and it keeps the scan
-// from touching the ROB line at all: a sleeping entry costs one sequential
-// 16-byte read. wake is not a behavioral constraint — squash purges filter
-// by age alone, and a stale entry that wakes is dropped by the usual
-// liveness/state checks.
-type schedEnt struct {
-	age  uint64
-	wake uint64
-}
-
-func sleepHint(p *hotEntry, cycle uint64) uint64 {
-	if p.state == stIssued {
-		return p.compCycle
-	}
-	return cycle + 2
 }
 
 // The pol* wrappers are the concrete fast path for the per-cycle and

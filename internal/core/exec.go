@@ -23,134 +23,6 @@ func (s *Sim) scheduleCompletion(age uint64, lat int) {
 	s.wheel[slot] = append(s.wheel[slot], wheelEv{age: age, epoch: h.epoch})
 }
 
-// issueStage selects ready instructions oldest-first, up to the issue
-// width and functional-unit limits, and begins their execution, through
-// the scheduler the wakeup mode selects (see wakeup.go).
-func (s *Sim) issueStage() {
-	switch s.wakeMode {
-	case wakeupEvent:
-		s.issueEvent()
-	case wakeupScan:
-		s.issueScan(false)
-	default:
-		s.issueScan(true)
-	}
-}
-
-// issueScan is the legacy issue stage: a walk over every waiting
-// instruction, age-ascending, with per-entry sleep hints. With shadow
-// set, the event scheduler runs as a lockstep ghost and every issue pick
-// is diffed (see shadowCheck/shadowFlush).
-func (s *Sim) issueScan(shadow bool) {
-	var (
-		fu    fuState
-		ghost wakeIter
-	)
-	if shadow {
-		s.newWakeIter(&ghost)
-	}
-	out := s.waiting[:0]
-	for i, se := range s.waiting {
-		if fu.issued >= s.cfg.IssueWidth {
-			// Width exhausted: nothing further can issue this cycle, so keep
-			// the tail wholesale instead of walking every blocked entry.
-			// (The liveness/state filters below are lazy cleanup — a dropped
-			// entry is re-filtered identically next cycle.)
-			out = append(out, s.waiting[i:]...)
-			break
-		}
-		if s.cycle < se.wake {
-			// Sleeping: the blocking producer cannot have completed yet.
-			// No ROB access at all — this is the scan's cheap path.
-			out = append(out, se)
-			continue
-		}
-		age := se.age
-		// Inlined live()+entryOf(): one offset computation serves both the
-		// liveness test and the slot lookup. The fields are re-read every
-		// iteration on purpose — beginExecution can trigger a replay squash
-		// that moves the head and shrinks the window mid-loop.
-		off := age - s.headAge
-		if off >= uint64(s.count) {
-			continue // squashed
-		}
-		idx := s.headIdx + int(off)
-		if n := len(s.robHot); idx >= n {
-			idx -= n
-		}
-		h := &s.robHot[idx]
-		if h.state != stWaiting {
-			continue // issued via another path
-		}
-		if s.cycle < h.notBefore {
-			out = append(out, schedEnt{age: age, wake: h.notBefore})
-			continue
-		}
-		op := h.op
-		if !fu.ok(s, op) {
-			out = append(out, schedEnt{age: age})
-			continue
-		}
-		// Operand readiness: memory ops need only the address operand to
-		// begin (stores handle data separately); others need both sources.
-		// Positive results clear the slot pointer so a blocked or rejected
-		// entry never re-reads a producer it already saw complete.
-		ready := true
-		var wake uint64
-		if pi := h.src1Idx; pi >= 0 {
-			if p := &s.robHot[pi]; srcReady(p, h.src1Prod) {
-				h.src1Idx = -1
-			} else {
-				ready = false
-				wake = sleepHint(p, s.cycle)
-			}
-		}
-		if ready && !op.IsMem() {
-			if pi := h.src2Idx; pi >= 0 {
-				if p := &s.robHot[pi]; srcReady(p, h.src2Prod) {
-					h.src2Idx = -1
-				} else {
-					ready = false
-					wake = sleepHint(p, s.cycle)
-				}
-			}
-		}
-		if !ready {
-			out = append(out, schedEnt{age: age, wake: wake})
-			continue
-		}
-		if shadow && !s.shadowCheck(&ghost, &fu, age) {
-			// Divergence: the run is condemned (simErr set); keep the rest
-			// of the list and stop issuing.
-			out = append(out, s.waiting[i:]...)
-			break
-		}
-		// Issue.
-		kept := s.beginExecution(idx, h)
-		if kept {
-			if s.tracing {
-				s.traceEvent("RJ", age, &s.robData[idx].inst, "")
-			}
-			out = append(out, schedEnt{age: age, wake: h.notBefore})
-			continue
-		}
-		if s.tracing {
-			s.traceEvent("IS", age, &s.robData[idx].inst, "")
-		}
-		if shadow {
-			s.clearReady(idx)
-		}
-		fu.take(op)
-	}
-	s.waiting = out
-	if shadow && s.simErr == nil && fu.issued < s.cfg.IssueWidth {
-		s.shadowFlush(&ghost, &fu)
-	}
-	if s.tel != nil {
-		s.telIssued += uint64(fu.issued)
-	}
-}
-
 // beginExecution starts the instruction in ROB slot idx (h is its hot
 // state). It returns true when the op must stay in the issue queue (a
 // rejected load).
@@ -363,13 +235,10 @@ func (s *Sim) completeStage() {
 			continue // premature event (data arrived separately)
 		}
 		h.state = stCompleted
-		if s.wakeMode != wakeupScan {
-			// Broadcast-free wakeup: only the consumers parked on this
-			// entry are marked ready. completeStage precedes issueStage,
-			// so they can issue this very cycle, exactly when the scan's
-			// readiness test first sees the completed state.
-			s.wakeConsumers(idx)
-		}
+		// Broadcast-free wakeup: only the consumers parked on this entry
+		// are marked ready. completeStage precedes issueStage, so they can
+		// issue this very cycle.
+		s.wakeConsumers(idx)
 		if s.tracing {
 			s.traceEvent("CP", h.age, &s.robData[idx].inst, "")
 		}

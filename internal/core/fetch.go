@@ -356,16 +356,9 @@ func (s *Sim) insert(in *isa.Inst, mi *fetchMeta) {
 	} else {
 		s.iqInt++
 	}
-	// Scheduler insertion. A fresh entry starts issue-ready in the event
-	// scheduler: its first visit either issues it or parks it on the
-	// first incomplete producer, mirroring the scan's first readiness
-	// test on the wake-0 entry appended here.
-	if s.wakeMode != wakeupEvent {
-		s.waiting = append(s.waiting, schedEnt{age: age})
-	}
-	if s.wakeMode != wakeupScan {
-		s.setReady(idx)
-	}
+	// Scheduler insertion. A fresh entry starts issue-ready: its first
+	// visit either issues it or parks it on the first incomplete producer.
+	s.setReady(idx)
 	if s.faultsActive {
 		s.applyDispatchFaults(idx)
 	}

@@ -111,20 +111,15 @@ func (s *Sim) CheckInvariants() error {
 			return fmt.Errorf("rename map for r%d points at dead age %d", reg, age)
 		}
 	}
-	if s.wakeMode != wakeupScan {
-		if err := s.checkWakeupInvariants(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.checkWakeupInvariants()
 }
 
 // checkWakeupInvariants verifies the event-wakeup structures: the ready
 // bitmap's population count, the readiness/parking dichotomy of every
 // waiting entry, and the exact membership and linkage of every consumer
-// list. These are the structures whose silent corruption would make the
-// event scheduler drift from the scan, so the sweep pins them as tightly
-// as the ROB counters above.
+// list. Their silent corruption loses or duplicates wakeups — an entry
+// that is neither ready nor parked can never issue — so the sweep pins
+// them as tightly as the ROB counters above.
 func (s *Sim) checkWakeupInvariants() error {
 	n := len(s.robHot)
 	pop := 0

@@ -225,10 +225,10 @@ func replayStormScript() []isa.Inst {
 // TestScriptedSquashPointStress sweeps every squash source across cycle
 // alignments: each scenario's script is shifted by 0..13 leading nops, so
 // the squash lands at every offset relative to the issue stage's progress
-// through the ready set. Every run executes under wakeup shadow (both
-// schedulers in lockstep, any pick divergence fails the run) with an
-// every-cycle invariant sweep pinning the bitmap and consumer lists; the
-// whole table also runs under `make race`.
+// through the ready set. Every run executes with an every-cycle invariant
+// sweep pinning the ready bitmap and consumer lists (a lost wakeup fails
+// the run at the cycle it happens); the whole table also runs under
+// `make race`.
 func TestScriptedSquashPointStress(t *testing.T) {
 	scenarios := []struct {
 		name   string
@@ -254,7 +254,7 @@ func TestScriptedSquashPointStress(t *testing.T) {
 				script = append(script, sc.script()...)
 				cfg := config.Config2()
 				em := energy.NewModel(cfg.CoreSize())
-				opts := append([]Option{WithWakeupShadow(), WithInvariantChecking(1)}, sc.opts...)
+				opts := append([]Option{WithInvariantChecking(1)}, sc.opts...)
 				s := MustSim(NewWithWorkload(cfg, newScripted(script), sc.pol(cfg, em), em, opts...))
 				if _, err := s.Run(1500); err != nil {
 					t.Fatalf("offset %d: %v", offset, err)

@@ -1,103 +1,32 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 
 	"dmdc/internal/isa"
-	"dmdc/internal/soundness"
 )
 
 // Event-driven issue wakeup.
 //
-// The legacy scheduler (issueScan) walks every waiting instruction every
-// cycle. This file replaces the walk with a broadcast-free wakeup network
-// in the spirit of delay-tracked scheduling (Diavastos & Carlson): each
-// producer ROB slot keeps an intrusive list of the consumers blocked on
-// it, completion marks those consumers in a slot-indexed ready bitmap,
-// and the issue stage picks oldest-first by scanning bitmap words along
-// the ROB ring. The per-cycle cost is proportional to the handful of
-// ready instructions, not the whole window.
+// The issue stage never walks the window. Each producer ROB slot keeps an
+// intrusive list of the consumers blocked on it, completion marks those
+// consumers in a slot-indexed ready bitmap, and the issue stage picks
+// oldest-first by scanning bitmap words along the ROB ring — a
+// broadcast-free wakeup network in the spirit of delay-tracked scheduling
+// (Diavastos & Carlson). The per-cycle cost is proportional to the
+// handful of ready instructions, not the whole window.
 //
-// Equivalence contract: the golden suite pins cycle counts byte-for-byte,
-// so the event scheduler must invoke beginExecution on exactly the same
-// (cycle, age) sequence as the scan. That holds because (a) the ready
-// bitmap is a superset of the truly ready entries — a bit is cleared only
-// when the entry issues, is squashed, or is provably blocked on an
-// incomplete producer, and producers flip to completed only in
-// completeStage, which runs before issueStage, so a wake is never seen a
-// cycle late; (b) candidates are visited in age order with the exact gate
-// sequence and side effects of the scan (state, notBefore, FU
-// availability, then src1/src2 readiness with the same monotonic
-// srcNIdx clearing); (c) mid-scan squashes (store-resolve replays) clear
-// ready bits and shrink the window, and every candidate re-checks
-// liveness against the current window exactly as the scan re-reads
-// headAge/count per entry. WithWakeupShadow runs both schedulers in
-// lockstep and fails the run on the first divergence, which is the
-// instrument that keeps this argument honest.
-
-// wakeupMode selects the issue scheduler.
-type wakeupMode uint8
-
-const (
-	// wakeupEvent is the default: consumer lists + ready bitmap.
-	wakeupEvent wakeupMode = iota
-	// wakeupScan is the legacy per-cycle issue-window scan.
-	wakeupScan
-	// wakeupShadow runs the scan as the driver with the event scheduler
-	// as a lockstep ghost, diffing every issue pick.
-	wakeupShadow
-)
-
-// WithEventWakeup selects the event-driven issue scheduler (the default):
-// per-producer consumer lists wake an age-ordered ready bitmap, so the
-// issue stage touches only ready instructions instead of scanning the
-// whole window.
-func WithEventWakeup() Option {
-	return func(s *Sim) { s.wakeMode = wakeupEvent }
-}
-
-// WithScanWakeup selects the legacy per-cycle issue-window scan. Cycle
-// counts are identical to the event scheduler (the golden suite and
-// WithWakeupShadow pin that); the scan exists as the verification
-// reference and costs O(window) per cycle.
-func WithScanWakeup() Option {
-	return func(s *Sim) { s.wakeMode = wakeupScan }
-}
-
-// WithWakeupShadow runs both issue schedulers in lockstep: the scan
-// drives execution while the event scheduler shadows it, and every issue
-// pick is diffed. The first mismatch fails the run with a
-// *WakeupDivergenceError carrying a full pipeline state dump. Shadow
-// mode is a verification instrument — it simulates identically to either
-// scheduler alone, at roughly the cost of both.
-func WithWakeupShadow() Option {
-	return func(s *Sim) { s.wakeMode = wakeupShadow }
-}
-
-// WakeupDivergenceError reports the first cycle on which the scan and
-// event schedulers disagreed about which instruction to issue next.
-// Age 0 (never a live instruction) means "no pick": ScanAge 0 with a
-// nonzero EventAge is an issue only the event scheduler would make, and
-// vice versa.
-type WakeupDivergenceError struct {
-	Cycle     uint64
-	Committed uint64
-	ScanAge   uint64 // the scan scheduler's pick (0: none)
-	EventAge  uint64 // the event scheduler's pick (0: none)
-	Dump      *soundness.StateDump
-}
-
-func (e *WakeupDivergenceError) Error() string {
-	return fmt.Sprintf(
-		"core: wakeup shadow divergence at cycle %d (committed %d): scan picked age %d, event scheduler picked age %d",
-		e.Cycle, e.Committed, e.ScanAge, e.EventAge)
-}
+// Readiness contract: every stWaiting entry in the window is either in
+// the ready bitmap or parked on exactly one incomplete, older producer.
+// A bit is cleared only when its entry issues, is squashed, or parks;
+// producers flip to completed only in completeStage, which runs before
+// issueStage and wakes their consumers there, so an entry whose operands
+// are ready is never missed, nor seen a cycle late. CheckInvariants pins
+// that dichotomy, the bitmap population count and the consumer-list
+// linkage on every sweep; the golden suite pins the resulting cycle
+// counts byte-for-byte.
 
 // fuState tracks the per-cycle issue-width and functional-unit budgets.
-// Both schedulers consume from one fuState, so the structural gates are
-// shared code (and, in shadow mode, shared state — a pick divergence is
-// then attributable to readiness tracking alone).
 type fuState struct {
 	issued   int
 	intALU   int
@@ -206,8 +135,8 @@ func (s *Sim) unpark(c int) {
 
 // wakeConsumers marks every consumer parked on producer slot p ready and
 // empties the list. Called when p's entry completes — before issueStage
-// runs this cycle, so a consumer woken by a completion can issue the
-// same cycle the scan would have found it ready.
+// runs this cycle, so a consumer woken by a completion can issue in the
+// cycle its operand becomes available.
 func (s *Sim) wakeConsumers(p int) {
 	c := s.consHead[p]
 	s.consHead[p] = -1
@@ -223,8 +152,7 @@ func (s *Sim) wakeConsumers(p int) {
 // walked from the head as up to two linear segments, one bitmap word at
 // a time. A word is snapshotted into cur when first reached; bits a
 // mid-cycle squash clears afterwards are still yielded from the snapshot
-// and rejected by the caller's liveness gate — the same stale-view
-// discipline the scan applies to its waiting list.
+// and rejected by the caller's liveness gate.
 type wakeIter struct {
 	bm       []uint64
 	cur      uint64 // unconsumed bits of the current word
@@ -281,14 +209,16 @@ func (it *wakeIter) nextSlot() int {
 }
 
 // nextAttempt advances it to the next slot passing every issue gate and
-// returns it, or -1. Gate order and side effects mirror issueScan
-// line-for-line; the one structural difference is what happens to a
-// blocked candidate. notBefore- and FU-blocked slots keep their ready
-// bit (re-examined next cycle, as the scan re-queues them with an
-// immediate wake), while an operand-blocked slot is parked on its first
-// incomplete producer — it is not seen again until that producer
-// completes, which is exactly when the scan's readiness test could first
-// succeed (srcReady is monotonic and flips only in completeStage).
+// returns it, or -1. The gates run in a fixed order: liveness, state,
+// notBefore, FU availability, then src1 and (for non-memory ops) src2
+// readiness — memory ops need only the address operand to begin; stores
+// handle data separately. notBefore- and FU-blocked slots keep their
+// ready bit and are re-examined next cycle, while an operand-blocked slot
+// is parked on its first incomplete producer: it is not seen again until
+// that producer completes, which is the first cycle its readiness test
+// could succeed (srcReady is monotonic and flips only in completeStage).
+// A positive readiness result clears the slot pointer, so a blocked or
+// rejected entry never re-reads a producer it already saw complete.
 func (s *Sim) nextAttempt(it *wakeIter, fu *fuState) int {
 	for {
 		idx := it.nextSlot()
@@ -336,9 +266,10 @@ func (s *Sim) nextAttempt(it *wakeIter, fu *fuState) int {
 	}
 }
 
-// issueEvent is the event-driven issue stage: oldest-ready first out of
-// the bitmap, up to the issue width and FU limits.
-func (s *Sim) issueEvent() {
+// issueStage selects ready instructions oldest-first out of the bitmap,
+// up to the issue width and functional-unit limits, and begins their
+// execution.
+func (s *Sim) issueStage() {
 	if s.readyCnt == 0 {
 		return // nothing dispatched, woken, or retrying — provably idle
 	}
@@ -356,7 +287,7 @@ func (s *Sim) issueEvent() {
 		h := &s.robHot[idx]
 		if kept := s.beginExecution(idx, h); kept {
 			// Rejected load: the bit stays set and notBefore (set by the
-			// rejection) gates the retry, like the scan's re-queue.
+			// rejection) gates the retry.
 			if s.tracing {
 				s.traceEvent("RJ", h.age, &s.robData[idx].inst, "")
 			}
@@ -370,43 +301,5 @@ func (s *Sim) issueEvent() {
 	}
 	if s.tel != nil {
 		s.telIssued += uint64(fu.issued)
-	}
-}
-
-// shadowCheck validates one scan-side issue attempt against the event
-// scheduler: the ghost iterator is advanced to its own next attempt,
-// which must be the same instruction. On a mismatch the run fails with a
-// divergence error; issuing stops (the pipeline is already condemned).
-func (s *Sim) shadowCheck(ghost *wakeIter, fu *fuState, scanAge uint64) bool {
-	var eventAge uint64
-	if gi := s.nextAttempt(ghost, fu); gi >= 0 {
-		eventAge = s.robHot[gi].age
-	}
-	if eventAge == scanAge {
-		return true
-	}
-	s.simErr = &WakeupDivergenceError{
-		Cycle:     s.cycle,
-		Committed: s.committed,
-		ScanAge:   scanAge,
-		EventAge:  eventAge,
-		Dump:      s.stateDump(),
-	}
-	return false
-}
-
-// shadowFlush runs after a scan that ended with issue width to spare: the
-// ghost must agree that nothing else can issue. Advancing it also
-// completes the event bookkeeping for the cycle (parking every remaining
-// blocked candidate) so the next cycle's ghost starts in the state a pure
-// event-mode cycle would have left.
-func (s *Sim) shadowFlush(ghost *wakeIter, fu *fuState) {
-	if gi := s.nextAttempt(ghost, fu); gi >= 0 {
-		s.simErr = &WakeupDivergenceError{
-			Cycle:     s.cycle,
-			Committed: s.committed,
-			EventAge:  s.robHot[gi].age,
-			Dump:      s.stateDump(),
-		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 // dependence chains are dense, addresses land in an 8-quad-word pool so
 // loads and stores alias constantly, and fault periods are clamped away
 // from the livelocking SpuriousEvery=1 (MarkWPAge is excluded outright —
-// it deliberately corrupts state, which is soundness's business, not an
-// equivalence property).
+// it deliberately corrupts state, which is soundness's business, not a
+// scheduler property).
 func decodeWakeupWorkload(data []byte) ([]isa.Inst, soundness.FaultSpec) {
 	var faults soundness.FaultSpec
 	if len(data) > 0 && data[0]%4 != 0 {
@@ -61,14 +61,18 @@ func decodeWakeupWorkload(data []byte) ([]isa.Inst, soundness.FaultSpec) {
 	return insts, faults
 }
 
-// FuzzWakeupScanEquivalence feeds random scripted workloads — dense alias
+// fuzzWatchdog is the fuzz runs' forward-progress budget: far above any
+// legitimate commit gap of a 96-instruction script, far below the default,
+// so a livelocking input fails in well under a second.
+const fuzzWatchdog = 100_000
+
+// FuzzWakeupInvariants feeds random scripted workloads — dense alias
 // pools, late branches, long-latency chains, injected fault campaigns —
-// through wakeup shadow mode: the scan scheduler drives while the event
-// scheduler shadows every pick, and any divergence (or invariant breach,
-// or watchdog stall) fails the input. This is the randomized arm of the
-// scan-equivalence argument; the scripted squash-point table is the
-// directed arm.
-func FuzzWakeupScanEquivalence(f *testing.F) {
+// through the scheduler with an every-cycle invariant sweep and a tight
+// watchdog: any lost or stale wakeup, broken consumer list, or stall
+// fails the input. This is the randomized arm of the wakeup checks; the
+// scripted squash-point table is the directed arm.
+func FuzzWakeupInvariants(f *testing.F) {
 	// Squash during issue: a slow-resolving taken branch over a window of
 	// aliasing memory traffic.
 	f.Add([]byte{0, 0, 4, 0, 0, 6, 1, 0, 2, 1, 1, 3, 0, 2, 2, 2, 3, 0, 0, 4})
@@ -85,13 +89,13 @@ func FuzzWakeupScanEquivalence(f *testing.F) {
 		cfg := config.Config2()
 		em := energy.NewModel(cfg.CoreSize())
 		pol := lsq.Must(lsq.NewCAM(lsq.CAMConfig{LQSize: cfg.LQSize}, em))
-		opts := []Option{WithWakeupShadow(), WithInvariantChecking(64)}
+		opts := []Option{WithInvariantChecking(1), WithWatchdog(fuzzWatchdog)}
 		if !faults.Zero() {
 			opts = append(opts, WithFaults(faults))
 		}
 		s := MustSim(NewWithWorkload(cfg, newScripted(insts), pol, em, opts...))
 		if _, err := s.Run(1200); err != nil {
-			t.Fatalf("shadow run failed: %v", err)
+			t.Fatalf("run failed: %v", err)
 		}
 	})
 }

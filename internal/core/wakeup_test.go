@@ -2,15 +2,17 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"dmdc/internal/config"
 	"dmdc/internal/energy"
 	"dmdc/internal/isa"
+	"dmdc/internal/soundness"
 )
 
 // wakeupSim builds a config2 pipeline over a scripted sequence with extra
-// options — the shadow and invariant knobs the wakeup tests exercise.
+// options — the invariant knobs the wakeup tests exercise.
 func wakeupSim(insts []isa.Inst, opts ...Option) *Sim {
 	cfg := config.Config2()
 	em := energy.NewModel(cfg.CoreSize())
@@ -159,22 +161,22 @@ func TestWakeIterAgeOrder(t *testing.T) {
 	}
 }
 
-// TestShadowCatchesPlantedDivergence corrupts the event scheduler's state
+// TestInvariantSweepCatchesLostWakeup corrupts the scheduler's state
 // mid-run — clearing the ready bit of a live waiting instruction without
-// parking it, so nothing will ever wake it — and requires shadow mode to
-// fail the run with a *WakeupDivergenceError. This is the test of the
-// instrument itself: the equivalence suite is only convincing if a real
-// divergence provably cannot slip through.
-func TestShadowCatchesPlantedDivergence(t *testing.T) {
+// parking it, so nothing will ever wake it — and requires the invariant
+// sweep to fail the run with a *soundness.SoundnessError. This is the test
+// of the instrument itself: the sweep-based wakeup tests are only
+// convincing if a lost wakeup provably cannot slip through.
+func TestInvariantSweepCatchesLostWakeup(t *testing.T) {
 	script := []isa.Inst{
 		{Op: isa.OpIDiv, Dest: 8, Src1: 1, Src2: 2},
 		{Op: isa.OpIAlu, Dest: 9, Src1: 8, Src2: 2},
 		{Op: isa.OpIAlu, Dest: 10, Src1: 9, Src2: 2},
 		nop(11), nop(12), nop(13),
 	}
-	s := wakeupSim(script, WithWakeupShadow())
+	s := wakeupSim(script, WithInvariantChecking(1))
 	// Step until the window holds a ready waiting instruction, then hide
-	// the oldest one from the event scheduler.
+	// the oldest one from the scheduler.
 	planted := false
 	for step := 0; step < 200 && !planted; step++ {
 		s.StepN(1)
@@ -191,15 +193,12 @@ func TestShadowCatchesPlantedDivergence(t *testing.T) {
 		t.Fatal("no ready waiting instruction appeared to corrupt")
 	}
 	_, err := s.Run(2000)
-	var div *WakeupDivergenceError
-	if !errors.As(err, &div) {
-		t.Fatalf("planted divergence not detected: err = %v", err)
+	var se *soundness.SoundnessError
+	if !errors.As(err, &se) {
+		t.Fatalf("planted lost wakeup not detected: err = %v", err)
 	}
-	if div.ScanAge == div.EventAge {
-		t.Errorf("divergence error reports equal picks: scan %d, event %d", div.ScanAge, div.EventAge)
-	}
-	if div.Dump == nil {
-		t.Error("divergence error carries no state dump")
+	if se.Kind != soundness.KindInvariant || !strings.Contains(se.Got, "neither ready nor parked") {
+		t.Errorf("lost wakeup reported as %v: %s", se.Kind, se.Got)
 	}
 	// A condemned sim must stay condemned.
 	if _, err := s.Run(100); err == nil {
@@ -207,12 +206,12 @@ func TestShadowCatchesPlantedDivergence(t *testing.T) {
 	}
 }
 
-// TestEventWakeupInvariantSweep runs the replay-heavy violation script in
-// pure event mode with an every-cycle invariant sweep: the wakeup bitmap
-// and consumer lists must stay exact through squashes and replays.
+// TestEventWakeupInvariantSweep runs the replay-heavy violation script
+// with an every-cycle invariant sweep: the wakeup bitmap and consumer
+// lists must stay exact through squashes and replays.
 func TestEventWakeupInvariantSweep(t *testing.T) {
-	s := wakeupSim(violationScript(), WithEventWakeup(), WithInvariantChecking(1))
+	s := wakeupSim(violationScript(), WithInvariantChecking(1))
 	if _, err := s.Run(2000); err != nil {
-		t.Fatalf("event-mode run with invariant sweeps failed: %v", err)
+		t.Fatalf("run with invariant sweeps failed: %v", err)
 	}
 }

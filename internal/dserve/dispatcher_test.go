@@ -11,6 +11,7 @@ import (
 	"dmdc/internal/core"
 	"dmdc/internal/experiments"
 	"dmdc/internal/resultcache"
+	"dmdc/internal/stats"
 )
 
 // stubBackend scripts a Backend for dispatcher tests: per-call delay,
@@ -31,7 +32,7 @@ type stubBackend struct {
 }
 
 func newStub(name string, delay time.Duration, failFirst int64) *stubBackend {
-	s := &stubBackend{name: name, delay: delay, failFirst: failFirst, result: &core.Result{Benchmark: name}}
+	s := &stubBackend{name: name, delay: delay, failFirst: failFirst, result: &core.Result{Benchmark: name, Stats: stats.NewSet()}}
 	s.remaining.Store(failFirst)
 	return s
 }

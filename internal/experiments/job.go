@@ -208,12 +208,11 @@ func specForJob(j JobSpec) (runSpec, error) {
 
 // execParams is everything outside the runSpec that shapes one cell.
 type execParams struct {
-	insts        uint64
-	soundness    bool
-	wakeupShadow bool
-	faults       soundness.FaultSpec
-	watchdog     uint64
-	sampler      *telemetry.Sampler
+	insts     uint64
+	soundness bool
+	faults    soundness.FaultSpec
+	watchdog  uint64
+	sampler   *telemetry.Sampler
 }
 
 // executeCell builds and runs one simulation. It is the single execution
@@ -240,9 +239,6 @@ func executeCell(ctx context.Context, sp runSpec, bench string, p execParams) (*
 	}
 	if p.soundness {
 		opts = append(opts, core.WithOracle(core.FromGenerator(trace.NewGenerator(prof))))
-	}
-	if p.wakeupShadow {
-		opts = append(opts, core.WithWakeupShadow())
 	}
 	if !p.faults.Zero() {
 		opts = append(opts, core.WithFaults(p.faults))

@@ -52,14 +52,6 @@ type Options struct {
 	// runs always simulate (the cache is bypassed) — a cached result would
 	// skip exactly the verification being asked for.
 	Soundness bool
-	// WakeupShadow runs every simulation with both issue schedulers in
-	// lockstep (core.WithWakeupShadow): the legacy scan drives while the
-	// event-driven scheduler shadows it, and any pick divergence fails
-	// the cell with a *core.WakeupDivergenceError. Like Soundness, shadow
-	// runs always simulate — the cache is bypassed, since a cached result
-	// would skip exactly the cross-check being asked for. In-process
-	// only: combining it with a Backend is rejected.
-	WakeupShadow bool
 	// Faults injects the given deterministic fault campaign into every
 	// run (see soundness.FaultSpec). Faults perturb timing, so faulted
 	// results are cached under a key that includes the spec.
@@ -121,9 +113,6 @@ func (o Options) normalized() (Options, error) {
 	}
 	if o.Backend != nil && o.Telemetry != nil {
 		return o, fmt.Errorf("experiments: telemetry samplers require in-process execution; with a Backend, read per-job series from the backend's /v1/telemetry endpoint instead")
-	}
-	if o.Backend != nil && o.WakeupShadow {
-		return o, fmt.Errorf("experiments: wakeup shadow mode requires in-process execution (the two schedulers run in lockstep inside one simulator)")
 	}
 	if len(o.Benchmarks) == 0 {
 		o.Benchmarks = trace.Names()
@@ -340,9 +329,9 @@ func (s *Suite) runJob(ctx context.Context, sp runSpec, bench string) (r *core.R
 			err = &RunError{Key: sp.key, Benchmark: bench, Err: fmt.Errorf("panic: %v", p)}
 		}
 	}()
-	// Oracle and shadow runs bypass the cache entirely: a cached result
-	// would skip exactly the lockstep verification the caller asked for.
-	useCache := s.cache != nil && !s.opts.Soundness && !s.opts.WakeupShadow
+	// Oracle runs bypass the cache entirely: a cached result would skip
+	// exactly the lockstep verification the caller asked for.
+	useCache := s.cache != nil && !s.opts.Soundness
 	var key string
 	if useCache {
 		key = resultcache.Key(resultcache.KeySpec{
@@ -379,12 +368,11 @@ func (s *Suite) runJob(ctx context.Context, sp runSpec, bench string) (r *core.R
 			s.telemetry.Register(jobKey(sp.key, bench), sampler)
 		}
 		r, err = executeCell(ctx, sp, bench, execParams{
-			insts:        s.opts.Insts,
-			soundness:    s.opts.Soundness,
-			wakeupShadow: s.opts.WakeupShadow,
-			faults:       s.opts.Faults,
-			watchdog:     s.opts.WatchdogCycles,
-			sampler:      sampler,
+			insts:     s.opts.Insts,
+			soundness: s.opts.Soundness,
+			faults:    s.opts.Faults,
+			watchdog:  s.opts.WatchdogCycles,
+			sampler:   sampler,
 		})
 		if err == nil {
 			if sampler != nil && s.opts.TelemetryDir != "" {

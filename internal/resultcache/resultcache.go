@@ -111,9 +111,16 @@ func EncodeEntry(r *core.Result) ([]byte, error) {
 	return b, nil
 }
 
+// ErrIncompleteEntry reports an entry that decodes cleanly but lacks a
+// part every simulation result has: the result itself or its stats.
+// Serving one would hand callers a result whose first stats lookup
+// dereferences nil.
+var ErrIncompleteEntry = errors.New("resultcache: incomplete entry")
+
 // DecodeEntry parses an entry encoding, failing closed on malformed bodies
 // and on any format-version mismatch: a result produced under different
-// simulator semantics must never be served as current.
+// simulator semantics must never be served as current. An entry missing
+// its result or its stats fails with an error wrapping ErrIncompleteEntry.
 func DecodeEntry(b []byte) (*core.Result, error) {
 	var e entry
 	if err := json.Unmarshal(b, &e); err != nil {
@@ -123,7 +130,10 @@ func DecodeEntry(b []byte) (*core.Result, error) {
 		return nil, fmt.Errorf("resultcache: entry format version %d, want %d", e.Version, FormatVersion)
 	}
 	if e.Result == nil {
-		return nil, errors.New("resultcache: entry missing result")
+		return nil, fmt.Errorf("%w: no result", ErrIncompleteEntry)
+	}
+	if e.Result.Stats == nil {
+		return nil, fmt.Errorf("%w: result has no stats", ErrIncompleteEntry)
 	}
 	return e.Result, nil
 }

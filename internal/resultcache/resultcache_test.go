@@ -2,6 +2,7 @@ package resultcache
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"testing"
 
@@ -205,5 +206,24 @@ func TestClear(t *testing.T) {
 func TestOpenRejectsEmptyDir(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Error("empty directory accepted")
+	}
+}
+
+// TestDecodeEntryRejectsIncomplete: a well-formed entry whose result is
+// missing, or carries no stats, must fail with ErrIncompleteEntry — never
+// decode into a result whose first Stats.Get dereferences nil. Every
+// cache entry crosses this function: disk reads, peer fetches and
+// /v1/cache PUT bodies.
+func TestDecodeEntryRejectsIncomplete(t *testing.T) {
+	for _, body := range []string{
+		`{"version":2,"result":{}}`,
+		`{"version":2,"result":{"Benchmark":"gzip","Stats":null}}`,
+		`{"version":2,"result":null}`,
+		`{"version":2}`,
+	} {
+		r, err := DecodeEntry([]byte(body))
+		if !errors.Is(err, ErrIncompleteEntry) {
+			t.Errorf("DecodeEntry(%s) = (%v, %v), want ErrIncompleteEntry", body, r, err)
+		}
 	}
 }

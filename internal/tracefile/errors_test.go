@@ -2,7 +2,9 @@ package tracefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"dmdc/internal/core"
@@ -74,6 +76,42 @@ func TestReaderRejectsHugeName(t *testing.T) {
 	data = append(data, 0xFF, 0xFF, 0xFF, 0x7F) // uvarint ≈ 256M name length
 	if _, err := NewReader(bytes.NewReader(data)); err == nil {
 		t.Error("unreasonable name length accepted")
+	}
+}
+
+// hugeCountHeader is a complete header, with no body, whose instruction
+// count is 2^62.
+func hugeCountHeader() []byte {
+	data := []byte(magic)
+	data = append(data, 1, 'x') // name
+	data = append(data, byte(trace.INT))
+	data = binary.AppendVarint(data, 7)            // seed
+	data = binary.AppendUvarint(data, 0x400000)    // entry PC
+	data = binary.AppendUvarint(data, 0x1000_0000) // invalidation base
+	data = binary.AppendUvarint(data, 1<<20)       // invalidation bytes
+	return binary.AppendUvarint(data, 1<<62)       // count
+}
+
+// TestReaderRejectsHugeCount: the header's instruction count is
+// untrusted. A count far beyond the body must end in the truncation
+// error, not a preallocation that panics (or, just below the panic
+// threshold, asks for terabytes).
+func TestReaderRejectsHugeCount(t *testing.T) {
+	_, err := NewReader(bytes.NewReader(hugeCountHeader()))
+	if err == nil || !strings.Contains(err.Error(), "tracefile: instruction 0") {
+		t.Errorf("huge count with an empty body: err = %v, want the truncation error", err)
+	}
+}
+
+// TestReaderTruncatedHeaderErrors: a header cut short at any byte fails
+// with an error that names the package, whichever field it stops in.
+func TestReaderTruncatedHeaderErrors(t *testing.T) {
+	hdr := hugeCountHeader()
+	for n := 0; n < len(hdr); n++ {
+		_, err := NewReader(bytes.NewReader(hdr[:n]))
+		if err == nil || !strings.HasPrefix(err.Error(), "tracefile: ") {
+			t.Errorf("header cut at byte %d: err = %v, want a tracefile: error", n, err)
+		}
 	}
 }
 

@@ -39,6 +39,9 @@ import (
 
 const magic = "DMDCTRC1"
 
+// maxPrealloc caps the instruction slice NewReader sizes from the header.
+const maxPrealloc = 1 << 16
+
 // Header carries the workload metadata stored in a trace file.
 type Header struct {
 	Name     string
@@ -175,25 +178,29 @@ func NewReader(r io.Reader) (*Reader, error) {
 	hdr.Name = string(name)
 	classByte, err := br.ReadByte()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tracefile: class: %w", err)
 	}
 	hdr.Class = trace.Class(classByte)
 	if hdr.Seed, err = binary.ReadVarint(br); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tracefile: seed: %w", err)
 	}
 	if hdr.EntryPC, err = binary.ReadUvarint(br); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tracefile: entry PC: %w", err)
 	}
 	if hdr.InvBase, err = binary.ReadUvarint(br); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tracefile: invalidation base: %w", err)
 	}
 	if hdr.InvBytes, err = binary.ReadUvarint(br); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tracefile: invalidation bytes: %w", err)
 	}
 	if hdr.Count, err = binary.ReadUvarint(br); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tracefile: count: %w", err)
 	}
-	rd := &Reader{hdr: hdr, insts: make([]isa.Inst, 0, hdr.Count)}
+	// The count is unchecked input: preallocate at most maxPrealloc
+	// instructions and let append grow, so a header promising more than
+	// the body holds ends in the truncation error below, not a giant
+	// allocation.
+	rd := &Reader{hdr: hdr, insts: make([]isa.Inst, 0, min(hdr.Count, maxPrealloc))}
 	var prevPC, prevAddr uint64
 	for i := uint64(0); i < hdr.Count; i++ {
 		in, err := readInst(br, &prevPC, &prevAddr)
