@@ -4,14 +4,18 @@
 #   make test        tier-1: full test suite (what CI gates on)
 #   make vet         go vet plus a gofmt gate: fails if `gofmt -l .` lists
 #                    any file
-#   make check       vet + the API-surface gate (api.txt) + race-enabled
-#                    tests for the concurrent packages (experiment runner,
-#                    result cache, simulation service) — keeps the
+#   make check       vet + race-enabled tests for the concurrent packages
+#                    (experiment runner, result cache, simulation service;
+#                    every TestFleet* test included) — keeps the
 #                    singleflight and worker-pool fixes fixed — plus the
-#                    soundness suite (oracle, fault injection, watchdog,
-#                    wakeup invariant sweeps), the allocation budget, the
-#                    chaos, fleet and sampling gates, the benchmark smoke
-#                    run, a short fuzz pass and coverage
+#                    chaos and sampling gates, the benchmark smoke run, the
+#                    benchmark module's vet and smoke test, a short fuzz
+#                    pass and whole-suite coverage. The coverage run is the
+#                    full test suite, so it also runs the API-surface test,
+#                    the soundness suite and the allocation budget: the
+#                    api-check, soundness and alloc-gate targets below stay
+#                    as standalone shortcuts, not `check` sub-gates, and so
+#                    does fleet-check
 #   make api-check   just the API-surface comparison
 #   make chaos       kill/restart durability matrix under -race: SIGKILL a
 #                    real dmdcd mid-matrix with a journal on disk, restart,
@@ -30,6 +34,8 @@
 #                    mid-run server kill, and the 5M-instruction
 #                    sampled-vs-full speedup acceptance
 #   make fuzz-short  90s split across the fuzz targets
+#   make bench-module  vet and test cmd/dmdcbench, a module of its own that
+#                    `go build ./...` and `go test ./...` never reach
 #   make bench       simulator-throughput benchmarks (BENCH_COUNT reps),
 #                    medians recorded into BENCH_core.json via cmd/benchjson
 #   make bench-smoke one-iteration run of the simulator benchmarks — a fast
@@ -41,7 +47,7 @@ GO ?= go
 CACHE_DIR ?= .dmdc-cache
 BENCH_COUNT ?= 5
 
-.PHONY: all build test check vet api-check race soundness alloc-gate chaos fleet-check sample-check fuzz-short cover bench bench-smoke bench-all report clean-cache
+.PHONY: all build test check vet api-check race soundness alloc-gate chaos fleet-check sample-check fuzz-short cover bench bench-smoke bench-module bench-all report clean-cache
 
 all: build test check
 
@@ -73,10 +79,11 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzPolicySoundness -fuzztime 25s ./internal/lsq/
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpecParse -fuzztime 10s ./internal/soundness/
 	$(GO) test -run '^$$' -fuzz FuzzTraceEventExport -fuzztime 10s ./internal/telemetry/
-	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 15s ./internal/jobstore/
+	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/jobstore/
 	$(GO) test -run '^$$' -fuzz FuzzWakeupInvariants -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointRoundTrip -fuzztime 15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 5s ./internal/resultcache/
+	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime 5s ./internal/resultcache/
 	$(GO) test -run '^$$' -fuzz FuzzTraceReader -fuzztime 5s ./internal/tracefile/
 
 # The crash-safety matrix: journal replay edge cases, in-process
@@ -123,7 +130,7 @@ api-check:
 alloc-gate:
 	$(GO) test -run 'TestAllocationBudget' -count 1 .
 
-check: vet api-check race soundness alloc-gate chaos fleet-check sample-check bench-smoke fuzz-short cover
+check: vet race chaos sample-check bench-smoke bench-module fuzz-short cover
 
 # Core-simulator throughput, recorded. Medians over BENCH_COUNT repetitions
 # land in the "current" section of BENCH_core.json; the "pre_pr8" section
@@ -137,6 +144,12 @@ bench:
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSim(Baseline|DMDC|Telemetry|Sampled5M)$$' -benchtime 1x .
+
+# The benchmark (cmd/dmdcbench) has its own go.mod, so nothing above
+# compiles it; its smoke test runs every workload briefly and checks the
+# pinned output digests.
+bench-module:
+	cd cmd/dmdcbench && $(GO) vet ./... && $(GO) test ./...
 
 bench-all:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...

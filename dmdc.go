@@ -29,7 +29,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"dmdc/internal/config"
 	"dmdc/internal/core"
@@ -339,13 +338,11 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	if req.Verify {
 		opts = append(opts, core.WithOracle(core.FromGenerator(trace.NewGenerator(prof))))
 	}
-	// Each run draws its hot backing arrays (ROB, wheel, queues) from a
-	// pooled arena: reset, not freed, between runs, so back-to-back
-	// simulations — sweeps, the sharded service, benchmarks — skip the
-	// per-run allocation entirely. A Result never references arena memory,
-	// so returning the arena before the caller reads the Result is safe.
-	arena := arenaPool.Get().(*core.Arena)
-	defer arenaPool.Put(arena)
+	// Each run draws its hot backing arrays (ROB, wheel, queues) from the
+	// process-wide arena pool: reset, not freed, between runs, so
+	// back-to-back simulations skip the per-run allocation.
+	arena := core.PooledArena()
+	defer arena.Release()
 	opts = append(opts, core.WithArena(arena))
 	sim, err := core.New(req.Machine, prof, pol, em, opts...)
 	if err != nil {
@@ -353,12 +350,6 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	}
 	return sim.RunContext(ctx, req.Insts)
 }
-
-// arenaPool recycles per-run simulator storage across Run calls. Each
-// Get hands an arena to exactly one Sim at a time, satisfying the
-// exclusivity contract of core.Arena even under the concurrent sharded
-// service.
-var arenaPool = sync.Pool{New: func() any { return core.NewArena() }}
 
 // NewSuite builds the experiment suite that regenerates the paper's
 // tables and figures. It returns an error when the options name an

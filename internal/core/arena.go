@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"dmdc/internal/isa"
 	"dmdc/internal/lsq"
 )
@@ -20,9 +22,11 @@ const wheelSlotCap = 8
 // allocation-free on these structures.
 //
 // An Arena is exclusive to one live Sim at a time. Handing the same arena
-// to a second Sim while the first may still step corrupts both; callers
-// that run concurrently should draw arenas from a sync.Pool, as the
-// package-level facade does.
+// to a second Sim while the first may still step corrupts both. Callers
+// that run concurrently draw arenas from the one process-wide pool
+// (PooledArena, Release): dmdc.Run, the experiment suite's and dmdcd's
+// cells, and restored sampled intervals all do, so every in-process run
+// reuses storage a finished run left behind.
 type Arena struct {
 	robHot  []hotEntry
 	robData []robData
@@ -50,6 +54,19 @@ type Arena struct {
 func NewArena() *Arena {
 	return &Arena{}
 }
+
+// arenaPool recycles arenas across every in-process run. Each Get hands an
+// arena to exactly one Sim at a time, which satisfies the exclusivity
+// contract even when runs are concurrent.
+var arenaPool = sync.Pool{New: func() any { return NewArena() }}
+
+// PooledArena takes an arena from the process-wide pool. Release it once
+// the Sim built on it will not step again. A Result never references
+// arena memory, so releasing before the caller reads the Result is safe.
+func PooledArena() *Arena { return arenaPool.Get().(*Arena) }
+
+// Release returns a to the pool for the next run.
+func (a *Arena) Release() { arenaPool.Put(a) }
 
 // WithArena makes the Sim draw its hot per-run storage from a instead of
 // allocating fresh arrays. See Arena for the exclusivity contract.

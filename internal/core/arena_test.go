@@ -21,9 +21,8 @@ func mustFaultSpec(t *testing.T, s string) soundness.FaultSpec {
 	return spec
 }
 
-// arenaRun builds a fresh gcc/DMDC sim (optionally on an arena) and runs
-// it for n committed instructions.
-func arenaRun(t *testing.T, a *Arena, n uint64) *Result {
+// arenaSim builds a fresh gcc/DMDC sim, on an arena when a is non-nil.
+func arenaSim(t *testing.T, a *Arena) *Sim {
 	t.Helper()
 	cfg := config.Config2()
 	prof, err := trace.ByName("gcc")
@@ -36,12 +35,51 @@ func arenaRun(t *testing.T, a *Arena, n uint64) *Result {
 	if a != nil {
 		opts = append(opts, WithArena(a))
 	}
-	s := MustSim(New(cfg, prof, pol, em, opts...))
-	r, err := s.RunContext(context.Background(), n)
+	return MustSim(New(cfg, prof, pol, em, opts...))
+}
+
+// arenaRun builds a fresh gcc/DMDC sim (optionally on an arena) and runs
+// it for n committed instructions.
+func arenaRun(t *testing.T, a *Arena, n uint64) *Result {
+	t.Helper()
+	r, err := arenaSim(t, a).RunContext(context.Background(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// A checkpoint restored into a sim on a dirtied arena must run exactly as
+// one restored into fresh allocations: restored sampled intervals draw
+// their arenas from the shared pool.
+func TestArenaReuseRestoreDeterminism(t *testing.T) {
+	donor := arenaSim(t, nil)
+	if _, err := donor.RunContext(context.Background(), 17_000); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := donor.SaveCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoreRun := func(a *Arena) *Result {
+		s := arenaSim(t, a)
+		if err := s.RestoreCheckpoint(blob); err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.RunContext(context.Background(), 20_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want := fingerprint(t, restoreRun(nil))
+	a := NewArena()
+	arenaRun(t, a, 30_000) // dirties every array
+	for run := 0; run < 2; run++ {
+		if got := fingerprint(t, restoreRun(a)); got != want {
+			t.Fatalf("restored run %d on a reused arena diverged:\ngot  %s\nwant %s", run, got, want)
+		}
+	}
 }
 
 // A run on a dirtied, reused arena must be bit-identical to a run on

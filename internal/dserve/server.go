@@ -901,7 +901,7 @@ type rawGetter interface {
 }
 
 // cacheKeyShape sanity-checks a /v1/cache/{key} path element: keys are
-// hex SHA-256 digests, nothing else reaches the filesystem.
+// hex SHA-256 digests, nothing else reaches the store.
 func cacheKeyShape(key string) bool {
 	if len(key) != sha256.Size*2 {
 		return false

@@ -249,6 +249,9 @@ func executeCell(ctx context.Context, sp runSpec, bench string, p execParams) (*
 	if p.sampler != nil {
 		opts = append(opts, core.WithTelemetry(p.sampler))
 	}
+	arena := core.PooledArena()
+	defer arena.Release()
+	opts = append(opts, core.WithArena(arena))
 	sim, err := core.New(sp.machine, prof, pol, em, opts...)
 	if err != nil {
 		return nil, err
@@ -328,7 +331,9 @@ func executeRestored(ctx context.Context, j JobSpec) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var opts []core.Option
+	arena := core.PooledArena()
+	defer arena.Release()
+	opts := []core.Option{core.WithArena(arena)}
 	if j.WatchdogCycles > 0 {
 		opts = append(opts, core.WithWatchdog(j.WatchdogCycles))
 	}

@@ -9,6 +9,9 @@
 //
 //	[4B little-endian payload length][4B CRC-32C of payload][JSON payload]
 //
+// AppendFrame and ReadFrame are that framing's codec; the result cache
+// (internal/resultcache) frames its segment files with them too.
+//
 // Appends go to the tail (optionally fsynced); compaction rewrites the
 // live state into a temp file and renames it over the journal, so readers
 // in any crash window see either the old complete journal or the new one.
@@ -315,46 +318,29 @@ func (s *Store) replay() (*ReplayReport, error) {
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
-	fi, err := s.f.Stat()
+	b, err := io.ReadAll(s.f)
 	if err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
-	total := fi.Size()
 
 	rep := &ReplayReport{}
 	var good int64 // offset just past the last good record
-	hdr := make([]byte, headerBytes)
-	var payload []byte
 	for {
-		if _, err := io.ReadFull(s.f, hdr); err != nil {
-			break // clean EOF or torn header: stop either way
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxRecordBytes {
-			break // corrupt length
-		}
-		if int(n) > cap(payload) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(s.f, payload); err != nil {
-			break // torn payload
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			break // corrupted record
+		payload, n, err := ReadFrame(b[good:])
+		if err != nil {
+			break // clean EOF, torn tail or corrupted record: stop either way
 		}
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			break // checksummed garbage: a foreign writer; stop, don't guess
 		}
-		good += headerBytes + int64(n)
+		good += int64(n)
 		rep.Records++
 		if !s.apply(rec) {
 			rep.Ignored++
 		}
 	}
-	rep.TornBytes = total - good
+	rep.TornBytes = int64(len(b)) - good
 	if rep.TornBytes > 0 {
 		if err := s.f.Truncate(good); err != nil {
 			return nil, fmt.Errorf("jobstore: truncate torn tail: %w", err)
@@ -453,10 +439,7 @@ func (s *Store) Append(rec Record) error {
 	if err != nil {
 		return fmt.Errorf("jobstore: append: %w", err)
 	}
-	frame := make([]byte, headerBytes+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[headerBytes:], payload)
+	frame := AppendFrame(nil, payload)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -588,12 +571,44 @@ func writeFrame(w io.Writer, rec Record) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	frame := make([]byte, headerBytes+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[headerBytes:], payload)
-	n, err := w.Write(frame)
+	n, err := w.Write(AppendFrame(nil, payload))
 	return int64(n), err
+}
+
+// AppendFrame appends payload to dst as one frame — [4B little-endian
+// payload length][4B CRC-32C of payload][payload] — and returns the
+// extended slice. The journal and the result cache's segment files
+// share this framing.
+func AppendFrame(dst, payload []byte) []byte {
+	var hdr [headerBytes]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	return append(append(dst, hdr[:]...), payload...)
+}
+
+// ReadFrame decodes the frame at the start of b, returning its payload
+// (aliasing b) and the frame's full length. It fails when b ends before
+// the frame does (a torn tail, or a frame still being written), when the
+// length prefix is zero or beyond maxRecordBytes, and when the payload
+// does not match its checksum. A caller scanning a file stops at the
+// first failure: past it, frame boundaries cannot be trusted.
+func ReadFrame(b []byte) (payload []byte, n int, err error) {
+	if len(b) < headerBytes {
+		return nil, 0, errors.New("jobstore: truncated frame header")
+	}
+	size := binary.LittleEndian.Uint32(b[0:4])
+	if size == 0 || size > maxRecordBytes {
+		return nil, 0, fmt.Errorf("jobstore: frame length %d out of range", size)
+	}
+	n = headerBytes + int(size)
+	if len(b) < n {
+		return nil, 0, errors.New("jobstore: truncated frame payload")
+	}
+	payload = b[headerBytes:n]
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(b[4:8]) {
+		return nil, 0, errors.New("jobstore: frame checksum mismatch")
+	}
+	return payload, n, nil
 }
 
 // Size reports the journal's current byte length.

@@ -88,3 +88,47 @@ type errInconsistent uint64
 func (e errInconsistent) Error() string {
 	return "torn or foreign cache entry observed: cycles out of range or stats disagree"
 }
+
+// TestSharedDirConcurrentWriters runs two Caches on one directory, each
+// putting its own keys while readers on both look up either writer's.
+// A reader may catch the other Cache's segment mid-write; every hit must
+// still be a complete entry, and once the writers finish every key must
+// be visible to both Caches and to a fresh Open.
+func TestSharedDirConcurrentWriters(t *testing.T) {
+	a, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := reopen(t, a)
+	const perWriter = 100
+	var wg sync.WaitGroup
+	for w, c := range []*Cache{a, b} {
+		wg.Add(2)
+		go func(w int, c *Cache) {
+			defer wg.Done()
+			r := testResult()
+			for i := 0; i < perWriter; i++ {
+				if err := c.Put(keyN(w*perWriter+i), r); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w, c)
+		go func(c *Cache) {
+			defer wg.Done()
+			for i := 0; i < 2*perWriter; i++ {
+				if r, ok := c.Get(keyN(i)); ok && r.Cycles != 1234 {
+					t.Errorf("key %d served a foreign entry: cycles %d", i, r.Cycles)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	for _, c := range []*Cache{a, b, reopen(t, a)} {
+		for i := 0; i < 2*perWriter; i++ {
+			if _, ok := c.Get(keyN(i)); !ok {
+				t.Fatalf("key %d missing after both writers finished", i)
+			}
+		}
+	}
+}

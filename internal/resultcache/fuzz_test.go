@@ -2,6 +2,8 @@ package resultcache
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -43,6 +45,52 @@ func FuzzDecodeEntry(f *testing.F) {
 		}
 		if !bytes.Equal(once, twice) {
 			t.Fatalf("round trip unstable:\n%s\n%s", once, twice)
+		}
+	})
+}
+
+// FuzzSegmentScan holds the segment reader to its fail-closed contract:
+// any bytes in a segment file either index nothing or index entries that,
+// when served, pass DecodeEntry. Opening, reading and refreshing must
+// never panic.
+func FuzzSegmentScan(f *testing.F) {
+	body, err := EncodeEntry(testResult())
+	if err != nil {
+		f.Fatal(err)
+	}
+	good := append([]byte(segMagic), segFrame(testKey(), body)...)
+	good = append(good, segFrame(keyN(1), body)...)
+	f.Add(good)
+	f.Add(good[:len(good)-7])                                                                    // torn tail
+	f.Add(append([]byte(segMagic), segFrame(testKey(), []byte(`{"version":2,"result":{}}`))...)) // no stats
+	f.Add(append([]byte(segMagic), segFrame(testKey(), body[:len(body)/2])...))                  // checksummed garbage
+	f.Add(append([]byte(segMagic), segFrame("", body)...))                                       // empty key
+	f.Add(append([]byte(segMagic), append([]byte{0, 0, 0, 0xff}, good[8:]...)...))               // absurd length
+	f.Add([]byte(segMagic))
+	f.Add([]byte(segMagic[:5]))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segPrefix+"fuzz"+segExt), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(c.index))
+		for k := range c.index {
+			keys = append(keys, k)
+		}
+		for _, k := range append(keys, testKey()) {
+			if raw, ok := c.GetRaw(k); ok {
+				if _, err := DecodeEntry(raw); err != nil {
+					t.Fatalf("GetRaw served an entry DecodeEntry rejects: %v", err)
+				}
+			}
+			if r, ok := c.Get(k); ok && r.Stats == nil {
+				t.Fatalf("Get served a result without stats")
+			}
 		}
 	})
 }

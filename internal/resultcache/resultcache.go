@@ -6,15 +6,41 @@
 // inputs, plus a format version, form a content address.
 //
 // The package is organized around the small Store interface (Get/Put/
-// Stats). Cache is the disk implementation: a flat directory of JSON
-// entries named by the SHA-256 of the canonical key material. Writes are
-// atomic (temp file + rename into place), so concurrent processes sharing
-// a cache directory can only ever observe complete entries. Reads are
-// corruption-tolerant: an unreadable, malformed, or version-mismatched
-// entry is treated as a miss (and removed) so the caller recomputes
-// instead of crashing. Tiered stacks a Store over remote peers (see
-// tiered.go): local first, then verified peer fetch, so a fleet of dmdcd
-// instances deduplicates simulation work globally.
+// Stats). Cache is the disk implementation, and it is log-structured: each
+// Cache appends its entries to one segment file it owns (seg-*.pack), and
+// an in-memory index maps every key to its frame. A segment starts with an
+// 8-byte magic naming the layout version (a segment with any other magic
+// is skipped), then holds one frame per Put in the journal's framing
+// (jobstore.AppendFrame):
+//
+//	[4B little-endian payload length][4B CRC-32C of payload][key '\n' entry]
+//
+// where entry is the EncodeEntry encoding — the bytes GetRaw serves to
+// peers. A Put is one write to a file that already exists, and a hit is
+// one positioned read.
+//
+// Open builds the index by scanning every segment in the directory. A miss
+// refreshes it, scanning only segments created, and bytes appended, since
+// the last look, so Caches in other processes sharing the directory see
+// each other's entries without reopening. A Cache keeps at most one
+// descriptor open, its own segment's, however many segments the directory
+// holds.
+//
+// Reads fail closed. A frame that is cut short or fails its checksum ends
+// the scan of its segment at that offset, and the next refresh retries
+// from there. A Cache whose write fails abandons its segment and the next
+// Put starts a new one, so a torn frame — from a failed write or a crash
+// mid-write — can only be the last frame of a segment. Every read
+// re-checks the frame's checksum and key and runs DecodeEntry; an entry
+// failing any check reads as a miss and leaves the index until a later Put
+// replaces it. Nothing is fsynced: a lost entry only costs a recompute.
+// Tiered stacks a Store over remote peers (see tiered.go): local first,
+// then verified peer fetch, so a fleet of dmdcd instances deduplicates
+// simulation work globally.
+//
+// Entries from before the segment layout (one <key>.json file each) are
+// not read, so an existing cache directory re-runs cold once after the
+// upgrade; Clear deletes them.
 //
 // Invalidation: bump FormatVersion whenever simulator semantics change in
 // a way that alters results (new stats, timing fixes, energy recalibration).
@@ -24,6 +50,7 @@
 package resultcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -32,10 +59,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"dmdc/internal/config"
 	"dmdc/internal/core"
+	"dmdc/internal/jobstore"
 )
 
 // FormatVersion identifies the cache entry format AND the simulator
@@ -51,8 +80,15 @@ import (
 //	    faults_injected stat (PR 2)
 const FormatVersion = 2
 
-// entryExt is the suffix of cache entry files.
-const entryExt = ".json"
+const (
+	// segMagic opens every segment file and names the layout version.
+	segMagic = "dmdcseg1"
+	// segPrefix and segExt bracket segment file names (seg-*.pack).
+	segPrefix, segExt = "seg-", ".pack"
+	// legacyExt names the one-file-per-entry layout's files, which Clear
+	// still deletes.
+	legacyExt = ".json"
+)
 
 // KeySpec is the canonical key material for one cached result.
 type KeySpec struct {
@@ -151,7 +187,8 @@ type Stats struct {
 	WriteErrors uint64 `json:"write_errors"`
 	// LocalHits counts Gets answered by the local tier of a Tiered store.
 	LocalHits uint64 `json:"local_hits,omitempty"`
-	// PeerHits counts Gets answered by a peer fetch.
+	// PeerHits counts verified peer fetches. Concurrent Gets that share
+	// one fetch count once here, and each in Hits.
 	PeerHits uint64 `json:"peer_hits,omitempty"`
 	// PeerErrors counts failed or rejected peer fetches (network errors,
 	// hash mismatches, version skew) — each one fails closed to a miss.
@@ -179,12 +216,40 @@ type Store interface {
 type Cache struct {
 	dir string
 
+	mu    sync.Mutex
+	index map[string]frameLoc
+	segs  map[string]*segment // every segment seen in dir, by file name
+	// w is the segment file this Cache appends to and wseg its entry: nil
+	// until the first Put, and again after a failed write or read abandons
+	// it. Only this Cache writes to it.
+	w    *os.File
+	wseg *segment
+
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	writeErrs atomic.Uint64
 }
 
-// Open creates (if needed) and opens a cache rooted at dir.
+// segment is one segment file and how far the index has taken it in.
+type segment struct {
+	name string
+	// next is the offset just past the last frame the index holds (0
+	// until the magic is checked); for the Cache's own segment it is the
+	// append offset. seen is the file size at the last scan, so a segment
+	// nobody appended to is not read again.
+	next, seen int64
+	foreign    bool // wrong magic: never read
+}
+
+// frameLoc locates one key's frame: n bytes at off in seg.
+type frameLoc struct {
+	seg *segment
+	off int64
+	n   int
+}
+
+// Open creates (if needed) and opens a cache rooted at dir, indexing every
+// segment already there.
 func Open(dir string) (*Cache, error) {
 	if dir == "" {
 		return nil, errors.New("resultcache: empty cache directory")
@@ -192,29 +257,24 @@ func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultcache: %w", err)
 	}
-	return &Cache{dir: dir}, nil
+	c := &Cache{dir: dir, index: make(map[string]frameLoc), segs: make(map[string]*segment)}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.refreshLocked(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // Dir returns the cache's root directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// path maps a key to its entry file.
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+entryExt)
-}
-
 // Get returns the cached result for key, or (nil, false) on a miss. A
-// corrupted or version-mismatched entry counts as a miss and is removed so
-// the recomputed result can replace it.
+// corrupted or version-mismatched entry counts as a miss, so the caller
+// recomputes and its Put replaces the entry.
 func (c *Cache) Get(key string) (*core.Result, bool) {
-	b, err := os.ReadFile(c.path(key))
-	if err != nil {
-		c.misses.Add(1)
-		return nil, false
-	}
-	r, err := DecodeEntry(b)
-	if err != nil {
-		os.Remove(c.path(key)) // bad entry: recompute, don't crash
+	_, r, ok := c.load(key)
+	if !ok {
 		c.misses.Add(1)
 		return nil, false
 	}
@@ -223,52 +283,227 @@ func (c *Cache) Get(key string) (*core.Result, bool) {
 }
 
 // GetRaw returns the verbatim entry encoding for key, for serving to peers.
-// Unlike Get it does not decode or validate the body (the fetching side
-// verifies), and it does not touch the hit/miss counters: peer traffic is
-// accounted on the requesting instance.
+// It serves only entries that pass every check Get makes, and it does not
+// touch the hit/miss counters: peer traffic is accounted on the requesting
+// instance.
 func (c *Cache) GetRaw(key string) ([]byte, bool) {
-	b, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return nil, false
-	}
-	return b, true
+	b, _, ok := c.load(key)
+	return b, ok
 }
 
-// Put stores a result under key. The write is atomic: a reader (in this or
-// any other process) sees either no entry or a complete one.
+// load reads key's entry, refreshing the index first when it lacks the
+// key, and verifies it: the frame's checksum and key, then DecodeEntry. It
+// returns the entry encoding and the decoded result. An entry failing any
+// check leaves the index.
+func (c *Cache) load(key string) ([]byte, *core.Result, bool) {
+	c.mu.Lock()
+	loc, ok := c.index[key]
+	if !ok {
+		// An unreadable directory is one more reason to miss.
+		_ = c.refreshLocked()
+		loc, ok = c.index[key]
+	}
+	if !ok {
+		c.mu.Unlock()
+		return nil, nil, false
+	}
+	body, err := c.readLocked(key, loc)
+	if err != nil {
+		c.dropLocked(key, loc)
+		if loc.seg == c.wseg {
+			// Frames appended behind a bad one would not scan: leave the
+			// segment to the frames before it, so the recomputed Put is
+			// visible to every other Cache.
+			c.abandonLocked()
+		}
+		c.mu.Unlock()
+		return nil, nil, false
+	}
+	c.mu.Unlock()
+	r, err := DecodeEntry(body)
+	if err != nil {
+		c.mu.Lock()
+		c.dropLocked(key, loc)
+		c.mu.Unlock()
+		return nil, nil, false
+	}
+	return body, r, true
+}
+
+// readLocked reads the frame at loc and returns its entry encoding, failing
+// when the frame is short, fails its checksum or holds another key.
+func (c *Cache) readLocked(key string, loc frameLoc) ([]byte, error) {
+	f := c.w
+	if loc.seg != c.wseg {
+		var err error
+		if f, err = os.Open(filepath.Join(c.dir, loc.seg.name)); err != nil {
+			return nil, err
+		}
+		defer f.Close()
+	}
+	b := make([]byte, loc.n)
+	if _, err := f.ReadAt(b, loc.off); err != nil {
+		return nil, err
+	}
+	payload, n, err := jobstore.ReadFrame(b)
+	if err != nil {
+		return nil, err
+	}
+	k, body, ok := bytes.Cut(payload, []byte{'\n'})
+	if n != loc.n || !ok || string(k) != key {
+		return nil, fmt.Errorf("resultcache: frame at %s:%d does not hold key %s", loc.seg.name, loc.off, key)
+	}
+	return body, nil
+}
+
+// dropLocked removes key from the index unless a Put has moved it since
+// loc was looked up.
+func (c *Cache) dropLocked(key string, loc frameLoc) {
+	if c.index[key] == loc {
+		delete(c.index, key)
+	}
+}
+
+// refreshLocked takes into the index the segments created, and the frames
+// appended to known segments, since the last look. The Cache's own segment
+// needs no scan: the index already holds every frame in it.
+func (c *Cache) refreshLocked() error {
+	des, err := os.ReadDir(c.dir)
+	if err != nil {
+		return fmt.Errorf("resultcache: %w", err)
+	}
+	for _, de := range des {
+		name := de.Name()
+		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segExt) {
+			continue
+		}
+		s := c.segs[name]
+		if s == nil {
+			s = &segment{name: name}
+			c.segs[name] = s
+		}
+		if s == c.wseg || s.foreign {
+			continue
+		}
+		if fi, err := de.Info(); err == nil && fi.Size() != s.seen {
+			c.scanLocked(s, fi.Size())
+		}
+	}
+	return nil
+}
+
+// scanLocked indexes the frames in s's first size bytes that the index
+// has not taken in yet. A frame that is cut short or fails its checksum
+// ends the scan at its offset; the next scan retries from there once the
+// file has grown.
+func (c *Cache) scanLocked(s *segment, size int64) {
+	if size < s.next {
+		return // truncated behind the index: its frames there read as misses
+	}
+	f, err := os.Open(filepath.Join(c.dir, s.name))
+	if err != nil {
+		return // removed since it was listed
+	}
+	defer f.Close()
+	b := make([]byte, size-s.next)
+	if _, err := f.ReadAt(b, s.next); err != nil {
+		return
+	}
+	s.seen = size
+	c.indexFrames(s, b)
+}
+
+// indexFrames indexes the frames in b, the bytes of s from s.next on, and
+// advances s.next past the last whole, checksummed one. A checksummed frame
+// without a key separator is stepped over unindexed: its boundaries are
+// sound, only its content is not.
+func (c *Cache) indexFrames(s *segment, b []byte) {
+	pos := 0
+	if s.next == 0 {
+		if len(b) < len(segMagic) {
+			return // still being created
+		}
+		if string(b[:len(segMagic)]) != segMagic {
+			s.foreign = true
+			return
+		}
+		pos = len(segMagic)
+	}
+	for {
+		payload, n, err := jobstore.ReadFrame(b[pos:])
+		if err != nil {
+			break
+		}
+		if k, _, ok := bytes.Cut(payload, []byte{'\n'}); ok {
+			c.index[string(k)] = frameLoc{seg: s, off: s.next + int64(pos), n: n}
+		}
+		pos += n
+	}
+	s.next += int64(pos)
+}
+
+// Put stores a result under key with one write to the Cache's segment,
+// creating the segment on the Cache's first Put. A reader (in this or any
+// other process) sees either no entry or a complete one.
 func (c *Cache) Put(key string, r *core.Result) error {
+	if strings.IndexByte(key, '\n') >= 0 {
+		c.writeErrs.Add(1)
+		return fmt.Errorf("resultcache: key %q contains a newline", key)
+	}
 	b, err := EncodeEntry(r)
 	if err != nil {
 		c.writeErrs.Add(1)
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
-	if err != nil {
+	payload := append(append(append(make([]byte, 0, len(key)+1+len(b)), key...), '\n'), b...)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var frame []byte
+	if c.w == nil {
+		f, err := os.CreateTemp(c.dir, segPrefix+"*"+segExt)
+		if err != nil {
+			c.writeErrs.Add(1)
+			return fmt.Errorf("resultcache: %w", err)
+		}
+		c.w = f
+		c.wseg = &segment{name: filepath.Base(f.Name())}
+		c.segs[c.wseg.name] = c.wseg
+		frame = []byte(segMagic) // the magic rides on the first frame's write
+	}
+	magic := len(frame)
+	frame = jobstore.AppendFrame(frame, payload)
+	if _, err := c.w.Write(frame); err != nil {
+		// The write may have landed in part: no frame may follow it.
+		c.abandonLocked()
 		c.writeErrs.Add(1)
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		c.writeErrs.Add(1)
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		c.writeErrs.Add(1)
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		c.writeErrs.Add(1)
-		return fmt.Errorf("resultcache: %w", err)
-	}
+	c.index[key] = frameLoc{seg: c.wseg, off: c.wseg.next + int64(magic), n: len(frame) - magic}
+	c.wseg.next += int64(len(frame))
 	return nil
 }
 
-// Clear removes every cache entry (and stray temp files), leaving the
-// directory in place.
+// abandonLocked stops appending to the Cache's segment. The segment stays
+// indexed; from now on it is scanned like any other Cache's, from the end
+// of its last good frame.
+func (c *Cache) abandonLocked() {
+	c.w.Close()
+	c.w, c.wseg = nil, nil
+}
+
+// Clear removes every segment, every legacy entry file and stray temp
+// files, leaving the directory in place, and empties the index. It is for
+// a directory no other live Cache writes to: one that already holds a
+// segment would keep appending to its unlinked file.
 func (c *Cache) Clear() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.w != nil {
+		c.abandonLocked()
+	}
+	c.index = make(map[string]frameLoc)
+	c.segs = make(map[string]*segment)
 	names, err := os.ReadDir(c.dir)
 	if err != nil {
 		return fmt.Errorf("resultcache: %w", err)
@@ -276,7 +511,8 @@ func (c *Cache) Clear() error {
 	var firstErr error
 	for _, de := range names {
 		n := de.Name()
-		if !strings.HasSuffix(n, entryExt) && !strings.HasSuffix(n, ".tmp") {
+		seg := strings.HasPrefix(n, segPrefix) && strings.HasSuffix(n, segExt)
+		if !seg && !strings.HasSuffix(n, legacyExt) && !strings.HasSuffix(n, ".tmp") {
 			continue
 		}
 		if err := os.Remove(filepath.Join(c.dir, n)); err != nil && firstErr == nil {
@@ -286,19 +522,14 @@ func (c *Cache) Clear() error {
 	return firstErr
 }
 
-// Len counts the entries currently on disk.
+// Len counts the distinct keys in the index, after refreshing it.
 func (c *Cache) Len() (int, error) {
-	names, err := os.ReadDir(c.dir)
-	if err != nil {
-		return 0, fmt.Errorf("resultcache: %w", err)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.refreshLocked(); err != nil {
+		return 0, err
 	}
-	n := 0
-	for _, de := range names {
-		if strings.HasSuffix(de.Name(), entryExt) {
-			n++
-		}
-	}
-	return n, nil
+	return len(c.index), nil
 }
 
 // Hits returns the number of successful Gets since Open.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"dmdc/internal/config"
@@ -125,14 +126,12 @@ func TestVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(c.path(key), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeSegment(t, c.Dir(), segFrame(key, b))
 	if _, ok := c.Get(key); ok {
 		t.Error("stale-version entry served")
 	}
-	if _, err := os.Stat(c.path(key)); !os.IsNotExist(err) {
-		t.Error("stale entry not evicted")
+	if n, err := c.Len(); err != nil || n != 0 {
+		t.Errorf("stale entry not evicted: Len = %d, %v", n, err)
 	}
 }
 
@@ -149,14 +148,12 @@ func TestStaleFormatEntryIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(c.path(key), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeSegment(t, c.Dir(), segFrame(key, b))
 	if _, ok := c.Get(key); ok {
 		t.Error("previous-format entry served")
 	}
-	if _, err := os.Stat(c.path(key)); !os.IsNotExist(err) {
-		t.Error("previous-format entry not evicted")
+	if n, err := c.Len(); err != nil || n != 0 {
+		t.Errorf("previous-format entry not evicted: Len = %d, %v", n, err)
 	}
 	if c.Misses() != 1 {
 		t.Errorf("stale read not counted as a miss (%d misses)", c.Misses())
@@ -169,9 +166,7 @@ func TestCorruptedEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := testKey()
-	if err := os.WriteFile(c.path(key), []byte("{truncated garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeSegment(t, c.Dir(), segFrame(key, []byte("{truncated garbage")))
 	if _, ok := c.Get(key); ok {
 		t.Error("corrupted entry served")
 	}
@@ -184,6 +179,8 @@ func TestCorruptedEntry(t *testing.T) {
 	}
 }
 
+// TestClear: Clear deletes segments, entry files of the one-file-per-entry
+// layout and stray temp files, and nothing else.
 func TestClear(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
@@ -191,6 +188,11 @@ func TestClear(t *testing.T) {
 	}
 	if err := c.Put(testKey(), testResult()); err != nil {
 		t.Fatal(err)
+	}
+	for _, name := range []string{testKey() + ".json", "put-123.tmp", "README"} {
+		if err := os.WriteFile(filepath.Join(c.Dir(), name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := c.Clear(); err != nil {
 		t.Fatal(err)
@@ -200,6 +202,16 @@ func TestClear(t *testing.T) {
 	}
 	if _, ok := c.Get(testKey()); ok {
 		t.Error("entry survived Clear")
+	}
+	if names := dirNames(t, c.Dir()); len(names) != 1 || names[0] != "README" {
+		t.Errorf("after Clear the directory holds %v, want only README", names)
+	}
+	// The Cache stays usable: its next Put starts a new segment.
+	if err := c.Put(testKey(), testResult()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reopen(t, c).Get(testKey()); !ok {
+		t.Error("Put after Clear not visible to a fresh Open")
 	}
 }
 

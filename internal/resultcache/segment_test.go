@@ -1,0 +1,315 @@
+package resultcache
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"dmdc/internal/config"
+	"dmdc/internal/jobstore"
+)
+
+// segFrame frames one entry body under key, as Put does.
+func segFrame(key string, body []byte) []byte {
+	return jobstore.AppendFrame(nil, append([]byte(key+"\n"), body...))
+}
+
+// writeSegment writes a segment file holding frames into dir, as another
+// writer sharing the directory would, and returns its path.
+func writeSegment(t *testing.T, dir string, frames ...[]byte) string {
+	t.Helper()
+	b := []byte(segMagic)
+	for _, f := range frames {
+		b = append(b, f...)
+	}
+	f, err := os.CreateTemp(dir, segPrefix+"*"+segExt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return f.Name()
+}
+
+// dirNames lists dir's file names, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	sort.Strings(names)
+	return names
+}
+
+// onlySegment returns the path of the single segment in dir.
+func onlySegment(t *testing.T, dir string) string {
+	t.Helper()
+	names := dirNames(t, dir)
+	if len(names) != 1 || !strings.HasPrefix(names[0], segPrefix) {
+		t.Fatalf("want one segment in %s, found %v", dir, names)
+	}
+	return filepath.Join(dir, names[0])
+}
+
+// reopen opens a second, fresh Cache over c's directory.
+func reopen(t *testing.T, c *Cache) *Cache {
+	t.Helper()
+	c2, err := Open(c.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c2
+}
+
+// keyN returns a distinct content address per n.
+func keyN(n int) string {
+	return Key(KeySpec{Machine: config.Config2(), RunKey: "seg", Benchmark: "gzip", Insts: uint64(n + 1)})
+}
+
+// TestPutsShareOneSegment: a Cache appends every entry to the one segment
+// it creates on its first Put, and a Cache that only reads creates nothing.
+func TestPutsShareOneSegment(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(keyN(0)); ok {
+		t.Fatal("hit on an empty cache")
+	}
+	if names := dirNames(t, dir); len(names) != 0 {
+		t.Fatalf("a Cache that only read created %v", names)
+	}
+	for i := 0; i < 100; i++ {
+		if err := c.Put(keyN(i), testResult()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if names := dirNames(t, dir); len(names) != 1 {
+		t.Fatalf("100 Puts left %d files, want 1 segment", len(names))
+	}
+	c2 := reopen(t, c)
+	if n, err := c2.Len(); err != nil || n != 100 {
+		t.Fatalf("fresh Open indexes %d entries (%v), want 100", n, err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, ok := c2.Get(keyN(i)); !ok {
+			t.Fatalf("entry %d missing after reopen", i)
+		}
+	}
+}
+
+// TestSharedDirVisibility: two Caches on one directory see each other's
+// Puts without reopening, and GetRaw serves the EncodeEntry bytes.
+func TestSharedDirVisibility(t *testing.T) {
+	a, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := reopen(t, a)
+	r := testResult()
+	want, err := EncodeEntry(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey()
+	if _, ok := b.Get(key); ok {
+		t.Fatal("hit before Put")
+	}
+	if err := a.Put(key, r); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.Get(key); !ok {
+		t.Fatal("Put through A is not a hit through B")
+	}
+	if raw, ok := b.GetRaw(key); !ok || !bytes.Equal(raw, want) {
+		t.Fatalf("B's GetRaw = %q, %v; want the EncodeEntry bytes", raw, ok)
+	}
+	// And the other way round, with both segments in place.
+	if err := b.Put(keyN(1), r); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := a.Get(keyN(1)); !ok {
+		t.Fatal("Put through B is not a hit through A")
+	}
+}
+
+// TestTornTail: a segment cut short in the middle of its last frame, as a
+// crash mid-write leaves it, keeps its earlier entries; the torn one
+// misses, and later Puts are visible to a fresh Open.
+func TestTornTail(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := ""
+	var sizes []int64
+	for i := 0; i < 3; i++ {
+		if err := c.Put(keyN(i), testResult()); err != nil {
+			t.Fatal(err)
+		}
+		seg = onlySegment(t, c.Dir())
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, fi.Size())
+	}
+	if err := os.Truncate(seg, (sizes[1]+sizes[2])/2); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := reopen(t, c)
+	for _, cc := range []*Cache{fresh, c} {
+		for i := 0; i < 2; i++ {
+			if _, ok := cc.Get(keyN(i)); !ok {
+				t.Fatalf("entry %d before the torn frame missing", i)
+			}
+		}
+		if _, ok := cc.Get(keyN(2)); ok {
+			t.Fatal("torn entry served")
+		}
+	}
+	// The writer found its own segment torn: it must not append behind
+	// the torn frame, where no scan would reach.
+	if err := c.Put(keyN(3), testResult()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Put(keyN(4), testResult()); err != nil {
+		t.Fatal(err)
+	}
+	last := reopen(t, c)
+	for i := 3; i < 5; i++ {
+		if _, ok := last.Get(keyN(i)); !ok {
+			t.Fatalf("Put %d after the torn tail not visible to a fresh Open", i)
+		}
+	}
+}
+
+// TestFlippedByteIsMiss: one flipped byte in an entry's body fails its
+// checksum, so the entry reads as a miss — even though the body may still
+// decode — and the recomputed Put replaces it for every reader.
+func TestFlippedByteIsMiss(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey()
+	if err := c.Put(key, testResult()); err != nil {
+		t.Fatal(err)
+	}
+	seg := onlySegment(t, c.Dir())
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.LastIndex(b, []byte("1234")) // a cycles count, inside the body
+	if i < 0 {
+		t.Fatal("body not found in the segment")
+	}
+	b[i] = '9' // still valid JSON: only the checksum can tell
+	if err := os.WriteFile(seg, b, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, cc := range []*Cache{reopen(t, c), c} {
+		if r, ok := cc.Get(key); ok {
+			t.Fatalf("flipped entry served (cycles %d)", r.Cycles)
+		}
+		if _, ok := cc.GetRaw(key); ok {
+			t.Fatal("flipped entry served raw")
+		}
+	}
+	if err := c.Put(key, testResult()); err != nil {
+		t.Fatal(err)
+	}
+	for _, cc := range []*Cache{c, reopen(t, c)} {
+		r, ok := cc.Get(key)
+		if !ok || r.Cycles != 1234 {
+			t.Fatalf("recomputed entry not served: %v, %v", r, ok)
+		}
+	}
+}
+
+// TestForeignSegmentSkipped: a segment whose magic names another layout
+// is never read, even when its frames are well formed.
+func TestForeignSegmentSkipped(t *testing.T) {
+	dir := t.TempDir()
+	body, err := EncodeEntry(testResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := writeSegment(t, dir, segFrame(testKey(), body))
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(b, "dmdcseg9")
+	if err := os.WriteFile(seg, b, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(testKey()); ok {
+		t.Fatal("entry served from a segment of another layout")
+	}
+}
+
+// TestDescriptorsBounded: however many segments a directory holds, a Cache
+// keeps at most its own segment open.
+func TestDescriptorsBounded(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count descriptors")
+	}
+	openFDs := func() int {
+		des, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(des)
+	}
+	dir := t.TempDir()
+	body, err := EncodeEntry(testResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const segs = 40
+	for i := 0; i < segs; i++ {
+		writeSegment(t, dir, segFrame(keyN(i), body))
+	}
+	before := openFDs()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < segs; i++ {
+		if _, ok := c.Get(keyN(i)); !ok {
+			t.Fatalf("entry %d missing", i)
+		}
+	}
+	if err := c.Put(keyN(segs), testResult()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(keyN(segs + 1)); ok {
+		t.Fatal("hit on a key never Put")
+	}
+	if got := openFDs() - before; got > 1 {
+		t.Fatalf("a Cache over %d segments holds %d descriptors, want at most 1", segs, got)
+	}
+	if n, err := c.Len(); err != nil || n != segs+1 {
+		t.Fatalf("Len = %d, %v; want %d", n, err, segs+1)
+	}
+}

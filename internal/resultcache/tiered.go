@@ -59,7 +59,8 @@ type Tiered struct {
 	sem      chan struct{}
 	negTTL   time.Duration
 	now      func() time.Time // test hook
-	peerHits atomic.Uint64
+	hits     atomic.Uint64    // every Get answered, singleflight waiters included
+	peerHits atomic.Uint64    // one per verified peer fetch
 	peerErrs atomic.Uint64
 	negHits  atomic.Uint64
 	localHit atomic.Uint64
@@ -108,6 +109,7 @@ func NewTiered(cfg TieredConfig) (*Tiered, error) {
 func (t *Tiered) Get(key string) (*core.Result, bool) {
 	if r, ok := t.local.Get(key); ok {
 		t.localHit.Add(1)
+		t.hits.Add(1)
 		return r, true
 	}
 	if len(t.peers) == 0 {
@@ -128,9 +130,7 @@ func (t *Tiered) Get(key string) (*core.Result, bool) {
 	if call, ok := t.inflight[key]; ok {
 		t.mu.Unlock()
 		<-call.done
-		if !call.ok {
-			t.misses.Add(1)
-		}
+		t.count(call.ok)
 		return call.res, call.ok
 	}
 	call := &fetchCall{done: make(chan struct{})}
@@ -147,10 +147,17 @@ func (t *Tiered) Get(key string) (*core.Result, bool) {
 	t.mu.Unlock()
 	close(call.done)
 
-	if !call.ok {
+	t.count(call.ok)
+	return call.res, call.ok
+}
+
+// count records the outcome of one Get that waited on a peer sweep.
+func (t *Tiered) count(ok bool) {
+	if ok {
+		t.hits.Add(1)
+	} else {
 		t.misses.Add(1)
 	}
-	return call.res, call.ok
 }
 
 // fetch sweeps the peers in order under the global concurrency bound,
@@ -217,7 +224,7 @@ func (t *Tiered) Put(key string, r *core.Result) error {
 func (t *Tiered) Stats() Stats {
 	s := t.local.Stats()
 	return Stats{
-		Hits:         t.localHit.Load() + t.peerHits.Load(),
+		Hits:         t.hits.Load(),
 		Misses:       t.misses.Load(),
 		WriteErrors:  s.WriteErrors,
 		LocalHits:    t.localHit.Load(),

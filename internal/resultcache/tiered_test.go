@@ -284,6 +284,37 @@ func TestTieredSingleflight(t *testing.T) {
 	}
 }
 
+// TestTieredStatsCountWaiters: Gets that wait on another Get's peer fetch
+// and receive its result are hits like any other, while the fetch itself
+// counts once in PeerHits.
+func TestTieredStatsCountWaiters(t *testing.T) {
+	peer := newFakePeer("b")
+	peer.delay = 200 * time.Millisecond
+	key := testKey()
+	peer.put(t, key, testResult())
+	ts, _ := newTestTiered(t, peer)
+
+	const n = 4
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, ok := ts.Get(key); !ok {
+				t.Error("concurrent Get missed")
+			}
+		}()
+	}
+	wg.Wait()
+	st := ts.Stats()
+	if st.Hits != n || st.Misses != 0 {
+		t.Fatalf("Stats() = %d hits / %d misses for %d answered Gets", st.Hits, st.Misses, n)
+	}
+	if f := uint64(peer.fetches.Load()); st.PeerHits != f {
+		t.Fatalf("PeerHits = %d for %d verified fetches", st.PeerHits, f)
+	}
+}
+
 func TestTieredNoPeersIsPassThrough(t *testing.T) {
 	ts, local := newTestTiered(t)
 	key := testKey()
