@@ -3,7 +3,8 @@
 #   make build       compile everything
 #   make test        tier-1: full test suite (what CI gates on)
 #   make vet         go vet plus a gofmt gate: fails if `gofmt -l .` lists
-#                    any file
+#                    any file; also vets the job store for windows and
+#                    solaris, so its no-flock fallback keeps compiling
 #   make check       vet + race-enabled tests for the concurrent packages
 #                    (experiment runner, result cache, simulation service;
 #                    every TestFleet* test included) — keeps the
@@ -19,14 +20,16 @@
 #   make api-check   just the API-surface comparison
 #   make chaos       kill/restart durability matrix under -race: SIGKILL a
 #                    real dmdcd mid-matrix with a journal on disk, restart,
-#                    prove zero lost / zero duplicated / byte-identical —
-#                    plus peer-degradation chaos (a peer killed mid-fetch
-#                    or serving corrupt entries must fall back to local
-#                    compute, byte-identical)
+#                    prove zero lost / zero duplicated / byte-identical;
+#                    the store lock (a second dmdcd on a held -store-dir
+#                    exits before it listens) — plus peer-degradation
+#                    chaos (a peer killed mid-fetch or serving corrupt
+#                    entries must fall back to local compute,
+#                    byte-identical)
 #   make fleet-check three in-process dmdcd instances under -race: warm
-#                    peer-fetch re-runs with zero re-simulations, journal
-#                    lease handoff across drains, and leaked-lease
-#                    adoption after a crash
+#                    peer-fetch re-runs with zero re-simulations, a
+#                    shared-store handoff across drains, and crashed-owner
+#                    adoption once the store lock is free
 #   make sample-check  the checkpoint/sampling gate under -race: byte-exact
 #                    save/restore equivalence over the full golden matrix
 #                    and the mid-pipeline white-box states, the sampled
@@ -59,6 +62,8 @@ test:
 
 vet:
 	$(GO) vet ./...
+	GOOS=windows $(GO) vet ./internal/jobstore/
+	GOOS=solaris $(GO) vet ./internal/jobstore/
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
@@ -76,7 +81,7 @@ soundness:
 # 90 seconds of fuzzing split across the targets (seed corpora always run
 # as part of tier-1; this explores beyond them).
 fuzz-short:
-	$(GO) test -run '^$$' -fuzz FuzzPolicySoundness -fuzztime 25s ./internal/lsq/
+	$(GO) test -run '^$$' -fuzz FuzzPolicySoundness -fuzztime 20s ./internal/lsq/
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpecParse -fuzztime 10s ./internal/soundness/
 	$(GO) test -run '^$$' -fuzz FuzzTraceEventExport -fuzztime 10s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/jobstore/
@@ -85,19 +90,21 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 5s ./internal/resultcache/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime 5s ./internal/resultcache/
 	$(GO) test -run '^$$' -fuzz FuzzTraceReader -fuzztime 5s ./internal/tracefile/
+	$(GO) test -run '^$$' -fuzz FuzzJobSpecValidate -fuzztime 5s ./internal/experiments/
 
-# The crash-safety matrix: journal replay edge cases, in-process
-# restart-resume, and a real dmdcd SIGKILLed mid-matrix with its journal
-# fsyncing to disk, all under the race detector.
+# The crash-safety matrix: journal replay edge cases, the store lock,
+# in-process restart-resume, and a real dmdcd SIGKILLed mid-matrix with
+# its journal fsyncing to disk, all under the race detector.
 chaos:
 	$(GO) test -race -count 1 \
-		-run 'TestChaos|TestServerRestartResume|TestJournal|TestCompaction|TestAutoCompaction|TestVersionSkew|TestAppend' \
+		-run 'TestChaos|TestServerRestart|TestJournal|TestLock|TestVersionSkew|TestAppend' \
 		./internal/dserve/ ./internal/jobstore/
 
 # The fleet gate (DESIGN.md §15): a cold matrix on one instance, warm
 # re-runs on peers with zero re-simulations (the counters prove the
 # GET /v1/cache path ran), a three-instance shared-store handoff chain,
-# and leaked-lease adoption after a simulated crash — under -race.
+# and crashed-owner adoption, which the store lock lets start at once —
+# under -race.
 fleet-check:
 	$(GO) test -race -count 1 -run 'TestFleet' ./internal/dserve/
 

@@ -4,22 +4,23 @@
 // use. One or more dmdcd processes form the backend fleet for the
 // experiments -backends flag (or any dserve.Dispatcher).
 //
-// With -store-dir, every admission and lifecycle transition is journaled
-// to a crash-safe store: a killed or restarted dmdcd replays the journal
-// and resumes or re-queues every incomplete job under the same
+// With -store-dir, every admission and outcome is journaled to a
+// crash-safe store: a killed or restarted dmdcd replays the journal and
+// resumes or re-queues every incomplete job under the same
 // content-addressed ID, so reconnecting long-pollers get the identical
-// answer. With -tenant-weights/-quota, admission is multi-tenant: the
-// X-DMDC-Tenant request header selects a per-tenant bounded queue,
-// served by weighted fair (deficit round robin) scheduling.
+// answer. A store directory has one owner at a time: dmdcd locks it at
+// startup and exits with the lock error, before it listens, while another
+// live process holds it. The lock dies with its holder, so the successor
+// of a crashed or drained dmdcd resumes every job at once. With
+// -tenant-weights/-quota, admission is multi-tenant: the X-DMDC-Tenant
+// request header selects a per-tenant bounded queue, served by weighted
+// fair (deficit round robin) scheduling.
 //
 // With -peers, instances form a result-sharing fleet: a local cache miss
 // is fetched from a peer's GET /v1/cache/{key} (hash-verified, fail
 // closed) before anything is simulated, so a matrix the fleet has
-// already computed re-runs with zero simulations anywhere. With
-// -instance/-lease-ttl, instances that share a -store-dir hand jobs off
-// through journal leases: a drained instance releases its claims for
-// instant adoption, a crashed one's leases lapse and its jobs are
-// adopted at expiry — zero lost, zero duplicated.
+// already computed re-runs with zero simulations anywhere. -instance
+// labels each one in /v1/version and /v1/healthz.
 //
 // Usage:
 //
@@ -67,8 +68,7 @@ func main() {
 		quota     = flag.Int("quota", 0, "per-tenant cap on concurrently running jobs (0 = unlimited)")
 		telStride = flag.Uint64("telemetry-stride", 0, "per-job telemetry sample interval in cycles (0 disables /v1/telemetry)")
 		peersFl   = flag.String("peers", "", "comma-separated base URLs of peer dmdcd instances; local cache misses are fetched from them before simulating (requires -cache-dir)")
-		instance  = flag.String("instance", "", "instance name for journal lease ownership; must differ between instances that ever share a -store-dir (default pid-<pid>)")
-		leaseTTL  = flag.Duration("lease-ttl", 0, "how long this instance's claim on an incomplete job stays live without renewal (0 = 30s)")
+		instance  = flag.String("instance", "", "instance label reported by /v1/version and /v1/healthz (default pid-<pid>)")
 	)
 	flag.Parse()
 
@@ -79,7 +79,7 @@ func main() {
 	tenants.Quota = *quota
 	cfg := dserve.ServerConfig{
 		Workers: *workers, QueueDepth: *queue, Tenants: tenants,
-		Instance: *instance, LeaseTTL: *leaseTTL,
+		Instance: *instance,
 	}
 	if *cacheDir != "" {
 		c, err := resultcache.Open(*cacheDir)
@@ -157,7 +157,9 @@ func main() {
 		hs.Shutdown(sctx)
 		srv.Close()
 		if store != nil {
-			store.Close()
+			if err := store.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "dmdcd:", err)
+			}
 		}
 	}()
 

@@ -30,6 +30,10 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxEntries bounds each predictor table (bimodal, gshare, meta and BTB
+// entries, and BTB ways), far above the paper's 8K-entry tables.
+const MaxEntries = 1 << 20
+
 // Validate reports the first configuration problem, or nil.
 func (c Config) Validate() error {
 	for _, p := range []struct {
@@ -44,6 +48,9 @@ func (c Config) Validate() error {
 	} {
 		if p.v <= 0 {
 			return fmt.Errorf("bpred: %s must be positive, got %d", p.name, p.v)
+		}
+		if p.v > MaxEntries {
+			return fmt.Errorf("bpred: %s %d exceeds the limit %d", p.name, p.v, MaxEntries)
 		}
 	}
 	for _, p := range []struct {

@@ -9,6 +9,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
+	limit := Config{BimodalEntries: MaxEntries, GshareEntries: MaxEntries, HistoryBits: 30,
+		MetaEntries: MaxEntries, BTBEntries: MaxEntries, BTBWays: 4}
+	if err := limit.Validate(); err != nil {
+		t.Fatalf("config at the limits invalid: %v", err)
+	}
 	bad := []Config{
 		{},
 		func() Config { c := DefaultConfig(); c.BimodalEntries = 1000; return c }(), // not pow2
@@ -18,6 +23,10 @@ func TestConfigValidate(t *testing.T) {
 		func() Config { c := DefaultConfig(); c.BTBEntries = 4097; return c }(),     // not divisible
 		func() Config { c := DefaultConfig(); c.BTBWays = 0; return c }(),           // zero ways
 		func() Config { c := DefaultConfig(); c.MetaEntries = 12; return c }(),      // not pow2
+		func() Config { c := limit; c.BimodalEntries *= 2; return c }(),             // beyond the limit
+		func() Config { c := limit; c.GshareEntries *= 2; return c }(),
+		func() Config { c := limit; c.MetaEntries *= 2; return c }(),
+		func() Config { c := limit; c.BTBEntries *= 2; return c }(),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

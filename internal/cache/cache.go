@@ -16,10 +16,27 @@ type Config struct {
 	Latency int // hit latency in cycles
 }
 
+// Geometry limits for one cache level, each far above the paper's
+// caches. Validate checks them before it forms any product of the
+// fields, so no configuration can overflow one.
+const (
+	MaxLines = 1 << 20 // SizeB / LineB
+	MaxLineB = 4096
+	MaxWays  = 1024
+)
+
 // Validate reports the first configuration problem, or nil.
 func (c Config) Validate() error {
 	if c.SizeB <= 0 || c.Ways <= 0 || c.LineB <= 0 || c.Latency <= 0 {
 		return fmt.Errorf("cache %q: all parameters must be positive: %+v", c.Name, c)
+	}
+	switch {
+	case c.LineB > MaxLineB:
+		return fmt.Errorf("cache %q: line size %d exceeds the limit %d", c.Name, c.LineB, MaxLineB)
+	case c.Ways > MaxWays:
+		return fmt.Errorf("cache %q: %d ways exceed the limit %d", c.Name, c.Ways, MaxWays)
+	case c.SizeB/c.LineB > MaxLines:
+		return fmt.Errorf("cache %q: %d lines exceed the limit %d", c.Name, c.SizeB/c.LineB, MaxLines)
 	}
 	if c.LineB&(c.LineB-1) != 0 {
 		return fmt.Errorf("cache %q: line size %d not a power of two", c.Name, c.LineB)

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -14,11 +15,17 @@ func TestConfigValidate(t *testing.T) {
 	if err := tiny().Validate(); err != nil {
 		t.Fatalf("tiny config invalid: %v", err)
 	}
-	for _, hc := range []Config{DefaultHierarchyConfig().L1I, DefaultHierarchyConfig().L1D, DefaultHierarchyConfig().L2} {
+	for _, hc := range []Config{DefaultHierarchyConfig().L1I, DefaultHierarchyConfig().L1D, DefaultHierarchyConfig().L2,
+		{Name: "max-lines", SizeB: MaxLines * 64, Ways: 8, LineB: 64, Latency: 1},
+		{Name: "max-geometry", SizeB: MaxWays * MaxLineB, Ways: MaxWays, LineB: MaxLineB, Latency: 1},
+	} {
 		if err := hc.Validate(); err != nil {
-			t.Errorf("default %s invalid: %v", hc.Name, err)
+			t.Errorf("%s invalid: %v", hc.Name, err)
 		}
 	}
+	// Ways and line size of 2^(IntSize/2) each make Ways*LineB overflow
+	// to zero: Validate must reject them before forming that product.
+	half := 1 << (strconv.IntSize / 2)
 	bad := []Config{
 		{},
 		{Name: "x", SizeB: 1024, Ways: 2, LineB: 60, Latency: 1},       // line not pow2
@@ -26,6 +33,10 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "x", SizeB: 1024, Ways: 0, LineB: 64, Latency: 1},       // zero ways
 		{Name: "x", SizeB: 1024, Ways: 2, LineB: 64, Latency: 0},       // zero latency
 		{Name: "x", SizeB: 64 * 2 * 3, Ways: 2, LineB: 64, Latency: 1}, // 3 sets
+		{Name: "x", SizeB: 64 << 10, Ways: half, LineB: half, Latency: 1},
+		{Name: "x", SizeB: 2 * MaxLines * 64, Ways: 8, LineB: 64, Latency: 1},
+		{Name: "x", SizeB: 64 << 10, Ways: 1, LineB: 2 * MaxLineB, Latency: 1},
+		{Name: "x", SizeB: 2 * MaxWays * 64, Ways: 2 * MaxWays, LineB: 64, Latency: 1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

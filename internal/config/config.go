@@ -44,26 +44,46 @@ type Machine struct {
 	Memory cache.HierarchyConfig
 }
 
+// Upper bounds on a machine's sizes, each at least 16× the largest
+// built-in configuration. A machine can arrive over the wire (a dmdcd
+// job spec), so they keep any accepted one from allocating the host out
+// of memory; cache and predictor geometry have limits of their own.
+const (
+	// MaxWidth bounds the fetch, issue and commit widths, each
+	// functional-unit count and the memory ports.
+	MaxWidth = 128
+	// MaxWindow bounds the ROB, the issue queues, the LQ and SQ and the
+	// register files.
+	MaxWindow = 1 << 14
+	// MaxCheckTable bounds the DMDC checking table.
+	MaxCheckTable = 1 << 16
+)
+
 // Validate reports the first invalid parameter, or nil.
 func (m Machine) Validate() error {
 	fields := []struct {
 		name string
 		v    int
+		max  int // 0: no upper bound
 	}{
-		{"fetch width", m.FetchWidth}, {"issue width", m.IssueWidth},
-		{"commit width", m.CommitWidth}, {"rob", m.ROBSize},
-		{"int iq", m.IQInt}, {"fp iq", m.IQFP},
-		{"lq", m.LQSize}, {"sq", m.SQSize},
-		{"int regs", m.IntRegs}, {"fp regs", m.FPRegs},
-		{"check table", m.CheckTable},
-		{"int alus", m.IntALUs}, {"int muldiv", m.IntMulDiv},
-		{"fp alus", m.FPALUs}, {"fp muldiv", m.FPMulDiv},
-		{"mem ports", m.MemPorts},
-		{"mispredict penalty", m.MispredictPenalty},
+		{"fetch width", m.FetchWidth, MaxWidth}, {"issue width", m.IssueWidth, MaxWidth},
+		{"commit width", m.CommitWidth, MaxWidth}, {"rob", m.ROBSize, MaxWindow},
+		{"int iq", m.IQInt, MaxWindow}, {"fp iq", m.IQFP, MaxWindow},
+		{"lq", m.LQSize, MaxWindow}, {"sq", m.SQSize, MaxWindow},
+		{"int regs", m.IntRegs, MaxWindow}, {"fp regs", m.FPRegs, MaxWindow},
+		{"check table", m.CheckTable, MaxCheckTable},
+		{"int alus", m.IntALUs, MaxWidth}, {"int muldiv", m.IntMulDiv, MaxWidth},
+		{"fp alus", m.FPALUs, MaxWidth}, {"fp muldiv", m.FPMulDiv, MaxWidth},
+		{"mem ports", m.MemPorts, MaxWidth},
+		{"mispredict penalty", m.MispredictPenalty, 0},
+		{"memory latency", m.Memory.MemLatency, 0},
 	}
 	for _, f := range fields {
 		if f.v <= 0 {
 			return fmt.Errorf("config %q: %s must be positive, got %d", m.Name, f.name, f.v)
+		}
+		if f.max > 0 && f.v > f.max {
+			return fmt.Errorf("config %q: %s %d exceeds the limit %d", m.Name, f.name, f.v, f.max)
 		}
 	}
 	if m.LQSize > m.ROBSize || m.SQSize > m.ROBSize {

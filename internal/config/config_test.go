@@ -83,4 +83,43 @@ func TestValidateCatchesBadParams(t *testing.T) {
 	if err := m.Validate(); err == nil {
 		t.Error("bad cache config accepted")
 	}
+	// A 2^28-entry ROB and a 16 GB L2 used to pass and then kill the
+	// process with a fatal out of memory; a negative memory latency used
+	// to simulate.
+	for name, f := range map[string]func(*Machine){
+		"huge rob":         func(m *Machine) { m.ROBSize = 1 << 28 },
+		"huge l2":          func(m *Machine) { m.Memory.L2.SizeB = 1 << 34 },
+		"wide fetch":       func(m *Machine) { m.FetchWidth = MaxWidth + 1 },
+		"huge int regs":    func(m *Machine) { m.IntRegs = MaxWindow + 1 },
+		"huge check table": func(m *Machine) { m.CheckTable = MaxCheckTable + 1 },
+		"huge bimodal":     func(m *Machine) { m.BPred.BimodalEntries = 1 << 30 },
+		"negative memory":  func(m *Machine) { m.Memory.MemLatency = -5 },
+	} {
+		m := Config2()
+		f(&m)
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: machine accepted", name)
+		}
+	}
+}
+
+// TestBuiltinHeadroom pins the limits' headroom: every built-in machine
+// sits at or below 1/16 of each limit.
+func TestBuiltinHeadroom(t *testing.T) {
+	for _, m := range append(All(), IQPressure()) {
+		for _, v := range []int{m.FetchWidth, m.IssueWidth, m.CommitWidth,
+			m.IntALUs, m.IntMulDiv, m.FPALUs, m.FPMulDiv, m.MemPorts} {
+			if 16*v > MaxWidth {
+				t.Errorf("%s: width %d within 16x of the limit %d", m.Name, v, MaxWidth)
+			}
+		}
+		for _, v := range []int{m.ROBSize, m.IQInt, m.IQFP, m.LQSize, m.SQSize, m.IntRegs, m.FPRegs} {
+			if 16*v > MaxWindow {
+				t.Errorf("%s: window %d within 16x of the limit %d", m.Name, v, MaxWindow)
+			}
+		}
+		if 16*m.CheckTable > MaxCheckTable {
+			t.Errorf("%s: check table %d within 16x of the limit %d", m.Name, m.CheckTable, MaxCheckTable)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -370,4 +371,118 @@ func TestChaosKillRestartProcess(t *testing.T) {
 		t.Fatalf("tenant weights not applied across restart: %+v", h.Tenants)
 	}
 	_ = os.Remove(bin)
+}
+
+// TestServerRestartKeepsFailure pins the one resume branch that reads an
+// outcome from the journal: a deterministic failure survives a restart
+// as the same failure, without re-running the job.
+func TestServerRestartKeepsFailure(t *testing.T) {
+	t.Parallel()
+	storeDir, cacheDir := t.TempDir(), t.TempDir()
+	open := func() (*jobstore.Store, *resultcache.Cache) {
+		st, _, err := jobstore.Open(storeDir, jobstore.Options{Sync: true})
+		if err != nil {
+			t.Fatalf("open store: %v", err)
+		}
+		c, err := resultcache.Open(cacheDir)
+		if err != nil {
+			t.Fatalf("open cache: %v", err)
+		}
+		return st, c
+	}
+	// A valid spec whose one-cycle watchdog fails it the same way on
+	// every run.
+	spec := experiments.JobSpec{
+		Machine: config.Config2(), Policy: "dmdc", Benchmark: "gzip", Insts: 5000, WatchdogCycles: 1,
+	}
+
+	store, cache := open()
+	srv := newTestServer(t, ServerConfig{Workers: 1, Cache: cache, Store: store})
+	ts := httptest.NewServer(srv)
+	sub, _ := submit(t, ts.URL, spec)
+	id := sub.Jobs[0].ID
+	first := getStatus(t, ts.URL, id, "30s")
+	if first.Status != StatusFailed || first.Retryable || first.Error == "" {
+		t.Fatalf("watchdog job ended %+v, want a deterministic failure", first)
+	}
+	ts.Close()
+	srv.Close()
+	if err := store.Close(); err != nil {
+		t.Fatalf("close store: %v", err)
+	}
+
+	store2, cache2 := open()
+	defer store2.Close()
+	srv2 := newTestServer(t, ServerConfig{Workers: 1, Cache: cache2, Store: store2})
+	defer srv2.Close()
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+
+	if h := srv2.Stats(); h.ResumedDone != 1 || h.ResumedRequeued != 0 {
+		t.Fatalf("resumed %d done + %d requeued, want the failure kept as done",
+			h.ResumedDone, h.ResumedRequeued)
+	}
+	again := getStatus(t, ts2.URL, id, "")
+	if again.Status != StatusFailed || again.Error != first.Error {
+		t.Fatalf("after restart job is %s (%q), want failed (%q)", again.Status, again.Error, first.Error)
+	}
+	if got := srv2.Executed(); got != 0 {
+		t.Fatalf("restarted server re-ran the failed job (%d executions)", got)
+	}
+}
+
+// TestChaosSecondDmdcdRefused pins the store lock at the process level:
+// a second dmdcd on a -store-dir that a live dmdcd holds exits non-zero
+// with the lock error before it listens, and once the holder is
+// SIGKILLed the lock dies with it and a successor starts at once.
+func TestChaosSecondDmdcdRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs real server processes; skipped in -short")
+	}
+	t.Parallel()
+	bin := filepath.Join(t.TempDir(), "dmdcd")
+	build := exec.Command("go", "build", "-o", bin, "dmdc/cmd/dmdcd")
+	build.Dir = "../.." // repo root
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("build dmdcd: %v\n%s", err, out)
+	}
+	storeDir := t.TempDir()
+	holder := startDmdcd(t, bin, "127.0.0.1:0", storeDir, t.TempDir())
+	defer holder.cmd.Process.Kill() // a no-op once the test has killed it
+
+	second := exec.Command(bin, "-addr", "127.0.0.1:0", "-store-dir", storeDir, "-cache-dir", t.TempDir())
+	done := make(chan struct{})
+	var out []byte
+	var err error
+	go func() {
+		out, err = second.CombinedOutput()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		second.Process.Kill()
+		<-done
+		t.Fatalf("second dmdcd on a held store did not exit:\n%s", out)
+	}
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() == 0 {
+		t.Fatalf("second dmdcd exited with %v, want a non-zero exit\n%s", err, out)
+	}
+	if !strings.Contains(string(out), jobstore.ErrLocked.Error()) {
+		t.Errorf("second dmdcd's output does not name the lock:\n%s", out)
+	}
+	if strings.Contains(string(out), "listening on") {
+		t.Errorf("second dmdcd listened before failing on the lock:\n%s", out)
+	}
+
+	if err := holder.cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	holder.cmd.Wait()
+	successor := startDmdcd(t, bin, "127.0.0.1:0", storeDir, t.TempDir())
+	successor.cmd.Process.Signal(syscall.SIGTERM)
+	if err := successor.cmd.Wait(); err != nil {
+		t.Fatalf("successor on the released store exited with %v", err)
+	}
 }

@@ -11,9 +11,9 @@
 //     X-DMDC-Tenant header (default "default") selects a per-tenant
 //     bounded queue, workers are shared by weighted deficit-round-robin
 //     across tenants, and per-tenant quotas bound concurrently running
-//     jobs. With a jobstore attached, every admission and lifecycle
-//     transition is journaled, so a crashed or restarted server resumes
-//     or re-queues every incomplete job under the same content-addressed
+//     jobs. With a jobstore attached, every admission and deterministic
+//     outcome is journaled, so a crashed or restarted server resumes or
+//     re-queues every incomplete job under the same content-addressed
 //     ID — a client long-polling /v1/jobs/{id}?wait reconnects and gets
 //     the identical answer.
 //
@@ -124,7 +124,7 @@ type VersionInfo struct {
 	Protocol      int `json:"protocol"`
 	CacheFormat   int `json:"cache_format"`
 	JournalFormat int `json:"journal_format"`
-	// Instance is the server's self-chosen identity (lease owner name).
+	// Instance is the server's self-chosen label.
 	Instance string `json:"instance,omitempty"`
 }
 
@@ -244,15 +244,8 @@ type Health struct {
 	// JournalErrors counts failed journal appends (durability degraded
 	// but service continuing).
 	JournalErrors uint64 `json:"journal_errors,omitempty"`
-	// Instance is the server's lease-owner identity.
+	// Instance is the server's self-chosen label.
 	Instance string `json:"instance,omitempty"`
-	// Adopted counts jobs taken over from another instance's lease
-	// (released on drain, or expired after a crash). Deferred counts jobs
-	// whose foreign lease was still live at resume — the reclaimer adopts
-	// them when the lease expires; a positive value here with zero Adopted
-	// means the server is waiting out a peer's lease.
-	Adopted  uint64 `json:"adopted,omitempty"`
-	Deferred uint64 `json:"deferred,omitempty"`
 	// PeerCache breaks down the result store's tiers when the server runs
 	// a Tiered store (local/peer/negative hits and peer errors).
 	PeerCache *resultcache.Stats `json:"peer_cache,omitempty"`

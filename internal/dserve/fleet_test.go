@@ -170,9 +170,9 @@ func TestFleetPeerFetchDedup(t *testing.T) {
 }
 
 // TestFleetSharedStoreHandoff drains a matrix across three instances
-// sharing one journal and one result cache: each Close releases the
-// dying instance's leases so the successor adopts its admitted-but-
-// unfinished jobs immediately. Zero lost (every cell reaches done),
+// sharing one journal and one result cache, one owner at a time: each
+// successor re-queues its predecessor's admitted-but-unfinished jobs
+// immediately. Zero lost (every cell reaches done),
 // zero duplicated (the fleet-wide execution count equals the cell
 // count), byte-identical (results match a local run).
 func TestFleetSharedStoreHandoff(t *testing.T) {
@@ -208,19 +208,6 @@ func TestFleetSharedStoreHandoff(t *testing.T) {
 	tsA.Close()
 	executedA := srvA.Executed()
 	storeA.Close()
-
-	// The drain must have released every incomplete job's lease: a
-	// successor reads the journal and sees no owner to wait out.
-	storeCheck, _, err := jobstore.Open(storeDir, jobstore.Options{})
-	if err != nil {
-		t.Fatalf("reopen store: %v", err)
-	}
-	for _, jr := range storeCheck.Jobs() {
-		if jr.State != jobstore.StateDone && jr.Owner != "" {
-			t.Fatalf("incomplete job %s still leased by %q after drain", jr.ID, jr.Owner)
-		}
-	}
-	storeCheck.Close()
 
 	// Instance b adopts instantly, works briefly, and drains in turn.
 	storeB, cacheB := open()
@@ -291,34 +278,28 @@ func TestFleetSharedStoreHandoff(t *testing.T) {
 	}
 }
 
-// TestFleetLeakedLeaseAdoption covers the crashed-peer case: the journal
-// holds jobs leased by an instance that died without releasing them. A
-// successor must defer those jobs while the lease is live (the owner may
-// still be computing) and adopt them the moment it lapses — never
-// duplicating a possibly-running job, never losing it either.
-func TestFleetLeakedLeaseAdoption(t *testing.T) {
+// TestFleetCrashedOwnerAdoption covers the crashed-owner case: the
+// journal holds only the admissions of an owner that died mid-matrix,
+// without a drain. Its directory lock died with it, so the successor's
+// NewServer re-queues every job at once — nothing waits on the dead
+// owner — and finishes each exactly once, byte-identical to a local run.
+func TestFleetCrashedOwnerAdoption(t *testing.T) {
 	t.Parallel()
 	storeDir := t.TempDir()
-	store, _, err := jobstore.Open(storeDir, jobstore.Options{})
+	store, _, err := jobstore.Open(storeDir, jobstore.Options{Sync: true})
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
 	specs := []experiments.JobSpec{quickSpec("gzip"), quickSpec("swim")}
-	leaseUntil := time.Now().Add(600 * time.Millisecond).UnixMilli()
 	for _, sp := range specs {
 		specJSON, _ := json.Marshal(sp)
-		id := sp.CacheKey()
 		if err := store.Append(jobstore.Record{
-			State: jobstore.StateAdmitted, ID: id, Tenant: "ghost-tenant", Spec: specJSON,
+			State: jobstore.StateAdmitted, ID: sp.CacheKey(), Tenant: "ghost-tenant", Spec: specJSON,
 		}); err != nil {
 			t.Fatalf("append admitted: %v", err)
 		}
-		if err := store.Append(jobstore.Record{
-			State: jobstore.StateLeased, ID: id, Owner: "ghost", LeaseUntil: leaseUntil,
-		}); err != nil {
-			t.Fatalf("append leased: %v", err)
-		}
 	}
+	// The owner dies: its lock goes with it, its jobs stay admitted.
 	store.Close()
 
 	store2, _, err := jobstore.Open(storeDir, jobstore.Options{})
@@ -327,36 +308,33 @@ func TestFleetLeakedLeaseAdoption(t *testing.T) {
 	}
 	defer store2.Close()
 	srv := newTestServer(t, ServerConfig{
-		Workers: 2, Cache: openTestCache(t), Store: store2,
-		Instance: "successor", LeaseTTL: 200 * time.Millisecond,
+		Workers: 2, Cache: openTestCache(t), Store: store2, Instance: "successor",
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// While the ghost's lease is live the jobs are deferred, not run.
 	h := srv.Stats()
-	if h.Deferred != uint64(len(specs)) {
-		t.Fatalf("deferred %d jobs at open, want %d (live foreign leases must not be adopted)",
-			h.Deferred, len(specs))
+	if h.ResumedRequeued != uint64(len(specs)) || h.ResumedDone != 0 {
+		t.Fatalf("resumed %d requeued + %d done at open, want all %d re-queued at once",
+			h.ResumedRequeued, h.ResumedDone, len(specs))
 	}
-	if h.Adopted != 0 {
-		t.Fatalf("adopted %d jobs while the foreign lease was live", h.Adopted)
+	if th := h.Tenants["ghost-tenant"]; th.Admitted != uint64(len(specs)) {
+		t.Fatalf("adopted jobs lost their tenant: %+v", h.Tenants)
 	}
 
-	// After the lease lapses the reclaimer adopts and finishes them.
 	for _, sp := range specs {
 		id := sp.CacheKey()
 		js := getStatus(t, ts.URL, id, "30s")
 		deadline := time.Now().Add(time.Minute)
 		for !js.Status.Terminal() {
 			if time.Now().After(deadline) {
-				t.Fatalf("leaked-lease job %s stuck in %s", id, js.Status)
+				t.Fatalf("adopted job %s stuck in %s", id, js.Status)
 			}
 			js = getStatus(t, ts.URL, id, "30s")
 		}
 		if js.Status != StatusDone {
-			t.Fatalf("leaked-lease job %s ended %s (%s)", id, js.Status, js.Error)
+			t.Fatalf("adopted job %s ended %s (%s)", id, js.Status, js.Error)
 		}
 		got := fetchResult(t, ts.URL, id)
 		local, err := experiments.ExecuteJob(context.Background(), sp)
@@ -365,15 +343,11 @@ func TestFleetLeakedLeaseAdoption(t *testing.T) {
 		}
 		want, _ := json.Marshal(local)
 		if got != mustCompact(t, want) {
-			t.Errorf("leaked-lease job %s diverged from local", id)
+			t.Errorf("adopted job %s diverged from local", id)
 		}
 	}
-	h = srv.Stats()
-	if h.Adopted != uint64(len(specs)) {
-		t.Fatalf("adopted = %d after lease expiry, want %d", h.Adopted, len(specs))
-	}
-	if h.Deferred != 0 {
-		t.Fatalf("still deferring %d jobs after adoption", h.Deferred)
+	if got := srv.Executed(); got != uint64(len(specs)) {
+		t.Fatalf("successor executed %d simulations for %d adopted jobs, want each once", got, len(specs))
 	}
 }
 

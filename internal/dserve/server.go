@@ -38,24 +38,17 @@ type ServerConfig struct {
 	// fake. The GET/PUT /v1/cache endpoints additionally serve raw entries
 	// to peers when the store (or its local tier) can produce them.
 	Cache resultcache.Store
-	// Store, when non-nil, journals every admission and lifecycle
-	// transition. NewServer replays it: incomplete jobs (admitted or
-	// running at the time of the crash) are re-queued under their
-	// original tenant and content-addressed ID, completed jobs are
-	// re-published from the cache or journal, so long-polling clients
-	// reconnect and get the identical answer. The server appends and
-	// compacts; the caller owns Open/Close of the store.
+	// Store, when non-nil, journals every admission and deterministic
+	// outcome. NewServer replays it: a job whose result is in the cache is
+	// done, a journaled failure stays failed, and every other job is
+	// re-queued under its original tenant and content-addressed ID, so
+	// long-polling clients reconnect and get the identical answer. The
+	// caller owns Open/Close of the store; its directory lock makes this
+	// server the store's only writer.
 	Store *jobstore.Store
-	// Instance names this server as a lease owner in the journal. Two
-	// instances that ever share (hand off) a store directory must differ.
-	// Empty means "pid-<os pid>".
+	// Instance labels this server in /v1/version and /v1/healthz. Empty
+	// means "pid-<os pid>".
 	Instance string
-	// LeaseTTL is how long this instance's claim on an incomplete job
-	// stays live without renewal. A successor opening the same store
-	// defers jobs under a foreign live lease until it expires (the leaked
-	// lease of a crashed peer), and adopts released or expired ones
-	// immediately. 0 means 30s.
-	LeaseTTL time.Duration
 	// Telemetry, when non-nil, attaches a per-job sampler to every
 	// simulated job and serves the registry at /v1/telemetry, keyed by job
 	// ID. Zero fields take the telemetry defaults.
@@ -77,13 +70,6 @@ type jobState struct {
 	retryable bool
 	result    *core.Result
 	done      chan struct{}
-
-	// foreignLeaseUntil is the Unix-ms expiry of another instance's live
-	// lease observed at resume; the reclaimer adopts the job after it.
-	// ownLeaseUntil is the expiry of this instance's last journaled lease
-	// (atomic: the lease loop reads it without the server lock).
-	foreignLeaseUntil int64
-	ownLeaseUntil     atomic.Int64
 }
 
 // Server executes simulation jobs behind the HTTP/JSON API described in
@@ -96,7 +82,6 @@ type Server struct {
 	cache    resultcache.Store
 	store    *jobstore.Store
 	instance string
-	leaseTTL time.Duration
 	telCfg   *telemetry.Config
 	reg      *telemetry.Registry
 
@@ -105,19 +90,16 @@ type Server struct {
 	wg     sync.WaitGroup
 	mux    *http.ServeMux
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	closed   bool
-	jobs     map[string]*jobState
-	sched    *drr
-	deferred []*jobState // foreign live leases awaiting expiry
+	mu     sync.Mutex
+	cond   *sync.Cond
+	closed bool
+	jobs   map[string]*jobState
+	sched  *drr
 
 	executed        atomic.Uint64
 	cacheHits       atomic.Uint64
 	rejected        atomic.Uint64
 	journalErrs     atomic.Uint64
-	adopted         atomic.Uint64
-	deferredTotal   atomic.Uint64
 	resumedDone     uint64 // written once in NewServer, before workers start
 	resumedRequeued uint64
 }
@@ -141,9 +123,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Instance == "" {
 		cfg.Instance = fmt.Sprintf("pid-%d", os.Getpid())
 	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 30 * time.Second
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		workers:  cfg.Workers,
@@ -152,7 +131,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cache:    cfg.Cache,
 		store:    cfg.Store,
 		instance: cfg.Instance,
-		leaseTTL: cfg.LeaseTTL,
 		telCfg:   cfg.Telemetry,
 		ctx:      ctx,
 		cancel:   cancel,
@@ -175,27 +153,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if s.store != nil {
-		s.wg.Add(1)
-		go s.leaseLoop()
-	}
 	return s, nil
 }
 
-// resume rebuilds the job table from the journal: terminal jobs are
-// re-published (done jobs need their result back — from the cache — or
-// they are re-queued, since simulation is deterministic), incomplete jobs
-// are re-queued under their original tenant in admission order.
-//
-// Handoff: an incomplete job carrying another instance's lease is only
-// adopted immediately if the lease has expired (the previous owner
-// crashed and its claim lapsed) — a live foreign lease means the owner
-// may still be running the job, so it is deferred and the lease loop
-// adopts it at expiry. Jobs the previous owner released on drain carry no
-// lease and are adopted at once. Either way an adopted job is re-leased
-// under this instance before it is queued: zero lost, zero duplicated.
+// resume rebuilds the job table from the journal. A drain and a crash
+// leave the same journal, so every job takes one of three paths: a cache
+// hit means done, a journaled failure means failed, and anything else is
+// re-queued under its original tenant, in admission order.
 func (s *Server) resume() error {
-	nowMS := time.Now().UnixMilli()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, jr := range s.store.Jobs() {
@@ -210,9 +175,10 @@ func (s *Server) resume() error {
 		st.tq = s.tenantLocked(jr.Tenant)
 		s.jobs[jr.ID] = st
 
-		// A result in the cache settles the job no matter what the journal
-		// says: cache.Put happens before the done record is appended, so a
-		// crash between the two leaves a "running" job whose work is done.
+		// A cache hit is the only completion certificate: cache.Put happens
+		// before the done record is appended, so a crash between the two
+		// leaves an admitted job whose work is done, while a done record
+		// alone (a soundness job, or a lost cache) proves nothing.
 		if s.cache != nil && !spec.Soundness {
 			if hit, ok := s.cache.Get(jr.ID); ok {
 				st.status = StatusDone
@@ -223,125 +189,22 @@ func (s *Server) resume() error {
 				continue
 			}
 		}
-		if jr.State == jobstore.StateFailed && !jr.Retryable {
-			// A deterministic failure reproduces identically; keep it.
+		if jr.State == jobstore.StateFailed {
+			// Only deterministic failures are journaled, and they reproduce
+			// identically; keep the answer.
 			st.status = StatusFailed
 			st.errMsg = jr.Error
 			close(st.done)
 			s.resumedDone++
 			continue
 		}
-		if jr.Owner != "" && jr.Owner != s.instance && jr.LeaseUntil > nowMS {
-			// Foreign live lease: the owner may still be computing this
-			// job. Defer adoption until the lease lapses.
-			st.foreignLeaseUntil = jr.LeaseUntil
-			s.deferred = append(s.deferred, st)
-			s.deferredTotal.Add(1)
-			s.resumedRequeued++
-			continue
-		}
-		if jr.Owner != "" && jr.Owner != s.instance {
-			s.adopted.Add(1) // expired foreign lease: adopt now
-		}
-		// Admitted, running, retryably-failed, or done-but-uncached:
-		// incomplete as far as a client is concerned. Re-queue (past the
-		// depth bound — journaled admissions are never dropped) under our
-		// own lease.
-		s.leaseJob(st)
+		// Re-queue past the depth bound: journaled admissions are never
+		// dropped.
 		s.sched.pushForce(st.tq, st)
 		st.tq.admitted++
 		s.resumedRequeued++
 	}
 	return nil
-}
-
-// leaseJob journals this instance's claim on an incomplete job. Safe to
-// call with or without s.mu held (the journal has its own lock).
-func (s *Server) leaseJob(st *jobState) {
-	if s.store == nil {
-		return
-	}
-	until := time.Now().Add(s.leaseTTL).UnixMilli()
-	if err := s.store.Append(jobstore.Record{
-		State: jobstore.StateLeased, ID: st.id, Owner: s.instance, LeaseUntil: until,
-	}); err != nil {
-		s.journalErrs.Add(1)
-		return
-	}
-	st.ownLeaseUntil.Store(until)
-}
-
-// leaseLoop renews this instance's leases on incomplete jobs and adopts
-// deferred jobs whose foreign lease has lapsed. It wakes at a fraction of
-// the TTL so a renewal always lands before the previous lease expires.
-func (s *Server) leaseLoop() {
-	defer s.wg.Done()
-	tick := s.leaseTTL / 3
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case <-t.C:
-			s.renewAndReclaim()
-		}
-	}
-}
-
-// renewAndReclaim is one lease-loop pass: re-lease incomplete jobs whose
-// claim is at least half spent, and adopt deferred jobs whose foreign
-// lease has lapsed.
-func (s *Server) renewAndReclaim() {
-	nowMS := time.Now().UnixMilli()
-	renewAt := nowMS + s.leaseTTL.Milliseconds()/2
-
-	s.mu.Lock()
-	var renew []*jobState
-	for _, st := range s.jobs {
-		if (st.status == StatusQueued || st.status == StatusRunning) &&
-			st.foreignLeaseUntil == 0 && st.ownLeaseUntil.Load() < renewAt {
-			renew = append(renew, st)
-		}
-	}
-	var adopt []*jobState
-	remaining := s.deferred[:0]
-	for _, st := range s.deferred {
-		if st.foreignLeaseUntil <= nowMS {
-			adopt = append(adopt, st)
-		} else {
-			remaining = append(remaining, st)
-		}
-	}
-	s.deferred = remaining
-	for _, st := range adopt {
-		st.foreignLeaseUntil = 0
-		// The shared cache may have the answer by now (the old owner
-		// finished but crashed before journaling "done").
-		if s.cache != nil && !st.spec.Soundness {
-			if hit, ok := s.cache.Get(st.id); ok {
-				st.status = StatusDone
-				st.result = hit
-				st.cached = true
-				close(st.done)
-				continue
-			}
-		}
-		s.adopted.Add(1)
-		s.leaseJob(st)
-		s.sched.pushForce(st.tq, st)
-		st.tq.admitted++
-	}
-	if len(adopt) > 0 {
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
-	for _, st := range renew {
-		s.leaseJob(st)
-	}
 }
 
 // tenantLocked returns (creating if needed) the tenant's queue.
@@ -355,12 +218,10 @@ func (s *Server) tenantLocked(name string) *tenantQ {
 // Close stops accepting jobs, evicts admitted-unstarted jobs with a
 // terminal retryable rejection (so long-pollers wake immediately and
 // dispatchers re-dispatch instead of hanging until timeout), cancels
-// in-flight simulations (they fail with a retryable shutdown error),
-// waits for the workers to exit, releases this instance's leases, and
-// compacts the journal. Evicted jobs stay "admitted" in the journal on
-// purpose: a restart re-queues and finishes them — and the released
-// leases tell a successor it may adopt them immediately instead of
-// waiting out the lease TTL.
+// in-flight simulations (they fail with a retryable shutdown error), and
+// waits for the workers to exit. Evicted and cancelled jobs stay
+// "admitted" in the journal on purpose: the store's next owner re-queues
+// and finishes them, exactly as after a crash.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -380,33 +241,6 @@ func (s *Server) Close() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
-	if s.store != nil {
-		// Drain handoff: release every lease this instance still holds on
-		// an incomplete job. Deferred jobs keep their foreign lease — they
-		// were never ours to release.
-		s.mu.Lock()
-		var release []*jobState
-		for _, st := range s.jobs {
-			// Incomplete from the journal's point of view: evicted
-			// (rejected), queued, or failed retryably at shutdown. Done and
-			// deterministic failures already cleared their lease with the
-			// terminal record.
-			incomplete := st.status == StatusRejected || st.status == StatusQueued ||
-				st.status == StatusRunning || (st.status == StatusFailed && st.retryable)
-			if incomplete && st.foreignLeaseUntil == 0 && st.ownLeaseUntil.Load() > 0 {
-				release = append(release, st)
-			}
-		}
-		s.mu.Unlock()
-		for _, st := range release {
-			if err := s.store.Append(jobstore.Record{State: jobstore.StateReleased, ID: st.id}); err != nil {
-				s.journalErrs.Add(1)
-			}
-		}
-		// Best-effort: a failed compaction leaves a longer but complete
-		// journal, which replays identically.
-		s.store.Compact()
-	}
 }
 
 // worker pulls jobs off the fair scheduler until the server closes.
@@ -442,7 +276,7 @@ func (s *Server) dequeue() *jobState {
 	}
 }
 
-// journal appends one lifecycle record, best-effort: an append failure
+// journal appends one outcome record, best-effort: an append failure
 // degrades durability (counted, visible in /v1/healthz) but must not
 // fail the job — the simulation result is still correct.
 func (s *Server) journal(rec jobstore.Record) {
@@ -477,7 +311,6 @@ func (s *Server) execute(st *jobState) {
 	s.mu.Lock()
 	st.status = StatusRunning
 	s.mu.Unlock()
-	s.journal(jobstore.Record{State: jobstore.StateRunning, ID: st.id})
 
 	var sampler *telemetry.Sampler
 	if s.telCfg != nil {
@@ -521,9 +354,9 @@ func (s *Server) finish(st *jobState, res *core.Result, errMsg string, retryable
 	if errMsg == "" {
 		s.journal(jobstore.Record{State: jobstore.StateDone, ID: st.id})
 	} else if !retryable {
-		// Retryable failures (shutdown, cancellation) stay non-terminal in
-		// the journal so a restart re-queues them; only deterministic
-		// failures are worth persisting.
+		// Retryable failures (shutdown, cancellation) stay admitted in the
+		// journal so a restart re-queues them; only deterministic failures
+		// are worth persisting.
 		s.journal(jobstore.Record{State: jobstore.StateFailed, ID: st.id, Error: errMsg})
 	}
 	close(st.done)
@@ -599,9 +432,6 @@ func (s *Server) admit(spec experiments.JobSpec, tenant string) JobStatus {
 			return JobStatus{ID: id, Status: StatusRejected, Tenant: tenant,
 				Error: fmt.Sprintf("journal admission: %v", err), Retryable: true}
 		}
-		// Claim the job for this instance so a peer opening the store after
-		// a handoff can tell live work from abandoned work.
-		s.leaseJob(st)
 	}
 	s.sched.push(tq, st)
 	tq.admitted++
@@ -819,15 +649,12 @@ func (s *Server) Stats() Health {
 	}
 	h.ResumedDone = s.resumedDone
 	h.ResumedRequeued = s.resumedRequeued
-	deferredNow := len(s.deferred)
 	s.mu.Unlock()
 	h.Executed = s.executed.Load()
 	h.CacheHits = s.cacheHits.Load()
 	h.Rejected = s.rejected.Load()
 	h.JournalErrors = s.journalErrs.Load()
 	h.Instance = s.instance
-	h.Adopted = s.adopted.Load()
-	h.Deferred = uint64(deferredNow)
 	if _, tiered := s.cache.(*resultcache.Tiered); tiered {
 		stats := s.cache.Stats()
 		h.PeerCache = &stats
@@ -848,8 +675,6 @@ func (s *Server) counterSnapshot() map[string]int64 {
 		"jobs_executed":   int64(h.Executed),
 		"jobs_cache_hits": int64(h.CacheHits),
 		"jobs_rejected":   int64(h.Rejected),
-		"jobs_adopted":    int64(h.Adopted),
-		"jobs_deferred":   int64(h.Deferred),
 		"queue_depth":     int64(h.Queued),
 		"journal_errors":  int64(h.JournalErrors),
 	}

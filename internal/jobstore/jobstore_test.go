@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -56,21 +58,18 @@ func TestJournalRoundTrip(t *testing.T) {
 	admit(t, s, "a", "alice", 0)
 	admit(t, s, "b", "bob", 1)
 	admit(t, s, "c", "", 2)
-	for _, id := range []string{"a", "b"} {
-		if err := s.Append(Record{State: StateRunning, ID: id}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := s.Append(Record{State: StateDone, ID: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(Record{State: StateFailed, ID: "b", Error: "boom", Retryable: true}); err != nil {
+	if err := s.Append(Record{State: StateFailed, ID: "b", Error: "boom"}); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
 
 	s2, rep := reopen(t, dir, Options{})
-	if rep.Records != 7 || rep.TornBytes != 0 || rep.Ignored != 0 {
+	if rep.Records != 5 || rep.TornBytes != 0 || rep.Ignored != 0 {
 		t.Fatalf("replay report %+v", rep)
 	}
 	jobs := s2.Jobs()
@@ -85,7 +84,7 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatalf("job %d = %s/%s, want %s/%s", i, jr.ID, jr.State, wantOrder[i], wantState[i])
 		}
 	}
-	if jobs[1].Error != "boom" || !jobs[1].Retryable {
+	if jobs[1].Error != "boom" {
 		t.Fatalf("failed job lost its error: %+v", jobs[1])
 	}
 	if string(jobs[0].Spec) != string(spec(0)) {
@@ -97,26 +96,25 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 // TestJournalReplayEdgeCases is the satellite table: torn and corrupted
-// tails, duplicated records, and stale transitions must never panic or
-// yield a wrong job state.
+// tails, duplicated records, and outcomes for unknown jobs must never
+// panic or yield a wrong job state.
 func TestJournalReplayEdgeCases(t *testing.T) {
 	t.Parallel()
-	// base writes three jobs; "a" done, "b" running, "c" admitted.
+	// base writes three jobs; "a" done, "b" failed, "c" admitted.
 	base := func(t *testing.T, s *Store) {
 		admit(t, s, "a", "t1", 0)
 		admit(t, s, "b", "t1", 1)
 		admit(t, s, "c", "t2", 2)
-		s.Append(Record{State: StateRunning, ID: "a"})
 		s.Append(Record{State: StateDone, ID: "a"})
-		s.Append(Record{State: StateRunning, ID: "b"})
+		s.Append(Record{State: StateFailed, ID: "b", Error: "boom"})
 	}
-	wantBase := map[string]State{"a": StateDone, "b": StateRunning, "c": StateAdmitted}
+	wantBase := map[string]State{"a": StateDone, "b": StateFailed, "c": StateAdmitted}
 
 	cases := []struct {
 		name string
 		// mutate corrupts the closed journal file in place.
 		mutate func(t *testing.T, path string)
-		// extra appends records before close (for duplicate/stale cases).
+		// extra appends records before close (for duplicate/unknown cases).
 		extra       func(t *testing.T, s *Store)
 		want        map[string]State
 		wantTorn    bool
@@ -128,7 +126,7 @@ func TestJournalReplayEdgeCases(t *testing.T) {
 				b := readFileT(t, path)
 				writeFileT(t, path, b[:len(b)-3])
 			},
-			// The last record (b running) is torn away; b reverts to admitted.
+			// The last record (b failed) is torn away; b reverts to admitted.
 			want:     map[string]State{"a": StateDone, "b": StateAdmitted, "c": StateAdmitted},
 			wantTorn: true,
 		},
@@ -177,29 +175,22 @@ func TestJournalReplayEdgeCases(t *testing.T) {
 			wantTorn: true,
 		},
 		{
-			name: "duplicated records after crashed compaction",
+			name: "duplicated records",
 			extra: func(t *testing.T, s *Store) {
-				// A sloppy writer (or replayed pre-compaction tail) repeats
-				// records verbatim; replay must be idempotent.
+				// A resubmit after an append whose fsync failed repeats
+				// records; replay must be idempotent, and a repeated admit
+				// never reopens a finished job.
 				s.Append(Record{State: StateAdmitted, ID: "a", Tenant: "evil", Spec: spec(99)})
 				s.Append(Record{State: StateDone, ID: "a"})
-				s.Append(Record{State: StateRunning, ID: "b"})
+				s.Append(Record{State: StateFailed, ID: "b", Error: "boom"})
 			},
 			want:        wantBase,
-			wantIgnored: 1, // the duplicate admit; re-applied transitions count as applied
+			wantIgnored: 1, // the duplicate admit; re-applied outcomes count as applied
 		},
 		{
 			name: "transition for unknown job id",
 			extra: func(t *testing.T, s *Store) {
 				s.Append(Record{State: StateDone, ID: "ghost"})
-			},
-			want:        wantBase,
-			wantIgnored: 1,
-		},
-		{
-			name: "stale non-terminal after terminal",
-			extra: func(t *testing.T, s *Store) {
-				s.Append(Record{State: StateRunning, ID: "a"})
 			},
 			want:        wantBase,
 			wantIgnored: 1,
@@ -310,6 +301,15 @@ func TestVersionSkewFailsClosed(t *testing.T) {
 			},
 		},
 		{
+			// Format 2 predates the directory lock: a binary that does
+			// not take it must never share a store with one that does.
+			name: "format 2 manifest",
+			prep: func(t *testing.T, dir string) {
+				writeFileT(t, filepath.Join(dir, manifestName),
+					[]byte(`{"format":"dmdc-jobstore","version":2}`))
+			},
+		},
+		{
 			name: "journal without manifest",
 			prep: func(t *testing.T, dir string) {
 				writeFileT(t, filepath.Join(dir, journalName), []byte{1, 2, 3, 4})
@@ -331,141 +331,69 @@ func TestVersionSkewFailsClosed(t *testing.T) {
 	}
 }
 
-// TestAppendCrashLeavesTornTail drives the fault hook: a crash mid-append
-// leaves a torn half-record that the next open truncates away, keeping
-// every earlier record.
-func TestAppendCrashLeavesTornTail(t *testing.T) {
+// TestLockSingleOwner pins the one-owner contract: while a Store holds a
+// directory, a second Open of it fails with ErrLocked and writes nothing;
+// after the holder's Close, Open succeeds and replays every acknowledged
+// record.
+func TestLockSingleOwner(t *testing.T) {
 	t.Parallel()
-	boom := errors.New("injected crash")
-	armed := false
-	s, dir := openFresh(t, Options{Fault: func(op string) error {
-		if armed && op == "append" {
-			return boom
-		}
-		return nil
-	}})
-	admit(t, s, "a", "t", 0)
-	s.Append(Record{State: StateRunning, ID: "a"})
-	armed = true
-	if err := s.Append(Record{State: StateDone, ID: "a"}); !errors.Is(err, boom) {
-		t.Fatalf("faulted append err = %v", err)
+	s, dir := openFresh(t, Options{Sync: true})
+	for i := 0; i < 6; i++ {
+		admit(t, s, fmt.Sprintf("job-%d", i), "t", i)
 	}
-	s.Close()
+	if err := s.Append(Record{State: StateDone, ID: "job-0"}); err != nil {
+		t.Fatal(err)
+	}
+	before := dirSnapshot(t, dir)
 
-	s2, rep := reopen(t, dir, Options{})
-	if rep.TornBytes == 0 {
-		t.Fatal("crash left no torn tail to repair")
+	// The lock is on the directory's LOCK file, not its path: a symlink
+	// to the store is refused too.
+	link := filepath.Join(t.TempDir(), "link")
+	if err := os.Symlink(dir, link); err != nil {
+		t.Fatal(err)
 	}
-	if got := stateOf(s2, "a"); got != StateRunning {
-		t.Fatalf("job a = %s after torn done record, want running", got)
+	for _, held := range []string{dir, link} {
+		s2, _, err := Open(held, Options{Sync: true})
+		if !errors.Is(err, ErrLocked) {
+			if s2 != nil {
+				s2.Close()
+			}
+			t.Fatalf("second Open(%s) = %v, want ErrLocked", held, err)
+		}
+		if !strings.Contains(err.Error(), lockName) {
+			t.Errorf("lock error %q does not name the LOCK file", err)
+		}
+	}
+	if after := dirSnapshot(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused Open wrote to the store:\nbefore %v\nafter  %v", before, after)
+	}
+	// The holder is unaffected by the refused opens.
+	admit(t, s, "job-6", "t", 6)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	s3, rep := reopen(t, dir, Options{})
+	if rep.Records != 8 || rep.Jobs != 7 || rep.TornBytes != 0 {
+		t.Fatalf("replay after handover: %+v", rep)
+	}
+	if got := stateOf(s3, "job-0"); got != StateDone {
+		t.Fatalf("job-0 = %s, want done", got)
 	}
 }
 
-// TestCompactionShrinksAndPreserves pins compaction: terminal and live
-// jobs survive byte-for-byte in admission order, and the journal shrinks.
-func TestCompactionShrinksAndPreserves(t *testing.T) {
-	t.Parallel()
-	s, dir := openFresh(t, Options{})
-	for i := 0; i < 20; i++ {
-		id := fmt.Sprintf("job-%02d", i)
-		admit(t, s, id, "t", i)
-		s.Append(Record{State: StateRunning, ID: id})
-		if i%2 == 0 {
-			s.Append(Record{State: StateDone, ID: id})
-		}
+// dirSnapshot maps each file in dir to its contents.
+func dirSnapshot(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	before := s.Size()
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
+	out := map[string]string{}
+	for _, e := range ents {
+		out[e.Name()] = string(readFileT(t, filepath.Join(dir, e.Name())))
 	}
-	if s.Size() >= before {
-		t.Fatalf("compaction grew the journal: %d -> %d", before, s.Size())
-	}
-	jobsBefore := s.Jobs()
-	s.Close()
-	s2, rep := reopen(t, dir, Options{})
-	if rep.TornBytes != 0 || rep.Ignored != 0 {
-		t.Fatalf("replay of compacted journal: %+v", rep)
-	}
-	jobsAfter := s2.Jobs()
-	if len(jobsAfter) != len(jobsBefore) {
-		t.Fatalf("compaction changed job count %d -> %d", len(jobsBefore), len(jobsAfter))
-	}
-	for i := range jobsBefore {
-		b, a := jobsBefore[i], jobsAfter[i]
-		if b.ID != a.ID || b.State != a.State || string(b.Spec) != string(a.Spec) || b.Tenant != a.Tenant {
-			t.Fatalf("job %d changed across compaction: %+v vs %+v", i, b, a)
-		}
-	}
-}
-
-// TestCompactionCrashPoints pins atomicity: a crash at any compaction
-// step leaves the old journal complete and readable.
-func TestCompactionCrashPoints(t *testing.T) {
-	t.Parallel()
-	for _, point := range []string{"compact-write", "compact-sync", "compact-rename"} {
-		point := point
-		t.Run(point, func(t *testing.T) {
-			t.Parallel()
-			boom := errors.New("injected crash")
-			armed := false
-			s, dir := openFresh(t, Options{Fault: func(op string) error {
-				if armed && op == point {
-					return boom
-				}
-				return nil
-			}})
-			admit(t, s, "a", "t", 0)
-			s.Append(Record{State: StateDone, ID: "a"})
-			admit(t, s, "b", "t", 1)
-			armed = true
-			if err := s.Compact(); !errors.Is(err, boom) {
-				t.Fatalf("faulted compact err = %v", err)
-			}
-			armed = false
-			// The store survives the failed compaction in-process...
-			if err := s.Append(Record{State: StateRunning, ID: "b"}); err != nil {
-				t.Fatalf("append after failed compact: %v", err)
-			}
-			s.Close()
-			// ...and the on-disk journal (old file, plus possibly a stray
-			// temp) replays to the same state on restart.
-			s2, rep := reopen(t, dir, Options{})
-			if rep.TornBytes != 0 {
-				t.Fatalf("failed compaction tore the journal: %+v", rep)
-			}
-			if got := stateOf(s2, "a"); got != StateDone {
-				t.Fatalf("job a = %s, want done", got)
-			}
-			if got := stateOf(s2, "b"); got != StateRunning {
-				t.Fatalf("job b = %s, want running", got)
-			}
-			if _, err := os.Stat(filepath.Join(dir, compactTmp)); err == nil {
-				t.Fatal("crashed compaction temp file not cleaned up on reopen")
-			}
-		})
-	}
-}
-
-// TestAutoCompaction pins the append-path trigger: a journal past the
-// threshold with mostly-dead records is rewritten automatically.
-func TestAutoCompaction(t *testing.T) {
-	t.Parallel()
-	s, _ := openFresh(t, Options{CompactBytes: 2048})
-	for i := 0; i < 200; i++ {
-		id := fmt.Sprintf("j%03d", i)
-		admit(t, s, id, "t", i)
-		s.Append(Record{State: StateRunning, ID: id})
-		s.Append(Record{State: StateDone, ID: id})
-	}
-	// 600 records at ~60B each is far past 2048; auto-compaction must have
-	// kept the file near the live-state size (2 records per job).
-	if s.Size() > 64<<10 {
-		t.Fatalf("journal never auto-compacted: %d bytes", s.Size())
-	}
-	if got := len(s.Jobs()); got != 200 {
-		t.Fatalf("auto-compaction lost jobs: %d", got)
-	}
+	return out
 }
 
 // TestAppendValidation pins the append-side guards.
@@ -475,8 +403,10 @@ func TestAppendValidation(t *testing.T) {
 	if err := s.Append(Record{State: StateDone}); err == nil {
 		t.Fatal("empty ID accepted")
 	}
-	if err := s.Append(Record{State: "levitating", ID: "x"}); err == nil {
-		t.Fatal("unknown state accepted")
+	for _, st := range []State{"levitating", "running", "leased"} {
+		if err := s.Append(Record{State: st, ID: "x"}); err == nil {
+			t.Fatalf("state %q accepted", st)
+		}
 	}
 	if err := s.Append(Record{State: StateAdmitted, ID: "x"}); err == nil {
 		t.Fatal("admit without spec accepted")
