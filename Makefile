@@ -10,8 +10,9 @@
 #                    every TestFleet* test included) — keeps the
 #                    singleflight and worker-pool fixes fixed — plus the
 #                    chaos and sampling gates, the benchmark smoke run, the
-#                    benchmark module's vet and smoke test, a short fuzz
-#                    pass and whole-suite coverage. The coverage run is the
+#                    benchmark module's vet and smoke test, a run of every
+#                    example program, a short fuzz pass and whole-suite
+#                    coverage. The coverage run is the
 #                    full test suite, so it also runs the API-surface test,
 #                    the soundness suite and the allocation budget: the
 #                    api-check, soundness and alloc-gate targets below stay
@@ -39,6 +40,8 @@
 #   make fuzz-short  90s split across the fuzz targets
 #   make bench-module  vet and test cmd/dmdcbench, a module of its own that
 #                    `go build ./...` and `go test ./...` never reach
+#   make examples    build each examples/ program and run it with default
+#                    arguments; a non-zero exit or an empty stdout fails
 #   make bench       simulator-throughput benchmarks (BENCH_COUNT reps),
 #                    medians recorded into BENCH_core.json via cmd/benchjson
 #   make bench-smoke one-iteration run of the simulator benchmarks — a fast
@@ -50,7 +53,7 @@ GO ?= go
 CACHE_DIR ?= .dmdc-cache
 BENCH_COUNT ?= 5
 
-.PHONY: all build test check vet api-check race soundness alloc-gate chaos fleet-check sample-check fuzz-short cover bench bench-smoke bench-module bench-all report clean-cache
+.PHONY: all build test check vet api-check race soundness alloc-gate chaos fleet-check sample-check fuzz-short cover bench bench-smoke bench-module examples bench-all report clean-cache
 
 all: build test check
 
@@ -137,7 +140,7 @@ api-check:
 alloc-gate:
 	$(GO) test -run 'TestAllocationBudget' -count 1 .
 
-check: vet race chaos sample-check bench-smoke bench-module fuzz-short cover
+check: vet race chaos sample-check bench-smoke bench-module examples fuzz-short cover
 
 # Core-simulator throughput, recorded. Medians over BENCH_COUNT repetitions
 # land in the "current" section of BENCH_core.json; the "pre_pr8" section
@@ -157,6 +160,18 @@ bench-smoke:
 # pinned output digests.
 bench-module:
 	cd cmd/dmdcbench && $(GO) vet ./... && $(GO) test ./...
+
+# Every example program, built into a temporary directory and run with its
+# default arguments: it must exit 0 and print something.
+examples:
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	for dir in examples/*/; do \
+		name=$$(basename "$$dir"); \
+		$(GO) build -o "$$bin/$$name" "./examples/$$name" || exit 1; \
+		out=$$("$$bin/$$name") || { echo "examples/$$name: exit status $$?"; exit 1; }; \
+		[ -n "$$out" ] || { echo "examples/$$name: empty stdout"; exit 1; }; \
+		echo "examples/$$name: ok"; \
+	done
 
 bench-all:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...

@@ -61,7 +61,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8321", "listen address")
 		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 0, "per-tenant admitted-job queue depth before backpressure (0 = 4x workers)")
+		queue     = flag.Int("queue", 0, "per-tenant admitted-job queue depth before backpressure (0 = 4x workers, at least 16)")
 		cacheDir  = flag.String("cache-dir", os.Getenv("DMDC_CACHE"), "persistent result cache directory (default $DMDC_CACHE; empty disables)")
 		storeDir  = flag.String("store-dir", "", "durable job-store directory: journal admissions and resume incomplete jobs on restart (empty disables)")
 		weightsFl = flag.String("tenant-weights", "", "per-tenant fair-share weights, e.g. 'prod=3,batch=1,*=1' (* sets the default weight)")

@@ -51,7 +51,7 @@ func main() {
 		insts      = flag.Uint64("insts", 1_000_000, "instructions per benchmark")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file (analyse with `go tool pprof`)")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		par        = flag.Int("par", 0, "parallel simulations (0 = GOMAXPROCS)")
+		par        = flag.Int("par", 0, "parallel simulations (0 = GOMAXPROCS; with -backends, 0 = every cell at once, bounded by -inflight per backend; sampled mode: concurrent intervals, 0 = 4)")
 		only       = flag.String("only", "", "single artifact: figure2, figure3, figure4, figure5, table2, table3, table4, table5, table6, yla, sqfilter, safeloads, queue, tablesweep, ylasweep, sqfilter-ext, clamp, extensions, relatedwork, detail, verification")
 		out        = flag.String("out", "", "also write the report to this file")
 		verbose    = flag.Bool("v", false, "print per-run progress")
@@ -68,7 +68,6 @@ func main() {
 		serveAddr  = flag.String("serve", "", "serve a live observability endpoint on this address (/telemetry, expvar at /debug/vars, pprof at /debug/pprof; enables telemetry)")
 		backendsFl = flag.String("backends", "", "comma-separated dmdcd base URLs; shard every simulation across them instead of running in-process (e.g. http://h1:8321,http://h2:8321)")
 		inflight   = flag.Int("inflight", 0, "with -backends: concurrent jobs per backend (0 = 4)")
-		hedgeAfter = flag.Duration("hedge-after", 0, "with -backends: re-dispatch a still-running job on a second backend after this delay (0 disables hedging)")
 		tenant     = flag.String("tenant", "", "with -backends: identify as this tenant (X-DMDC-Tenant header) for fair-share admission on the servers")
 
 		sampleIntervals = flag.Int("sample-intervals", 0, "sampled mode: fast-forward between this many detailed intervals instead of simulating -insts in full (runs one cell; see -sample-bench/-sample-config/-sample-policy)")
@@ -138,12 +137,9 @@ func main() {
 				backends = append(backends, dserve.NewRemote(u, nil).WithTenant(*tenant))
 			}
 		}
-		// The suite's own cache (-cache-dir) already fronts the backend, so
-		// the dispatcher itself runs cacheless here.
 		disp, err = dserve.NewDispatcher(dserve.DispatcherConfig{
 			Backends:           backends,
 			PerBackendInflight: *inflight,
-			HedgeAfter:         *hedgeAfter,
 		})
 		if err != nil {
 			die(err)
@@ -239,9 +235,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "elapsed: %s — %s\n",
 		time.Since(start).Round(time.Millisecond), runSummary(suite))
 	if disp != nil {
-		st := disp.Stats()
-		fmt.Fprintf(os.Stderr, "backends: %d dispatched, %d retries, %d hedges, %d deduped\n",
-			st.Dispatched, st.Retries, st.Hedges, st.Deduped)
+		printBackendStats(disp)
 	}
 
 	if *out != "" {
@@ -300,15 +294,19 @@ func runSampled(a sampledArgs) {
 		time.Since(start).Round(time.Millisecond), r.MeasuredInsts, r.TotalInsts,
 		100*float64(r.MeasuredInsts)/float64(r.TotalInsts), r.EstimatedCycles)
 	if a.backend != nil {
-		st := a.backend.Stats()
-		fmt.Fprintf(os.Stderr, "backends: %d dispatched, %d retries, %d hedges, %d deduped\n",
-			st.Dispatched, st.Retries, st.Hedges, st.Deduped)
+		printBackendStats(a.backend)
 	}
 	if a.out != "" {
 		if err := os.WriteFile(a.out, b, 0o644); err != nil {
 			die(err)
 		}
 	}
+}
+
+// printBackendStats reports the dispatcher's counters on stderr.
+func printBackendStats(d *dserve.Dispatcher) {
+	st := d.Stats()
+	fmt.Fprintf(os.Stderr, "backends: %d dispatched, %d retries\n", st.Dispatched, st.Retries)
 }
 
 // serveLive starts the observability endpoint in the background: the

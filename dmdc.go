@@ -134,7 +134,7 @@ func ParsePolicy(s string) (PolicyKind, error) {
 }
 
 // MarshalText encodes the policy as its canonical name, making PolicyKind
-// usable directly in JSON wire schemas (see Request).
+// usable directly in JSON encodings (see Request).
 func (p PolicyKind) MarshalText() ([]byte, error) {
 	if int(p) < 0 || int(p) >= len(policyNames) {
 		return nil, fmt.Errorf("dmdc: cannot marshal unknown policy %d", int(p))
@@ -240,11 +240,10 @@ func newPolicy(m Machine, kind PolicyKind, em *energy.Model) (lsq.Policy, error)
 
 // Request describes one simulation: which benchmark runs on which machine
 // under which load-queue policy, for how long, with which verification and
-// injection settings. It is the single entry-point contract — Run executes
-// it locally, and its JSON encoding (Policy marshals as its canonical
-// name) is the wire form a dmdcd simulation server accepts — so a request
-// serialized, shipped, and executed remotely is the same request, not a
-// translation of one.
+// injection settings. It is the single entry-point contract: Run
+// executes it in this process. It carries JSON tags (Policy marshals as
+// its canonical name), but a dmdcd simulation server does not accept it;
+// dmdcd jobs are the experiment harness's own job form.
 //
 // The zero value of every optional field means "off"; a zero Machine
 // defaults to Config2 and zero Insts to 1,000,000, so the minimal request
@@ -280,7 +279,7 @@ type Request struct {
 	InvariantEvery uint64 `json:"invariant_every,omitempty"`
 	// Options carries additional core options — telemetry samplers,
 	// pipeline traces, monitors — that only make sense in-process; it is
-	// not part of the wire form.
+	// not part of the JSON encoding.
 	Options []SimOption `json:"-"`
 }
 
@@ -302,9 +301,8 @@ func (r Request) normalized() (Request, error) {
 // Run executes one simulation Request and returns timing, energy, and
 // statistics. The context is checked on the periodic soundness cadence: a
 // mid-run cancellation stops the simulation promptly and returns ctx.Err()
-// (never a watchdog or soundness error). Run is the single entry point:
-// the experiment suite, the dmdcd service, and every test execute the
-// same Request shape, locally or remotely.
+// (never a watchdog or soundness error). Run is the library's single
+// entry point for one simulation.
 func Run(ctx context.Context, req Request) (*Result, error) {
 	req, err := req.normalized()
 	if err != nil {

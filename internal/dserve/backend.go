@@ -13,41 +13,7 @@ import (
 
 	"dmdc/internal/core"
 	"dmdc/internal/experiments"
-	"dmdc/internal/resultcache"
 )
-
-// Local executes jobs in-process. It is the zero-config backend: a
-// Dispatcher over a single Local behaves exactly like the Suite's own
-// worker pool, so code written against Backend needs no server to run.
-type Local struct {
-	// Cache, when non-nil, answers non-soundness jobs from the result
-	// store and stores computed results back. Any resultcache.Store works
-	// (disk cache, fleet-tiered, test fake).
-	Cache resultcache.Store
-}
-
-// Name identifies the backend.
-func (l *Local) Name() string { return "local" }
-
-// Run executes one job in this process.
-func (l *Local) Run(ctx context.Context, spec experiments.JobSpec) (*core.Result, error) {
-	cacheable := l.Cache != nil && !spec.Soundness
-	if cacheable {
-		if res, ok := l.Cache.Get(spec.CacheKey()); ok {
-			return res, nil
-		}
-	}
-	res, err := experiments.ExecuteJob(ctx, spec)
-	if err != nil {
-		// Only a cancellation is environmental; everything else in-process
-		// is deterministic and would fail identically on retry.
-		return nil, &BackendError{Backend: l.Name(), Retryable: ctx.Err() != nil, Err: err}
-	}
-	if cacheable {
-		l.Cache.Put(spec.CacheKey(), res)
-	}
-	return res, nil
-}
 
 // Remote executes jobs on a dmdcd server over its HTTP/JSON API: submit a
 // one-job batch, long-poll the job's status, fetch the result. Network
@@ -163,13 +129,10 @@ func (r *Remote) do(ctx context.Context, method, path string, in, out any) error
 			Err:        fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(body)),
 		}
 		if env, ok := envelopeOf(body); ok {
-			// The server's own verdict beats the status-code heuristic: it
-			// knows whether the failure was environmental (backpressure,
-			// shutdown) or deterministic (bad spec, failed simulation).
+			// The server's own verdict beats the status-code heuristic: a
+			// failed simulation's 500 is deterministic, while a 409 for a
+			// job that has not finished yet is worth retrying.
 			be.Retryable = env.Retryable
-			if env.RetryAfter > 0 {
-				be.RetryAfter = time.Duration(env.RetryAfter) * time.Second
-			}
 			be.Err = fmt.Errorf("%s: %s: %s", resp.Status, env.Code, env.Message)
 		}
 		return be

@@ -184,24 +184,27 @@ func TestChaosPeerCorruptEntry(t *testing.T) {
 		t.Fatal("local tier holds a poisoned entry")
 	}
 
-	// The PUT side fails closed the same way: a pushed entry whose body
-	// does not match its hash header must be rejected with a structured
-	// envelope and leave no trace in the store.
-	evil := []byte(`{"version":0,"result":null}`)
+	// Peers pull, nobody pushes: there is no PUT /v1/cache route, so even
+	// a well-formed, honestly hashed entry is refused by method and
+	// leaves no trace in the store.
+	body, ok := cacheA.GetRaw(spec.CacheKey())
+	if !ok {
+		t.Fatal("server A holds no raw entry to push")
+	}
 	req, _ := http.NewRequest(http.MethodPut, tsB.URL+"/v1/cache/"+quickSpec("mcf").CacheKey(),
-		bytes.NewReader(evil))
-	req.Header.Set(CacheSumHeader, "0000000000000000000000000000000000000000000000000000000000000000")
+		bytes.NewReader(body))
+	req.Header.Set(CacheFormatHeader, strconv.Itoa(resultcache.FormatVersion))
+	sum := sha256.Sum256(body)
+	req.Header.Set(CacheSumHeader, hex.EncodeToString(sum[:]))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env ErrorEnvelope
-	derr := json.NewDecoder(resp.Body).Decode(&env)
 	resp.Body.Close()
-	if derr != nil || resp.StatusCode != http.StatusBadRequest || env.Code != CodeBadEntry {
-		t.Fatalf("lying PUT returned %d %+v, want %d %s", resp.StatusCode, env, http.StatusBadRequest, CodeBadEntry)
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("PUT /v1/cache returned %d, want %d", resp.StatusCode, http.StatusMethodNotAllowed)
 	}
 	if _, ok := local.Get(quickSpec("mcf").CacheKey()); ok {
-		t.Fatal("rejected PUT still landed in the store")
+		t.Fatal("refused PUT still landed in the store")
 	}
 }

@@ -3,13 +3,11 @@ package dserve
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"dmdc/internal/core"
 	"dmdc/internal/experiments"
-	"dmdc/internal/resultcache"
 )
 
 // DispatcherConfig shapes a Dispatcher.
@@ -18,7 +16,7 @@ type DispatcherConfig struct {
 	// is required.
 	Backends []experiments.Backend
 	// PerBackendInflight bounds concurrent jobs per backend (backpressure:
-	// when every backend's window is full, Run blocks). 0 means 4.
+	// when the chosen backend's window is full, Run blocks). 0 means 4.
 	PerBackendInflight int
 	// MaxAttempts bounds tries per job across backends, first included.
 	// 0 means 4.
@@ -27,59 +25,28 @@ type DispatcherConfig struct {
 	// RetryMax. Zero values mean 100ms and 5s.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// HedgeAfter, when positive and more than one backend is configured,
-	// launches a second attempt of a still-running job on a different
-	// backend after this delay; the first result wins. Deterministic
-	// simulation makes the two interchangeable, so hedging trades spare
-	// capacity for tail latency without correctness risk.
-	HedgeAfter time.Duration
-	// Cache, when non-nil, answers non-soundness jobs locally before any
-	// backend is consulted and stores fetched results, so an interrupted
-	// matrix resumes from content-addressed results instead of re-running.
-	// Any resultcache.Store works — a Tiered store here makes the
-	// dispatcher itself fleet-aware.
-	Cache resultcache.Store
 }
 
 // DispatcherStats counts dispatcher activity; read with Dispatcher.Stats.
 type DispatcherStats struct {
-	// Dispatched counts attempts handed to backends (retries and hedges
-	// included).
+	// Dispatched counts attempts handed to backends (retries included).
 	Dispatched uint64
 	// Retries counts re-attempts after retryable failures.
 	Retries uint64
-	// Hedges counts speculative second attempts launched.
-	Hedges uint64
-	// CacheHits counts jobs answered from the local cache.
-	CacheHits uint64
-	// Deduped counts calls that joined an identical in-flight job.
-	Deduped uint64
-}
-
-// flight is one in-flight job shared by identical concurrent calls.
-type flight struct {
-	done chan struct{}
-	res  *core.Result
-	err  error
 }
 
 // Dispatcher shards jobs across backends. It implements
 // experiments.Backend, so a Suite (or anything else written against the
 // interface) can switch from in-process execution to a server fleet by
-// swapping one field. Safe for concurrent use.
+// swapping one field. It caches nothing: a Suite's result cache fronts
+// it, and a dmdcd server caches behind it. Safe for concurrent use.
 type Dispatcher struct {
 	cfg   DispatcherConfig
 	slots []chan struct{} // per-backend in-flight windows
 	next  atomic.Uint64   // round-robin cursor
 
-	mu       sync.Mutex
-	inflight map[string]*flight
-
 	dispatched atomic.Uint64
 	retries    atomic.Uint64
-	hedges     atomic.Uint64
-	cacheHits  atomic.Uint64
-	deduped    atomic.Uint64
 }
 
 // NewDispatcher validates cfg and builds a Dispatcher.
@@ -100,9 +67,8 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		cfg.RetryMax = 5 * time.Second
 	}
 	d := &Dispatcher{
-		cfg:      cfg,
-		slots:    make([]chan struct{}, len(cfg.Backends)),
-		inflight: make(map[string]*flight),
+		cfg:   cfg,
+		slots: make([]chan struct{}, len(cfg.Backends)),
 	}
 	for i := range d.slots {
 		d.slots[i] = make(chan struct{}, cfg.PerBackendInflight)
@@ -118,60 +84,16 @@ func (d *Dispatcher) Stats() DispatcherStats {
 	return DispatcherStats{
 		Dispatched: d.dispatched.Load(),
 		Retries:    d.retries.Load(),
-		Hedges:     d.hedges.Load(),
-		CacheHits:  d.cacheHits.Load(),
-		Deduped:    d.deduped.Load(),
 	}
 }
 
-// Run executes one job: local cache, then in-flight dedupe, then the
-// retry/hedge loop over the backends. Identical concurrent jobs share one
-// execution (keyed by content address), so a matrix with repeated cells
-// never runs a cell twice.
+// Run executes one job: pick a backend, back off exponentially on
+// retryable failures, and steer the next attempt away from the backend
+// that just failed.
 func (d *Dispatcher) Run(ctx context.Context, spec experiments.JobSpec) (*core.Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	key := spec.CacheKey()
-	cacheable := d.cfg.Cache != nil && !spec.Soundness
-	if cacheable {
-		if res, ok := d.cfg.Cache.Get(key); ok {
-			d.cacheHits.Add(1)
-			return res, nil
-		}
-	}
-
-	d.mu.Lock()
-	if f, ok := d.inflight[key]; ok {
-		d.mu.Unlock()
-		d.deduped.Add(1)
-		select {
-		case <-f.done:
-			return f.res, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	f := &flight{done: make(chan struct{})}
-	d.inflight[key] = f
-	d.mu.Unlock()
-
-	res, err := d.runJob(ctx, spec)
-	if err == nil && cacheable {
-		d.cfg.Cache.Put(key, res)
-	}
-	f.res, f.err = res, err
-	d.mu.Lock()
-	delete(d.inflight, key)
-	d.mu.Unlock()
-	close(f.done)
-	return res, err
-}
-
-// runJob is the retry loop: pick a backend, attempt (with hedging), back
-// off exponentially on retryable failures, steer the next attempt away
-// from the backend that just failed.
-func (d *Dispatcher) runJob(ctx context.Context, spec experiments.JobSpec) (*core.Result, error) {
 	var lastErr error
 	avoid := -1
 	backoff := d.cfg.RetryBase
@@ -201,7 +123,8 @@ func (d *Dispatcher) runJob(ctx context.Context, spec experiments.JobSpec) (*cor
 				backoff = d.cfg.RetryMax
 			}
 		}
-		res, failed, err := d.attempt(ctx, spec, avoid)
+		bi := d.pick(avoid)
+		res, err := d.attempt(ctx, bi, spec)
 		if err == nil {
 			return res, nil
 		}
@@ -212,7 +135,7 @@ func (d *Dispatcher) runJob(ctx context.Context, spec experiments.JobSpec) (*cor
 			return nil, err
 		}
 		lastErr = err
-		avoid = failed
+		avoid = bi
 	}
 	return nil, fmt.Errorf("dserve: job %s/%s gave up after %d attempts: %w",
 		spec.RunKey+spec.Policy, spec.Benchmark, d.cfg.MaxAttempts, lastErr)
@@ -229,99 +152,14 @@ func (d *Dispatcher) pick(avoid int) int {
 	return i
 }
 
-// acquire blocks until backend bi has a free in-flight slot.
-func (d *Dispatcher) acquire(ctx context.Context, bi int) error {
+// attempt runs spec on backend bi once a slot in its window is free.
+func (d *Dispatcher) attempt(ctx context.Context, bi int, spec experiments.JobSpec) (*core.Result, error) {
 	select {
 	case d.slots[bi] <- struct{}{}:
-		return nil
 	case <-ctx.Done():
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
-}
-
-// tryAcquire grabs a slot on backend bi only if one is free right now.
-func (d *Dispatcher) tryAcquire(bi int) bool {
-	select {
-	case d.slots[bi] <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (d *Dispatcher) release(bi int) { <-d.slots[bi] }
-
-// attemptResult is one backend attempt's outcome.
-type attemptResult struct {
-	res *core.Result
-	err error
-	bi  int
-}
-
-// attempt runs spec on one backend, with an optional hedged second
-// attempt on a different backend if the first is still running after
-// HedgeAfter. The first success wins and cancels the other attempt; on
-// total failure it returns the last error and the backend that produced
-// it (so the retry loop can steer away).
-func (d *Dispatcher) attempt(ctx context.Context, spec experiments.JobSpec, avoid int) (*core.Result, int, error) {
-	primary := d.pick(avoid)
-	if err := d.acquire(ctx, primary); err != nil {
-		return nil, -1, err
-	}
-
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan attemptResult, 2)
-	launch := func(bi int) {
-		d.dispatched.Add(1)
-		go func() {
-			defer d.release(bi)
-			res, err := d.cfg.Backends[bi].Run(actx, spec)
-			results <- attemptResult{res: res, err: err, bi: bi}
-		}()
-	}
-	launch(primary)
-	pending := 1
-
-	var hedgeC <-chan time.Time
-	if d.cfg.HedgeAfter > 0 && len(d.cfg.Backends) > 1 {
-		t := time.NewTimer(d.cfg.HedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	var lastErr error
-	lastBi := primary
-	for {
-		select {
-		case <-hedgeC:
-			hedgeC = nil // at most one hedge per attempt
-			// Opportunistic: hedge only onto a different backend with a
-			// free slot; never steal capacity from fresh work.
-			if hi := d.pick(primary); hi != primary && d.tryAcquire(hi) {
-				d.hedges.Add(1)
-				launch(hi)
-				pending++
-			}
-		case r := <-results:
-			pending--
-			if r.err == nil {
-				// Winner: cancel the loser and drain it in the background
-				// (release of its slot happens in its own goroutine).
-				cancel()
-				return r.res, r.bi, nil
-			}
-			// A cancellation error after our own ctx died is just the
-			// loser reporting; with pending attempts, keep waiting.
-			lastErr, lastBi = r.err, r.bi
-			if pending == 0 {
-				return nil, lastBi, lastErr
-			}
-		case <-ctx.Done():
-			// Callers' cancellation: abandon the attempts (they observe
-			// actx) and report.
-			cancel()
-			return nil, lastBi, ctx.Err()
-		}
-	}
+	defer func() { <-d.slots[bi] }()
+	d.dispatched.Add(1)
+	return d.cfg.Backends[bi].Run(ctx, spec)
 }

@@ -6,8 +6,8 @@
 //     telemetry registry): clients submit batches of experiments.JobSpec,
 //     poll or long-poll per-job status, and fetch results. Jobs are
 //     content-addressed by their cache key, so resubmitting an identical
-//     spec is idempotent — it lands on the same job (in-flight dedupe) or
-//     is answered straight from the cache. Admission is multi-tenant: the
+//     spec is idempotent — it joins the existing job or is answered
+//     straight from the cache. Admission is multi-tenant: the
 //     X-DMDC-Tenant header (default "default") selects a per-tenant
 //     bounded queue, workers are shared by weighted deficit-round-robin
 //     across tenants, and per-tenant quotas bound concurrently running
@@ -17,17 +17,18 @@
 //     ID — a client long-polling /v1/jobs/{id}?wait reconnects and gets
 //     the identical answer.
 //
-//   - Dispatcher shards a stream of jobs across one or more Backends
-//     (remote dmdcd servers via Remote, or the in-process Local so the
-//     zero-config path still works), with bounded per-backend in-flight
-//     windows for backpressure, per-job retry with exponential backoff
-//     (honoring Retry-After hints from overloaded servers), hedged
-//     re-dispatch of stragglers, and cache-keyed resume so a killed
-//     worker or dropped connection never loses or duplicates a result.
+//   - Dispatcher routes a stream of jobs round-robin across Backends
+//     (dmdcd servers via Remote), with a bounded in-flight window per
+//     backend for backpressure and per-job retry with exponential backoff
+//     (honoring Retry-After hints from overloaded servers) that steers
+//     each retry away from the backend that just failed. It caches
+//     nothing itself: a Suite's result cache sits in front of it and each
+//     server's cache behind it, so a killed server or dropped connection
+//     never loses or duplicates a result.
 //
 // Simulation is deterministic, which is what makes the whole design safe:
 // any backend executing a spec produces the byte-identical Result, so
-// retries, hedges, cache hits, and crash-restart re-executions are
+// retries, cache hits, and crash-restart re-executions are
 // interchangeable and results can be deduplicated by content address
 // alone.
 //
@@ -36,6 +37,7 @@
 //	POST /v1/jobs            {"jobs":[JobSpec,...]} → {"jobs":[JobStatus,...]}
 //	                         X-DMDC-Tenant names the submitting tenant;
 //	                         a fully rejected batch is a 503 with Retry-After
+//	                         whose body still lists the per-job statuses
 //	GET  /v1/jobs            → {"jobs":[JobStatus,...]} (no results)
 //	GET  /v1/jobs/{id}       → JobStatus; ?wait=10s long-polls for a terminal state
 //	GET  /v1/jobs/{id}/result → the core.Result JSON (404 unknown, 409 not done)
@@ -43,18 +45,15 @@
 //	                         header carries the body's hex SHA-256 and
 //	                         X-DMDC-Cache-Format the cache format version,
 //	                         so the fetching peer verifies before trusting
-//	PUT  /v1/cache/{key}     ← raw entry bytes + the same headers; the server
-//	                         verifies hash, format, and key before storing
 //	GET  /v1/version         → VersionInfo (wire protocol + cache/journal
-//	                         format versions); mixed-version fleets fail
-//	                         closed on it instead of mysteriously
+//	                         format versions and the instance label)
 //	GET  /v1/telemetry       → telemetry registry index (+ service counters);
 //	                         ?job={id} one job's series
 //	GET  /v1/healthz         → Health (per-tenant depth/served included)
 //
-// Every non-2xx response carries one structured ErrorEnvelope
-// ({code, message, retryable, retry_after}), so clients branch on a stable
-// machine-readable code instead of string-matching messages.
+// Apart from that 503, every error a /v1 handler returns carries one
+// structured ErrorEnvelope ({code, message, retryable}), so clients branch on a
+// stable machine-readable code instead of string-matching messages.
 package dserve
 
 import (
@@ -73,14 +72,17 @@ const DefaultTenant = "default"
 // TenantHeader is the HTTP header naming the submitting tenant.
 const TenantHeader = "X-DMDC-Tenant"
 
-// ProtocolVersion identifies the /v1 wire protocol. Bump on any
-// incompatible change to routes, bodies, or the error envelope; peers
-// compare it via GET /v1/version and refuse to interoperate on mismatch.
+// ProtocolVersion identifies the /v1 wire protocol that GET /v1/version
+// reports. Bump it on any incompatible change to routes, bodies, or the
+// error envelope. Nothing compares it automatically: what fences version
+// skew is the X-DMDC-Cache-Format check on every peer fetch and the job
+// store's MANIFEST.
 const ProtocolVersion = 1
 
 // Cache wire headers: the hex SHA-256 of the entry body and the
-// resultcache format version it was encoded under. Both sides verify —
-// a transfer that loses bytes or crosses a format boundary fails closed.
+// resultcache format version it was encoded under. The fetching peer
+// verifies both — a transfer that loses bytes or crosses a format
+// boundary fails closed.
 const (
 	CacheSumHeader    = "X-DMDC-Cache-Sha256"
 	CacheFormatHeader = "X-DMDC-Cache-Format"
@@ -89,37 +91,29 @@ const (
 // Error codes carried by ErrorEnvelope.Code. Stable: clients branch on
 // them, so renaming one is a protocol change.
 const (
-	CodeBadRequest   = "bad_request"   // malformed body, header, or parameter
-	CodeNotFound     = "not_found"     // unknown job, cache key, or route
-	CodeConflict     = "conflict"      // result requested before the job finished
-	CodeBackpressure = "backpressure"  // queue full; retry after the hint
-	CodeServerClosed = "server_closed" // draining or shut down
-	CodeJobFailed    = "job_failed"    // the simulation itself failed
-	CodeBadEntry     = "bad_entry"     // cache body failed hash/format verification
-	CodeUnavailable  = "unavailable"   // feature not enabled on this instance
-	CodeInternal     = "internal"      // unexpected server-side failure
+	CodeBadRequest  = "bad_request" // malformed body, header, or parameter
+	CodeNotFound    = "not_found"   // unknown job or cache key
+	CodeConflict    = "conflict"    // result requested before the job finished
+	CodeJobFailed   = "job_failed"  // the simulation itself failed
+	CodeUnavailable = "unavailable" // feature not enabled on this instance
 )
 
-// ErrorEnvelope is the one structured error body every /v1 endpoint
-// returns for non-2xx responses.
+// ErrorEnvelope is the one structured error body the /v1 handlers
+// return for non-2xx responses.
 type ErrorEnvelope struct {
 	// Code is a stable machine-readable discriminator (Code* constants).
 	Code string `json:"code"`
 	// Message is the human-readable failure description.
 	Message string `json:"message"`
-	// Retryable hints whether the same request may succeed later or
-	// elsewhere (backpressure, shutdown) rather than deterministically
-	// failing again (bad spec, failed simulation).
+	// Retryable hints whether the same request may succeed later (a
+	// result asked for before its job finished) rather than
+	// deterministically failing again (bad spec, failed simulation).
 	Retryable bool `json:"retryable"`
-	// RetryAfter, when positive, is the server's backoff hint in seconds
-	// (mirrors the Retry-After header on 503/429).
-	RetryAfter int `json:"retry_after,omitempty"`
 }
 
-// VersionInfo is the body of GET /v1/version: everything a peer needs to
-// decide whether interoperating is safe. Wire protocol, cache entry
-// format, and journal format version all gate different couplings (API
-// calls, peer cache fetch, shared store handoff).
+// VersionInfo is the body of GET /v1/version: the wire protocol, cache
+// entry format, and journal format versions, which gate different
+// couplings (API calls, peer cache fetch, shared store handoff).
 type VersionInfo struct {
 	Protocol      int `json:"protocol"`
 	CacheFormat   int `json:"cache_format"`
@@ -150,7 +144,8 @@ func (s Status) Terminal() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusRejected
 }
 
-// TenantConfig shapes per-tenant admission control on a Server.
+// TenantConfig shapes per-tenant admission control on a Server. Each
+// tenant's queue depth is the server's QueueDepth.
 type TenantConfig struct {
 	// Weights maps tenant name → DRR weight (jobs served per scheduling
 	// round under contention). Tenants not listed get DefaultWeight.
@@ -159,9 +154,6 @@ type TenantConfig struct {
 	DefaultWeight int
 	// Quota bounds each tenant's concurrently running jobs; 0 disables.
 	Quota int
-	// QueueDepth bounds each tenant's admitted-but-unstarted queue;
-	// 0 means the server's QueueDepth.
-	QueueDepth int
 }
 
 // weightFor resolves a tenant's DRR weight.

@@ -12,6 +12,10 @@ import (
 	"dmdc/internal/resultcache"
 )
 
+// maxCacheEntryBytes bounds an entry body a peer fetch reads; entries are
+// a few KB of JSON stats, so 16 MiB is generous without being unbounded.
+const maxCacheEntryBytes = 16 << 20
+
 // CachePeer fetches raw result-cache entries from another dmdcd instance
 // over GET /v1/cache/{key}, implementing resultcache.Peer so a Tiered
 // store can fall back to the fleet. It returns the body and the peer's

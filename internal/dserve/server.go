@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -30,13 +29,13 @@ type ServerConfig struct {
 	// tenant queue rejects that tenant's submissions (backpressure)
 	// without affecting other tenants. 0 means 4×Workers (min 16).
 	QueueDepth int
-	// Tenants shapes per-tenant weights, quotas, and queue depths.
+	// Tenants shapes per-tenant weights and quotas.
 	Tenants TenantConfig
 	// Cache, when non-nil, answers non-soundness jobs from the persistent
 	// result store and writes every computed result back. Any Store works:
 	// a disk *resultcache.Cache, a fleet *resultcache.Tiered, or a test
-	// fake. The GET/PUT /v1/cache endpoints additionally serve raw entries
-	// to peers when the store (or its local tier) can produce them.
+	// fake. GET /v1/cache additionally serves raw entries to peers when
+	// the store (or its local tier) can produce them.
 	Cache resultcache.Store
 	// Store, when non-nil, journals every admission and deterministic
 	// outcome. NewServer replays it: a job whose result is in the cache is
@@ -117,16 +116,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			cfg.QueueDepth = 16
 		}
 	}
-	if cfg.Tenants.QueueDepth <= 0 {
-		cfg.Tenants.QueueDepth = cfg.QueueDepth
-	}
 	if cfg.Instance == "" {
 		cfg.Instance = fmt.Sprintf("pid-%d", os.Getpid())
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		workers:  cfg.Workers,
-		queueCap: cfg.Tenants.QueueDepth,
+		queueCap: cfg.QueueDepth,
 		tcfg:     cfg.Tenants,
 		cache:    cfg.Cache,
 		store:    cfg.Store,
@@ -212,7 +208,7 @@ func (s *Server) tenantLocked(name string) *tenantQ {
 	if name == "" {
 		name = DefaultTenant
 	}
-	return s.sched.tenant(name, s.tcfg.weightFor(name), s.tcfg.Quota, s.tcfg.QueueDepth)
+	return s.sched.tenant(name, s.tcfg.weightFor(name), s.tcfg.Quota, s.queueCap)
 }
 
 // Close stops accepting jobs, evicts admitted-unstarted jobs with a
@@ -468,7 +464,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
-	s.mux.HandleFunc("PUT /v1/cache/{key}", s.handleCachePut)
 	s.mux.HandleFunc("GET /v1/version", s.handleVersion)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/telemetry", s.handleTelemetry)
@@ -741,10 +736,6 @@ func cacheKeyShape(key string) bool {
 	return true
 }
 
-// maxCacheEntryBytes bounds a PUT /v1/cache body; entries are a few KB of
-// JSON stats, so 16 MiB is generous without being unbounded.
-const maxCacheEntryBytes = 16 << 20
-
 // handleCacheGet serves one raw cache entry to a fetching peer, with the
 // body hash and format version in headers so the peer verifies the
 // transfer end-to-end before trusting it. Peer traffic bypasses the
@@ -773,49 +764,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// handleCachePut accepts one pushed entry, verifying hash, format, and
-// decode before it can reach the store — a corrupt or version-skewed body
-// fails closed without side effects.
-func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !cacheKeyShape(key) {
-		httpError(w, http.StatusBadRequest, CodeBadRequest, false, fmt.Errorf("cache key must be a hex sha256"))
-		return
-	}
-	if s.cache == nil {
-		httpError(w, http.StatusNotFound, CodeUnavailable, false, fmt.Errorf("no result cache on this instance"))
-		return
-	}
-	if f := r.Header.Get(CacheFormatHeader); f != "" && f != strconv.Itoa(resultcache.FormatVersion) {
-		httpError(w, http.StatusBadRequest, CodeBadEntry, false,
-			fmt.Errorf("cache format %s, this instance speaks %d", f, resultcache.FormatVersion))
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCacheEntryBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, CodeBadRequest, false, fmt.Errorf("read entry: %w", err))
-		return
-	}
-	sum := sha256.Sum256(body)
-	if claimed := r.Header.Get(CacheSumHeader); claimed != hex.EncodeToString(sum[:]) {
-		httpError(w, http.StatusBadRequest, CodeBadEntry, false,
-			fmt.Errorf("entry body does not match its %s header", CacheSumHeader))
-		return
-	}
-	res, err := resultcache.DecodeEntry(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, CodeBadEntry, false, err)
-		return
-	}
-	if err := s.cache.Put(key, res); err != nil {
-		httpError(w, http.StatusInternalServerError, CodeInternal, true, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleVersion reports the version tuple peers compare before
-// interoperating.
+// handleVersion reports the server's version tuple.
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, VersionInfo{
 		Protocol:      ProtocolVersion,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -112,6 +113,68 @@ func TestServerLifecycle(t *testing.T) {
 	}
 	if !h.OK || h.Done != 1 || h.Executed != 1 {
 		t.Fatalf("health: %+v", h)
+	}
+}
+
+// TestServerListJobs pins GET /v1/jobs: once three submitted jobs have
+// finished, the list holds exactly their IDs and statuses, and no entry
+// carries a result.
+func TestServerListJobs(t *testing.T) {
+	t.Parallel()
+	srv := newTestServer(t, ServerConfig{Workers: 2})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	lr, code := submit(t, ts.URL, quickSpec("gzip"), quickSpec("gcc"), quickSpec("swim"))
+	if code != http.StatusOK || len(lr.Jobs) != 3 {
+		t.Fatalf("submit: code %d, %d jobs", code, len(lr.Jobs))
+	}
+	want := make(map[string]JobStatus, len(lr.Jobs))
+	for _, js := range lr.Jobs {
+		done := getStatus(t, ts.URL, js.ID, "30s")
+		if done.Status != StatusDone {
+			t.Fatalf("job %s ended %s (%s)", js.ID, done.Status, done.Error)
+		}
+		want[js.ID] = done
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("list: %d %v", resp.StatusCode, err)
+	}
+	var list ListResponse
+	if err := json.Unmarshal(raw, &list); err != nil {
+		t.Fatalf("decode list: %v", err)
+	}
+	if len(list.Jobs) != len(want) {
+		t.Fatalf("list has %d jobs, want %d", len(list.Jobs), len(want))
+	}
+	for _, js := range list.Jobs {
+		if w, ok := want[js.ID]; !ok || js != w {
+			t.Errorf("listed %+v, want one of the submitted jobs as %+v", js, w)
+		}
+	}
+	// Statuses only: every field of every entry is a JobStatus field.
+	var fields struct {
+		Jobs []map[string]json.RawMessage `json:"jobs"`
+	}
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, entry := range fields.Jobs {
+		for k := range entry {
+			switch k {
+			case "id", "status", "tenant", "cached", "error", "retryable":
+			default:
+				t.Errorf("list entry carries %q", k)
+			}
+		}
 	}
 }
 

@@ -80,10 +80,7 @@ func TestTenantHeaderAdmission(t *testing.T) {
 // admitted — per-tenant depth, not a shared bound.
 func TestTenantQueueIsolation(t *testing.T) {
 	t.Parallel()
-	srv := newTestServer(t, ServerConfig{
-		Workers: 1,
-		Tenants: TenantConfig{QueueDepth: 1},
-	})
+	srv := newTestServer(t, ServerConfig{Workers: 1, QueueDepth: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

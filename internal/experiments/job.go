@@ -26,7 +26,7 @@ import (
 //     reconstructed on the executing side by resolveSpec, and the machine
 //     configuration is pinned by the key itself.
 //   - Policy is a canonical policy name (see PolicyNames) applied to the
-//     Machine field — the form dmdc.Request lowers to.
+//     Machine field.
 //
 // The struct is the JSON schema of the dmdcd job API; simulation is
 // deterministic, so a JobSpec fully determines its Result and the spec
@@ -156,6 +156,7 @@ type Backend interface {
 	// Run executes one job to completion and returns its result. Results
 	// must be byte-identical to an in-process run of the same spec
 	// (deterministic simulation makes this a hard contract, not a hope).
+	// Run must return promptly once ctx is cancelled: callers wait for it.
 	Run(ctx context.Context, spec JobSpec) (*core.Result, error)
 }
 

@@ -29,7 +29,9 @@ type Options struct {
 	// Insts is the simulated instruction count per benchmark (the paper
 	// uses 100M-instruction SimPoints; the shapes stabilize far earlier).
 	Insts uint64
-	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS.
+	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS, or,
+	// with a Backend, one worker per cell, so that the backend's own
+	// in-flight windows set the bound.
 	Parallelism int
 	// Benchmarks restricts the benchmark set; empty means all 26.
 	// Names are validated (and whitespace-trimmed) by NewSuite.
@@ -99,7 +101,7 @@ func (o Options) normalized() (Options, error) {
 	if o.Insts == 0 {
 		o.Insts = 1_000_000
 	}
-	if o.Parallelism <= 0 {
+	if o.Parallelism <= 0 && o.Backend == nil {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if err := o.Faults.Validate(); err != nil {
@@ -244,7 +246,7 @@ func (s *Suite) runMatrix(specs []runSpec) (map[string][]*core.Result, error) {
 	}
 
 	workers := o.Parallelism
-	if workers > len(jobs) {
+	if workers <= 0 || workers > len(jobs) {
 		workers = len(jobs)
 	}
 	jobCh := make(chan job)

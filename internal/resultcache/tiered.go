@@ -35,29 +35,30 @@ type TieredConfig struct {
 	// Peers are tried in order after a local miss. Empty is allowed: the
 	// Tiered store then degrades to a pass-through over Local.
 	Peers []Peer
-	// FetchTimeout bounds one peer fetch (default 10s).
-	FetchTimeout time.Duration
-	// MaxConcurrentFetches bounds total in-flight peer fetches across all
-	// keys (default 4), so a cold matrix cannot stampede the fleet.
-	MaxConcurrentFetches int
-	// NegativeTTL is how long a fleet-wide miss suppresses repeat peer
-	// lookups for the same key (default 30s). Local Gets still happen, and
-	// a Put clears the suppression.
-	NegativeTTL time.Duration
 }
+
+const (
+	// fetchTimeout bounds one peer fetch.
+	fetchTimeout = 10 * time.Second
+	// maxConcurrentFetches bounds total in-flight peer fetches across all
+	// keys, so a cold matrix cannot stampede the fleet.
+	maxConcurrentFetches = 4
+	// negativeTTL is how long a fleet-wide miss suppresses repeat peer
+	// lookups for the same key. Local Gets still happen, and a Put clears
+	// the suppression.
+	negativeTTL = 30 * time.Second
+)
 
 // Tiered is a Store that answers Gets from a local tier first and falls
 // back to fetching the entry from peers, verifying and writing back into
 // the local tier on success. Concurrent Gets for the same key are
 // singleflighted so a cold key costs at most one fleet round-trip; keys the
-// whole fleet misses are negatively cached for NegativeTTL so steady-state
+// whole fleet misses are negatively cached for negativeTTL so steady-state
 // cold matrices don't hammer peers with hopeless lookups.
 type Tiered struct {
 	local    Store
 	peers    []Peer
-	timeout  time.Duration
 	sem      chan struct{}
-	negTTL   time.Duration
 	now      func() time.Time // test hook
 	hits     atomic.Uint64    // every Get answered, singleflight waiters included
 	peerHits atomic.Uint64    // one per verified peer fetch
@@ -83,21 +84,10 @@ func NewTiered(cfg TieredConfig) (*Tiered, error) {
 	if cfg.Local == nil {
 		return nil, errors.New("resultcache: tiered store needs a local tier")
 	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 10 * time.Second
-	}
-	if cfg.MaxConcurrentFetches <= 0 {
-		cfg.MaxConcurrentFetches = 4
-	}
-	if cfg.NegativeTTL <= 0 {
-		cfg.NegativeTTL = 30 * time.Second
-	}
 	return &Tiered{
 		local:    cfg.Local,
 		peers:    cfg.Peers,
-		timeout:  cfg.FetchTimeout,
-		sem:      make(chan struct{}, cfg.MaxConcurrentFetches),
-		negTTL:   cfg.NegativeTTL,
+		sem:      make(chan struct{}, maxConcurrentFetches),
 		now:      time.Now,
 		inflight: make(map[string]*fetchCall),
 		negative: make(map[string]time.Time),
@@ -142,7 +132,7 @@ func (t *Tiered) Get(key string) (*core.Result, bool) {
 	t.mu.Lock()
 	delete(t.inflight, key)
 	if !call.ok {
-		t.negative[key] = t.now().Add(t.negTTL)
+		t.negative[key] = t.now().Add(negativeTTL)
 	}
 	t.mu.Unlock()
 	close(call.done)
@@ -168,7 +158,7 @@ func (t *Tiered) fetch(key string) (*core.Result, bool) {
 	defer func() { <-t.sem }()
 
 	for _, p := range t.peers {
-		ctx, cancel := context.WithTimeout(context.Background(), t.timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), fetchTimeout)
 		body, sum, err := p.FetchEntry(ctx, key)
 		cancel()
 		if err != nil {
