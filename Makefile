@@ -31,7 +31,9 @@
 #                    peer-fetch re-runs with zero re-simulations, a
 #                    shared-store handoff across drains, and crashed-owner
 #                    adoption once the store lock is free
-#   make sample-check  the checkpoint/sampling gate under -race: byte-exact
+#   make sample-check  the checkpoint/sampling gate under -race: the
+#                    checkpoint codec's round-trip and error-kind contract,
+#                    the pinned checkpoint bytes of every policy, byte-exact
 #                    save/restore equivalence over the full golden matrix
 #                    and the mid-pipeline white-box states, the sampled
 #                    error-bound report, the distributed sampled run with a
@@ -111,15 +113,16 @@ chaos:
 fleet-check:
 	$(GO) test -race -count 1 -run 'TestFleet' ./internal/dserve/
 
-# The sampled-execution gate (DESIGN.md §14): byte-exact restore
-# equivalence over the full golden matrix and the mid-pipeline white-box
-# states, the pinned sampled-vs-full error-bound report, and the
+# The sampled-execution gate (DESIGN.md §14): the codec contract
+# (TestCheckpointCodec*), the per-policy checkpoint byte pins, byte-exact
+# restore equivalence over the full golden matrix and the mid-pipeline
+# white-box states, the pinned sampled-vs-full error-bound report, and the
 # distributed sampled run with a mid-run server kill — all under -race —
 # then the 5M-instruction speedup acceptance without the race detector's
 # timing skew.
 sample-check:
 	$(GO) test -race -count 1 -run 'TestCheckpoint|TestFastForward|TestSampled|TestDistributedSampled' \
-		. ./internal/core/ ./internal/experiments/ ./internal/dserve/
+		. ./internal/checkpoint/ ./internal/core/ ./internal/experiments/ ./internal/dserve/
 	DMDC_SAMPLE_SPEEDUP=1 $(GO) test -count 1 -run 'TestSampledSpeedup' -v ./internal/experiments/
 
 # Whole-module coverage with a per-package summary; the total line is the
@@ -134,9 +137,10 @@ cover:
 api-check:
 	$(GO) run ./cmd/apicheck
 
-# Allocation-budget gate: one pooled-arena simulation run must stay within
-# a fixed allocation count (see alloc_test.go), pinning the SoA/arena
-# refactor's allocation-free hot loop.
+# Allocation-budget gate: one pooled-arena simulation run, and one
+# checkpoint save and restore, must each stay within a fixed allocation
+# count (see alloc_test.go), pinning the SoA/arena refactor's
+# allocation-free hot loop and a codec that allocates nothing per field.
 alloc-gate:
 	$(GO) test -run 'TestAllocationBudget' -count 1 .
 

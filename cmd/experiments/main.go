@@ -151,6 +151,7 @@ func main() {
 			intervals: *sampleIntervals, intervalInsts: *intervalInsts, warmup: *warmup,
 			bench: *sampleBench, machine: *sampleConfig, policy: *samplePolicy,
 			insts: *insts, par: *par, backend: disp, out: *out,
+			soundness: *sound, faults: *faultsFl, watchdog: *wdCycles,
 		})
 		return
 	}
@@ -258,6 +259,11 @@ type sampledArgs struct {
 	par           int
 	backend       *dserve.Dispatcher
 	out           string
+	// Forwarded into the base job so SampleSpec.Validate rejects them
+	// rather than the run silently dropping them.
+	soundness bool
+	faults    string
+	watchdog  uint64
 }
 
 // runSampled executes one sampled-mode logical run (DESIGN.md §14) and
@@ -270,7 +276,8 @@ func runSampled(a sampledArgs) {
 		die(err)
 	}
 	sp := experiments.SampleSpec{
-		Job:           experiments.JobSpec{Machine: m, Policy: a.policy, Benchmark: a.bench, Insts: a.insts},
+		Job: experiments.JobSpec{Machine: m, Policy: a.policy, Benchmark: a.bench, Insts: a.insts,
+			Soundness: a.soundness, Faults: a.faults, WatchdogCycles: a.watchdog},
 		Intervals:     a.intervals,
 		IntervalInsts: a.intervalInsts,
 		Warmup:        a.warmup,

@@ -2,62 +2,33 @@ package bpred
 
 import "dmdc/internal/checkpoint"
 
-// SaveState serializes the predictor's complete mutable state: the three
-// counter tables, the speculative global history, the BTB, and the stats.
+// State visits the predictor's complete mutable state: the three counter
+// tables, the speculative global history, the BTB, and the stats.
 // Geometry (table sizes, BTB shape) is not written — it is derived from
 // the configuration, which the caller binds in the checkpoint header.
-func (p *Predictor) SaveState(e *checkpoint.Encoder) {
-	e.Section("bpred")
-	e.U32(p.history)
-	e.U64(p.lruTick)
-	e.U64(p.Lookups)
-	e.U64(p.Mispredicts)
-	e.U64(p.BTBMisses)
-	for _, v := range p.bimodal {
-		e.U8(v)
-	}
-	for _, v := range p.gshare {
-		e.U8(v)
-	}
-	for _, v := range p.meta {
-		e.U8(v)
-	}
-	for i := range p.btb {
-		en := &p.btb[i]
-		e.Bool(en.valid)
-		e.U64(en.tag)
-		e.U64(en.target)
-		e.U64(en.lru)
-	}
-}
-
-// LoadState restores state written by SaveState into a predictor built
-// with the same configuration.
-func (p *Predictor) LoadState(d *checkpoint.Decoder) error {
-	d.Section("bpred")
-	p.history = d.U32()
-	p.lruTick = d.U64()
-	p.Lookups = d.U64()
-	p.Mispredicts = d.U64()
-	p.BTBMisses = d.U64()
-	if err := d.Err(); err == nil && p.history&^p.histMsk != 0 {
-		return checkpoint.Corruptf("bpred", "history %#x has bits outside mask %#x", p.history, p.histMsk)
+func (p *Predictor) State(c *checkpoint.Codec) {
+	c.Section("bpred")
+	c.U32(&p.history)
+	c.U64(&p.lruTick)
+	c.U64(&p.Lookups)
+	c.U64(&p.Mispredicts)
+	c.U64(&p.BTBMisses)
+	if p.history&^p.histMsk != 0 {
+		c.Corrupt("history %#x has bits outside mask %#x", p.history, p.histMsk)
 	}
 	for _, tbl := range [][]uint8{p.bimodal, p.gshare, p.meta} {
 		for i := range tbl {
-			v := d.U8()
-			if d.Err() == nil && v > 3 {
-				return checkpoint.Corruptf("bpred", "2-bit counter value %d", v)
+			c.U8(&tbl[i])
+			if tbl[i] > 3 {
+				c.Corrupt("2-bit counter value %d", tbl[i])
 			}
-			tbl[i] = v
 		}
 	}
 	for i := range p.btb {
 		en := &p.btb[i]
-		en.valid = d.Bool()
-		en.tag = d.U64()
-		en.target = d.U64()
-		en.lru = d.U64()
+		c.Bool(&en.valid)
+		c.U64(&en.tag)
+		c.U64(&en.target)
+		c.U64(&en.lru)
 	}
-	return d.Err()
 }

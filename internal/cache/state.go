@@ -2,58 +2,28 @@ package cache
 
 import "dmdc/internal/checkpoint"
 
-// SaveState serializes one cache level's mutable state: every line's
+// State visits one cache level's mutable state: every line's
 // tag/valid/dirty/LRU, the LRU clock, and the stats counters. Geometry is
 // derived from configuration and not written.
-func (c *Cache) SaveState(e *checkpoint.Encoder) {
-	e.Section("cache:" + c.cfg.Name)
-	e.U64(c.lruTick)
-	e.U64(c.Accesses)
-	e.U64(c.Misses)
-	e.U64(c.Writebacks)
-	e.U64(c.Invals)
+func (c *Cache) State(k *checkpoint.Codec) {
+	k.Section("cache:" + c.cfg.Name)
+	k.U64(&c.lruTick)
+	k.U64(&c.Accesses)
+	k.U64(&c.Misses)
+	k.U64(&c.Writebacks)
+	k.U64(&c.Invals)
 	for i := range c.sets {
 		ln := &c.sets[i]
-		e.Bool(ln.valid)
-		e.Bool(ln.dirty)
-		e.U64(ln.tag)
-		e.U64(ln.lru)
+		k.Bool(&ln.valid)
+		k.Bool(&ln.dirty)
+		k.U64(&ln.tag)
+		k.U64(&ln.lru)
 	}
 }
 
-// LoadState restores state written by SaveState into a cache built with
-// the same configuration.
-func (c *Cache) LoadState(d *checkpoint.Decoder) error {
-	d.Section("cache:" + c.cfg.Name)
-	c.lruTick = d.U64()
-	c.Accesses = d.U64()
-	c.Misses = d.U64()
-	c.Writebacks = d.U64()
-	c.Invals = d.U64()
-	for i := range c.sets {
-		ln := &c.sets[i]
-		ln.valid = d.Bool()
-		ln.dirty = d.Bool()
-		ln.tag = d.U64()
-		ln.lru = d.U64()
-	}
-	return d.Err()
-}
-
-// SaveState serializes all three levels of the hierarchy.
-func (h *Hierarchy) SaveState(e *checkpoint.Encoder) {
-	h.L1I.SaveState(e)
-	h.L1D.SaveState(e)
-	h.L2.SaveState(e)
-}
-
-// LoadState restores all three levels of the hierarchy.
-func (h *Hierarchy) LoadState(d *checkpoint.Decoder) error {
-	if err := h.L1I.LoadState(d); err != nil {
-		return err
-	}
-	if err := h.L1D.LoadState(d); err != nil {
-		return err
-	}
-	return h.L2.LoadState(d)
+// State visits all three levels of the hierarchy.
+func (h *Hierarchy) State(c *checkpoint.Codec) {
+	h.L1I.State(c)
+	h.L1D.State(c)
+	h.L2.State(c)
 }

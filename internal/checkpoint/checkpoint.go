@@ -1,6 +1,6 @@
 // Package checkpoint defines the on-disk format for simulator state
-// snapshots: a magic-tagged, CRC-protected, versioned byte stream with a
-// small typed encoder/decoder pair on top.
+// snapshots: a magic-tagged, CRC-protected, versioned byte stream, and the
+// one set of field primitives, Codec, that both writes and reads it.
 //
 // Layout:
 //
@@ -13,6 +13,15 @@
 // as a checksum failure, while a deliberately re-checksummed version skew
 // is reported as a version mismatch — the two failure modes stay
 // distinguishable in tests and in the field.
+//
+// Each stateful component writes its payload layout exactly once, as a
+// visitor: a State method that passes a pointer to every field, in format
+// order, to a *Codec. The Codec behind an Encoder appends each field's
+// value; the one behind a Decoder overwrites each field with the stored
+// value. Range checks sit next to the fields they guard (Corrupt), and
+// fields the restore target must already hold — header identity,
+// presence flags — go through Same, so encoding and decoding cannot drift
+// apart.
 //
 // The format is fail-closed: every structural anomaly (truncation, bad
 // magic, checksum mismatch, unknown version, over-read, trailing bytes,
@@ -31,6 +40,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"dmdc/internal/xrand"
 )
@@ -107,95 +117,324 @@ func (e *FormatError) Error() string {
 	return fmt.Sprintf("checkpoint: %s: %s", e.Kind, e.Detail)
 }
 
-// Corruptf builds a Corrupt-kind FormatError for the given section.
-func Corruptf(section, format string, args ...any) *FormatError {
-	return &FormatError{Kind: Corrupt, Section: section, Detail: fmt.Sprintf(format, args...)}
-}
-
-// Mismatchf builds a Mismatch-kind FormatError for the given section.
-func Mismatchf(section, format string, args ...any) *FormatError {
-	return &FormatError{Kind: Mismatch, Section: section, Detail: fmt.Sprintf(format, args...)}
-}
-
 // sectionMark separates payload sections; it precedes each section tag so
 // a desynchronized decode fails fast instead of misreading unrelated state.
 const sectionMark = 0xA5
 
-// Encoder builds a checkpoint byte stream. All writes append; call Finish
-// to seal the frame (magic, checksum, version) and take the bytes.
+// Codec visits payload fields in format order. Every primitive takes a
+// pointer to the field: encoding appends the field's value, decoding
+// overwrites the field with the stored value. Decode errors are sticky:
+// the first *FormatError is kept, every later read yields zero, and Len
+// returns 0, so a visitor may run to its end and check Err once.
+type Codec struct {
+	buf     []byte
+	off     int // decode position in buf
+	dec     bool
+	err     *FormatError
+	section string
+}
+
+// Decoding reports whether the codec reads a stream into the visited
+// state (true) or writes the state out (false). Visitors use it for the
+// decode-side fix-ups a layout implies, such as rewinding a queue head.
+func (c *Codec) Decoding() bool { return c.dec }
+
+// Err returns the first decode failure, or nil.
+func (c *Codec) Err() error {
+	if c.err == nil {
+		return nil
+	}
+	return c.err
+}
+
+// fail records a decode failure in the current section, unless an earlier
+// one stands. It does nothing while encoding.
+func (c *Codec) fail(kind ErrKind, format string, args ...any) {
+	if c.dec && c.err == nil {
+		c.err = &FormatError{Kind: kind, Section: c.section, Detail: fmt.Sprintf(format, args...)}
+	}
+}
+
+// Corrupt fails decoding with a Corrupt error naming the current section,
+// unless an earlier error stands: a visitor calls it when a field it just
+// visited is out of range. It does nothing while encoding, where the
+// state is the simulator's own. Call it only when the check fails, so
+// its arguments are not boxed on every field.
+func (c *Codec) Corrupt(format string, args ...any) { c.fail(Corrupt, format, args...) }
+
+// take returns the next n payload bytes, or nil after recording a
+// truncation or once decoding has failed.
+func (c *Codec) take(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if len(c.buf)-c.off < n {
+		c.fail(Truncated, "need %d bytes, %d left", n, len(c.buf)-c.off)
+		return nil
+	}
+	b := c.buf[c.off : c.off+n]
+	c.off += n
+	return b
+}
+
+// read1, read2, read4 and read8 decode the next little-endian value of
+// their width, or 0 after recording a truncation or once decoding has
+// failed. They stay out of line so the primitives that call them inline,
+// and apart so each fast path is a single length check.
+func (c *Codec) read1() uint8 {
+	if b := c.buf[c.off:]; c.err == nil && len(b) >= 1 {
+		c.off++
+		return b[0]
+	}
+	c.take(1)
+	return 0
+}
+
+func (c *Codec) read2() uint16 {
+	if b := c.buf[c.off:]; c.err == nil && len(b) >= 2 {
+		c.off += 2
+		return binary.LittleEndian.Uint16(b)
+	}
+	c.take(2)
+	return 0
+}
+
+func (c *Codec) read4() uint32 {
+	if b := c.buf[c.off:]; c.err == nil && len(b) >= 4 {
+		c.off += 4
+		return binary.LittleEndian.Uint32(b)
+	}
+	c.take(4)
+	return 0
+}
+
+func (c *Codec) read8() uint64 {
+	if b := c.buf[c.off:]; c.err == nil && len(b) >= 8 {
+		c.off += 8
+		return binary.LittleEndian.Uint64(b)
+	}
+	c.take(8)
+	return 0
+}
+
+// U8 visits one byte.
+func (c *Codec) U8(p *uint8) {
+	if c.dec {
+		*p = c.read1()
+		return
+	}
+	c.buf = append(c.buf, *p)
+}
+
+// U16 visits a little-endian uint16.
+func (c *Codec) U16(p *uint16) {
+	if c.dec {
+		*p = c.read2()
+		return
+	}
+	c.buf = binary.LittleEndian.AppendUint16(c.buf, *p)
+}
+
+// U32 visits a little-endian uint32.
+func (c *Codec) U32(p *uint32) {
+	if c.dec {
+		*p = c.read4()
+		return
+	}
+	c.buf = binary.LittleEndian.AppendUint32(c.buf, *p)
+}
+
+// U64 visits a little-endian uint64.
+func (c *Codec) U64(p *uint64) {
+	if c.dec {
+		*p = c.read8()
+		return
+	}
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, *p)
+}
+
+// I16 visits a little-endian int16 (two's complement).
+func (c *Codec) I16(p *int16) {
+	if c.dec {
+		*p = int16(c.read2())
+		return
+	}
+	c.buf = binary.LittleEndian.AppendUint16(c.buf, uint16(*p))
+}
+
+// I32 visits a little-endian int32 (two's complement).
+func (c *Codec) I32(p *int32) {
+	if c.dec {
+		*p = int32(c.read4())
+		return
+	}
+	c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*p))
+}
+
+// I64 visits a little-endian int64 (two's complement).
+func (c *Codec) I64(p *int64) {
+	if c.dec {
+		*p = int64(c.read8())
+		return
+	}
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*p))
+}
+
+// Int visits an int as an int64.
+func (c *Codec) Int(p *int) {
+	if c.dec {
+		*p = int(c.read8())
+		return
+	}
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*p))
+}
+
+// F64 visits a float64 by its IEEE-754 bit pattern.
+func (c *Codec) F64(p *float64) {
+	if c.dec {
+		*p = math.Float64frombits(c.read8())
+		return
+	}
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*p))
+}
+
+// Bool visits a bool as a single 0/1 byte; decoding any other byte is
+// Corrupt.
+func (c *Codec) Bool(p *bool) {
+	if c.dec {
+		c.readBool(p)
+		return
+	}
+	c.buf = append(c.buf, boolByte(*p))
+}
+
+func boolByte(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// readBool is Bool's decoding half, out of line so Bool inlines.
+func (c *Codec) readBool(p *bool) {
+	v := c.read1()
+	if v > 1 {
+		c.Corrupt("bool byte %#x is neither 0 nor 1", v)
+	}
+	*p = v == 1
+}
+
+// Len visits a list length: encoding writes n and returns it; decoding
+// returns the stored length after checking that it is at most max and
+// that the remaining payload could hold that many values (at least one
+// byte each), so a corrupted length cannot drive a huge allocation. It
+// returns 0 once decoding has failed.
+func (c *Codec) Len(n, max int) int {
+	v := uint32(n)
+	c.U32(&v)
+	if !c.dec {
+		return n
+	}
+	switch left := len(c.buf) - c.off; {
+	case c.err != nil:
+		return 0
+	case int(v) > max:
+		c.Corrupt("count %d exceeds maximum %d", v, max)
+		return 0
+	case int(v) > left:
+		c.Corrupt("count %d exceeds %d remaining bytes", v, left)
+		return 0
+	}
+	return int(v)
+}
+
+// List visits the length of the list *s (at most max elements; see Len).
+// Decoding resizes *s to the stored length, reusing its backing array
+// when it is large enough; the caller then visits every element.
+func List[T any](c *Codec, s *[]T, max int) {
+	if n := c.Len(len(*s), max); c.dec {
+		*s = slices.Grow((*s)[:0], n)[:n]
+	}
+}
+
+// String visits a length-prefixed string.
+func (c *Codec) String(p *string) {
+	n := c.Len(len(*p), 1<<20)
+	if !c.dec {
+		c.buf = append(c.buf, *p...)
+		return
+	}
+	*p = string(c.take(n))
+}
+
+// Section visits a section boundary with the given tag. Decoding must
+// meet the same tags in the same order; a decode failure names the last
+// section entered.
+func (c *Codec) Section(tag string) {
+	mark := uint8(sectionMark)
+	c.U8(&mark)
+	if mark != sectionMark {
+		c.Corrupt("expected section marker for %q, got byte %#x", tag, mark)
+		return
+	}
+	got := tag
+	c.String(&got)
+	if got != tag {
+		c.Corrupt("expected section %q, got %q", tag, got)
+		return
+	}
+	c.section = tag
+}
+
+// Rand visits the full state of a deterministic RNG.
+func (c *Codec) Rand(r *xrand.Rand) {
+	st := r.State()
+	c.Int(&st.Tap)
+	c.Int(&st.Feed)
+	for i := range st.Vec {
+		c.I64(&st.Vec[i])
+	}
+	if c.dec && c.err == nil {
+		if err := r.SetState(st); err != nil {
+			c.Corrupt("rng state: %v", err)
+		}
+	}
+}
+
+// Same visits a field the restore target must already hold: a header
+// identity field or a presence flag. Encoding writes want; decoding reads
+// the stored value and fails with Mismatch unless it equals want. what
+// names the field in the error.
+func Same[T string | bool | uint8 | uint32 | uint64 | int64](c *Codec, want T, what string) {
+	got := want
+	switch p := any(&got).(type) {
+	case *string:
+		c.String(p)
+	case *bool:
+		c.Bool(p)
+	case *uint8:
+		c.U8(p)
+	case *uint32:
+		c.U32(p)
+	case *uint64:
+		c.U64(p)
+	case *int64:
+		c.I64(p)
+	}
+	if got != want {
+		c.fail(Mismatch, "%s %v, restore target has %v", what, got, want)
+	}
+}
+
+// Encoder builds a checkpoint byte stream: visit the state through the
+// embedded Codec, then call Finish to seal the frame and take the bytes.
 type Encoder struct {
-	buf []byte
+	Codec
 }
 
 // NewEncoder returns an encoder with the frame header reserved.
 func NewEncoder() *Encoder {
-	e := &Encoder{buf: make([]byte, headerSize, 4096)}
-	return e
-}
-
-// Section writes a section boundary with the given tag. The decoder must
-// consume the same tags in the same order.
-func (e *Encoder) Section(tag string) {
-	e.U8(sectionMark)
-	e.String(tag)
-}
-
-// U8 appends one byte.
-func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
-
-// U16 appends a little-endian uint16.
-func (e *Encoder) U16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
-
-// U32 appends a little-endian uint32.
-func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-
-// U64 appends a little-endian uint64.
-func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-
-// I64 appends a little-endian int64 (two's complement).
-func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
-
-// I32 appends a little-endian int32 (two's complement).
-func (e *Encoder) I32(v int32) { e.U32(uint32(v)) }
-
-// I16 appends a little-endian int16 (two's complement).
-func (e *Encoder) I16(v int16) { e.U16(uint16(v)) }
-
-// Int appends an int as an int64.
-func (e *Encoder) Int(v int) { e.I64(int64(v)) }
-
-// Bool appends a bool as a single 0/1 byte.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
-
-// F64 appends a float64 by its IEEE-754 bit pattern.
-func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
-
-// Bytes appends a length-prefixed byte string.
-func (e *Encoder) Bytes(b []byte) {
-	e.U32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// String appends a length-prefixed string.
-func (e *Encoder) String(s string) {
-	e.U32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// Rand appends the full state of a deterministic RNG.
-func (e *Encoder) Rand(r *xrand.Rand) {
-	st := r.State()
-	e.Int(st.Tap)
-	e.Int(st.Feed)
-	for _, v := range st.Vec {
-		e.I64(v)
-	}
+	return &Encoder{Codec{buf: make([]byte, headerSize, 4096)}}
 }
 
 // Finish seals the frame and returns the complete checkpoint bytes. The
@@ -208,15 +447,10 @@ func (e *Encoder) Finish() []byte {
 	return e.buf
 }
 
-// Decoder reads a checkpoint byte stream. Errors are sticky: after the
-// first failure every subsequent read returns zero values, and Err
-// reports the failure. Callers may batch reads and check Err once per
-// section.
+// Decoder reads a checkpoint byte stream into the state visited through
+// the embedded Codec.
 type Decoder struct {
-	buf     []byte
-	off     int
-	err     *FormatError
-	section string
+	Codec
 }
 
 // NewDecoder validates the frame (length, magic, checksum, version) and
@@ -237,183 +471,15 @@ func NewDecoder(b []byte) (*Decoder, error) {
 	if ver != FormatVersion {
 		return nil, &FormatError{Kind: Version, Detail: fmt.Sprintf("format version %d, this build reads version %d", ver, FormatVersion)}
 	}
-	return &Decoder{buf: b, off: headerSize}, nil
+	return &Decoder{Codec{buf: b, off: headerSize, dec: true}}, nil
 }
 
-// Err returns the first decode failure, or nil.
-func (d *Decoder) Err() error {
-	if d.err == nil {
-		return nil
-	}
-	return d.err
-}
-
-// fail records the first error.
-func (d *Decoder) fail(kind ErrKind, format string, args ...any) {
-	if d.err == nil {
-		d.err = &FormatError{Kind: kind, Section: d.section, Detail: fmt.Sprintf(format, args...)}
-	}
-}
-
-// Remaining returns the number of unread payload bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
-// take returns the next n bytes, or nil after recording a truncation.
-func (d *Decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.Remaining() < n {
-		d.fail(Truncated, "need %d bytes, %d left", n, d.Remaining())
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-// Section consumes a section boundary and requires the given tag.
-func (d *Decoder) Section(tag string) {
-	if m := d.U8(); d.err == nil && m != sectionMark {
-		d.fail(Corrupt, "expected section marker for %q, got byte %#x", tag, m)
-		return
-	}
-	got := d.String()
-	if d.err == nil && got != tag {
-		d.fail(Corrupt, "expected section %q, got %q", tag, got)
-		return
-	}
-	d.section = tag
-}
-
-// U8 reads one byte.
-func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// U16 reads a little-endian uint16.
-func (d *Decoder) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-// U32 reads a little-endian uint32.
-func (d *Decoder) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// U64 reads a little-endian uint64.
-func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// I64 reads a little-endian int64.
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// I32 reads a little-endian int32.
-func (d *Decoder) I32() int32 { return int32(d.U32()) }
-
-// I16 reads a little-endian int16.
-func (d *Decoder) I16() int16 { return int16(d.U16()) }
-
-// Int reads an int64 into an int.
-func (d *Decoder) Int() int { return int(d.I64()) }
-
-// Bool reads a 0/1 byte; any other value is Corrupt.
-func (d *Decoder) Bool() bool {
-	v := d.U8()
-	if d.err == nil && v > 1 {
-		d.fail(Corrupt, "bool byte %#x is neither 0 nor 1", v)
-		return false
-	}
-	return v == 1
-}
-
-// F64 reads a float64 from its bit pattern.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Count reads a length prefix and sanity-checks it: it must not exceed
-// max, and the remaining payload must plausibly hold that many values
-// (at least one byte each), so a corrupted length cannot drive a huge
-// allocation.
-func (d *Decoder) Count(max int) int {
-	n := int(d.U32())
-	if d.err != nil {
-		return 0
-	}
-	if n > max {
-		d.fail(Corrupt, "count %d exceeds maximum %d", n, max)
-		return 0
-	}
-	if n > d.Remaining() {
-		d.fail(Corrupt, "count %d exceeds %d remaining bytes", n, d.Remaining())
-		return 0
-	}
-	return n
-}
-
-// Bytes reads a length-prefixed byte string (copied out of the stream).
-func (d *Decoder) Bytes(max int) []byte {
-	n := d.Count(max)
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
-}
-
-// String reads a length-prefixed string.
-func (d *Decoder) String() string {
-	n := d.Count(1 << 20)
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-// Rand reads RNG state written by Encoder.Rand into r.
-func (d *Decoder) Rand(r *xrand.Rand) {
-	var st xrand.State
-	st.Tap = d.Int()
-	st.Feed = d.Int()
-	for i := range st.Vec {
-		st.Vec[i] = d.I64()
-	}
-	if d.err != nil {
-		return
-	}
-	if err := r.SetState(st); err != nil {
-		d.fail(Corrupt, "rng state: %v", err)
-	}
-}
-
-// Finish verifies the whole payload was consumed. Trailing bytes mean the
-// writer and reader disagree about the schema — fail closed.
+// Finish returns the first decode failure, or a Corrupt error if payload
+// bytes remain unread: trailing bytes mean the writer and reader disagree
+// about the schema — fail closed.
 func (d *Decoder) Finish() error {
-	if d.err != nil {
-		return d.err
+	if left := len(d.buf) - d.off; left != 0 {
+		d.Corrupt("%d trailing bytes after payload", left)
 	}
-	if d.Remaining() != 0 {
-		d.fail(Corrupt, "%d trailing bytes after payload", d.Remaining())
-		return d.err
-	}
-	return nil
+	return d.Err()
 }

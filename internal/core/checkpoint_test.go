@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"math/rand"
 	"testing"
 
 	"dmdc/internal/checkpoint"
@@ -39,6 +40,15 @@ func ckptSim(t testing.TB, bench, polKind string) *Sim {
 		pol, err = lsq.NewDMDC(dc, em)
 	case "valuebased":
 		pol, err = lsq.NewValueBased(lsq.ValueBasedConfig{SVW: true, SVWSize: 64, LoadCap: cfg.ROBSize}, em)
+	case "agetable":
+		pol, err = lsq.NewAgeTable(lsq.AgeTableConfig{TableSize: cfg.CheckTable, LQSize: cfg.ROBSize}, em)
+	case "bloom":
+		pol, err = lsq.NewCAM(lsq.CAMConfig{LQSize: cfg.LQSize, Filter: lsq.FilterBloom, BloomSize: 256}, em)
+	case "dmdc-queue":
+		dc := lsq.DefaultDMDCConfig(cfg.CheckTable, cfg.ROBSize)
+		dc.TableSize = 0
+		dc.QueueSize = 16
+		pol, err = lsq.NewDMDC(dc, em)
 	default:
 		t.Fatalf("unknown policy kind %q", polKind)
 	}
@@ -80,6 +90,9 @@ func TestCheckpointRestoreMidPipeline(t *testing.T) {
 		{"gzip", "cam"},
 		{"gcc", "dmdc"},
 		{"swim", "valuebased"},
+		{"gcc", "agetable"},
+		{"gzip", "bloom"},
+		{"swim", "dmdc-queue"},
 	}
 	// Aggregate coverage of the interesting capture predicates across the
 	// whole matrix; each must fire somewhere or the test is not exercising
@@ -293,6 +306,54 @@ func TestFastForwardThenRun(t *testing.T) {
 	}
 	if fingerprint(t, ra) != fingerprint(t, rb) {
 		t.Fatal("two identical fast-forwarded runs diverged")
+	}
+}
+
+// TestCheckpointResealedCorruption damages the payload of real blobs
+// behind a recomputed checksum, so every mutation reaches the layout
+// visitors: each restore must fail with a typed *checkpoint.FormatError
+// or accept a blob that re-encodes byte-identically, and must never
+// panic. Decoding keeps visiting after its first error, so this also
+// guards the visitors against indexing with a value they just rejected.
+func TestCheckpointResealedCorruption(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, pol := range []string{"bloom", "dmdc-queue", "valuebased"} {
+		donor := ckptSim(t, "gcc", pol)
+		for donor.committed < 3000 || (!donor.wpActive && donor.committed < 6000) {
+			donor.step()
+			if donor.simErr != nil {
+				t.Fatal(donor.simErr)
+			}
+		}
+		blob, err := donor.SaveCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := 0; m < 200; m++ {
+			mut := append([]byte(nil), blob...)
+			off := 16 + rng.Intn(len(mut)-24)
+			switch m % 3 {
+			case 0:
+				mut[off] ^= byte(1 + rng.Intn(255))
+			case 1:
+				binary.LittleEndian.PutUint64(mut[off:], rng.Uint64()>>uint(rng.Intn(64)))
+			case 2:
+				mut = mut[:off]
+			}
+			binary.LittleEndian.PutUint32(mut[8:12], crc32.ChecksumIEEE(mut[12:]))
+			s := ckptSim(t, "gcc", pol)
+			if err := s.RestoreCheckpoint(mut); err != nil {
+				var fe *checkpoint.FormatError
+				if !errors.As(err, &fe) {
+					t.Fatalf("%s mutation %d: untyped error %T: %v", pol, m, err, err)
+				}
+				continue
+			}
+			out, err := s.SaveCheckpoint()
+			if err != nil || !bytes.Equal(out, mut) {
+				t.Fatalf("%s mutation %d: accepted blob does not re-encode to itself (err %v)", pol, m, err)
+			}
+		}
 	}
 }
 

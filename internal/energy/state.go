@@ -2,30 +2,16 @@ package energy
 
 import "dmdc/internal/checkpoint"
 
-// SaveState serializes the accumulated energy sums, event counts, and
-// cycle count. The per-cycle rate and enabled flag are construction-time
+// State visits the accumulated energy sums, event counts, and cycle
+// count. The per-cycle rate and enabled flag are construction-time
 // properties bound in the checkpoint header, not serialized.
-func (m *Model) SaveState(e *checkpoint.Encoder) {
-	e.Section("energy")
-	e.U64(m.cycles)
-	for _, v := range m.sums {
-		e.F64(v)
-	}
-	for _, v := range m.counts {
-		e.U64(v)
-	}
-}
-
-// LoadState restores state written by SaveState into a model constructed
-// with the same enablement and core size.
-func (m *Model) LoadState(d *checkpoint.Decoder) error {
-	d.Section("energy")
-	m.cycles = d.U64()
+func (m *Model) State(c *checkpoint.Codec) {
+	c.Section("energy")
+	c.U64(&m.cycles)
 	for i := range m.sums {
-		m.sums[i] = d.F64()
+		c.F64(&m.sums[i])
 	}
 	for i := range m.counts {
-		m.counts[i] = d.U64()
+		c.U64(&m.counts[i])
 	}
-	return d.Err()
 }

@@ -117,6 +117,11 @@ func (j JobSpec) Validate() error {
 		if j.Faults != "" {
 			return fmt.Errorf("experiments: checkpoint jobs cannot inject faults")
 		}
+		if j.WatchdogCycles > 0 {
+			// The watchdog's failure dump needs the event ring, which the
+			// checkpoint format does not capture either.
+			return fmt.Errorf("experiments: checkpoint jobs cannot override the watchdog")
+		}
 	}
 	return nil
 }
@@ -334,11 +339,7 @@ func executeRestored(ctx context.Context, j JobSpec) (*core.Result, error) {
 	}
 	arena := core.PooledArena()
 	defer arena.Release()
-	opts := []core.Option{core.WithArena(arena)}
-	if j.WatchdogCycles > 0 {
-		opts = append(opts, core.WithWatchdog(j.WatchdogCycles))
-	}
-	sim, err := core.New(j.Machine, prof, pol, em, opts...)
+	sim, err := core.New(j.Machine, prof, pol, em, core.WithArena(arena))
 	if err != nil {
 		return nil, err
 	}

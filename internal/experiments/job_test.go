@@ -93,6 +93,13 @@ func TestJobSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
+	ckpt := good
+	ckpt.Checkpoint, ckpt.CheckpointRef = []byte{1}, "ref"
+	if err := ckpt.Validate(); err != nil {
+		t.Fatalf("valid checkpoint spec rejected: %v", err)
+	}
+	ckptWatchdog := ckpt
+	ckptWatchdog.WatchdogCycles = 500_000
 	cases := map[string]JobSpec{
 		"both key and policy":  {Machine: m, RunKey: "yla-config2", Policy: "dmdc", Benchmark: "gcc", Insts: 1000},
 		"neither key nor pol":  {Machine: m, Benchmark: "gcc", Insts: 1000},
@@ -103,6 +110,7 @@ func TestJobSpecValidate(t *testing.T) {
 		"unknown benchmark":    {Machine: m, Policy: "dmdc", Benchmark: "nope", Insts: 1000},
 		"no instruction count": {Machine: m, Policy: "dmdc", Benchmark: "gcc"},
 		"bad fault spec":       {Machine: m, Policy: "dmdc", Benchmark: "gcc", Insts: 1000, Faults: "zzz=1"},
+		"checkpoint watchdog":  ckptWatchdog,
 	}
 	for name, spec := range cases {
 		if err := spec.Validate(); err == nil {

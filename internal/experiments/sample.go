@@ -30,8 +30,8 @@ import (
 // exactly like ordinary matrix cells.
 type SampleSpec struct {
 	// Job is the base cell in Policy form; Job.Insts is the total logical
-	// run length. Soundness, faults, and run keys are rejected — the
-	// checkpoint format fails closed on all of them.
+	// run length. Soundness, faults, watchdog overrides, and run keys are
+	// rejected — the checkpoint format fails closed on all of them.
 	Job JobSpec
 	// Intervals is the number of detailed intervals.
 	Intervals int
@@ -58,8 +58,8 @@ func (sp SampleSpec) Validate() error {
 	if err := sp.Job.Validate(); err != nil {
 		return err
 	}
-	if sp.Job.Soundness || sp.Job.Faults != "" {
-		return fmt.Errorf("experiments: sampled runs cannot attach soundness or faults")
+	if sp.Job.Soundness || sp.Job.Faults != "" || sp.Job.WatchdogCycles > 0 {
+		return fmt.Errorf("experiments: sampled runs cannot attach soundness, faults or a watchdog override")
 	}
 	if sp.Intervals <= 0 {
 		return fmt.Errorf("experiments: sampled run needs a positive interval count")

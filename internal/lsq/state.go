@@ -1,19 +1,21 @@
 package lsq
 
 import (
+	"slices"
+
 	"dmdc/internal/checkpoint"
 	"dmdc/internal/stats"
 )
 
 // Checkpointable is implemented by policies whose complete state can be
 // captured into a checkpoint and restored into a freshly constructed
-// policy of the same configuration. The resolve callback maps a live
+// policy of the same configuration. State visits that state in format
+// order (see checkpoint.Codec). When decoding, resolve maps a live
 // instruction age back to its MemOp slot in the restored core's ROB
 // arena; it returns nil for ages that are not live memory operations,
-// which the loader treats as corruption.
+// which the visitor treats as corruption.
 type Checkpointable interface {
-	SaveState(e *checkpoint.Encoder)
-	LoadState(d *checkpoint.Decoder, resolve func(age uint64) *MemOp) error
+	State(c *checkpoint.Codec, resolve func(age uint64) *MemOp)
 }
 
 // Warmer is implemented by policies that can absorb a committed load
@@ -23,149 +25,112 @@ type Warmer interface {
 	WarmLoad(addr, age uint64)
 }
 
-// saveRegs / loadRegs serialize a YLA register file's contents.
-func (y *YLAFile) saveRegs(e *checkpoint.Encoder) {
-	for _, v := range y.regs {
-		e.U64(v)
-	}
-}
-
-func (y *YLAFile) loadRegs(d *checkpoint.Decoder) {
+// state visits a YLA register file's contents.
+func (y *YLAFile) state(c *checkpoint.Codec) {
 	for i := range y.regs {
-		y.regs[i] = d.U64()
+		c.U64(&y.regs[i])
 	}
 }
 
-func saveWinStore(e *checkpoint.Encoder, w *winStore) {
-	e.U64(w.age)
-	e.U64(w.addr)
-	e.U8(w.size)
-	e.U64(w.resolveCycle)
-	e.U64(w.endAge)
+// winStores visits a list of window stores.
+func winStores(c *checkpoint.Codec, ws *[]winStore) {
+	checkpoint.List(c, ws, maxList)
+	for i := range *ws {
+		w := &(*ws)[i]
+		c.U64(&w.age)
+		c.U64(&w.addr)
+		c.U8(&w.size)
+		c.U64(&w.resolveCycle)
+		c.U64(&w.endAge)
+		switch w.size {
+		case 1, 2, 4, 8:
+		default:
+			c.Corrupt("store size %d", w.size)
+		}
+	}
 }
 
-func loadWinStore(d *checkpoint.Decoder, section string) (winStore, error) {
-	var w winStore
-	w.age = d.U64()
-	w.addr = d.U64()
-	w.size = d.U8()
-	w.resolveCycle = d.U64()
-	w.endAge = d.U64()
-	if err := d.Err(); err != nil {
-		return w, err
-	}
-	switch w.size {
-	case 1, 2, 4, 8:
-	default:
-		return w, checkpoint.Corruptf(section, "store size %d", w.size)
-	}
-	return w, nil
+// summary visits a running summary statistic.
+func summary(c *checkpoint.Codec, s *stats.Summary) {
+	c.Int(&s.N)
+	c.F64(&s.Sum)
+	c.F64(&s.Min)
+	c.F64(&s.Max)
 }
 
 // maxList bounds variable-length lists whose size has no tight
-// configuration-derived cap; Count additionally bounds every list by the
+// configuration-derived cap; Len additionally bounds every list by the
 // remaining payload bytes.
 const maxList = 1 << 20
 
-// SaveState serializes the CAM policy: the in-flight load queue (as ages;
-// the MemOps themselves live in the core's ROB arena), the optional YLA
-// or Bloom filter, and the stats.
-func (c *CAM) SaveState(e *checkpoint.Encoder) {
-	e.Section("pol:cam")
+// State visits the CAM policy: the in-flight load queue (as ages; the
+// MemOps themselves live in the core's ROB arena), the optional YLA or
+// Bloom filter, and the stats.
+func (c *CAM) State(k *checkpoint.Codec, resolve func(age uint64) *MemOp) {
+	k.Section("pol:cam")
 	live := c.loads[c.hd:]
-	e.U32(uint32(len(live)))
-	for _, op := range live {
-		e.U64(op.Age)
+	n := k.Len(len(live), maxList)
+	if k.Decoding() {
+		c.loads, c.hd = c.loads[:0], 0
 	}
-	e.Bool(c.yla != nil)
+	var prev uint64
+	for i := 0; i < n; i++ {
+		var age uint64
+		if !k.Decoding() {
+			age = live[i].Age
+		}
+		k.U64(&age)
+		if i > 0 && age <= prev {
+			k.Corrupt("load ages not strictly ascending (%d after %d)", age, prev)
+		}
+		prev = age
+		if k.Decoding() && k.Err() == nil {
+			switch op := resolve(age); {
+			case op == nil:
+				k.Corrupt("load age %d is not a live memory op", age)
+			case !op.IsLoad:
+				k.Corrupt("age %d is not a load", age)
+			default:
+				c.loads = append(c.loads, op)
+			}
+		}
+	}
+	checkpoint.Same(k, c.yla != nil, "YLA presence")
 	if c.yla != nil {
-		c.yla.saveRegs(e)
+		c.yla.state(k)
 	}
-	e.Bool(c.bloom != nil)
+	checkpoint.Same(k, c.bloom != nil, "bloom presence")
 	if c.bloom != nil {
-		for _, b := range c.bloom.buckets {
-			e.U16(b)
+		for i := range c.bloom.buckets {
+			k.U16(&c.bloom.buckets[i])
 		}
 		// bloomTracked in canonical (ascending-age) order.
 		ages := make([]uint64, 0, len(c.bloomTracked))
 		for age := range c.bloomTracked {
 			ages = append(ages, age)
 		}
-		sortU64(ages)
-		e.U32(uint32(len(ages)))
-		for _, age := range ages {
-			e.U64(age)
-			e.U64(c.bloomTracked[age])
+		slices.Sort(ages)
+		checkpoint.List(k, &ages, maxList)
+		if k.Decoding() {
+			clear(c.bloomTracked)
 		}
-	}
-	e.U64(c.searches)
-	e.U64(c.filtered)
-	for _, v := range c.replays {
-		e.U64(v)
-	}
-}
-
-// LoadState restores state written by SaveState into a freshly built CAM
-// of the same configuration.
-func (c *CAM) LoadState(d *checkpoint.Decoder, resolve func(age uint64) *MemOp) error {
-	d.Section("pol:cam")
-	n := d.Count(maxList)
-	c.loads = c.loads[:0]
-	c.hd = 0
-	var prev uint64
-	for i := 0; i < n; i++ {
-		age := d.U64()
-		if d.Err() != nil {
-			break
-		}
-		if i > 0 && age <= prev {
-			return checkpoint.Corruptf("pol:cam", "load ages not strictly ascending (%d after %d)", age, prev)
-		}
-		prev = age
-		op := resolve(age)
-		if op == nil {
-			return checkpoint.Corruptf("pol:cam", "load age %d is not a live memory op", age)
-		}
-		if !op.IsLoad {
-			return checkpoint.Corruptf("pol:cam", "age %d is not a load", age)
-		}
-		c.loads = append(c.loads, op)
-	}
-	if hasYLA := d.Bool(); d.Err() == nil && hasYLA != (c.yla != nil) {
-		return checkpoint.Mismatchf("pol:cam", "YLA presence %v, policy has %v", hasYLA, c.yla != nil)
-	}
-	if c.yla != nil {
-		c.yla.loadRegs(d)
-	}
-	if hasBloom := d.Bool(); d.Err() == nil && hasBloom != (c.bloom != nil) {
-		return checkpoint.Mismatchf("pol:cam", "bloom presence %v, policy has %v", hasBloom, c.bloom != nil)
-	}
-	if c.bloom != nil {
-		for i := range c.bloom.buckets {
-			c.bloom.buckets[i] = d.U16()
-		}
-		m := d.Count(maxList)
-		clear(c.bloomTracked)
-		var prevAge uint64
-		for i := 0; i < m; i++ {
-			age := d.U64()
-			addr := d.U64()
-			if d.Err() != nil {
-				break
+		for i := range ages {
+			addr := c.bloomTracked[ages[i]] // decoding overwrites both
+			k.U64(&ages[i])
+			k.U64(&addr)
+			if i > 0 && ages[i] <= ages[i-1] {
+				k.Corrupt("tracked ages not strictly ascending")
 			}
-			if i > 0 && age <= prevAge {
-				return checkpoint.Corruptf("pol:cam", "tracked ages not strictly ascending")
+			if k.Decoding() {
+				c.bloomTracked[ages[i]] = addr
 			}
-			prevAge = age
-			c.bloomTracked[age] = addr
 		}
 	}
-	c.searches = d.U64()
-	c.filtered = d.U64()
+	k.U64(&c.searches)
+	k.U64(&c.filtered)
 	for i := range c.replays {
-		c.replays[i] = d.U64()
+		k.U64(&c.replays[i])
 	}
-	return d.Err()
 }
 
 // WarmLoad absorbs a committed load during functional fast-forward: only
@@ -177,132 +142,55 @@ func (c *CAM) WarmLoad(addr, age uint64) {
 	}
 }
 
-// SaveState serializes the DMDC policy: checking table and dirty list,
+// State visits the DMDC policy: checking table and dirty list,
 // pending-store queue (queue variant), open checking-window state, YLA
 // register files, and all statistics.
-func (d *DMDC) SaveState(e *checkpoint.Encoder) {
-	e.Section("pol:dmdc")
+func (d *DMDC) State(c *checkpoint.Codec, _ func(age uint64) *MemOp) {
+	c.Section("pol:dmdc")
 	for i := range d.table {
 		en := &d.table[i]
-		e.U8(en.wrt)
-		e.Bool(en.inv)
-		e.Bool(en.invPromoted)
+		c.U8(&en.wrt)
+		c.Bool(&en.inv)
+		c.Bool(&en.invPromoted)
 	}
-	e.U32(uint32(len(d.dirty)))
-	for _, idx := range d.dirty {
-		e.U32(idx)
+	checkpoint.List(c, &d.dirty, maxList)
+	for i := range d.dirty {
+		c.U32(&d.dirty[i])
+		if d.dirty[i] >= uint32(len(d.table)) {
+			c.Corrupt("dirty index %d outside table of %d", d.dirty[i], len(d.table))
+		}
 	}
-	e.U32(uint32(len(d.queue)))
-	for i := range d.queue {
-		saveWinStore(e, &d.queue[i])
-	}
-	e.Bool(d.overflowPending)
-	e.U64(d.endCheck)
-	e.Bool(d.checking)
-	e.U32(uint32(len(d.windowStores)))
-	for i := range d.windowStores {
-		saveWinStore(e, &d.windowStores[i])
-	}
-	e.U64(d.winInsts)
-	e.U64(d.winLoads)
-	e.U64(d.winSafeLoads)
-	e.U64(d.winStoresN)
-	d.ylaQW.saveRegs(e)
-	e.Bool(d.ylaLine != nil)
+	winStores(c, &d.queue)
+	c.Bool(&d.overflowPending)
+	c.U64(&d.endCheck)
+	c.Bool(&d.checking)
+	winStores(c, &d.windowStores)
+	c.U64(&d.winInsts)
+	c.U64(&d.winLoads)
+	c.U64(&d.winSafeLoads)
+	c.U64(&d.winStoresN)
+	d.ylaQW.state(c)
+	checkpoint.Same(c, d.ylaLine != nil, "line-YLA presence")
 	if d.ylaLine != nil {
-		d.ylaLine.saveRegs(e)
+		d.ylaLine.state(c)
 	}
-	e.U64(d.safeStores)
-	e.U64(d.unsafeStores)
-	e.U64(d.safeLoadBypass)
-	e.U64(d.loadsChecked)
-	e.U64(d.checkingCycles)
-	e.U64(d.totalCycles)
-	for _, v := range d.replays {
-		e.U64(v)
-	}
-	e.U64(d.invActivations)
-	e.U64(d.invalidations)
-	e.U64(d.invPromotions)
-	saveSummary(e, &d.windowInsts)
-	saveSummary(e, &d.windowLoads)
-	saveSummary(e, &d.windowSafeLoads)
-	e.U64(d.windows)
-	e.U64(d.singleStoreWindows)
-}
-
-// LoadState restores state written by SaveState into a freshly built DMDC
-// of the same configuration.
-func (d *DMDC) LoadState(dec *checkpoint.Decoder, _ func(age uint64) *MemOp) error {
-	dec.Section("pol:dmdc")
-	for i := range d.table {
-		en := &d.table[i]
-		en.wrt = dec.U8()
-		en.inv = dec.Bool()
-		en.invPromoted = dec.Bool()
-	}
-	nd := dec.Count(maxList)
-	d.dirty = d.dirty[:0]
-	for i := 0; i < nd; i++ {
-		idx := dec.U32()
-		if dec.Err() != nil {
-			break
-		}
-		if len(d.table) == 0 || idx >= uint32(len(d.table)) {
-			return checkpoint.Corruptf("pol:dmdc", "dirty index %d outside table of %d", idx, len(d.table))
-		}
-		d.dirty = append(d.dirty, idx)
-	}
-	nq := dec.Count(maxList)
-	d.queue = d.queue[:0]
-	for i := 0; i < nq; i++ {
-		w, err := loadWinStore(dec, "pol:dmdc")
-		if err != nil {
-			return err
-		}
-		d.queue = append(d.queue, w)
-	}
-	d.overflowPending = dec.Bool()
-	d.endCheck = dec.U64()
-	d.checking = dec.Bool()
-	nw := dec.Count(maxList)
-	d.windowStores = d.windowStores[:0]
-	for i := 0; i < nw; i++ {
-		w, err := loadWinStore(dec, "pol:dmdc")
-		if err != nil {
-			return err
-		}
-		d.windowStores = append(d.windowStores, w)
-	}
-	d.winInsts = dec.U64()
-	d.winLoads = dec.U64()
-	d.winSafeLoads = dec.U64()
-	d.winStoresN = dec.U64()
-	d.ylaQW.loadRegs(dec)
-	if hasLine := dec.Bool(); dec.Err() == nil && hasLine != (d.ylaLine != nil) {
-		return checkpoint.Mismatchf("pol:dmdc", "line-YLA presence %v, policy has %v", hasLine, d.ylaLine != nil)
-	}
-	if d.ylaLine != nil {
-		d.ylaLine.loadRegs(dec)
-	}
-	d.safeStores = dec.U64()
-	d.unsafeStores = dec.U64()
-	d.safeLoadBypass = dec.U64()
-	d.loadsChecked = dec.U64()
-	d.checkingCycles = dec.U64()
-	d.totalCycles = dec.U64()
+	c.U64(&d.safeStores)
+	c.U64(&d.unsafeStores)
+	c.U64(&d.safeLoadBypass)
+	c.U64(&d.loadsChecked)
+	c.U64(&d.checkingCycles)
+	c.U64(&d.totalCycles)
 	for i := range d.replays {
-		d.replays[i] = dec.U64()
+		c.U64(&d.replays[i])
 	}
-	d.invActivations = dec.U64()
-	d.invalidations = dec.U64()
-	d.invPromotions = dec.U64()
-	loadSummary(dec, &d.windowInsts)
-	loadSummary(dec, &d.windowLoads)
-	loadSummary(dec, &d.windowSafeLoads)
-	d.windows = dec.U64()
-	d.singleStoreWindows = dec.U64()
-	return dec.Err()
+	c.U64(&d.invActivations)
+	c.U64(&d.invalidations)
+	c.U64(&d.invPromotions)
+	summary(c, &d.windowInsts)
+	summary(c, &d.windowLoads)
+	summary(c, &d.windowSafeLoads)
+	c.U64(&d.windows)
+	c.U64(&d.singleStoreWindows)
 }
 
 // WarmLoad absorbs a committed load during functional fast-forward: both
@@ -314,100 +202,32 @@ func (d *DMDC) WarmLoad(addr, age uint64) {
 	}
 }
 
-// SaveState serializes the age-table policy: every table entry plus stats.
-func (a *AgeTable) SaveState(e *checkpoint.Encoder) {
-	e.Section("pol:agetable")
+// State visits the age-table policy: every table entry plus stats.
+func (a *AgeTable) State(c *checkpoint.Codec, _ func(age uint64) *MemOp) {
+	c.Section("pol:agetable")
 	for i := range a.table {
-		e.U64(a.table[i].age)
-		e.U8(a.table[i].bitmap)
+		c.U64(&a.table[i].age)
+		c.U8(&a.table[i].bitmap)
 	}
-	e.U64(a.searches)
-	for _, v := range a.replays {
-		e.U64(v)
-	}
-}
-
-// LoadState restores state written by SaveState.
-func (a *AgeTable) LoadState(d *checkpoint.Decoder, _ func(age uint64) *MemOp) error {
-	d.Section("pol:agetable")
-	for i := range a.table {
-		a.table[i].age = d.U64()
-		a.table[i].bitmap = d.U8()
-	}
-	a.searches = d.U64()
+	c.U64(&a.searches)
 	for i := range a.replays {
-		a.replays[i] = d.U64()
-	}
-	return d.Err()
-}
-
-// SaveState serializes the value-based policy: the optional SVW filter
-// table, the recent-store window, and stats.
-func (v *ValueBased) SaveState(e *checkpoint.Encoder) {
-	e.Section("pol:valuebased")
-	e.Bool(v.svw != nil)
-	for _, s := range v.svw {
-		e.U64(s)
-	}
-	e.U32(uint32(len(v.recentStores)))
-	for i := range v.recentStores {
-		saveWinStore(e, &v.recentStores[i])
-	}
-	e.U64(v.storeSeq)
-	e.U64(v.reexecutions)
-	e.U64(v.svwFiltered)
-	for _, r := range v.replays {
-		e.U64(r)
+		c.U64(&a.replays[i])
 	}
 }
 
-// LoadState restores state written by SaveState.
-func (v *ValueBased) LoadState(d *checkpoint.Decoder, _ func(age uint64) *MemOp) error {
-	d.Section("pol:valuebased")
-	if hasSVW := d.Bool(); d.Err() == nil && hasSVW != (v.svw != nil) {
-		return checkpoint.Mismatchf("pol:valuebased", "SVW presence %v, policy has %v", hasSVW, v.svw != nil)
-	}
+// State visits the value-based policy: the optional SVW filter table,
+// the recent-store window, and stats.
+func (v *ValueBased) State(c *checkpoint.Codec, _ func(age uint64) *MemOp) {
+	c.Section("pol:valuebased")
+	checkpoint.Same(c, v.svw != nil, "SVW presence")
 	for i := range v.svw {
-		v.svw[i] = d.U64()
+		c.U64(&v.svw[i])
 	}
-	n := d.Count(maxList)
-	v.recentStores = v.recentStores[:0]
-	for i := 0; i < n; i++ {
-		w, err := loadWinStore(d, "pol:valuebased")
-		if err != nil {
-			return err
-		}
-		v.recentStores = append(v.recentStores, w)
-	}
-	v.storeSeq = d.U64()
-	v.reexecutions = d.U64()
-	v.svwFiltered = d.U64()
+	winStores(c, &v.recentStores)
+	c.U64(&v.storeSeq)
+	c.U64(&v.reexecutions)
+	c.U64(&v.svwFiltered)
 	for i := range v.replays {
-		v.replays[i] = d.U64()
-	}
-	return d.Err()
-}
-
-func saveSummary(e *checkpoint.Encoder, s *stats.Summary) {
-	e.Int(s.N)
-	e.F64(s.Sum)
-	e.F64(s.Min)
-	e.F64(s.Max)
-}
-
-func loadSummary(d *checkpoint.Decoder, s *stats.Summary) {
-	s.N = d.Int()
-	s.Sum = d.F64()
-	s.Min = d.F64()
-	s.Max = d.F64()
-}
-
-// sortU64 sorts ascending without pulling in package sort's interface
-// machinery for a hot-path-adjacent file.
-func sortU64(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
+		c.U64(&v.replays[i])
 	}
 }

@@ -6,188 +6,113 @@ import (
 	"dmdc/internal/xrand"
 )
 
-// SaveState serializes the generator's complete dynamic state: the RNGs,
-// the CFG position, every branch site's pattern machine, the register
-// dataflow rings, and the address-generation state. The static CFG itself
-// is rebuilt from the Profile (bound in the checkpoint header), not
-// written.
-func (g *Generator) SaveState(e *checkpoint.Encoder) {
-	e.Section("trace")
-	e.Rand(g.rng)
-	e.U64(g.seq)
-	e.Int(g.cur)
-	e.Int(g.slot)
-	e.Bool(g.wpRng != nil)
-	if g.wpRng != nil {
-		e.Rand(g.wpRng)
-		e.Int(g.wpScratch.cur)
-		e.Int(g.wpScratch.slot)
-	}
-	for i := range g.blocks {
-		e.Int(g.blocks[i].site.counter)
-	}
-	for _, r := range g.destRing {
-		e.I16(r)
-	}
-	e.Int(g.destRingLen)
-	for _, r := range g.aluRing {
-		e.I16(r)
-	}
-	e.Int(g.aluRingLen)
-	for _, r := range g.loadRing {
-		e.I16(r)
-	}
-	e.Int(g.loadRingLen)
-	for _, r := range g.fpRing {
-		e.I16(r)
-	}
-	e.Int(g.fpRingLen)
-	e.I16(g.nextIntDest)
-	e.I16(g.nextFPDest)
-	e.I16(g.lastLoadDest)
-	e.Int(g.baseRegTimer)
-	for _, p := range g.seqPtrs {
-		e.U64(p)
-	}
-	e.Int(g.lastStream)
-	for i := range g.storeRing {
-		e.U64(g.storeRing[i].addr)
-		e.U8(g.storeRing[i].size)
-		e.I16(g.storeRing[i].src1)
-	}
-	e.Int(g.storeHead)
-	e.U64(g.lastLoadAddr)
-}
-
-// blockPos validates a (block, slot) CFG position.
-func (g *Generator) blockPos(section string, d *checkpoint.Decoder, cur, slot int) error {
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if cur < 0 || cur >= len(g.blocks) {
-		return checkpoint.Corruptf(section, "block index %d outside CFG of %d blocks", cur, len(g.blocks))
-	}
-	if slot < 0 || slot > len(g.blocks[cur].ops) {
-		return checkpoint.Corruptf(section, "slot %d outside block of %d ops", slot, len(g.blocks[cur].ops))
-	}
-	return nil
-}
-
-// LoadState restores state written by SaveState into a generator built
-// from the same profile.
-func (g *Generator) LoadState(d *checkpoint.Decoder) error {
-	d.Section("trace")
-	d.Rand(g.rng)
-	g.seq = d.U64()
-	g.cur = d.Int()
-	g.slot = d.Int()
-	if err := g.blockPos("trace", d, g.cur, g.slot); err != nil {
-		return err
-	}
-	hasWP := d.Bool()
-	if hasWP {
+// State visits the generator's complete dynamic state: the RNGs, the CFG
+// position, every branch site's pattern machine, the register dataflow
+// rings, and the address-generation state. The static CFG itself is
+// rebuilt from the Profile (bound in the checkpoint header), not written,
+// so decoding needs a generator built from the same profile.
+func (g *Generator) State(c *checkpoint.Codec) {
+	c.Section("trace")
+	c.Rand(g.rng)
+	c.U64(&g.seq)
+	c.Int(&g.cur)
+	c.Int(&g.slot)
+	g.blockPos(c, g.cur, g.slot)
+	hasWP := g.wpRng != nil
+	c.Bool(&hasWP)
+	switch {
+	case hasWP:
 		if g.wpRng == nil {
 			g.wpRng = xrand.New(0)
+			g.wpScratch = WrongStream{g: g, rng: g.wpRng}
 		}
-		d.Rand(g.wpRng)
-		cur := d.Int()
-		slot := d.Int()
-		if err := g.blockPos("trace", d, cur, slot); err != nil {
-			return err
-		}
-		g.wpScratch = WrongStream{g: g, rng: g.wpRng, cur: cur, slot: slot}
-	} else {
-		g.wpRng = nil
-		g.wpScratch = WrongStream{}
+		c.Rand(g.wpRng)
+		c.Int(&g.wpScratch.cur)
+		c.Int(&g.wpScratch.slot)
+		g.blockPos(c, g.wpScratch.cur, g.wpScratch.slot)
+	case c.Decoding():
+		g.wpRng, g.wpScratch = nil, WrongStream{}
 	}
 	for i := range g.blocks {
-		c := d.Int()
-		if d.Err() != nil {
-			break
-		}
 		site := &g.blocks[i].site
-		switch site.kind {
-		case brLoop:
-			if c < 0 || c >= site.loopLen {
-				return checkpoint.Corruptf("trace", "loop counter %d outside trip count %d", c, site.loopLen)
-			}
-		case brPattern:
-			if c < 0 || c >= len(site.pattern) {
-				return checkpoint.Corruptf("trace", "pattern counter %d outside pattern of %d", c, len(site.pattern))
-			}
+		c.Int(&site.counter)
+		switch n := site.counter; {
+		case site.kind == brLoop && (n < 0 || n >= site.loopLen):
+			c.Corrupt("loop counter %d outside trip count %d", n, site.loopLen)
+		case site.kind == brPattern && (n < 0 || n >= len(site.pattern)):
+			c.Corrupt("pattern counter %d outside pattern of %d", n, len(site.pattern))
 		}
-		site.counter = c
 	}
-	loadRing16 := func(ring []int16, lenp *int) error {
-		for i := range ring {
-			v := d.I16()
-			if d.Err() == nil && v != isa.RegNone && (v < 0 || v >= int16(isa.NumRegs)) {
-				return checkpoint.Corruptf("trace", "ring register %d out of range", v)
+	regOK := func(r int16) bool { return r >= 0 && r < int16(isa.NumRegs) }
+	ring := func(r []int16, n *int) {
+		for i := range r {
+			c.I16(&r[i])
+			if r[i] != isa.RegNone && !regOK(r[i]) {
+				c.Corrupt("ring register %d out of range", r[i])
 			}
-			ring[i] = v
 		}
 		// Ring cursors count total insertions (indexed modulo the ring
 		// size), so any non-negative value is legal.
-		n := d.Int()
-		if d.Err() == nil && n < 0 {
-			return checkpoint.Corruptf("trace", "negative ring cursor %d", n)
+		c.Int(n)
+		if *n < 0 {
+			c.Corrupt("negative ring cursor %d", *n)
 		}
-		*lenp = n
-		return d.Err()
 	}
-	if err := loadRing16(g.destRing[:], &g.destRingLen); err != nil {
-		return err
+	ring(g.destRing[:], &g.destRingLen)
+	ring(g.aluRing[:], &g.aluRingLen)
+	ring(g.loadRing[:], &g.loadRingLen)
+	ring(g.fpRing[:], &g.fpRingLen)
+	c.I16(&g.nextIntDest)
+	c.I16(&g.nextFPDest)
+	c.I16(&g.lastLoadDest)
+	if !regOK(g.nextIntDest) || !regOK(g.nextFPDest) || !regOK(g.lastLoadDest) {
+		c.Corrupt("destination cursor register out of range")
 	}
-	if err := loadRing16(g.aluRing[:], &g.aluRingLen); err != nil {
-		return err
-	}
-	if err := loadRing16(g.loadRing[:], &g.loadRingLen); err != nil {
-		return err
-	}
-	if err := loadRing16(g.fpRing[:], &g.fpRingLen); err != nil {
-		return err
-	}
-	regOK := func(v int16) bool { return v >= 0 && v < int16(isa.NumRegs) }
-	g.nextIntDest = d.I16()
-	g.nextFPDest = d.I16()
-	g.lastLoadDest = d.I16()
-	if d.Err() == nil && (!regOK(g.nextIntDest) || !regOK(g.nextFPDest) || !regOK(g.lastLoadDest)) {
-		return checkpoint.Corruptf("trace", "destination cursor register out of range")
-	}
-	g.baseRegTimer = d.Int()
+	c.Int(&g.baseRegTimer)
 	for i := range g.seqPtrs {
-		g.seqPtrs[i] = d.U64()
+		c.U64(&g.seqPtrs[i])
 	}
-	ls := d.Int()
-	if d.Err() == nil && (ls < 0 || ls >= len(g.seqPtrs)) {
-		return checkpoint.Corruptf("trace", "stream index %d outside [0,%d)", ls, len(g.seqPtrs))
+	c.Int(&g.lastStream)
+	if g.lastStream < 0 || g.lastStream >= len(g.seqPtrs) {
+		c.Corrupt("stream index %d outside [0,%d)", g.lastStream, len(g.seqPtrs))
 	}
-	g.lastStream = ls
 	for i := range g.storeRing {
-		g.storeRing[i].addr = d.U64()
-		sz := d.U8()
-		if d.Err() == nil {
-			switch sz {
-			case 1, 2, 4, 8:
-			default:
-				return checkpoint.Corruptf("trace", "store ring size %d", sz)
-			}
+		st := &g.storeRing[i]
+		c.U64(&st.addr)
+		c.U8(&st.size)
+		switch st.size {
+		case 1, 2, 4, 8:
+		default:
+			c.Corrupt("store ring size %d", st.size)
 		}
-		g.storeRing[i].size = sz
-		s1 := d.I16()
-		if d.Err() == nil && s1 != isa.RegNone && !regOK(s1) {
-			return checkpoint.Corruptf("trace", "store ring register %d out of range", s1)
+		c.I16(&st.src1)
+		if st.src1 != isa.RegNone && !regOK(st.src1) {
+			c.Corrupt("store ring register %d out of range", st.src1)
 		}
-		g.storeRing[i].src1 = s1
 	}
-	sh := d.Int()
-	if d.Err() == nil && (sh < 0 || sh >= len(g.storeRing)) {
-		return checkpoint.Corruptf("trace", "store ring head %d outside [0,%d)", sh, len(g.storeRing))
+	c.Int(&g.storeHead)
+	if g.storeHead < 0 || g.storeHead >= len(g.storeRing) {
+		c.Corrupt("store ring head %d outside [0,%d)", g.storeHead, len(g.storeRing))
 	}
-	g.storeHead = sh
-	g.lastLoadAddr = d.U64()
-	return d.Err()
+	c.U64(&g.lastLoadAddr)
 }
+
+// blockPos checks a decoded (block, slot) CFG position.
+func (g *Generator) blockPos(c *checkpoint.Codec, cur, slot int) {
+	switch {
+	case cur < 0 || cur >= len(g.blocks):
+		c.Corrupt("block index %d outside CFG of %d blocks", cur, len(g.blocks))
+	case slot < 0 || slot > len(g.blocks[cur].ops):
+		c.Corrupt("slot %d outside block of %d ops", slot, len(g.blocks[cur].ops))
+	}
+}
+
+// SaveState writes the generator's state (see State) to e.
+func (g *Generator) SaveState(e *checkpoint.Encoder) { g.State(&e.Codec) }
+
+// LoadState restores state written by SaveState into a generator built
+// from the same profile.
+func (g *Generator) LoadState(d *checkpoint.Decoder) error { g.State(&d.Codec); return d.Err() }
 
 // WrongPathScratch returns the generator's reused wrong-path stream, or
 // nil if none is live. The core uses it to rewire its wrong-path fetch
