@@ -139,8 +139,10 @@ api-check:
 
 # Allocation-budget gate: one pooled-arena simulation run, and one
 # checkpoint save and restore, must each stay within a fixed allocation
-# count (see alloc_test.go), pinning the SoA/arena refactor's
-# allocation-free hot loop and a codec that allocates nothing per field.
+# count, and a warm pooled run and a repeat save within a byte budget (see
+# alloc_test.go), pinning the SoA/arena refactor's allocation-free hot
+# loop, a codec that allocates nothing per field, an arena that owns every
+# per-run table, and a save that allocates its record once.
 alloc-gate:
 	$(GO) test -run 'TestAllocationBudget' -count 1 .
 

@@ -9,18 +9,26 @@ import (
 	"dmdc/internal/experiments"
 )
 
-// Allocation budget for one pooled-arena simulation run. A warm run's
-// remaining allocations are per-run construction — cache hierarchy,
-// branch predictor, policy, stats — not per-instruction or per-cycle
-// work; the SoA/arena refactor drove BenchmarkSimBaseline from ~7.8k
-// allocs/op to under a hundred. The ceiling is set loose enough for Go
-// version drift in map/slice growth but far below what any per-dispatch
-// or per-event allocation regression would produce (each costs tens of
-// thousands per 5k-instruction run).
+// Allocation budget for one pooled-arena simulation run. The arena owns
+// every per-run table — ROB, queues, wheel, cache hierarchy, branch
+// predictor, generator and RNGs — so a warm run's remaining allocations
+// are the policy, the energy model, the stats and the Result, not
+// per-instruction or per-cycle work; the SoA/arena refactor drove
+// BenchmarkSimBaseline from ~7.8k allocs/op to under a hundred. The
+// ceiling is set loose enough for Go version drift in map/slice growth
+// but far below what any per-dispatch or per-event allocation regression
+// would produce (each costs tens of thousands per 5k-instruction run).
 const allocBudget = 500
 
+// allocBytesBudget caps the bytes one warm pooled 5k-instruction run
+// allocates. Rebuilding the per-run tables instead of resetting the
+// arena's costs ~500 KB (the 1 MB L2's 8,192 lines alone are ~200 KB); a
+// warm run allocates ~17 KB.
+const allocBytesBudget = 128 << 10
+
 // TestAllocationBudget is the `make check` gate (alloc-gate target) that
-// keeps the simulator's hot loop allocation-free.
+// keeps the simulator's hot loop allocation-free and its per-run tables
+// in the arena.
 func TestAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is load-sensitive; skipped in -short")
@@ -34,6 +42,25 @@ func TestAllocationBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(10, run); got > allocBudget {
 		t.Fatalf("allocations per run = %.0f, budget %d — a hot-path allocation crept back in", got, allocBudget)
 	}
+	got := bytesPerRun(10, run)
+	t.Logf("%.0f bytes per warm pooled run", got)
+	if got > allocBytesBudget {
+		t.Fatalf("bytes allocated per run = %.0f, budget %d — a per-run table is rebuilt instead of reset in the arena",
+			got, allocBytesBudget)
+	}
+}
+
+// bytesPerRun returns the average heap bytes one call of f allocates,
+// measured on one P so no other goroutine's allocations are counted.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // Allocation budget for one checkpoint save and one restore of a
@@ -43,8 +70,14 @@ func TestAllocationBudget(t *testing.T) {
 // hundreds.
 const checkpointAllocBudget = 50
 
+// saveBytesSlack bounds a repeat save's bytes as a multiple of its
+// record: the Sim sizes each save's buffer from its previous one, so a
+// repeat save allocates the record once, where growing the buffer by
+// append costs ~5× the record.
+const saveBytesSlack = 1.1
+
 // TestAllocationBudgetCheckpoint keeps checkpoint save and restore free
-// of per-field allocations.
+// of per-field allocations, and a repeat save to one record-sized buffer.
 func TestAllocationBudgetCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is load-sensitive; skipped in -short")
@@ -61,11 +94,13 @@ func TestAllocationBudgetCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	save := testing.AllocsPerRun(10, func() {
+	saveAgain := func() {
 		if _, err := donor.SaveCheckpoint(); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	save := testing.AllocsPerRun(10, saveAgain)
+	saveBytes := bytesPerRun(10, saveAgain)
 	// Restores need pristine targets, built outside the counted region.
 	const restores = 10
 	targets := make([]*core.Sim, restores)
@@ -82,9 +117,14 @@ func TestAllocationBudgetCheckpoint(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	restore := float64(after.Mallocs-before.Mallocs) / restores
-	t.Logf("allocations: %.0f per save, %.0f per restore", save, restore)
+	t.Logf("allocations: %.0f per save, %.0f per restore; %.0f bytes per repeat save of a %d-byte record",
+		save, restore, saveBytes, len(blob))
 	if save > checkpointAllocBudget || restore > checkpointAllocBudget {
 		t.Fatalf("allocations per save = %.0f, per restore = %.0f, budget %d each — a per-field allocation crept into the codec",
 			save, restore, checkpointAllocBudget)
+	}
+	if limit := saveBytesSlack * float64(len(blob)); saveBytes > limit {
+		t.Fatalf("bytes allocated per repeat save = %.0f, budget %.0f (%.1f× the %d-byte record) — the encoder is growing its buffer again",
+			saveBytes, limit, saveBytesSlack, len(blob))
 	}
 }

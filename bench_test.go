@@ -144,6 +144,19 @@ func BenchmarkSimDMDC(b *testing.B) {
 	benchSim(b, dmdc.PolicyDMDC)
 }
 
+// BenchmarkSimShortCell runs one cell the size of the paper-matrix's: a
+// 5k-instruction Config2/gcc/DMDC dmdc.Run, short enough that per-run
+// set-up, not the hot loop, sets its cost. With -memprofile it shows
+// where a cell's bytes go (TestAllocationBudget gates the total).
+func BenchmarkSimShortCell(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := simulate(dmdc.Config2(), "gcc", dmdc.PolicyDMDC, 5_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimTelemetry is BenchmarkSimBaseline with a telemetry sampler
 // attached at the default stride. Compared against the baseline number it
 // measures the enabled-path overhead of the observability layer (the

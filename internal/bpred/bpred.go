@@ -106,29 +106,48 @@ type Predictor struct {
 // New builds a predictor; it panics on an invalid configuration since that
 // is a programming error in experiment setup, not a runtime condition.
 func New(cfg Config) *Predictor {
+	p := new(Predictor)
+	p.Reset(cfg)
+	return p
+}
+
+// Reset makes p exactly the predictor New(cfg) would build: weakly taken
+// counters, an empty BTB, zero history and stats. Each table is reused
+// whenever its capacity covers the new geometry, so a pooled predictor is
+// rebuilt without allocating. Like New, it panics on an invalid
+// configuration.
+func (p *Predictor) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	p := &Predictor{
+	bimodal, gshare, meta, btb := p.bimodal, p.gshare, p.meta, p.btb
+	*p = Predictor{
 		cfg:     cfg,
-		bimodal: make([]uint8, cfg.BimodalEntries),
-		gshare:  make([]uint8, cfg.GshareEntries),
-		meta:    make([]uint8, cfg.MetaEntries),
+		bimodal: counters(bimodal, cfg.BimodalEntries),
+		gshare:  counters(gshare, cfg.GshareEntries),
+		meta:    counters(meta, cfg.MetaEntries),
 		histMsk: (1 << cfg.HistoryBits) - 1,
 		btbSets: cfg.BTBEntries / cfg.BTBWays,
 	}
-	// Weakly taken start state reduces cold-start noise.
-	for i := range p.bimodal {
-		p.bimodal[i] = 2
+	if cap(btb) >= cfg.BTBEntries {
+		p.btb = btb[:cfg.BTBEntries]
+		clear(p.btb)
+	} else {
+		p.btb = make([]btbEntry, cfg.BTBEntries)
 	}
-	for i := range p.gshare {
-		p.gshare[i] = 2
+}
+
+// counters returns a table of n 2-bit counters in the weakly taken start
+// state, which reduces cold-start noise, reusing buf when it is big enough.
+func counters(buf []uint8, n int) []uint8 {
+	if cap(buf) < n {
+		buf = make([]uint8, n)
 	}
-	for i := range p.meta {
-		p.meta[i] = 2
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = 2
 	}
-	p.btb = make([]btbEntry, cfg.BTBEntries)
-	return p
+	return buf
 }
 
 func (p *Predictor) bimodalIdx(pc uint64) int {

@@ -1,8 +1,11 @@
 package bpred
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
+
+	"dmdc/internal/checkpoint"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -218,5 +221,44 @@ func TestMispredictRateEmpty(t *testing.T) {
 	p := New(DefaultConfig())
 	if p.MispredictRate() != 0 {
 		t.Error("rate with no lookups should be 0")
+	}
+}
+
+// encodePredictor returns the checkpoint encoding of p's state.
+func encodePredictor(p *Predictor) []byte {
+	e := checkpoint.NewEncoder()
+	p.State(&e.Codec)
+	return e.Finish()
+}
+
+// A predictor reset after use, to a smaller geometry and back to a larger
+// one, must be exactly the predictor New builds: same state bytes and the
+// same predictions over the same branches.
+func TestResetMatchesNew(t *testing.T) {
+	small := Config{BimodalEntries: 512, GshareEntries: 1024, HistoryBits: 10, MetaEntries: 256, BTBEntries: 256, BTBWays: 2}
+	rng := rand.New(rand.NewSource(9))
+	pcs := make([]uint64, 20_000)
+	for i := range pcs {
+		pcs[i] = 0x40_0000 + uint64(rng.Intn(1<<16))*4
+	}
+	train := func(p *Predictor) {
+		for i, pc := range pcs {
+			pred := p.Predict(pc)
+			p.Update(pc, pred, i%3 != 0, pc+64)
+		}
+	}
+	reused := New(DefaultConfig())
+	for _, cfg := range []Config{small, DefaultConfig()} {
+		train(reused)
+		reused.Reset(cfg)
+		fresh := New(cfg)
+		if !bytes.Equal(encodePredictor(reused), encodePredictor(fresh)) {
+			t.Fatalf("%d-entry BTB: reset state differs from a new predictor", cfg.BTBEntries)
+		}
+		train(reused)
+		train(fresh)
+		if !bytes.Equal(encodePredictor(reused), encodePredictor(fresh)) {
+			t.Fatalf("%d-entry BTB: reset predictor trained differently from a new one", cfg.BTBEntries)
+		}
 	}
 }

@@ -86,10 +86,24 @@ type Cache struct {
 // before memory); memLatency is the cost of going to memory from this
 // level when next is nil.
 func New(cfg Config, next *Cache, memLatency int) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
+	c := new(Cache)
+	if err := c.Reset(cfg, next, memLatency); err != nil {
 		return nil, err
 	}
-	c := &Cache{
+	return c, nil
+}
+
+// Reset makes c exactly the level New(cfg, next, memLatency) would build:
+// every line invalid, the LRU clock and the counters zero. The line array
+// is reused whenever its capacity covers the new geometry, so a pooled
+// level is rebuilt without allocating. An invalid cfg is reported and
+// leaves c unchanged.
+func (c *Cache) Reset(cfg Config, next *Cache, memLatency int) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	sets := c.sets
+	*c = Cache{
 		cfg:        cfg,
 		nSets:      uint64(cfg.Sets()),
 		next:       next,
@@ -102,8 +116,13 @@ func New(cfg Config, next *Cache, memLatency int) (*Cache, error) {
 	for s := c.nSets; s > 1; s >>= 1 {
 		c.setShift++
 	}
-	c.sets = make([]line, int(c.nSets)*cfg.Ways)
-	return c, nil
+	if n := int(c.nSets) * cfg.Ways; cap(sets) >= n {
+		c.sets = sets[:n]
+		clear(c.sets)
+	} else {
+		c.sets = make([]line, n)
+	}
+	return nil
 }
 
 // MustNew is New but panics on error; for tests and static configs.
@@ -244,19 +263,28 @@ func DefaultHierarchyConfig() HierarchyConfig {
 
 // NewHierarchy builds the three-level hierarchy.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	l2, err := New(cfg.L2, nil, cfg.MemLatency)
-	if err != nil {
+	h := new(Hierarchy)
+	if err := h.Reset(cfg); err != nil {
 		return nil, err
 	}
-	l1i, err := New(cfg.L1I, l2, cfg.MemLatency)
-	if err != nil {
-		return nil, err
+	return h, nil
+}
+
+// Reset makes h exactly the hierarchy NewHierarchy(cfg) would build,
+// resetting each existing level in place (see Cache.Reset). After an
+// error h may be partly reset and must not be used until a Reset
+// succeeds.
+func (h *Hierarchy) Reset(cfg HierarchyConfig) error {
+	if h.L2 == nil {
+		h.L1I, h.L1D, h.L2 = new(Cache), new(Cache), new(Cache)
 	}
-	l1d, err := New(cfg.L1D, l2, cfg.MemLatency)
-	if err != nil {
-		return nil, err
+	if err := h.L2.Reset(cfg.L2, nil, cfg.MemLatency); err != nil {
+		return err
 	}
-	return &Hierarchy{L1I: l1i, L1D: l1d, L2: l2}, nil
+	if err := h.L1I.Reset(cfg.L1I, h.L2, cfg.MemLatency); err != nil {
+		return err
+	}
+	return h.L1D.Reset(cfg.L1D, h.L2, cfg.MemLatency)
 }
 
 // Invalidate purges a line from the data path (L1D and L2), modeling an

@@ -1,10 +1,13 @@
 package cache
 
 import (
+	"bytes"
 	"math/rand"
 	"strconv"
 	"testing"
 	"testing/quick"
+
+	"dmdc/internal/checkpoint"
 )
 
 func tiny() Config {
@@ -218,4 +221,57 @@ func TestStatsConsistencyRandom(t *testing.T) {
 	if c.MissRate() < 0 || c.MissRate() > 1 {
 		t.Errorf("miss rate out of range: %v", c.MissRate())
 	}
+}
+
+// encodeHierarchy returns the checkpoint encoding of h's state.
+func encodeHierarchy(h *Hierarchy) []byte {
+	e := checkpoint.NewEncoder()
+	h.State(&e.Codec)
+	return e.Finish()
+}
+
+// A hierarchy reset after use, to a smaller geometry and back to a larger
+// one, must be exactly the hierarchy NewHierarchy builds: same state bytes,
+// same latencies and counters over the same accesses.
+func TestResetMatchesNew(t *testing.T) {
+	small := DefaultHierarchyConfig()
+	small.L2 = Config{Name: "l2", SizeB: 64 << 10, Ways: 4, LineB: 64, Latency: 9}
+	small.MemLatency = 80
+	rng := rand.New(rand.NewSource(5))
+	addrs := make([]uint64, 20_000)
+	for i := range addrs {
+		addrs[i] = uint64(rng.Intn(4 << 20))
+	}
+	reused := mustHierarchy(t, DefaultHierarchyConfig())
+	for _, cfg := range []HierarchyConfig{small, DefaultHierarchyConfig()} {
+		for i, a := range addrs {
+			reused.L1D.Access(a, i%3 == 0)
+			reused.L1I.Access(a/2, false)
+		}
+		if err := reused.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		fresh := mustHierarchy(t, cfg)
+		if !bytes.Equal(encodeHierarchy(reused), encodeHierarchy(fresh)) {
+			t.Fatalf("L2 %d KB: reset state differs from a new hierarchy", cfg.L2.SizeB>>10)
+		}
+		for i, a := range addrs {
+			if got, want := reused.L1D.Access(a, i%3 == 0), fresh.L1D.Access(a, i%3 == 0); got != want {
+				t.Fatalf("L2 %d KB, access %d: latency %d after reset, %d fresh", cfg.L2.SizeB>>10, i, got, want)
+			}
+		}
+		if !bytes.Equal(encodeHierarchy(reused), encodeHierarchy(fresh)) {
+			t.Fatalf("L2 %d KB: reset hierarchy ran differently from a new one", cfg.L2.SizeB>>10)
+		}
+	}
+}
+
+// mustHierarchy builds a hierarchy or fails the test.
+func mustHierarchy(t *testing.T, cfg HierarchyConfig) *Hierarchy {
+	t.Helper()
+	h, err := NewHierarchy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }

@@ -433,8 +433,13 @@ type Encoder struct {
 }
 
 // NewEncoder returns an encoder with the frame header reserved.
-func NewEncoder() *Encoder {
-	return &Encoder{Codec{buf: make([]byte, headerSize, 4096)}}
+func NewEncoder() *Encoder { return NewEncoderSize(0) }
+
+// NewEncoderSize is NewEncoder with room for a size-byte checkpoint before
+// the buffer grows: a caller that knows the length of a previous save of
+// the same state sizes the next one exactly.
+func NewEncoderSize(size int) *Encoder {
+	return &Encoder{Codec{buf: make([]byte, headerSize, max(size, 4096))}}
 }
 
 // Finish seals the frame and returns the complete checkpoint bytes. The

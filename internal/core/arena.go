@@ -3,8 +3,13 @@ package core
 import (
 	"sync"
 
+	"dmdc/internal/bpred"
+	"dmdc/internal/cache"
+	"dmdc/internal/config"
 	"dmdc/internal/isa"
 	"dmdc/internal/lsq"
+	"dmdc/internal/trace"
+	"dmdc/internal/xrand"
 )
 
 // wheelSlotCap is the event capacity preallocated for each wheel slot. The
@@ -14,12 +19,17 @@ import (
 // Eight events covers a full issue width of same-cycle completions.
 const wheelSlotCap = 8
 
-// An Arena owns every per-run hot backing array of a Sim — the ROB
-// struct-of-arrays halves, the MemOp arena, the event wheel, and the
-// scheduler and fetch queues. Passing one to NewWithWorkload via WithArena
-// lets consecutive runs reuse the storage: the arrays are reset (lengths
-// zeroed, capacities kept), never freed, so a warmed arena makes a run
-// allocation-free on these structures.
+// An Arena owns every per-run table a Sim builds. The hot backing arrays
+// are the ROB struct-of-arrays halves, the MemOp arena, the event wheel,
+// and the scheduler and fetch queues; the state tables are the cache
+// hierarchy, the branch predictor, the invalidation RNG and, for a Sim
+// built by New, the trace generator with its committed-path and
+// wrong-path RNGs. Passing one to New or NewWithWorkload via WithArena
+// lets consecutive runs reuse the storage: arrays are reset (lengths
+// zeroed, capacities kept) and tables rebuilt in place through the Reset
+// paths their constructors use, never freed, so a warmed arena makes a
+// run allocation-free on all of them and bit-identical to one on fresh
+// allocations.
 //
 // An Arena is exclusive to one live Sim at a time. Handing the same arena
 // to a second Sim while the first may still step corrupts both. Callers
@@ -47,10 +57,16 @@ type Arena struct {
 	fetchQMeta    []fetchMeta
 	replayQ       []isa.Inst
 	squashScratch []isa.Inst
+
+	// State tables: ensure rebuilds mem, bp and invRng; New rebuilds gen.
+	mem    cache.Hierarchy
+	bp     bpred.Predictor
+	invRng xrand.Rand
+	gen    trace.Generator
 }
 
 // NewArena returns an empty arena; the first Sim built on it sizes the
-// arrays for its machine configuration.
+// arrays and tables for its machine configuration and profile.
 func NewArena() *Arena {
 	return &Arena{}
 }
@@ -68,20 +84,27 @@ func PooledArena() *Arena { return arenaPool.Get().(*Arena) }
 // Release returns a to the pool for the next run.
 func (a *Arena) Release() { arenaPool.Put(a) }
 
-// WithArena makes the Sim draw its hot per-run storage from a instead of
-// allocating fresh arrays. See Arena for the exclusivity contract.
+// WithArena makes the Sim draw its per-run storage and tables from a
+// instead of allocating fresh ones. See Arena for the exclusivity contract.
 func WithArena(a *Arena) Option {
 	return func(s *Sim) {
 		s.arena = a
 	}
 }
 
-// ensure sizes the fixed arrays for a ROB of robSize slots and resets
-// every queue to empty. Stale contents are left in place: a Sim never
-// reads a ROB slot or queue entry it has not (re)initialized this run, so
-// reuse stays bit-identical to a fresh allocation — TestArenaReuseDeterminism
-// pins that.
-func (a *Arena) ensure(robSize int) {
+// ensure sizes the fixed arrays for cfg's ROB, resets every queue to
+// empty, and rebuilds the cache hierarchy and predictor for cfg and the
+// invalidation RNG from invSeed. Stale array contents are left in place:
+// a Sim never reads a ROB slot or queue entry it has not (re)initialized
+// this run, so reuse stays bit-identical to a fresh allocation —
+// TestArenaReuseDeterminism pins that. The tables are reset in full.
+func (a *Arena) ensure(cfg config.Machine, invSeed int64) error {
+	if err := a.mem.Reset(cfg.Memory); err != nil {
+		return err
+	}
+	a.bp.Reset(cfg.BPred)
+	a.invRng.Seed(invSeed)
+	robSize := cfg.ROBSize
 	if cap(a.robHot) < robSize {
 		// The three ROB halves are allocated together and only here, so one
 		// capacity check covers all of them.
@@ -133,10 +156,14 @@ func (a *Arena) ensure(robSize int) {
 	a.fetchQMeta = a.fetchQMeta[:0]
 	a.replayQ = a.replayQ[:0]
 	a.squashScratch = a.squashScratch[:0]
+	return nil
 }
 
-// attach points the Sim's hot storage at the arena's arrays.
+// attach points the Sim's hot storage and tables at the arena's.
 func (a *Arena) attach(s *Sim) {
+	s.mem = &a.mem
+	s.bp = &a.bp
+	s.invRng = &a.invRng
 	s.robHot = a.robHot
 	s.robData = a.robData
 	s.memOps = a.memOps

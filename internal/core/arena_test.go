@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"dmdc/internal/config"
@@ -134,6 +136,159 @@ func TestArenaReuseDeterminismUnderFaults(t *testing.T) {
 	got := run(a)
 	if got.Cycles != want.Cycles || got.Stats.String() != want.Stats.String() {
 		t.Fatalf("faulted arena rerun diverged: got %d cycles, want %d", got.Cycles, want.Cycles)
+	}
+}
+
+// arenaCell is one simulation an arena-reuse test runs: a machine, a
+// benchmark, one of ckptSim's policy kinds, and an invalidation rate per
+// 1000 cycles (0: none).
+type arenaCell struct {
+	machine    config.Machine
+	bench, pol string
+	inval      float64
+}
+
+func (c arenaCell) String() string { return c.bench + "/" + c.machine.Name + "/" + c.pol }
+
+// sim builds the cell's Sim, on arena a when a is non-nil.
+func (c arenaCell) sim(a *Arena) (*Sim, error) {
+	var opts []Option
+	if c.inval > 0 {
+		opts = append(opts, WithInvalidations(c.inval))
+	}
+	if a != nil {
+		opts = append(opts, WithArena(a))
+	}
+	return newPolicySim(c.machine, c.bench, c.pol, opts...)
+}
+
+// runAndSave runs s for n more committed instructions and returns the
+// result's fingerprint and a checkpoint of the state it ends in.
+func runAndSave(t *testing.T, s *Sim, n uint64) (string, []byte) {
+	t.Helper()
+	r, err := s.RunContext(context.Background(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := s.SaveCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fingerprint(t, r), blob
+}
+
+// One arena driven through machines whose ROBs grow and shrink, through
+// other profiles, policies and options, and then into a restore, must
+// reproduce every fresh-arena Result and checkpoint byte: each table a Sim
+// takes from the arena (ROB, queues, caches, predictor, generator, RNGs)
+// is rebuilt exactly as a fresh one is built.
+func TestArenaReuseAcrossMachines(t *testing.T) {
+	const n = 8_000
+	cells := []arenaCell{
+		{config.IQPressure(), "gcc", "dmdc", 0},
+		{config.Config3(), "swim", "yla", 0},
+		{config.Config1(), "perlbmk", "valuebased", 0},
+		{config.Config2(), "gcc", "dmdc", 5},
+	}
+	build := func(c arenaCell, a *Arena) *Sim {
+		t.Helper()
+		s, err := c.sim(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	check := func(what string, fresh, reused func() (string, []byte)) {
+		t.Helper()
+		wantRes, wantBlob := fresh()
+		gotRes, gotBlob := reused()
+		if gotRes != wantRes {
+			t.Fatalf("%s on a reused arena: result diverged:\ngot  %s\nwant %s", what, gotRes, wantRes)
+		}
+		if !bytes.Equal(gotBlob, wantBlob) {
+			t.Fatalf("%s on a reused arena: checkpoint diverged (%d vs %d bytes)", what, len(gotBlob), len(wantBlob))
+		}
+	}
+	a := NewArena()
+	for _, c := range cells {
+		check(c.String(),
+			func() (string, []byte) { return runAndSave(t, build(c, nil), n) },
+			func() (string, []byte) { return runAndSave(t, build(c, a), n) })
+	}
+	// Restore a gcc/config2 checkpoint into the arena the sequence left
+	// behind, whose generator has followed wrong paths.
+	last := cells[len(cells)-1]
+	_, blob := runAndSave(t, build(last, nil), 13_000)
+	restored := func(a *Arena) func() (string, []byte) {
+		return func() (string, []byte) {
+			s := build(last, a)
+			if err := s.RestoreCheckpoint(blob); err != nil {
+				t.Fatal(err)
+			}
+			return runAndSave(t, s, n)
+		}
+	}
+	check("restored "+last.String(), restored(nil), restored(a))
+}
+
+// Pooled cells of alternating machines, run from several goroutines at
+// once, must each reproduce their serial fresh-arena result: the pool
+// hands each arena to one Sim at a time. `make race` runs this under the
+// race detector (it covers ./internal/core/... in -short mode).
+func TestPooledArenaConcurrentCells(t *testing.T) {
+	const n = 3_000
+	cells := []arenaCell{
+		{config.Config1(), "gcc", "dmdc", 0},
+		{config.Config3(), "swim", "cam", 0},
+		{config.IQPressure(), "perlbmk", "valuebased", 0},
+		{config.Config2(), "gzip", "yla", 5},
+	}
+	run := func(c arenaCell, a *Arena) (*Result, error) {
+		s, err := c.sim(a)
+		if err != nil {
+			return nil, err
+		}
+		return s.RunContext(context.Background(), n)
+	}
+	want := make([]string, len(cells))
+	for i, c := range cells {
+		r, err := run(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = fingerprint(t, r)
+	}
+	const workers, rounds = 4, 2
+	got := make([][]*Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < rounds*len(cells); k++ {
+				a := PooledArena()
+				r, err := run(cells[(w+k)%len(cells)], a)
+				a.Release()
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				got[w] = append(got[w], r)
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		for k, r := range got[w] {
+			i := (w + k) % len(cells)
+			if g := fingerprint(t, r); g != want[i] {
+				t.Fatalf("worker %d, run %d (%s): pooled result diverged:\ngot  %s\nwant %s", w, k, cells[i], g, want[i])
+			}
+		}
 	}
 }
 

@@ -72,15 +72,19 @@ func (s *Sim) checkpointable() error {
 
 // SaveCheckpoint serializes the simulation's complete state — pipeline,
 // predictor, caches, energy accumulators, workload generator, and policy —
-// into a self-validating checkpoint record. The Sim is not modified; a
-// run continued after a save is byte-identical to one never saved.
+// into a self-validating checkpoint record. The simulated state is not
+// modified; a run continued after a save is byte-identical to one never
+// saved. The Sim only remembers the record's length, so a repeat save
+// encodes into one buffer of that size instead of growing one.
 func (s *Sim) SaveCheckpoint() ([]byte, error) {
 	if err := s.checkpointable(); err != nil {
 		return nil, err
 	}
-	e := checkpoint.NewEncoder()
+	e := checkpoint.NewEncoderSize(s.lastSave)
 	s.state(&e.Codec)
-	return e.Finish(), nil
+	blob := e.Finish()
+	s.lastSave = len(blob)
+	return blob, nil
 }
 
 // RestoreCheckpoint loads a checkpoint into a freshly constructed Sim.

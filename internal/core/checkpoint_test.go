@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -20,10 +21,25 @@ import (
 // one of the policy families the checkpoint format must cover.
 func ckptSim(t testing.TB, bench, polKind string) *Sim {
 	t.Helper()
-	cfg := config.Config1()
+	return policySim(t, config.Config1(), bench, polKind)
+}
+
+// policySim builds a fresh pipeline of machine cfg over a generated
+// benchmark with one of ckptSim's policy kinds.
+func policySim(t testing.TB, cfg config.Machine, bench, polKind string, opts ...Option) *Sim {
+	t.Helper()
+	s, err := newPolicySim(cfg, bench, polKind, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// newPolicySim is policySim for callers off the test goroutine.
+func newPolicySim(cfg config.Machine, bench, polKind string, opts ...Option) (*Sim, error) {
 	prof, err := trace.ByName(bench)
 	if err != nil {
-		t.Fatalf("profile %q: %v", bench, err)
+		return nil, err
 	}
 	em := energy.NewModel(cfg.CoreSize())
 	var pol lsq.Policy
@@ -50,16 +66,12 @@ func ckptSim(t testing.TB, bench, polKind string) *Sim {
 		dc.QueueSize = 16
 		pol, err = lsq.NewDMDC(dc, em)
 	default:
-		t.Fatalf("unknown policy kind %q", polKind)
+		return nil, fmt.Errorf("unknown policy kind %q", polKind)
 	}
 	if err != nil {
-		t.Fatalf("policy %q: %v", polKind, err)
+		return nil, fmt.Errorf("policy %q: %w", polKind, err)
 	}
-	s, err := New(cfg, prof, pol, em)
-	if err != nil {
-		t.Fatalf("core.New: %v", err)
-	}
-	return s
+	return New(cfg, prof, pol, em, opts...)
 }
 
 func fingerprint(t testing.TB, r *Result) string {

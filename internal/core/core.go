@@ -14,7 +14,6 @@ package core
 
 import (
 	"context"
-	"dmdc/internal/xrand"
 	"fmt"
 
 	"dmdc/internal/bpred"
@@ -27,6 +26,7 @@ import (
 	"dmdc/internal/stats"
 	"dmdc/internal/telemetry"
 	"dmdc/internal/trace"
+	"dmdc/internal/xrand"
 )
 
 // entry states.
@@ -165,9 +165,10 @@ type Sim struct {
 	count   int
 	headAge uint64
 
-	// arena, when set via WithArena, owns the backing arrays above plus the
-	// scheduler and fetch queues; RunContext writes regrown queue headers
-	// back to it so the next run reuses them.
+	// arena, when set via WithArena, owns the backing arrays above, the
+	// scheduler and fetch queues, and the per-run tables (bp, mem, invRng
+	// and, for a New-built Sim, the generator behind wl); RunContext
+	// writes regrown queue headers back to it so the next run reuses them.
 	arena *Arena
 
 	// poisoned records the first error a run ended with. A failed run
@@ -290,6 +291,11 @@ type Sim struct {
 	costROB, costRename, costRegfile  float64
 	costIQ, costBPred                 float64
 	costL1I, costL1D, costL2, costALU float64
+
+	// lastSave is the length of the last SaveCheckpoint record, which
+	// sizes the next save's buffer. It is cold, so it sits after the
+	// per-cycle fields.
+	lastSave int
 }
 
 // wheelEv is one scheduled completion on the event wheel.
@@ -314,33 +320,34 @@ const wheelSize = 512
 // prof. The policy and energy model are supplied by the caller so
 // experiments can wire any combination (pass energy.Disabled() to skip
 // accounting). Errors report invalid machine configurations or fault
-// specs; MustSim unwraps the pair where inputs are static.
+// specs; MustSim unwraps the pair where inputs are static. On an arena
+// (WithArena), the generator is the arena's, reset for prof.
 func New(cfg config.Machine, prof trace.Profile, pol lsq.Policy, em *energy.Model, opts ...Option) (*Sim, error) {
-	return NewWithWorkload(cfg, FromGenerator(trace.NewGenerator(prof)), pol, em, opts...)
+	return build(cfg, nil, &prof, pol, em, opts)
 }
 
 // NewWithWorkload builds a simulator over any Workload — a recorded trace
 // file, a hand-written stream, or the synthetic generator.
 func NewWithWorkload(cfg config.Machine, wl Workload, pol lsq.Policy, em *energy.Model, opts ...Option) (*Sim, error) {
+	return build(cfg, wl, nil, pol, em, opts)
+}
+
+// build is New (prof set) and NewWithWorkload (wl set). The per-run
+// tables come from the arena, which the options may supply, so they are
+// reset only after every option has run.
+func build(cfg config.Machine, wl Workload, prof *trace.Profile, pol lsq.Policy, em *energy.Model, opts []Option) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid machine config: %w", err)
-	}
-	hier, err := cache.NewHierarchy(cfg.Memory)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
 	}
 	s := &Sim{
 		cfg:            cfg,
 		wl:             wl,
 		pol:            pol,
 		em:             em,
-		bp:             bpred.New(cfg.BPred),
-		mem:            hier,
 		nextAge:        1,
 		headAge:        1,
 		freeInt:        cfg.IntRegs - isa.NumIntRegs,
 		freeFP:         cfg.FPRegs - isa.NumFPRegs,
-		invRng:         xrand.New(wl.Meta().Seed ^ 0x1234_5678),
 		cstats:         stats.NewSet(),
 		watchdogBudget: DefaultWatchdogBudget,
 	}
@@ -348,15 +355,21 @@ func NewWithWorkload(cfg config.Machine, wl Workload, pol lsq.Policy, em *energy
 	for _, opt := range opts {
 		opt(s)
 	}
-	// Per-run hot storage: drawn from the caller's arena when one was
-	// supplied (reset, not freed, between runs), from a private fresh
+	// Per-run storage and tables: drawn from the caller's arena when one
+	// was supplied (reset, not freed, between runs), from a private fresh
 	// arena otherwise — either way the wheel gets its flat preallocated
 	// slot backing.
 	a := s.arena
 	if a == nil {
 		a = NewArena()
 	}
-	a.ensure(cfg.ROBSize)
+	if prof != nil {
+		a.gen.Reset(*prof)
+		s.wl = FromGenerator(&a.gen)
+	}
+	if err := a.ensure(cfg, s.wl.Meta().Seed^0x1234_5678); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	a.attach(s)
 	if err := s.finishSoundness(); err != nil {
 		return nil, err

@@ -153,9 +153,14 @@ type Generator struct {
 	cur  int // current block
 	slot int
 
-	// Wrong-path stream reuse (see EnableWrongPathReuse).
+	// Wrong-path stream reuse (see EnableWrongPathReuse). wpRng is nil
+	// until the first reused stream; wpSpare keeps the rand state a Reset
+	// detached, so the next stream reseeds it instead of allocating while
+	// the reset generator still checkpoints as one that never had a
+	// stream.
 	wpReuse   bool
 	wpRng     *xrand.Rand
+	wpSpare   *xrand.Rand
 	wpScratch WrongStream
 
 	// Register dataflow state.
@@ -193,18 +198,41 @@ type memRef struct {
 // profile: profiles are static experiment inputs, so this is a programming
 // error, not a runtime condition.
 func NewGenerator(p Profile) *Generator {
+	g := new(Generator)
+	g.Reset(p)
+	return g
+}
+
+// Reset makes g exactly the generator NewGenerator(p) would build, with
+// wrong-path reuse off. The block copy, the stream tables and both rand
+// states are reused whenever their capacity covers the new profile, so a
+// pooled generator is rebuilt without allocating. Like NewGenerator, it
+// panics on an invalid profile.
+func (g *Generator) Reset(p Profile) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	g := &Generator{
+	spare := g.wpSpare
+	if g.wpRng != nil {
+		spare = g.wpRng
+	}
+	*g = Generator{
 		prof:         p,
-		rng:          xrand.New(p.Seed),
+		blocks:       g.blocks[:0],
+		rng:          g.rng,
+		wpSpare:      spare,
 		cut:          newDrawCuts(p),
-		regionBytes:  uint64(p.WorkingSetKB) * 1024,
 		nextIntDest:  8,
 		nextFPDest:   isa.NumIntRegs + 8,
 		lastLoadDest: 8,
+		regionBytes:  uint64(p.WorkingSetKB) * 1024,
+		seqPtrs:      g.seqPtrs[:0],
+		seqStrides:   g.seqStrides[:0],
 	}
+	if g.rng == nil {
+		g.rng = new(xrand.Rand)
+	}
+	g.rng.Seed(p.Seed)
 	// The static CFG is a pure function of the profile, built from its own
 	// RNG (seeded p.Seed^0x5eed_b10c, never touching g.rng), so it is
 	// cached per profile and shared. Each generator gets its own []block
@@ -215,7 +243,7 @@ func NewGenerator(p Profile) *Generator {
 	// practice.
 	if tpl, ok := cfgCache.Load(p); ok {
 		t := tpl.(*cfgTemplate)
-		g.blocks = append([]block(nil), t.blocks...)
+		g.blocks = append(g.blocks, t.blocks...)
 		g.pcToBlock = t.pcToBlock
 	} else {
 		g.pcToBlock = make(map[uint64]int)
@@ -240,7 +268,6 @@ func NewGenerator(p Profile) *Generator {
 	for i := range g.storeRing {
 		g.storeRing[i] = memRef{addr: dataBase, size: 8, src1: 1}
 	}
-	return g
 }
 
 // cfgTemplate is the immutable product of buildCFG for one profile: block
@@ -780,13 +807,21 @@ func (g *Generator) WrongPath(branchPC uint64, taken bool, salt uint64) *WrongSt
 	if !g.wpReuse {
 		return &WrongStream{g: g, rng: xrand.New(seed), cur: next}
 	}
-	if g.wpRng == nil {
-		g.wpRng = xrand.New(seed)
-	} else {
-		g.wpRng.Seed(seed)
-	}
+	g.attachWP().Seed(seed)
 	g.wpScratch = WrongStream{g: g, rng: g.wpRng, cur: next}
 	return &g.wpScratch
+}
+
+// attachWP returns the reused wrong-path rand state, taking the spare (or
+// a new one) if none is attached. Its contents are for the caller to set.
+func (g *Generator) attachWP() *xrand.Rand {
+	if g.wpRng == nil {
+		g.wpRng, g.wpSpare = g.wpSpare, nil
+		if g.wpRng == nil {
+			g.wpRng = new(xrand.Rand)
+		}
+	}
+	return g.wpRng
 }
 
 // Next returns the next wrong-path instruction. Branch direction fields on

@@ -13,7 +13,10 @@
 // from the profile seed.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Class groups benchmarks the way the paper reports them.
 type Class int
@@ -211,11 +214,19 @@ func baseFP(name string, seed int64) Profile {
 }
 
 // Profiles returns the 26 synthetic benchmarks standing in for SPEC
-// CPU2000: 12 integer and 14 floating point. The per-benchmark deltas are
-// tuned to spread behavior across the ranges the paper's "I-beams" show —
+// CPU2000: 12 integer and 14 floating point, as a fresh slice the caller
+// may modify.
+func Profiles() []Profile { return slices.Clone(catalog) }
+
+// catalog is the benchmark catalog, built once: ByName and Names run for
+// every cell and every served job.
+var catalog = buildCatalog()
+
+// buildCatalog lays out the catalog. The per-benchmark deltas are tuned to
+// spread behavior across the ranges the paper's "I-beams" show —
 // working-set size (cache behavior), branch entropy (window utilization),
 // aliasing (replay pressure), and address readiness (memory issue order).
-func Profiles() []Profile {
+func buildCatalog() []Profile {
 	mk := func(base Profile, mut func(*Profile)) Profile {
 		mut(&base)
 		return base
@@ -387,7 +398,7 @@ func Profiles() []Profile {
 // ByClass returns only the profiles of class c, in suite order.
 func ByClass(c Class) []Profile {
 	var out []Profile
-	for _, p := range Profiles() {
+	for _, p := range catalog {
 		if p.Class == c {
 			out = append(out, p)
 		}
@@ -397,7 +408,7 @@ func ByClass(c Class) []Profile {
 
 // ByName returns the named profile, or an error listing valid names.
 func ByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
+	for _, p := range catalog {
 		if p.Name == name {
 			return p, nil
 		}
@@ -407,9 +418,8 @@ func ByName(name string) (Profile, error) {
 
 // Names returns all benchmark names in suite order.
 func Names() []string {
-	ps := Profiles()
-	out := make([]string, len(ps))
-	for i, p := range ps {
+	out := make([]string, len(catalog))
+	for i, p := range catalog {
 		out[i] = p.Name
 	}
 	return out

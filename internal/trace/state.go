@@ -3,7 +3,6 @@ package trace
 import (
 	"dmdc/internal/checkpoint"
 	"dmdc/internal/isa"
-	"dmdc/internal/xrand"
 )
 
 // State visits the generator's complete dynamic state: the RNGs, the CFG
@@ -23,15 +22,14 @@ func (g *Generator) State(c *checkpoint.Codec) {
 	switch {
 	case hasWP:
 		if g.wpRng == nil {
-			g.wpRng = xrand.New(0)
-			g.wpScratch = WrongStream{g: g, rng: g.wpRng}
+			g.wpScratch = WrongStream{g: g, rng: g.attachWP()}
 		}
 		c.Rand(g.wpRng)
 		c.Int(&g.wpScratch.cur)
 		c.Int(&g.wpScratch.slot)
 		g.blockPos(c, g.wpScratch.cur, g.wpScratch.slot)
-	case c.Decoding():
-		g.wpRng, g.wpScratch = nil, WrongStream{}
+	case c.Decoding() && g.wpRng != nil:
+		g.wpSpare, g.wpRng, g.wpScratch = g.wpRng, nil, WrongStream{}
 	}
 	for i := range g.blocks {
 		site := &g.blocks[i].site

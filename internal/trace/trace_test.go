@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"bytes"
 	"testing"
 
+	"dmdc/internal/checkpoint"
 	"dmdc/internal/isa"
 )
 
@@ -365,4 +367,70 @@ func TestAddressReadiness(t *testing.T) {
 	if frac < p.AddrReadyFrac*0.7 || frac > p.AddrReadyFrac*1.2+0.05 {
 		t.Errorf("base-register address fraction %.3f vs profile %.3f", frac, p.AddrReadyFrac)
 	}
+}
+
+// encodeGenerator returns the checkpoint encoding of g's state.
+func encodeGenerator(g *Generator) []byte {
+	e := checkpoint.NewEncoder()
+	g.State(&e.Codec)
+	return e.Finish()
+}
+
+// A generator reset after following wrong paths must be exactly the
+// generator NewGenerator builds for the new profile: it checkpoints as one
+// that never had a wrong-path stream, and with reuse enabled it yields the
+// same committed and wrong-path instructions.
+func TestResetMatchesNewGenerator(t *testing.T) {
+	reused := NewGenerator(mustProfile(t, "swim"))
+	for _, name := range []string{"gcc", "swim", "gcc"} {
+		reused.EnableWrongPathReuse()
+		for i := 0; i < 3000; i++ {
+			if in := reused.Next(); in.Op.IsBranch() {
+				reused.WrongPath(in.PC, !in.Taken, uint64(i)).Next()
+			}
+		}
+		p := mustProfile(t, name)
+		reused.Reset(p)
+		fresh := NewGenerator(p)
+		if !bytes.Equal(encodeGenerator(reused), encodeGenerator(fresh)) {
+			t.Fatalf("%s: reset state differs from a new generator", name)
+		}
+		reused.EnableWrongPathReuse()
+		fresh.EnableWrongPathReuse()
+		for i := 0; i < 3000; i++ {
+			a, b := reused.Next(), fresh.Next()
+			if a != b {
+				t.Fatalf("%s: instruction %d after reset %+v, fresh %+v", name, i, a, b)
+			}
+			if a.Op.IsBranch() {
+				wa, wb := reused.WrongPath(a.PC, !a.Taken, uint64(i)), fresh.WrongPath(b.PC, !b.Taken, uint64(i))
+				for j := 0; j < 8; j++ {
+					if x, y := wa.Next(), wb.Next(); x != y {
+						t.Fatalf("%s: wrong-path instruction %d after reset %+v, fresh %+v", name, j, x, y)
+					}
+				}
+			}
+		}
+		if !bytes.Equal(encodeGenerator(reused), encodeGenerator(fresh)) {
+			t.Fatalf("%s: reset generator ran differently from a new one", name)
+		}
+	}
+}
+
+// Profiles hands out a copy: changing it leaves the catalog alone.
+func TestProfilesIsACopy(t *testing.T) {
+	ps := Profiles()
+	ps[0].Seed++
+	if p := mustProfile(t, ps[0].Name); p.Seed == ps[0].Seed {
+		t.Fatal("modifying Profiles' result changed the catalog")
+	}
+}
+
+func mustProfile(t *testing.T, name string) Profile {
+	t.Helper()
+	p, err := ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
