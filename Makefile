@@ -37,8 +37,11 @@
 #                    save/restore equivalence over the full golden matrix
 #                    and the mid-pipeline white-box states, the sampled
 #                    error-bound report, the distributed sampled run with a
-#                    mid-run server kill, and the 5M-instruction
-#                    sampled-vs-full speedup acceptance
+#                    mid-run server kill, the 5M-instruction
+#                    sampled-vs-full speedup acceptance, and warm
+#                    fast-forward's block handoff between its two
+#                    goroutines ten times over at one and two Ps (with one
+#                    P the pipeline must still make progress)
 #   make fuzz-short  90s split across the fuzz targets
 #   make bench-module  vet and test cmd/dmdcbench, a module of its own that
 #                    `go build ./...` and `go test ./...` never reach
@@ -117,12 +120,17 @@ fleet-check:
 # (TestCheckpointCodec*), the per-policy checkpoint byte pins, byte-exact
 # restore equivalence over the full golden matrix and the mid-pipeline
 # white-box states, the pinned sampled-vs-full error-bound report, and the
-# distributed sampled run with a mid-run server kill — all under -race —
-# then the 5M-instruction speedup acceptance without the race detector's
+# distributed sampled run with a mid-run server kill — all under -race.
+# Then warm fast-forward's pins and panic contract and the sampled
+# determinism check, ten times each at one and two Ps under -race, so the
+# race detector sees the block handoff between fast-forward's two
+# goroutines and a single P proves the pipeline still makes progress.
+# Last, the 5M-instruction speedup acceptance without the race detector's
 # timing skew.
 sample-check:
 	$(GO) test -race -count 1 -run 'TestCheckpoint|TestFastForward|TestSampled|TestDistributedSampled' \
 		. ./internal/checkpoint/ ./internal/core/ ./internal/experiments/ ./internal/dserve/
+	$(GO) test -race -count 10 -cpu 1,2 -run 'TestFastForward|TestSampledDeterminism' ./internal/core/ ./internal/experiments/
 	DMDC_SAMPLE_SPEEDUP=1 $(GO) test -count 1 -run 'TestSampledSpeedup' -v ./internal/experiments/
 
 # Whole-module coverage with a per-package summary; the total line is the

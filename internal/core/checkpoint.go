@@ -14,9 +14,12 @@ import (
 
 // CheckpointableWorkload is a Workload whose complete dynamic state can be
 // captured and restored. The synthetic trace generator implements it; a
-// workload that does not cannot be checkpointed (fail closed).
+// workload that does not cannot be checkpointed (fail closed). It batches,
+// so a fast-forward, which only checkpointable Sims run, can generate in
+// blocks.
 type CheckpointableWorkload interface {
 	Workload
+	Batcher
 	// State visits the workload's dynamic state (see checkpoint.Codec) and
 	// returns its live reusable wrong-path stream, or nil if none is live;
 	// after a decode, that is the restored pipeline's wrong-path source.
@@ -385,81 +388,4 @@ func (s *Sim) Snapshot() (*Result, error) {
 		return nil, err
 	}
 	return s.result(), nil
-}
-
-// FastForward advances the simulation n instructions functionally: the
-// workload, and optionally the caches, branch predictor, and the policy's
-// age filters, observe every instruction, but no detailed pipeline timing
-// happens — the clock advances nominally at one instruction per cycle.
-//
-// With warm=false only the workload position advances (pure skip); with
-// warm=true the long-lived microarchitectural state (I-cache, D-cache,
-// branch predictor, YLA registers) absorbs each instruction so a detailed
-// interval started from the resulting state begins with realistic
-// history. Energy is not accounted during fast-forward: a sampled run's
-// energy is meaningful only within measured intervals.
-//
-// FastForward requires an idle pipeline (it is meant for use between a
-// construction or restore and a detailed interval) and the same gating as
-// SaveCheckpoint, so a fast-forwarded simulation is always checkpointable.
-func (s *Sim) FastForward(n uint64, warm bool) error {
-	if err := s.checkpointable(); err != nil {
-		return err
-	}
-	if s.count != 0 || s.fetchQLen() != 0 || len(s.replayQ) != s.rqHead ||
-		s.wpActive || s.inflightLoads != 0 || len(s.sq) != 0 {
-		return fmt.Errorf("core: fast-forward requires an idle pipeline")
-	}
-	if n == 0 {
-		return nil
-	}
-	warmer, _ := s.pol.(lsq.Warmer)
-	var buf [64]isa.Inst
-	var lastPC uint64
-	remaining := n
-	for remaining > 0 {
-		var batch []isa.Inst
-		if s.wlBatch != nil {
-			want := uint64(len(buf))
-			if remaining < want {
-				want = remaining
-			}
-			k := s.wlBatch.NextBatch(buf[:want])
-			batch = buf[:k]
-		} else {
-			buf[0] = s.wl.Next()
-			batch = buf[:1]
-		}
-		for i := range batch {
-			in := &batch[i]
-			if warm {
-				s.mem.L1I.Access(in.PC, false)
-				switch {
-				case in.Op.IsBranch():
-					cp := s.bp.HistoryCheckpoint()
-					pred := s.bp.Predict(in.PC)
-					s.bp.Update(in.PC, pred, in.Taken, in.Target)
-					if pred.Taken != in.Taken {
-						s.bp.RestoreHistory(cp, in.Taken)
-					}
-				case in.Op.IsLoad():
-					s.mem.L1D.Access(in.Addr, false)
-					if warmer != nil {
-						warmer.WarmLoad(in.Addr, s.nextAge)
-					}
-				case in.Op.IsStore():
-					s.mem.L1D.Access(in.Addr, true)
-				}
-			}
-			s.nextAge++
-			s.committed++
-			s.cycle++
-			lastPC = in.PC
-			remaining--
-		}
-	}
-	s.headAge = s.nextAge
-	s.lastCommitCycle = s.cycle
-	s.lastGenPC = lastPC + 4
-	return nil
 }

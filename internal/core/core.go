@@ -293,9 +293,11 @@ type Sim struct {
 	costL1I, costL1D, costL2, costALU float64
 
 	// lastSave is the length of the last SaveCheckpoint record, which
-	// sizes the next save's buffer. It is cold, so it sits after the
-	// per-cycle fields.
+	// sizes the next save's buffer, and ffRing backs warm fast-forward's
+	// block ring (see fastforward.go), allocated on first use. Both are
+	// cold, so they sit after the per-cycle fields.
 	lastSave int
+	ffRing   []isa.Inst
 }
 
 // wheelEv is one scheduled completion on the event wheel.

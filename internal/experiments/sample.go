@@ -156,6 +156,7 @@ func RunSampled(ctx context.Context, sp SampleSpec) (*SampledResult, error) {
 	// Detailed intervals, sharded. Results land by index, so completion
 	// order cannot affect the aggregate.
 	results := make([]*core.Result, sp.Intervals)
+	refs := make([]string, sp.Intervals)
 	par := sp.Parallelism
 	if par <= 0 {
 		par = 4
@@ -163,6 +164,10 @@ func RunSampled(ctx context.Context, sp SampleSpec) (*SampledResult, error) {
 	sem := make(chan struct{}, par)
 	dispatch := func(i int, job JobSpec) {
 		defer wg.Done()
+		// Content-address the checkpoint here, off the functional pass.
+		sum := sha256.Sum256(job.Checkpoint)
+		job.CheckpointRef = hex.EncodeToString(sum[:])
+		refs[i] = job.CheckpointRef
 		select {
 		case sem <- struct{}{}:
 		case <-ctx.Done():
@@ -195,7 +200,6 @@ func RunSampled(ctx context.Context, sp SampleSpec) (*SampledResult, error) {
 	gap := period - sp.IntervalInsts
 	baselines := make([]*core.Result, sp.Intervals)
 	starts := make([]uint64, sp.Intervals)
-	refs := make([]string, sp.Intervals)
 	pass := func() error {
 		var pos uint64
 		for i := 0; i < sp.Intervals; i++ {
@@ -221,12 +225,10 @@ func RunSampled(ctx context.Context, sp SampleSpec) (*SampledResult, error) {
 			if err != nil {
 				return err
 			}
-			sum := sha256.Sum256(blob)
 			job := sp.Job
 			job.Insts = sp.IntervalInsts
 			job.Checkpoint = blob
-			job.CheckpointRef = hex.EncodeToString(sum[:])
-			baselines[i], starts[i], refs[i] = base, pos, job.CheckpointRef
+			baselines[i], starts[i] = base, pos
 			wg.Add(1)
 			go dispatch(i, job)
 			// Step functionally over the interval itself; the detailed replay
