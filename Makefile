@@ -18,7 +18,7 @@
 #                    api-check, soundness and alloc-gate targets below stay
 #                    as standalone shortcuts, not `check` sub-gates, and so
 #                    does fleet-check
-#   make api-check   just the API-surface comparison
+#   make api-check   just the API-surface comparison (TestAPISurfaceGolden)
 #   make chaos       kill/restart durability matrix under -race: SIGKILL a
 #                    real dmdcd mid-matrix with a journal on disk, restart,
 #                    prove zero lost / zero duplicated / byte-identical;
@@ -139,11 +139,12 @@ cover:
 	$(GO) test -coverprofile=cover.out -coverpkg=./... ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# The public API surface of package dmdc, pinned byte-for-byte. After an
-# intentional API change: `go run ./cmd/apicheck -update`, review the
-# api.txt diff, commit it.
+# The public API surface of package dmdc, pinned byte-for-byte by
+# TestAPISurfaceGolden. After an intentional API change:
+# `go test -run '^TestAPISurfaceGolden$$' -update .`, review the api.txt
+# diff, commit it.
 api-check:
-	$(GO) run ./cmd/apicheck
+	$(GO) test -count=1 -run '^TestAPISurfaceGolden$$' .
 
 # Allocation-budget gate: one pooled-arena simulation run, and one
 # checkpoint save and restore, must each stay within a fixed allocation

@@ -4,10 +4,9 @@ package dmdc_test
 // by internal/apigen, must match the committed api.txt byte for byte.
 // An intentional API change is re-pinned with:
 //
-//	go test -run API -update .
+//	go test -run '^TestAPISurfaceGolden$' -update .
 //
-// (or `go run ./cmd/apicheck -update`) and the api.txt diff is reviewed
-// like source.
+// and the api.txt diff is reviewed like source.
 
 import (
 	"os"
@@ -35,6 +34,6 @@ func TestAPISurfaceGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("exported API surface drifted from api.txt\n" +
-			"review the change, then `go run ./cmd/apicheck -update` and commit the diff")
+			"review the change, then `go test -run '^TestAPISurfaceGolden$' -update .` and commit the diff")
 	}
 }

@@ -166,8 +166,13 @@ func BenchmarkSimTelemetry(b *testing.B) {
 	var insts uint64
 	for i := 0; i < b.N; i++ {
 		sampler := dmdc.NewTelemetrySampler(dmdc.TelemetryConfig{})
-		res, err := simulate(dmdc.Config2(), "gcc", dmdc.PolicyBaseline, benchBudget,
-			dmdc.WithTelemetry(sampler))
+		res, err := dmdc.Run(context.Background(), dmdc.Request{
+			Machine:   dmdc.Config2(),
+			Benchmark: "gcc",
+			Policy:    dmdc.PolicyBaseline,
+			Insts:     benchBudget,
+			Telemetry: sampler,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -32,9 +32,7 @@ import (
 
 	"dmdc/internal/config"
 	"dmdc/internal/core"
-	"dmdc/internal/energy"
 	"dmdc/internal/experiments"
-	"dmdc/internal/lsq"
 	"dmdc/internal/soundness"
 	"dmdc/internal/telemetry"
 	"dmdc/internal/trace"
@@ -160,11 +158,8 @@ func (p PolicyKind) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// SimOption forwards core options (e.g. WithInvalidations).
-type SimOption = core.Option
-
 // FaultSpec describes a deterministic microarchitectural fault-injection
-// campaign (see WithFaults and ParseFaultSpec).
+// campaign (see Request.Faults and ParseFaultSpec).
 type FaultSpec = soundness.FaultSpec
 
 // SoundnessError reports the first architectural divergence caught by the
@@ -172,35 +167,12 @@ type FaultSpec = soundness.FaultSpec
 type SoundnessError = soundness.SoundnessError
 
 // WatchdogError reports a forward-progress stall, with a pipeline state
-// dump (see WithWatchdog).
+// dump (see Request.WatchdogCycles).
 type WatchdogError = soundness.WatchdogError
 
 // ParseFaultSpec parses the command-line fault-campaign syntax, e.g.
 // "invburst=8@50,storedelay=40@7,alias=4096,spurious=97".
 func ParseFaultSpec(s string) (FaultSpec, error) { return soundness.ParseFaultSpec(s) }
-
-// WithInvalidations injects external invalidations at the given rate per
-// 1000 cycles (the paper's Table 6 methodology).
-func WithInvalidations(ratePer1000 float64) SimOption {
-	return core.WithInvalidations(ratePer1000)
-}
-
-// WithSQFilter enables the Section 3 store-side age filter: loads older
-// than the oldest in-flight store skip the associative SQ search.
-func WithSQFilter() SimOption { return core.WithSQFilter() }
-
-// WithFaults enables the deterministic fault-injection campaign described
-// by spec. Faults perturb timing and checking state, never architectural
-// results, so a faulted Run with Verify set must still verify cleanly.
-func WithFaults(spec FaultSpec) SimOption { return core.WithFaults(spec) }
-
-// WithWatchdog fails the run with a *WatchdogError (including a pipeline
-// state dump) when no instruction commits for budget cycles.
-func WithWatchdog(budget uint64) SimOption { return core.WithWatchdog(budget) }
-
-// WithInvariantChecking sweeps the pipeline's structural invariants every
-// n cycles, failing the run with a *SoundnessError on the first violation.
-func WithInvariantChecking(n uint64) SimOption { return core.WithInvariantChecking(n) }
 
 // TelemetryConfig parameterizes a telemetry sampler (cycle stride, ring
 // capacity; zero fields take defaults).
@@ -208,35 +180,18 @@ type TelemetryConfig = telemetry.Config
 
 // TelemetrySampler records interval time series of pipeline state (IPC,
 // occupancies, replay rates, stall attribution, checking-table probes)
-// into a preallocated ring buffer; see NewTelemetrySampler/WithTelemetry.
+// into a preallocated ring buffer; see NewTelemetrySampler and
+// Request.Telemetry.
 type TelemetrySampler = telemetry.Sampler
 
 // TelemetrySnapshot is a consistent copy of a sampler's series with CSV,
 // JSON, and Chrome trace_event exporters.
 type TelemetrySnapshot = telemetry.Snapshot
 
-// NewTelemetrySampler builds a sampling engine to pass to WithTelemetry.
-// After the run, Snapshot() returns the time series; its WriteCSV,
-// WriteJSON, and WriteChromeTrace methods export it.
+// NewTelemetrySampler builds a sampling engine to set as
+// Request.Telemetry. After the run, Snapshot() returns the time series;
+// its WriteCSV, WriteJSON, and WriteChromeTrace methods export it.
 func NewTelemetrySampler(cfg TelemetryConfig) *TelemetrySampler { return telemetry.New(cfg) }
-
-// WithTelemetry attaches a sampling engine to the simulation. Telemetry is
-// strictly observational — an instrumented run commits cycle-for-cycle
-// identically to an uninstrumented one (pinned by the golden
-// observer-effect suite) — and costs a disabled run one nil test per cycle.
-func WithTelemetry(t *TelemetrySampler) SimOption { return core.WithTelemetry(t) }
-
-// newPolicy builds the load-queue policy for one simulation, through the
-// same canonical name→factory table the experiment harness and the dmdcd
-// server use (experiments.PolicyFactoryByName), so every entry point
-// constructs a named policy identically.
-func newPolicy(m Machine, kind PolicyKind, em *energy.Model) (lsq.Policy, error) {
-	f, err := experiments.PolicyFactoryByName(kind.String())
-	if err != nil {
-		return nil, fmt.Errorf("dmdc: unknown policy %v", kind)
-	}
-	return f(m, em)
-}
 
 // Request describes one simulation: which benchmark runs on which machine
 // under which load-queue policy, for how long, with which verification and
@@ -277,10 +232,12 @@ type Request struct {
 	// InvariantEvery sweeps the pipeline's structural invariants every
 	// this many cycles (0 disables the periodic sweep).
 	InvariantEvery uint64 `json:"invariant_every,omitempty"`
-	// Options carries additional core options — telemetry samplers,
-	// pipeline traces, monitors — that only make sense in-process; it is
+	// Telemetry attaches a sampling engine (see NewTelemetrySampler).
+	// Telemetry is strictly observational — an instrumented run commits
+	// cycle-for-cycle identically to an uninstrumented one (pinned by the
+	// golden observer-effect suite). It lives in this process, so it is
 	// not part of the JSON encoding.
-	Options []SimOption `json:"-"`
+	Telemetry *TelemetrySampler `json:"-"`
 }
 
 // normalized fills the documented defaults.
@@ -308,16 +265,11 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof, err := trace.ByName(req.Benchmark)
+	factory, err := experiments.PolicyFactoryByName(req.Policy.String())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dmdc: unknown policy %v", req.Policy)
 	}
-	em := energy.NewModel(req.Machine.CoreSize())
-	pol, err := newPolicy(req.Machine, req.Policy, em)
-	if err != nil {
-		return nil, err
-	}
-	opts := append([]SimOption{}, req.Options...)
+	var opts []core.Option
 	if req.Invalidations > 0 {
 		opts = append(opts, core.WithInvalidations(req.Invalidations))
 	}
@@ -333,16 +285,15 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	if req.InvariantEvery > 0 {
 		opts = append(opts, core.WithInvariantChecking(req.InvariantEvery))
 	}
-	if req.Verify {
-		opts = append(opts, core.WithOracle(core.FromGenerator(trace.NewGenerator(prof))))
+	if req.Telemetry != nil {
+		opts = append(opts, core.WithTelemetry(req.Telemetry))
 	}
-	// Each run draws its hot backing arrays (ROB, wheel, queues) from the
-	// process-wide arena pool: reset, not freed, between runs, so
-	// back-to-back simulations skip the per-run allocation.
+	// Each run draws its per-run storage and tables from the process-wide
+	// arena pool: reset, not freed, between runs, so back-to-back
+	// simulations skip the per-run allocation.
 	arena := core.PooledArena()
 	defer arena.Release()
-	opts = append(opts, core.WithArena(arena))
-	sim, err := core.New(req.Machine, prof, pol, em, opts...)
+	sim, err := experiments.NewCell(req.Machine, req.Benchmark, factory, req.Verify, arena, opts...)
 	if err != nil {
 		return nil, err
 	}

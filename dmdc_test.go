@@ -11,13 +11,12 @@ import (
 // simulate adapts the old positional call shape onto Run, the single
 // entry point. Tests that need the full Request (Verify, Faults, a live
 // context) call dmdc.Run directly.
-func simulate(m dmdc.Machine, bench string, k dmdc.PolicyKind, insts uint64, opts ...dmdc.SimOption) (*dmdc.Result, error) {
+func simulate(m dmdc.Machine, bench string, k dmdc.PolicyKind, insts uint64) (*dmdc.Result, error) {
 	return dmdc.Run(context.Background(), dmdc.Request{
 		Machine:   m,
 		Benchmark: bench,
 		Policy:    k,
 		Insts:     insts,
-		Options:   opts,
 	})
 }
 
@@ -80,8 +79,13 @@ func TestConfigAccessors(t *testing.T) {
 }
 
 func TestRunWithInvalidations(t *testing.T) {
-	r, err := simulate(dmdc.Config2(), "gcc", dmdc.PolicyDMDC, 20_000,
-		dmdc.WithInvalidations(50))
+	r, err := dmdc.Run(context.Background(), dmdc.Request{
+		Machine:       dmdc.Config2(),
+		Benchmark:     "gcc",
+		Policy:        dmdc.PolicyDMDC,
+		Insts:         20_000,
+		Invalidations: 50,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,15 +7,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
-	"dmdc/internal/config"
-	"dmdc/internal/core"
-	"dmdc/internal/energy"
-	"dmdc/internal/lsq"
-	"dmdc/internal/trace"
+	"dmdc"
 )
 
 func main() {
@@ -23,17 +20,21 @@ func main() {
 	if len(os.Args) > 1 {
 		bench = os.Args[1]
 	}
-	prof, err := trace.ByName(bench)
-	if err != nil {
-		log.Fatal(err)
-	}
-	machine := config.Config2()
+	machine := dmdc.Config2()
 	const insts = 500_000
+	run := func(policy dmdc.PolicyKind, invRate float64) *dmdc.Result {
+		r, err := dmdc.Run(context.Background(), dmdc.Request{
+			Machine: machine, Benchmark: bench, Policy: policy, Insts: insts,
+			Invalidations: invRate,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
+	}
 
 	// Baseline (no coherence modeled, as in the paper) for slowdown.
-	emB := energy.NewModel(machine.CoreSize())
-	base := core.MustSim(core.New(machine, prof,
-		lsq.Must(lsq.NewCAM(lsq.CAMConfig{LQSize: machine.LQSize}, emB)), emB)).MustRun(insts)
+	base := run(dmdc.PolicyBaseline, 0)
 
 	fmt.Printf("benchmark %s on %s, %d insts — DMDC under invalidation traffic\n\n",
 		bench, machine.Name, insts)
@@ -41,13 +42,7 @@ func main() {
 		"inv/1Kcyc", "injected", "% cyc checking", "false repl/M", "inv repl/M", "slow %")
 	var ref float64
 	for _, rate := range []float64{0, 1, 10, 100} {
-		em := energy.NewModel(machine.CoreSize())
-		pol := lsq.Must(lsq.NewDMDC(lsq.DefaultDMDCConfig(machine.CheckTable, machine.ROBSize), em))
-		var opts []core.Option
-		if rate > 0 {
-			opts = append(opts, core.WithInvalidations(rate))
-		}
-		r := core.MustSim(core.New(machine, prof, pol, em, opts...)).MustRun(insts)
+		r := run(dmdc.PolicyDMDC, rate)
 		chk := 100 * r.Stats.Get("checking_cycles") / r.Stats.Get("policy_cycles")
 		falseRepl := (r.Stats.Get("core_replays_total") -
 			r.Stats.Get("core_replay_true_violation")) / float64(r.Insts) * 1e6

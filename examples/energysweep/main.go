@@ -6,15 +6,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
-	"dmdc/internal/config"
-	"dmdc/internal/core"
+	"dmdc"
 	"dmdc/internal/energy"
-	"dmdc/internal/lsq"
-	"dmdc/internal/trace"
 )
 
 func main() {
@@ -23,27 +21,28 @@ func main() {
 		benches = os.Args[1:]
 	}
 	const insts = 400_000
+	run := func(machine dmdc.Machine, bench string, policy dmdc.PolicyKind) *dmdc.Result {
+		r, err := dmdc.Run(context.Background(), dmdc.Request{
+			Machine: machine, Benchmark: bench, Policy: policy, Insts: insts,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
+	}
 
 	fmt.Printf("%-10s %-8s %10s %10s %12s %12s %10s\n",
 		"config", "bench", "base IPC", "dmdc IPC", "LQ saved %", "net saved %", "slow %")
-	for _, machine := range config.All() {
+	for _, machine := range []dmdc.Machine{dmdc.Config1(), dmdc.Config2(), dmdc.Config3()} {
 		for _, bench := range benches {
-			prof, err := trace.ByName(bench)
-			if err != nil {
-				log.Fatal(err)
-			}
-			emB := energy.NewModel(machine.CoreSize())
-			base := core.MustSim(core.New(machine, prof,
-				lsq.Must(lsq.NewCAM(lsq.CAMConfig{LQSize: machine.LQSize}, emB)), emB)).MustRun(insts)
-			emD := energy.NewModel(machine.CoreSize())
-			dmdc := core.MustSim(core.New(machine, prof,
-				lsq.Must(lsq.NewDMDC(lsq.DefaultDMDCConfig(machine.CheckTable, machine.ROBSize), emD)), emD)).MustRun(insts)
+			base := run(machine, bench, dmdc.PolicyBaseline)
+			dm := run(machine, bench, dmdc.PolicyDMDC)
 
 			fmt.Printf("%-10s %-8s %10.2f %10.2f %12.1f %12.1f %10.2f\n",
-				machine.Name, bench, base.IPC(), dmdc.IPC(),
-				100*energy.Savings(base.Energy.LQEnergy(), dmdc.Energy.LQEnergy()),
-				100*energy.Savings(base.Energy.Total(), dmdc.Energy.Total()),
-				100*(float64(dmdc.Cycles)/float64(base.Cycles)-1))
+				machine.Name, bench, base.IPC(), dm.IPC(),
+				100*energy.Savings(base.Energy.LQEnergy(), dm.Energy.LQEnergy()),
+				100*energy.Savings(base.Energy.Total(), dm.Energy.Total()),
+				100*(float64(dm.Cycles)/float64(base.Cycles)-1))
 		}
 		fmt.Println()
 	}

@@ -1,42 +1,39 @@
 // Quickstart: simulate one benchmark twice — once with the conventional
 // associative load queue and once with DMDC — and compare performance and
 // energy. This is the two-minute tour of the library's public surface:
-// pick a machine (config), a workload (trace), a policy (lsq), and run it
-// on the pipeline (core).
+// describe each simulation as a dmdc.Request (machine, benchmark, policy,
+// budget) and run it with dmdc.Run.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"dmdc/internal/config"
-	"dmdc/internal/core"
+	"dmdc"
 	"dmdc/internal/energy"
-	"dmdc/internal/lsq"
-	"dmdc/internal/trace"
 )
 
 func main() {
-	machine := config.Config2()
-	prof, err := trace.ByName("gcc")
-	if err != nil {
-		log.Fatal(err)
-	}
+	machine := dmdc.Config2()
+	const bench = "gcc"
 	const insts = 500_000
+	run := func(policy dmdc.PolicyKind) *dmdc.Result {
+		r, err := dmdc.Run(context.Background(), dmdc.Request{
+			Machine: machine, Benchmark: bench, Policy: policy, Insts: insts,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
+	}
 
 	// Conventional: a fully associative LQ searched by every store.
-	emBase := energy.NewModel(machine.CoreSize())
-	baseline := core.MustSim(core.New(machine, prof,
-		lsq.Must(lsq.NewCAM(lsq.CAMConfig{LQSize: machine.LQSize}, emBase)), emBase))
-	rBase := baseline.MustRun(insts)
-
+	rBase := run(dmdc.PolicyBaseline)
 	// DMDC: YLA filtering + delayed checking through a 2K-entry hash table.
-	emDMDC := energy.NewModel(machine.CoreSize())
-	dmdc := core.MustSim(core.New(machine, prof,
-		lsq.Must(lsq.NewDMDC(lsq.DefaultDMDCConfig(machine.CheckTable, machine.ROBSize), emDMDC)), emDMDC))
-	rDMDC := dmdc.MustRun(insts)
+	rDMDC := run(dmdc.PolicyDMDC)
 
-	fmt.Printf("benchmark %s on %s, %d instructions\n\n", prof.Name, machine.Name, insts)
+	fmt.Printf("benchmark %s on %s, %d instructions\n\n", bench, machine.Name, insts)
 	fmt.Printf("%-22s %14s %14s\n", "", "conventional", "DMDC")
 	fmt.Printf("%-22s %14.3f %14.3f\n", "IPC", rBase.IPC(), rDMDC.IPC())
 	fmt.Printf("%-22s %14.0f %14.0f\n", "LQ energy", rBase.Energy.LQEnergy(), rDMDC.Energy.LQEnergy())

@@ -20,6 +20,7 @@ package dmdc_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -172,8 +173,13 @@ func TestGoldenTelemetryObserverEffect(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					sampler := dmdc.NewTelemetrySampler(dmdc.TelemetryConfig{Stride: 64})
-					r, err := simulate(cfg, bench, pol.kind, goldenInsts,
-						dmdc.WithTelemetry(sampler))
+					r, err := dmdc.Run(context.Background(), dmdc.Request{
+						Machine:   cfg,
+						Benchmark: bench,
+						Policy:    pol.kind,
+						Insts:     goldenInsts,
+						Telemetry: sampler,
+					})
 					if err != nil {
 						t.Fatalf("simulate: %v", err)
 					}

@@ -73,10 +73,13 @@ func (d *DetailResult) String() string {
 }
 
 // WriteCSV dumps every statistic of a run key's results as CSV: one row
-// per benchmark, one column per counter (the union across benchmarks,
-// sorted). For plotting and external analysis.
+// per benchmark, a fixed set of leading columns, then one column per
+// counter (the union across benchmarks, sorted). A counter named like a
+// fixed column (the "cycles" stat) is left out: the fixed column already
+// carries it. For plotting and external analysis.
 func (s *Suite) WriteCSV(w io.Writer, key string) error {
 	rs := s.get(key)[key]
+	fixed := []string{"benchmark", "class", "config", "policy", "cycles", "insts", "ipc", "energy_total", "energy_lq"}
 	cols := map[string]bool{}
 	for _, r := range rs {
 		if r == nil {
@@ -86,6 +89,9 @@ func (s *Suite) WriteCSV(w io.Writer, key string) error {
 			cols[name] = true
 		}
 	}
+	for _, name := range fixed {
+		delete(cols, name)
+	}
 	names := make([]string, 0, len(cols))
 	for name := range cols {
 		names = append(names, name)
@@ -93,7 +99,7 @@ func (s *Suite) WriteCSV(w io.Writer, key string) error {
 	sort.Strings(names)
 
 	cw := csv.NewWriter(w)
-	header := append([]string{"benchmark", "class", "config", "policy", "cycles", "insts", "ipc", "energy_total", "energy_lq"}, names...)
+	header := append(fixed, names...)
 	if err := cw.Write(header); err != nil {
 		return err
 	}
@@ -118,26 +124,4 @@ func (s *Suite) WriteCSV(w io.Writer, key string) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// RunKeys lists the run keys WriteCSV accepts, for CLI help.
-func RunKeys() []string {
-	keys := []string{keyMonitored, keyYLA, keyNoSafe(), keyAgeTable, keySQFilter, keyValueBased, keyValueSVW}
-	for _, cfg := range []string{"config1", "config2", "config3"} {
-		keys = append(keys, keyBase(cfg), keyGlobal(cfg), keyLocal(cfg))
-	}
-	for _, r := range InvRates {
-		keys = append(keys, keyInv(r))
-	}
-	for _, n := range QueueSizes {
-		keys = append(keys, keyQueue(n))
-	}
-	for _, n := range TableSweepSizes {
-		keys = append(keys, keyTableSize(n))
-	}
-	for _, n := range YLASweepCounts {
-		keys = append(keys, keyYLACount(n))
-	}
-	sort.Strings(keys)
-	return keys
 }

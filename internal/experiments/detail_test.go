@@ -47,6 +47,15 @@ func TestWriteCSV(t *testing.T) {
 	if header[0] != "benchmark" || header[1] != "class" {
 		t.Errorf("header wrong: %v", header[:4])
 	}
+	// Every column name is unique: a stat that shares a fixed column's
+	// name must not appear twice.
+	seen := map[string]bool{}
+	for _, h := range header {
+		if seen[h] {
+			t.Errorf("duplicate column %q in header %v", h, header)
+		}
+		seen[h] = true
+	}
 	// All rows have the header's width.
 	for i, rec := range records {
 		if len(rec) != len(header) {
@@ -81,5 +90,24 @@ func TestRunKeysComplete(t *testing.T) {
 			}()
 			s.specFor(k)
 		}()
+	}
+	// And the reverse: every key the full report runs is advertised.
+	s.Report()
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	advertised := map[string]bool{}
+	for _, k := range keys {
+		advertised[k] = true
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.results) == 0 {
+		t.Fatal("the report ran no keys")
+	}
+	for k := range s.results {
+		if !advertised[k] {
+			t.Errorf("the report ran key %q, which RunKeys does not list", k)
+		}
 	}
 }

@@ -49,31 +49,6 @@ func DMDCYLAFactory(regs int) PolicyFactory {
 	}
 }
 
-// extensionSpec materializes the extension run specs (resolveSpec defers
-// here for unknown keys).
-func extensionSpec(key string) (runSpec, bool) {
-	c2 := config.Config2()
-	for _, n := range TableSweepSizes {
-		if key == keyTableSize(n) {
-			return runSpec{key: key, machine: c2, factory: DMDCTableFactory(n)}, true
-		}
-	}
-	for _, n := range YLASweepCounts {
-		if key == keyYLACount(n) {
-			return runSpec{key: key, machine: c2, factory: DMDCYLAFactory(n)}, true
-		}
-	}
-	switch key {
-	case keySQFilter:
-		return runSpec{key: key, machine: c2, factory: BaselineFactory,
-			extraOpts: []core.Option{core.WithSQFilter()}}, true
-	case keyClampMonitors:
-		return runSpec{key: key, machine: c2, factory: BaselineFactory,
-			monitors: clampAblationMonitors}, true
-	}
-	return runSpec{}, false
-}
-
 // clampAblationMonitors pairs clamped and unclamped YLA monitors.
 func clampAblationMonitors() []lsq.Monitor {
 	var ms []lsq.Monitor

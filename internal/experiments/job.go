@@ -22,9 +22,9 @@ import (
 //
 //   - RunKey addresses a named experiment spec ("dmdc-global-config2",
 //     "monitored-baseline", "dmdc-table4096", ...). The key names code —
-//     the policy factory, monitor set, and injection options are
-//     reconstructed on the executing side by resolveSpec, and the machine
-//     configuration is pinned by the key itself.
+//     the policy factory, monitor set, and injection options are looked
+//     up on the executing side in the run-spec table (resolveSpec), and
+//     the machine configuration is pinned by the key itself.
 //   - Policy is a canonical policy name (see PolicyNames) applied to the
 //     Machine field.
 //
@@ -221,30 +221,49 @@ type execParams struct {
 	sampler   *telemetry.Sampler
 }
 
-// executeCell builds and runs one simulation. It is the single execution
-// path shared by the in-process matrix runner and ExecuteJob, so a job
-// shipped over the wire is constructed — option for option, in the same
-// order — exactly like a local run, which is what makes distributed
-// results byte-identical to local ones.
-func executeCell(ctx context.Context, sp runSpec, bench string, p execParams) (*core.Result, error) {
+// NewCell builds one simulation of bench on machine m: the benchmark's
+// profile, an energy model sized for the machine, the policy factory's
+// policy wired to that model, and the Sim. oracle attaches the lockstep
+// architectural oracle, fed by a second generator built from the same
+// profile; opts are the further core options (injection, monitors,
+// soundness checks, telemetry). A detailed run passes an arena from the
+// process-wide pool and releases it once the Sim will not step again; a
+// nil arena gives the Sim a fresh one of its own.
+//
+// It is the only place a cell is built — dmdc.Run, the matrix runner and
+// dmdcd jobs (executeCell), restored checkpoint intervals
+// (executeRestored) and the sampled-mode functional pass all call it — so
+// a job shipped over the wire is constructed exactly like a local run,
+// which is what makes distributed results byte-identical to local ones.
+func NewCell(m config.Machine, bench string, factory PolicyFactory, oracle bool, arena *core.Arena, opts ...core.Option) (*core.Sim, error) {
 	prof, err := trace.ByName(bench)
 	if err != nil {
 		return nil, err
 	}
-	em := energy.NewModel(sp.machine.CoreSize())
-	pol, err := sp.factory(sp.machine, em)
+	em := energy.NewModel(m.CoreSize())
+	pol, err := factory(m, em)
 	if err != nil {
 		return nil, err
 	}
-	opts := append([]core.Option{}, sp.extraOpts...)
-	if sp.invRate > 0 {
-		opts = append(opts, core.WithInvalidations(sp.invRate))
+	// Capped at its length, so the appends below copy rather than write
+	// into the caller's backing array.
+	opts = opts[:len(opts):len(opts)]
+	if oracle {
+		opts = append(opts, core.WithOracle(core.FromGenerator(trace.NewGenerator(prof))))
 	}
+	if arena != nil {
+		opts = append(opts, core.WithArena(arena))
+	}
+	return core.New(m, prof, pol, em, opts...)
+}
+
+// executeCell builds and runs one cell of the matrix or one wire job: the
+// spec's own options, then the run's verification, injection and
+// telemetry settings.
+func executeCell(ctx context.Context, sp runSpec, bench string, p execParams) (*core.Result, error) {
+	opts := append([]core.Option{}, sp.opts...)
 	if sp.monitors != nil {
 		opts = append(opts, core.WithMonitors(sp.monitors()...))
-	}
-	if p.soundness {
-		opts = append(opts, core.WithOracle(core.FromGenerator(trace.NewGenerator(prof))))
 	}
 	if !p.faults.Zero() {
 		opts = append(opts, core.WithFaults(p.faults))
@@ -257,8 +276,7 @@ func executeCell(ctx context.Context, sp runSpec, bench string, p execParams) (*
 	}
 	arena := core.PooledArena()
 	defer arena.Release()
-	opts = append(opts, core.WithArena(arena))
-	sim, err := core.New(sp.machine, prof, pol, em, opts...)
+	sim, err := NewCell(sp.machine, bench, sp.factory, p.soundness, arena, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -266,12 +284,12 @@ func executeCell(ctx context.Context, sp runSpec, bench string, p execParams) (*
 }
 
 // ExecuteJob runs one wire job to completion. It is the server-side
-// counterpart of Suite's in-process runner: the spec is validated,
-// materialized through the same resolveSpec/factory tables, and executed
-// through the same construction path, so the result is byte-identical to a
-// local run of the same cell. A panic anywhere inside the simulator is
-// returned as an error, never propagated — one bad job must not take down
-// a serving process.
+// counterpart of Suite's in-process runner: the spec is validated, its run
+// key looked up in the same run-spec table (or its policy in the same
+// factory table), and the cell built by the same NewCell, so the result is
+// byte-identical to a local run of the same cell. A panic anywhere inside
+// the simulator is returned as an error, never propagated — one bad job
+// must not take down a serving process.
 func ExecuteJob(ctx context.Context, j JobSpec) (*core.Result, error) {
 	return ExecuteJobWithSampler(ctx, j, nil)
 }
@@ -313,33 +331,23 @@ func ExecuteJobWithSampler(ctx context.Context, j JobSpec, sampler *telemetry.Sa
 	})
 }
 
-// executeRestored runs a checkpoint job: construct the cell exactly like
-// executeCell's policy path (minus every option the checkpoint format
-// refuses), verify the payload against its content address, restore, and
-// run the interval. The construction order matters — it mirrors the
-// scheduler that produced the checkpoint, so restored state lands in an
-// identically shaped simulation.
+// executeRestored runs a checkpoint job: verify the payload against its
+// content address, build the cell through NewCell like any policy job
+// (minus every option the checkpoint format refuses, so restored state
+// lands in a simulation shaped like the sampled pass that saved it),
+// restore, and run the interval.
 func executeRestored(ctx context.Context, j JobSpec) (*core.Result, error) {
 	sum := sha256.Sum256(j.Checkpoint)
 	if ref := hex.EncodeToString(sum[:]); ref != j.CheckpointRef {
 		return nil, fmt.Errorf("experiments: checkpoint payload hashes to %s, job says %s", ref, j.CheckpointRef)
 	}
-	prof, err := trace.ByName(j.Benchmark)
-	if err != nil {
-		return nil, err
-	}
 	f, err := PolicyFactoryByName(j.Policy)
-	if err != nil {
-		return nil, err
-	}
-	em := energy.NewModel(j.Machine.CoreSize())
-	pol, err := f(j.Machine, em)
 	if err != nil {
 		return nil, err
 	}
 	arena := core.PooledArena()
 	defer arena.Release()
-	sim, err := core.New(j.Machine, prof, pol, em, core.WithArena(arena))
+	sim, err := NewCell(j.Machine, j.Benchmark, f, false, arena)
 	if err != nil {
 		return nil, err
 	}

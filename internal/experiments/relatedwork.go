@@ -20,14 +20,6 @@ func AgeTableFactory(m config.Machine, em *energy.Model) (lsq.Policy, error) {
 	return lsq.NewAgeTable(lsq.AgeTableConfig{TableSize: m.CheckTable, LQSize: m.ROBSize}, em)
 }
 
-// relatedWorkSpec resolves the age-table run key.
-func relatedWorkSpec(key string) (runSpec, bool) {
-	if key == keyAgeTable {
-		return runSpec{key: key, machine: config.Config2(), factory: AgeTableFactory}, true
-	}
-	return runSpec{}, false
-}
-
 // RelatedWorkRow is one class's three-way comparison.
 type RelatedWorkRow struct {
 	Class trace.Class

@@ -196,12 +196,15 @@ func DMDCQueueFactory(n int) PolicyFactory {
 
 // runSpec names one simulation in the matrix.
 type runSpec struct {
-	key       string
-	machine   config.Machine
-	factory   PolicyFactory
-	invRate   float64
-	monitors  func() []lsq.Monitor
-	extraOpts []core.Option
+	key     string
+	machine config.Machine
+	factory PolicyFactory
+	// monitors builds a fresh passive monitor set for each run; nil
+	// attaches none.
+	monitors func() []lsq.Monitor
+	// opts are the spec's injection options. The run-spec table shares
+	// them across runs, so copy the slice before appending to it.
+	opts []core.Option
 }
 
 // RunError labels the failure of one simulation in the matrix with the

@@ -8,8 +8,6 @@ import (
 	"sync"
 
 	"dmdc/internal/core"
-	"dmdc/internal/energy"
-	"dmdc/internal/trace"
 )
 
 // SampleSpec describes one sampled-mode logical run: a long run whose
@@ -119,20 +117,14 @@ func RunSampled(ctx context.Context, sp SampleSpec) (*SampledResult, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	prof, err := trace.ByName(sp.Job.Benchmark)
-	if err != nil {
-		return nil, err
-	}
 	factory, err := PolicyFactoryByName(sp.Job.Policy)
 	if err != nil {
 		return nil, err
 	}
-	em := energy.NewModel(sp.Job.Machine.CoreSize())
-	pol, err := factory(sp.Job.Machine, em)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := core.New(sp.Job.Machine, prof, pol, em)
+	// The pass gets a fresh arena, not a pooled one: it only fast-forwards,
+	// and a checkpoint saved before any detailed cycle would carry a
+	// reused arena's stale wakeup-list links, which a restore rejects.
+	sim, err := NewCell(sp.Job.Machine, sp.Job.Benchmark, factory, false, nil)
 	if err != nil {
 		return nil, err
 	}

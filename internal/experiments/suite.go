@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -127,50 +128,66 @@ func (s *Suite) specFor(key string) runSpec {
 	return sp
 }
 
-// resolveSpec materializes the runSpec for a run key. Every key names
-// code, not data — the policy factory, monitor set, and injection options
-// are reconstructed from the key alone, which is what lets a remote
-// backend execute matrix cells shipped to it as (key, benchmark) pairs.
-func resolveSpec(key string) (runSpec, bool) {
+// runSpecs is every named run spec, keyed by run key and built once at
+// package init. Every key names code, not data — the policy factory,
+// monitor set, and injection options are reconstructed from the key
+// alone, which is what lets a remote backend execute matrix cells shipped
+// to it as (key, benchmark) pairs.
+var runSpecs = buildRunSpecs()
+
+func buildRunSpecs() map[string]runSpec {
 	c2 := config.Config2()
-	switch key {
-	case keyMonitored:
-		return runSpec{key: key, machine: c2, factory: BaselineFactory, monitors: allMonitors}, true
-	case keyYLA:
-		return runSpec{key: key, machine: c2, factory: YLAFactory}, true
-	case keyNoSafe():
-		return runSpec{key: key, machine: c2, factory: DMDCNoSafeLoadsFactory}, true
+	specs := make(map[string]runSpec)
+	add := func(sp runSpec) {
+		if _, dup := specs[sp.key]; dup {
+			panic("experiments: duplicate run key " + sp.key)
+		}
+		specs[sp.key] = sp
 	}
 	for _, m := range config.All() {
-		switch key {
-		case keyBase(m.Name):
-			return runSpec{key: key, machine: m, factory: BaselineFactory}, true
-		case keyGlobal(m.Name):
-			return runSpec{key: key, machine: m, factory: DMDCGlobalFactory}, true
-		case keyLocal(m.Name):
-			return runSpec{key: key, machine: m, factory: DMDCLocalFactory}, true
-		}
+		add(runSpec{key: keyBase(m.Name), machine: m, factory: BaselineFactory})
+		add(runSpec{key: keyGlobal(m.Name), machine: m, factory: DMDCGlobalFactory})
+		add(runSpec{key: keyLocal(m.Name), machine: m, factory: DMDCLocalFactory})
 	}
+	add(runSpec{key: keyMonitored, machine: c2, factory: BaselineFactory, monitors: allMonitors})
+	add(runSpec{key: keyClampMonitors, machine: c2, factory: BaselineFactory, monitors: clampAblationMonitors})
+	add(runSpec{key: keyYLA, machine: c2, factory: YLAFactory})
+	add(runSpec{key: keyNoSafe(), machine: c2, factory: DMDCNoSafeLoadsFactory})
+	add(runSpec{key: keySQFilter, machine: c2, factory: BaselineFactory, opts: []core.Option{core.WithSQFilter()}})
+	add(runSpec{key: keyAgeTable, machine: c2, factory: AgeTableFactory})
+	add(runSpec{key: keyValueBased, machine: c2, factory: ValueBasedFactory})
+	add(runSpec{key: keyValueSVW, machine: c2, factory: ValueSVWFactory})
 	for _, rate := range InvRates {
-		if key == keyInv(rate) {
-			return runSpec{key: key, machine: c2, factory: DMDCGlobalFactory, invRate: rate}, true
-		}
+		add(runSpec{key: keyInv(rate), machine: c2, factory: DMDCGlobalFactory,
+			opts: []core.Option{core.WithInvalidations(rate)}})
 	}
 	for _, n := range QueueSizes {
-		if key == keyQueue(n) {
-			return runSpec{key: key, machine: c2, factory: DMDCQueueFactory(n)}, true
-		}
+		add(runSpec{key: keyQueue(n), machine: c2, factory: DMDCQueueFactory(n)})
 	}
-	if sp, ok := extensionSpec(key); ok {
-		return sp, true
+	for _, n := range TableSweepSizes {
+		add(runSpec{key: keyTableSize(n), machine: c2, factory: DMDCTableFactory(n)})
 	}
-	if sp, ok := relatedWorkSpec(key); ok {
-		return sp, true
+	for _, n := range YLASweepCounts {
+		add(runSpec{key: keyYLACount(n), machine: c2, factory: DMDCYLAFactory(n)})
 	}
-	if sp, ok := verificationSpec(key); ok {
-		return sp, true
+	return specs
+}
+
+// resolveSpec looks a run key up in the run-spec table.
+func resolveSpec(key string) (runSpec, bool) {
+	sp, ok := runSpecs[key]
+	return sp, ok
+}
+
+// RunKeys lists every run key, sorted: the keys WriteCSV and wire jobs
+// accept.
+func RunKeys() []string {
+	keys := make([]string, 0, len(runSpecs))
+	for k := range runSpecs {
+		keys = append(keys, k)
 	}
-	return runSpec{}, false
+	sort.Strings(keys)
+	return keys
 }
 
 // allMonitors builds the passive monitor set for the instrumented baseline.

@@ -30,18 +30,6 @@ func ValueSVWFactory(m config.Machine, em *energy.Model) (lsq.Policy, error) {
 	return lsq.NewValueBased(lsq.ValueBasedConfig{SVW: true, SVWSize: m.CheckTable, LoadCap: m.ROBSize}, em)
 }
 
-// verificationSpec resolves the value-based run keys.
-func verificationSpec(key string) (runSpec, bool) {
-	c2 := config.Config2()
-	switch key {
-	case keyValueBased:
-		return runSpec{key: key, machine: c2, factory: ValueBasedFactory}, true
-	case keyValueSVW:
-		return runSpec{key: key, machine: c2, factory: ValueSVWFactory}, true
-	}
-	return runSpec{}, false
-}
-
 // VerificationRow is one scheme's aggregate for one class.
 type VerificationRow struct {
 	Class  trace.Class

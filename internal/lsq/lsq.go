@@ -111,10 +111,6 @@ func (c Cause) String() string {
 	return "unknown"
 }
 
-// IsFalse reports whether the replay was unnecessary (an artifact of the
-// scheme's approximations rather than a real ordering violation).
-func (c Cause) IsFalse() bool { return c != CauseTrue }
-
 // Replay asks the core to squash from FromAge (inclusive) and refetch.
 type Replay struct {
 	FromAge uint64

@@ -151,49 +151,3 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestHandleMatchesName drives one set through the name-based API and a
-// second through pre-resolved handles, and requires identical results.
-func TestHandleMatchesName(t *testing.T) {
-	f := func(spec counterSpec) bool {
-		byName := NewSet()
-		byHandle := NewSet()
-		for _, op := range spec.ops {
-			byName.Add(op.name, op.v)
-			byHandle.AddH(byHandle.Handle(op.name), op.v)
-		}
-		if !reflect.DeepEqual(byName.Names(), byHandle.Names()) {
-			return false
-		}
-		for _, n := range byName.Names() {
-			if byName.Get(n) != byHandle.Get(n) {
-				return false
-			}
-			if byHandle.GetH(byHandle.Handle(n)) != byName.Get(n) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHandleRegistersCounter(t *testing.T) {
-	s := NewSet()
-	h := s.Handle("x")
-	if !s.Has("x") || s.Get("x") != 0 {
-		t.Fatalf("Handle must register the counter at zero; Has=%v Get=%g",
-			s.Has("x"), s.Get("x"))
-	}
-	s.IncH(h)
-	s.PutH(h, 41)
-	s.AddH(h, 1)
-	if got := s.Get("x"); got != 42 {
-		t.Fatalf("handle updates not visible by name: got %g, want 42", got)
-	}
-	if s.Handle("x") != h {
-		t.Fatalf("re-resolving a name must return the same handle")
-	}
-}

@@ -1,20 +1,19 @@
-// Package stats provides counters, histograms, and aggregation helpers for
-// simulation results, plus simple ASCII renderers for the experiment tables.
+// Package stats provides named counters and a running summary for
+// simulation results, plus a simple ASCII renderer for the experiment
+// tables.
 package stats
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
 // Set is an ordered collection of named floating-point counters. Storage
 // is slice-backed (parallel name/value slices in insertion order) with a
 // name→index map on the side, so per-update cost is one map lookup by
-// name — or none at all through a pre-resolved Handle. The zero value is
-// not ready for use; call NewSet.
+// name. The zero value is not ready for use; call NewSet.
 type Set struct {
 	index map[string]int
 	names []string
@@ -24,17 +23,6 @@ type Set struct {
 // NewSet returns an empty counter set.
 func NewSet() *Set {
 	return &Set{index: make(map[string]int)}
-}
-
-// Handle is a pre-resolved counter index, valid only for the Set that
-// issued it. Hot loops resolve a name once and then update through the
-// handle, replacing a per-event map lookup with a slice index.
-type Handle int
-
-// Handle registers name (creating the counter at zero if absent) and
-// returns its handle.
-func (s *Set) Handle(name string) Handle {
-	return Handle(s.slot(name))
 }
 
 // slot returns the index for name, appending a zero-valued counter first
@@ -55,9 +43,6 @@ func (s *Set) Add(name string, v float64) {
 	s.vals[s.slot(name)] += v
 }
 
-// Inc increments the named counter by one.
-func (s *Set) Inc(name string) { s.Add(name, 1) }
-
 // Put sets the named counter to v, replacing any previous value.
 func (s *Set) Put(name string, v float64) {
 	s.vals[s.slot(name)] = v
@@ -69,38 +54,6 @@ func (s *Set) Get(name string) float64 {
 		return s.vals[i]
 	}
 	return 0
-}
-
-// AddH increases the counter behind h by v.
-func (s *Set) AddH(h Handle, v float64) { s.vals[h] += v }
-
-// IncH increments the counter behind h by one.
-func (s *Set) IncH(h Handle) { s.vals[h]++ }
-
-// PutH sets the counter behind h to v.
-func (s *Set) PutH(h Handle, v float64) { s.vals[h] = v }
-
-// GetH returns the value of the counter behind h.
-func (s *Set) GetH(h Handle) float64 { return s.vals[h] }
-
-// Has reports whether the named counter exists.
-func (s *Set) Has(name string) bool {
-	_, ok := s.index[name]
-	return ok
-}
-
-// Ratio returns Get(num)/Get(den), or zero when the denominator is zero.
-func (s *Set) Ratio(num, den string) float64 {
-	d := s.Get(den)
-	if d == 0 {
-		return 0
-	}
-	return s.Get(num) / d
-}
-
-// PerMillion returns the rate of counter num per million units of den.
-func (s *Set) PerMillion(num, den string) float64 {
-	return s.Ratio(num, den) * 1e6
 }
 
 // Names returns the counter names in insertion order.
@@ -204,104 +157,9 @@ func (m Summary) Mean() float64 {
 	return m.Sum / float64(m.N)
 }
 
-// Range returns max - min.
-func (m Summary) Range() float64 { return m.Max - m.Min }
-
 // String renders "mean [min, max] (n)".
 func (m Summary) String() string {
 	return fmt.Sprintf("%.3f [%.3f, %.3f] (n=%d)", m.Mean(), m.Min, m.Max, m.N)
-}
-
-// Summarize builds a Summary from a slice of values.
-func Summarize(values []float64) Summary {
-	var m Summary
-	for _, v := range values {
-		m.Observe(v)
-	}
-	return m
-}
-
-// GeoMean returns the geometric mean of strictly positive values; zero or
-// negative entries are skipped. Returns zero for an empty input.
-func GeoMean(values []float64) float64 {
-	var sum float64
-	var n int
-	for _, v := range values {
-		if v > 0 {
-			sum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
-// Histogram counts integer-valued observations in fixed-width buckets plus
-// an overflow bucket, and tracks the exact running mean.
-type Histogram struct {
-	BucketWidth int
-	buckets     []uint64
-	overflow    uint64
-	count       uint64
-	sum         float64
-}
-
-// NewHistogram returns a histogram with nBuckets buckets of the given width.
-func NewHistogram(bucketWidth, nBuckets int) *Histogram {
-	if bucketWidth < 1 {
-		bucketWidth = 1
-	}
-	if nBuckets < 1 {
-		nBuckets = 1
-	}
-	return &Histogram{BucketWidth: bucketWidth, buckets: make([]uint64, nBuckets)}
-}
-
-// Observe records one observation of value v (negative values clamp to 0).
-func (h *Histogram) Observe(v int) {
-	if v < 0 {
-		v = 0
-	}
-	h.count++
-	h.sum += float64(v)
-	idx := v / h.BucketWidth
-	if idx >= len(h.buckets) {
-		h.overflow++
-		return
-	}
-	h.buckets[idx]++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the exact mean of all observations.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Bucket returns the count of observations in bucket i.
-func (h *Histogram) Bucket(i int) uint64 {
-	if i < 0 || i >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[i]
-}
-
-// Overflow returns the count of observations beyond the last bucket.
-func (h *Histogram) Overflow() uint64 { return h.overflow }
-
-// Fraction returns the fraction of observations falling in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.Bucket(i)) / float64(h.count)
 }
 
 // Table is a simple column-aligned ASCII table builder used by the
@@ -385,15 +243,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortedKeys returns the keys of a string-keyed map in sorted order; handy
-// for deterministic iteration in reports.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

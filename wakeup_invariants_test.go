@@ -9,6 +9,7 @@ package dmdc_test
 // at the cycle it happens.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -29,8 +30,13 @@ func TestWakeupInvariantMatrix(t *testing.T) {
 			bench, cfg := bench, cfg
 			t.Run(fmt.Sprintf("%s/%s", bench, cfg.Name), func(t *testing.T) {
 				t.Parallel()
-				_, err := simulate(cfg, bench, dmdc.PolicyDMDC, wakeupInsts,
-					dmdc.WithInvariantChecking(1))
+				_, err := dmdc.Run(context.Background(), dmdc.Request{
+					Machine:        cfg,
+					Benchmark:      bench,
+					Policy:         dmdc.PolicyDMDC,
+					Insts:          wakeupInsts,
+					InvariantEvery: 1,
+				})
 				if err != nil {
 					t.Fatalf("invariant sweep failed: %v", err)
 				}
