@@ -47,8 +47,6 @@
 #                    `go build ./...` and `go test ./...` never reach
 #   make examples    build each examples/ program and run it with default
 #                    arguments; a non-zero exit or an empty stdout fails
-#   make bench       simulator-throughput benchmarks (BENCH_COUNT reps),
-#                    medians recorded into BENCH_core.json via cmd/benchjson
 #   make bench-smoke one-iteration run of the simulator benchmarks — a fast
 #                    "do the benchmarks still work" gate, part of `check`
 #   make bench-all   every artifact benchmark once (slow)
@@ -56,9 +54,8 @@
 
 GO ?= go
 CACHE_DIR ?= .dmdc-cache
-BENCH_COUNT ?= 5
 
-.PHONY: all build test check vet api-check race soundness alloc-gate chaos fleet-check sample-check fuzz-short cover bench bench-smoke bench-module examples bench-all report clean-cache
+.PHONY: all build test check vet api-check race soundness alloc-gate chaos fleet-check sample-check fuzz-short cover bench-smoke bench-module examples bench-all report clean-cache
 
 all: build test check
 
@@ -156,16 +153,6 @@ alloc-gate:
 	$(GO) test -run 'TestAllocationBudget' -count 1 .
 
 check: vet race chaos sample-check bench-smoke bench-module examples fuzz-short cover
-
-# Core-simulator throughput, recorded. Medians over BENCH_COUNT repetitions
-# land in the "current" section of BENCH_core.json; the "pre_pr8" section
-# holds the numbers from just before the event-wakeup scheduler ("pre_pr6"
-# pre-SoA/arena, "pre_pr3" pre-optimization), which the speedup ratios
-# compare against.
-bench:
-	( $(GO) test -run '^$$' -bench 'BenchmarkSim(Baseline|DMDC|Telemetry)$$' -benchtime 30x -count $(BENCH_COUNT) -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSim(Full|Sampled)5M$$' -benchtime 1x -count $(BENCH_COUNT) -benchmem . ) \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_core.json -base pre_pr8
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSim(Baseline|DMDC|Telemetry|Sampled5M)$$' -benchtime 1x .

@@ -49,8 +49,9 @@ func benchArtifact(b *testing.B, run func(*experiments.Suite) bool) {
 }
 
 // benchSim times raw simulator throughput for one policy and reports
-// committed instructions per wall-clock second — the headline number for
-// the performance work tracked in BENCH_core.json.
+// committed instructions per wall-clock second. BenchmarkSimBaseline and
+// BenchmarkSimTelemetry together measure telemetry's overhead budget
+// (DESIGN.md §9); BENCH_core.json holds their frozen history.
 func benchSim(b *testing.B, policy dmdc.PolicyKind) {
 	b.Helper()
 	var insts uint64
@@ -187,8 +188,7 @@ func BenchmarkSimTelemetry(b *testing.B) {
 }
 
 // BenchmarkSimFull5M is the full-detail side of the sampled-execution
-// acceptance pair recorded in BENCH_core.json: one 5M-instruction
-// detailed run (Config2, gcc, DMDC).
+// acceptance pair: one 5M-instruction detailed run (Config2, gcc, DMDC).
 func BenchmarkSimFull5M(b *testing.B) {
 	var insts uint64
 	for i := 0; i < b.N; i++ {

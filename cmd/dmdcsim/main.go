@@ -95,7 +95,7 @@ func main() {
 	}
 
 	var opts []core.Option
-	if *invRate > 0 {
+	if *invRate != 0 {
 		opts = append(opts, core.WithInvalidations(*invRate))
 	}
 	if *sqFilter {

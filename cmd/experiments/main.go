@@ -52,7 +52,7 @@ func main() {
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file (analyse with `go tool pprof`)")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		par        = flag.Int("par", 0, "parallel simulations (0 = GOMAXPROCS; with -backends, 0 = every cell at once, bounded by -inflight per backend; sampled mode: concurrent intervals, 0 = 4)")
-		only       = flag.String("only", "", "single artifact: figure2, figure3, figure4, figure5, table2, table3, table4, table5, table6, yla, sqfilter, safeloads, queue, tablesweep, ylasweep, sqfilter-ext, clamp, extensions, relatedwork, detail, verification")
+		only       = flag.String("only", "", "single artifact: "+strings.Join(experiments.ArtifactNames(), ", "))
 		out        = flag.String("out", "", "also write the report to this file")
 		verbose    = flag.Bool("v", false, "print per-run progress")
 		benches    = flag.String("benchmarks", "", "comma-separated benchmark subset")
@@ -180,54 +180,10 @@ func main() {
 
 	start := time.Now()
 	var report string
-	switch *only {
-	case "":
+	if *only == "" {
 		report = suite.Report()
-	case "figure2":
-		report = suite.Figure2().String()
-	case "figure3":
-		report = suite.Figure3().String()
-	case "figure4":
-		report = suite.Figure4().String()
-	case "figure5":
-		report = suite.Figure5().String()
-	case "table2":
-		report = suite.Table2().String()
-	case "table3":
-		report = suite.Table3().String()
-	case "table4":
-		report = suite.Table4().String()
-	case "table5":
-		report = suite.Table5().String()
-	case "table6":
-		report = suite.Table6().String()
-	case "yla":
-		report = suite.YLAEnergy().String()
-	case "sqfilter":
-		report = suite.StoreFilterPotential().String()
-	case "safeloads":
-		report = suite.SafeLoadAblation().String()
-	case "queue":
-		report = suite.CheckQueueEquivalence().String()
-	case "tablesweep":
-		report = suite.TableSizeSweep().String()
-	case "ylasweep":
-		report = suite.DMDCYLASweep().String()
-	case "sqfilter-ext":
-		report = suite.SQFilterExtension().String()
-	case "clamp":
-		report = suite.ClampAblation().String()
-	case "extensions":
-		report = suite.ExtensionsReport()
-	case "relatedwork":
-		report = suite.RelatedWork().String()
-	case "detail":
-		report = suite.Detail().String()
-	case "verification":
-		report = suite.VerificationComparison().String()
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown artifact %q\n", *only)
-		os.Exit(1)
+	} else if report, err = suite.Artifact(*only); err != nil {
+		die(err)
 	}
 	fmt.Println(report)
 	if suite.Telemetry() != nil {

@@ -219,7 +219,8 @@ type Request struct {
 	// a *SoundnessError at the first divergence.
 	Verify bool `json:"verify,omitempty"`
 	// Invalidations injects external invalidations at this rate per 1000
-	// cycles (the paper's Table 6 methodology); 0 disables.
+	// cycles (the paper's Table 6 methodology); 0 disables. A rate outside
+	// [0, 1000], or NaN, is an error.
 	Invalidations float64 `json:"invalidations,omitempty"`
 	// SQFilter enables the Section 3 store-side age filter.
 	SQFilter bool `json:"sq_filter,omitempty"`
@@ -270,7 +271,7 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 		return nil, fmt.Errorf("dmdc: unknown policy %v", req.Policy)
 	}
 	var opts []core.Option
-	if req.Invalidations > 0 {
+	if req.Invalidations != 0 {
 		opts = append(opts, core.WithInvalidations(req.Invalidations))
 	}
 	if req.SQFilter {

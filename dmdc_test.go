@@ -2,6 +2,7 @@ package dmdc_test
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -41,6 +42,14 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := simulate(dmdc.Config1(), "gzip", dmdc.PolicyKind(99), 1000); err == nil {
 		t.Error("unknown policy accepted")
+	}
+	for _, rate := range []float64{-5, math.NaN(), math.Inf(1), 1000.5, 1e9} {
+		_, err := dmdc.Run(context.Background(), dmdc.Request{
+			Benchmark: "gzip", Policy: dmdc.PolicyDMDC, Insts: 1000, Invalidations: rate,
+		})
+		if err == nil || !strings.Contains(err.Error(), "invalidation rate") {
+			t.Errorf("invalidation rate %v: got %v, want an invalidation rate error", rate, err)
+		}
 	}
 }
 

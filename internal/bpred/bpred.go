@@ -265,14 +265,6 @@ func (p *Predictor) btbInsert(pc, target uint64) {
 	ways[victim] = btbEntry{valid: true, tag: tag, target: target, lru: p.lruTick}
 }
 
-// MispredictRate returns mispredicts / lookups, or zero when no lookups.
-func (p *Predictor) MispredictRate() float64 {
-	if p.Lookups == 0 {
-		return 0
-	}
-	return float64(p.Mispredicts) / float64(p.Lookups)
-}
-
 func saturate(ctr *uint8, up bool) {
 	if up {
 		if *ctr < 3 {

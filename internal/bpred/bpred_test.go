@@ -8,6 +8,14 @@ import (
 	"dmdc/internal/checkpoint"
 )
 
+// MispredictRate returns mispredicts / lookups, or zero when no lookups.
+func (p *Predictor) MispredictRate() float64 {
+	if p.Lookups == 0 {
+		return 0
+	}
+	return float64(p.Mispredicts) / float64(p.Lookups)
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)

@@ -82,22 +82,12 @@ type Cache struct {
 	Invals     uint64
 }
 
-// New builds a cache level. next is the lower level (nil for last level
-// before memory); memLatency is the cost of going to memory from this
-// level when next is nil.
-func New(cfg Config, next *Cache, memLatency int) (*Cache, error) {
-	c := new(Cache)
-	if err := c.Reset(cfg, next, memLatency); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Reset makes c exactly the level New(cfg, next, memLatency) would build:
-// every line invalid, the LRU clock and the counters zero. The line array
-// is reused whenever its capacity covers the new geometry, so a pooled
-// level is rebuilt without allocating. An invalid cfg is reported and
-// leaves c unchanged.
+// Reset makes c an empty level for cfg over next, the lower level (nil
+// for the last level before memory); memLatency is the cost of going to
+// memory from this level when next is nil. Every line is invalid, the LRU
+// clock and the counters zero. The line array is reused whenever its
+// capacity covers the new geometry, so a pooled level is rebuilt without
+// allocating. An invalid cfg is reported and leaves c unchanged.
 func (c *Cache) Reset(cfg Config, next *Cache, memLatency int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -124,21 +114,6 @@ func (c *Cache) Reset(cfg Config, next *Cache, memLatency int) error {
 	}
 	return nil
 }
-
-// MustNew is New but panics on error; for tests and static configs.
-func MustNew(cfg Config, next *Cache, memLatency int) *Cache {
-	c, err := New(cfg, next, memLatency)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
-// LineB returns the line size in bytes.
-func (c *Cache) LineB() int { return c.cfg.LineB }
 
 // indexTag splits an address into set index and tag. Set counts are
 // powers of two, so the div/mod pair reduces to mask and shift — this is
@@ -191,19 +166,6 @@ func (c *Cache) Access(addr uint64, write bool) int {
 	return c.cfg.Latency + lower
 }
 
-// Probe reports whether the address hits without changing any state.
-func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.indexTag(addr)
-	ways := c.sets[int(set)*c.cfg.Ways : (int(set)+1)*c.cfg.Ways]
-	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // Invalidate removes the line containing addr from this level and all
 // levels above... this model invalidates downward: call on the top level
 // and it propagates to lower levels too, modeling an external coherence
@@ -222,14 +184,6 @@ func (c *Cache) Invalidate(addr uint64) {
 	if c.next != nil {
 		c.next.Invalidate(addr)
 	}
-}
-
-// MissRate returns misses/accesses, or zero when unused.
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
 }
 
 // Hierarchy bundles the paper's memory system: split L1I/L1D over a

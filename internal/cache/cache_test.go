@@ -14,6 +14,35 @@ func tiny() Config {
 	return Config{Name: "t", SizeB: 1024, Ways: 2, LineB: 64, Latency: 2}
 }
 
+// MustNew builds a lone cache level through Reset, panicking on an
+// invalid cfg.
+func MustNew(cfg Config, next *Cache, memLatency int) *Cache {
+	c := new(Cache)
+	if err := c.Reset(cfg, next, memLatency); err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// Probe reports whether the address hits without changing any state.
+func (c *Cache) Probe(addr uint64) bool {
+	set, tag := c.indexTag(addr)
+	for _, l := range c.sets[int(set)*c.cfg.Ways : (int(set)+1)*c.cfg.Ways] {
+		if l.valid && l.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+// MissRate returns misses/accesses, or zero when unused.
+func (c *Cache) MissRate() float64 {
+	if c.Accesses == 0 {
+		return 0
+	}
+	return float64(c.Misses) / float64(c.Accesses)
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := tiny().Validate(); err != nil {
 		t.Fatalf("tiny config invalid: %v", err)

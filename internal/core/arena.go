@@ -25,18 +25,18 @@ const wheelSlotCap = 8
 // hierarchy, the branch predictor, the invalidation RNG and, for a Sim
 // built by New, the trace generator with its committed-path and
 // wrong-path RNGs. Passing one to New or NewWithWorkload via WithArena
-// lets consecutive runs reuse the storage: arrays are reset (lengths
-// zeroed, capacities kept) and tables rebuilt in place through the Reset
+// lets consecutive runs reuse the storage: arrays are reset (zeroed or
+// emptied, capacities kept) and tables rebuilt in place through the Reset
 // paths their constructors use, never freed, so a warmed arena makes a
-// run allocation-free on all of them and bit-identical to one on fresh
-// allocations.
+// run allocation-free on all of them and bit-identical, checkpoint bytes
+// included, to one on fresh allocations.
 //
 // An Arena is exclusive to one live Sim at a time. Handing the same arena
 // to a second Sim while the first may still step corrupts both. Callers
 // that run concurrently draw arenas from the one process-wide pool
 // (PooledArena, Release): dmdc.Run, the experiment suite's and dmdcd's
-// cells, and restored sampled intervals all do, so every in-process run
-// reuses storage a finished run left behind.
+// cells, and a sampled run's functional pass and restored intervals all
+// do, so every in-process run reuses storage a finished run left behind.
 type Arena struct {
 	robHot  []hotEntry
 	robData []robData
@@ -94,10 +94,11 @@ func WithArena(a *Arena) Option {
 
 // ensure sizes the fixed arrays for cfg's ROB, resets every queue to
 // empty, and rebuilds the cache hierarchy and predictor for cfg and the
-// invalidation RNG from invSeed. Stale array contents are left in place:
-// a Sim never reads a ROB slot or queue entry it has not (re)initialized
-// this run, so reuse stays bit-identical to a fresh allocation —
-// TestArenaReuseDeterminism pins that. The tables are reset in full.
+// invalidation RNG from invSeed. A reused arena hands out exactly what a
+// fresh one holds: the ROB halves, the ready bitmap and the wakeup links
+// zeroed, every consumer list empty. The pipeline never reads a dead slot,
+// but a checkpoint encodes all of them, so a stale one would leak into
+// its bytes; TestArenaPoisonedReuse pins the rule.
 func (a *Arena) ensure(cfg config.Machine, invSeed int64) error {
 	if err := a.mem.Reset(cfg.Memory); err != nil {
 		return err
@@ -105,39 +106,30 @@ func (a *Arena) ensure(cfg config.Machine, invSeed int64) error {
 	a.bp.Reset(cfg.BPred)
 	a.invRng.Seed(invSeed)
 	robSize := cfg.ROBSize
+	words := (robSize + 63) / 64
 	if cap(a.robHot) < robSize {
-		// The three ROB halves are allocated together and only here, so one
-		// capacity check covers all of them.
+		// The ROB halves and the wakeup arrays are allocated together and
+		// only here, so one capacity check covers all of them.
 		a.robHot = make([]hotEntry, robSize)
 		a.robData = make([]robData, robSize)
 		a.memOps = make([]lsq.MemOp, robSize)
-	}
-	a.robHot = a.robHot[:robSize]
-	a.robData = a.robData[:robSize]
-	a.memOps = a.memOps[:robSize]
-	words := (robSize + 63) / 64
-	if cap(a.consOn) < robSize {
 		a.readyBM = make([]uint64, words)
 		a.consHead = make([]int32, robSize)
 		a.consNext = make([]int32, robSize)
 		a.consPrev = make([]int32, robSize)
 		a.consOn = make([]int32, robSize)
-	} else {
-		a.readyBM = a.readyBM[:words]
-		a.consHead = a.consHead[:robSize]
-		a.consNext = a.consNext[:robSize]
-		a.consPrev = a.consPrev[:robSize]
-		a.consOn = a.consOn[:robSize]
 	}
-	// Unlike the ROB halves, the wakeup structures ARE reset between
-	// runs: a stale ready bit or chain link from the previous run would
-	// be read before the slot is re-initialized by insert.
-	for i := range a.readyBM {
-		a.readyBM[i] = 0
-	}
+	a.robHot = zeroed(a.robHot, robSize)
+	a.robData = zeroed(a.robData, robSize)
+	a.memOps = zeroed(a.memOps, robSize)
+	a.readyBM = zeroed(a.readyBM, words)
+	a.consNext = zeroed(a.consNext, robSize)
+	a.consPrev = zeroed(a.consPrev, robSize)
+	a.consHead = a.consHead[:robSize]
+	a.consOn = a.consOn[:robSize]
 	for i := range a.consHead {
-		a.consHead[i] = -1
-		a.consOn[i] = -1
+		a.consHead[i] = -1 // no consumers parked on this producer
+		a.consOn[i] = -1   // this slot is parked on no producer
 	}
 	if a.wheel == nil {
 		a.wheel = make([][]wheelEv, wheelSize)
@@ -157,6 +149,13 @@ func (a *Arena) ensure(cfg config.Machine, invSeed int64) error {
 	a.replayQ = a.replayQ[:0]
 	a.squashScratch = a.squashScratch[:0]
 	return nil
+}
+
+// zeroed returns s resliced to n elements, every one zero.
+func zeroed[T any](s []T, n int) []T {
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // attach points the Sim's hot storage and tables at the arena's.

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dmdc/internal/config"
 	"dmdc/internal/energy"
@@ -229,6 +231,129 @@ func TestArenaReuseAcrossMachines(t *testing.T) {
 		}
 	}
 	check("restored "+last.String(), restored(nil), restored(a))
+}
+
+// poison fills every slice a owns, to capacity, with a non-zero byte
+// pattern: a run on a poisoned arena reads garbage wherever it reads
+// storage ensure did not reset. It finds the slices by reflection, so a
+// slice added to Arena later is poisoned too. The tables (caches,
+// predictor, generator, RNGs) rebuild through their Reset paths, which
+// their own TestResetMatchesNew* tests pin.
+func (a *Arena) poison(t *testing.T) {
+	t.Helper()
+	v := reflect.ValueOf(a).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			poisonSlice(t, v.Type().Field(i).Name, f)
+		}
+	}
+}
+
+// poisonSlice overwrites every byte of s's backing array with 0x01, so
+// bools read true and every index, link or age is far out of range. A
+// slice of slices (the event wheel) is poisoned slot by slot.
+func poisonSlice(t *testing.T, name string, s reflect.Value) {
+	t.Helper()
+	s = s.Slice(0, s.Cap())
+	elem := s.Type().Elem()
+	if elem.Kind() == reflect.Slice {
+		for i := 0; i < s.Len(); i++ {
+			poisonSlice(t, name, s.Index(i))
+		}
+		return
+	}
+	if !plainData(elem) {
+		t.Fatalf("arena slice %s holds %v, which has pointers; poison only fills plain data", name, elem)
+	}
+	if s.Len() == 0 {
+		return
+	}
+	b := unsafe.Slice((*byte)(s.UnsafePointer()), s.Len()*int(elem.Size()))
+	for i := range b {
+		b[i] = 0x01
+	}
+}
+
+// plainData reports whether values of t hold no pointers.
+func plainData(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64:
+		return true
+	case reflect.Array:
+		return plainData(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !plainData(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// A poisoned arena must give every Result and checkpoint byte a fresh one
+// gives: ensure hands out exactly what a fresh arena holds. Each cell
+// saves a checkpoint after a warm fast-forward, before any detailed
+// cycle — it encodes every ROB slot and wakeup link as ensure left them —
+// then restores it on another poisoned arena, runs in detail, and saves
+// again. The machines' ROBs grow and shrink along the sequence.
+func TestArenaPoisonedReuse(t *testing.T) {
+	const ff, n = 20_000, 6_000
+	cells := []arenaCell{
+		{config.Config3(), "swim", "dmdc", 0},
+		{config.Config2(), "gcc", "dmdc", 0},
+		{config.IQPressure(), "mcf", "dmdc-local", 0},
+		{config.Config1(), "perlbmk", "valuebased", 5},
+		{config.Config2(), "gzip", "yla", 0},
+	}
+	type outcome struct {
+		pass, end []byte // checkpoints after the fast-forward and the run
+		res       string
+	}
+	run := func(c arenaCell, pass, detail *Arena) outcome {
+		t.Helper()
+		s, err := c.sim(pass)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.FastForward(ff, true); err != nil {
+			t.Fatal(err)
+		}
+		var o outcome
+		if o.pass, err = s.SaveCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if detail != nil {
+			detail.poison(t)
+		}
+		r, err := c.sim(detail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.RestoreCheckpoint(o.pass); err != nil {
+			t.Fatal(err)
+		}
+		o.res, o.end = runAndSave(t, r, n)
+		return o
+	}
+	pass, detail := NewArena(), NewArena()
+	run(cells[len(cells)-1], pass, detail) // size both arenas
+	for _, c := range cells {
+		want := run(c, nil, nil)
+		pass.poison(t)
+		got := run(c, pass, detail)
+		switch {
+		case !bytes.Equal(got.pass, want.pass):
+			t.Fatalf("%s: checkpoint before any detailed cycle differs on a poisoned arena", c)
+		case got.res != want.res:
+			t.Fatalf("%s: result differs on a poisoned arena:\ngot  %s\nwant %s", c, got.res, want.res)
+		case !bytes.Equal(got.end, want.end):
+			t.Fatalf("%s: checkpoint after the detailed run differs on a poisoned arena", c)
+		}
+	}
 }
 
 // Pooled cells of alternating machines, run from several goroutines at

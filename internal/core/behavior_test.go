@@ -116,12 +116,12 @@ func TestHeavyAliasing(t *testing.T) {
 	em := energy.NewModel(cfg.CoreSize())
 	ref := trace.NewGenerator(prof)
 	var mismatches int
-	s := MustSim(New(cfg, prof, camFactory(cfg, em), em, WithCommitHook(func(in isa.Inst) {
-		want := ref.Next()
-		if in.Seq != want.Seq {
+	s := MustSim(New(cfg, prof, camFactory(cfg, em), em))
+	s.commitHook = func(in isa.Inst) {
+		if want := ref.Next(); in.Seq != want.Seq {
 			mismatches++
 		}
-	})))
+	}
 	r := s.MustRun(30000)
 	if mismatches > 0 {
 		t.Fatalf("%d commits diverged under heavy aliasing", mismatches)
@@ -199,7 +199,7 @@ func TestSQFilterNeutrality(t *testing.T) {
 	if r2.Stats.Get("sq_searches_filtered") == 0 {
 		t.Error("SQ filter inert")
 	}
-	if em2.Of(energy.CompSQ) >= em1.Of(energy.CompSQ) {
+	if em2.Snapshot().Of(energy.CompSQ) >= em1.Snapshot().Of(energy.CompSQ) {
 		t.Error("SQ filter saved no energy")
 	}
 }

@@ -112,15 +112,10 @@ func WithMonitors(ms ...lsq.Monitor) Option {
 }
 
 // WithInvalidations injects external invalidations at the given expected
-// rate per 1000 cycles, at random lines of the benchmark's working set.
+// rate per 1000 cycles, at random lines of the benchmark's working set. A
+// rate outside [0, 1000], or NaN, makes New fail.
 func WithInvalidations(ratePer1000 float64) Option {
 	return func(s *Sim) { s.invRate = ratePer1000 / 1000.0 }
-}
-
-// WithCommitHook registers a callback invoked for every committed
-// instruction; tests use it as an end-to-end ordering oracle.
-func WithCommitHook(fn func(isa.Inst)) Option {
-	return func(s *Sim) { s.commitHook = fn }
 }
 
 // WithSQFilter enables the paper's Section 3 store-side extension: a
@@ -145,7 +140,7 @@ type Sim struct {
 	monitors   []lsq.Monitor
 	invRate    float64
 	invRng     *xrand.Rand
-	commitHook func(isa.Inst)
+	commitHook func(isa.Inst) // set by tests: sees every committed instruction
 	ptrace     *pipeTrace
 
 	cycle   uint64
@@ -320,7 +315,7 @@ const wheelSize = 512
 
 // New builds a simulator running the built-in synthetic benchmark for
 // prof. The policy and energy model are supplied by the caller so
-// experiments can wire any combination (pass energy.Disabled() to skip
+// experiments can wire any combination (pass a zero energy.Model to skip
 // accounting). Errors report invalid machine configurations or fault
 // specs; MustSim unwraps the pair where inputs are static. On an arena
 // (WithArena), the generator is the arena's, reset for prof.
@@ -356,6 +351,10 @@ func build(cfg config.Machine, wl Workload, prof *trace.Profile, pol lsq.Policy,
 	s.initCosts()
 	for _, opt := range opts {
 		opt(s)
+	}
+	// At most one invalidation per cycle; NaN fails both comparisons.
+	if !(s.invRate >= 0 && s.invRate <= 1) {
+		return nil, fmt.Errorf("core: invalidation rate %g per 1000 cycles is outside [0, 1000]", s.invRate*1000)
 	}
 	// Per-run storage and tables: drawn from the caller's arena when one
 	// was supplied (reset, not freed, between runs), from a private fresh

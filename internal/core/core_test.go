@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"dmdc/internal/config"
@@ -215,6 +216,32 @@ func TestInvalidationInjection(t *testing.T) {
 	perK := inj / float64(r.Cycles) * 1000
 	if perK < 50 || perK > 150 {
 		t.Errorf("injected rate %.1f per 1000 cycles, want ≈100", perK)
+	}
+}
+
+// A rate that is negative, NaN, or above one invalidation per cycle is an
+// error, not a silent 0 or a saturated stream; the bounds themselves run.
+func TestInvalidationRateValidated(t *testing.T) {
+	cfg := config.Config2()
+	prof, err := trace.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(rate float64) error {
+		em := energy.NewModel(cfg.CoreSize())
+		pol := lsq.Must(lsq.NewCAM(lsq.CAMConfig{LQSize: cfg.LQSize}, em))
+		_, err := New(cfg, prof, pol, em, WithInvalidations(rate))
+		return err
+	}
+	for _, rate := range []float64{-5, -1e-9, math.NaN(), math.Inf(1), math.Inf(-1), 1000.5, 1e9} {
+		if err := build(rate); err == nil {
+			t.Errorf("rate %v per 1000 cycles accepted", rate)
+		}
+	}
+	for _, rate := range []float64{0, 0.5, 1000} {
+		if err := build(rate); err != nil {
+			t.Errorf("rate %v per 1000 cycles rejected: %v", rate, err)
+		}
 	}
 }
 

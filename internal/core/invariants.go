@@ -202,14 +202,3 @@ func (s *Sim) checkWakeupInvariants() error {
 	}
 	return nil
 }
-
-// StepN advances the pipeline n cycles; exposed for invariant-checking
-// tests that need finer control than Run.
-func (s *Sim) StepN(n int) {
-	for i := 0; i < n; i++ {
-		s.step()
-	}
-}
-
-// Committed returns the number of committed correct-path instructions.
-func (s *Sim) Committed() uint64 { return s.committed }

@@ -14,7 +14,9 @@ import (
 func stepChecked(t *testing.T, s *Sim, cycles, stride int) {
 	t.Helper()
 	for done := 0; done < cycles; done += stride {
-		s.StepN(stride)
+		for i := 0; i < stride; i++ {
+			s.step()
+		}
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatalf("after %d cycles: %v", done+stride, err)
 		}
@@ -69,8 +71,10 @@ func TestInvariantsLargeConfigYLA(t *testing.T) {
 
 func TestCommittedAccessor(t *testing.T) {
 	s := camSim(t, "gzip")
-	s.StepN(3000)
-	if s.Committed() == 0 {
+	for i := 0; i < 3000; i++ {
+		s.step()
+	}
+	if s.committed == 0 {
 		t.Error("nothing committed after 3000 cycles")
 	}
 }

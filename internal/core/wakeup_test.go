@@ -179,7 +179,7 @@ func TestInvariantSweepCatchesLostWakeup(t *testing.T) {
 	// the oldest one from the scheduler.
 	planted := false
 	for step := 0; step < 200 && !planted; step++ {
-		s.StepN(1)
+		s.step()
 		for k := 0; k < s.count; k++ {
 			idx := (s.headIdx + k) % len(s.robHot)
 			if s.robHot[idx].state == stWaiting && s.readyAt(idx) {

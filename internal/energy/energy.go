@@ -133,8 +133,9 @@ func RegisterOp(bits int) float64 {
 }
 
 // Model accumulates energy by component. It also records event counts so
-// tests and reports can verify activity, not just totals. The zero value is
-// not ready; use NewModel.
+// tests and reports can verify activity, not just totals; Snapshot reads
+// them. NewModel returns an accumulating model. The zero Model is
+// disabled: it ignores every event, for runs where energy is irrelevant.
 type Model struct {
 	sums    [numComponents]float64
 	counts  [numComponents]uint64
@@ -150,10 +151,6 @@ func NewModel(coreSize int) *Model {
 	return &Model{perCyc: clockPerUnit * float64(coreSize), enabled: true}
 }
 
-// Disabled returns a model that ignores all events; useful for runs where
-// energy is irrelevant and the accounting overhead is unwanted.
-func Disabled() *Model { return &Model{} }
-
 // Enabled reports whether the model is accumulating.
 func (m *Model) Enabled() bool { return m.enabled }
 
@@ -166,15 +163,6 @@ func (m *Model) Add(c Component, e float64) {
 	m.counts[c]++
 }
 
-// AddN charges cost e to component c, counting n events.
-func (m *Model) AddN(c Component, e float64, n uint64) {
-	if !m.enabled {
-		return
-	}
-	m.sums[c] += e
-	m.counts[c] += n
-}
-
 // Tick advances one cycle, charging the per-cycle base cost to CompClock.
 func (m *Model) Tick() {
 	if !m.enabled {
@@ -182,34 +170,6 @@ func (m *Model) Tick() {
 	}
 	m.cycles++
 	m.sums[CompClock] += m.perCyc
-}
-
-// Cycles returns the number of ticks recorded.
-func (m *Model) Cycles() uint64 { return m.cycles }
-
-// Of returns the accumulated energy of component c.
-func (m *Model) Of(c Component) float64 { return m.sums[c] }
-
-// Events returns the number of events charged to component c.
-func (m *Model) Events(c Component) uint64 { return m.counts[c] }
-
-// Total returns the total energy across all components.
-func (m *Model) Total() float64 {
-	var t float64
-	for _, v := range m.sums {
-		t += v
-	}
-	return t
-}
-
-// LQEnergy returns the energy spent implementing LQ functionality,
-// whichever design provided it (CAM LQ, or DMDC's replacement structures).
-func (m *Model) LQEnergy() float64 {
-	var t float64
-	for _, c := range LQFunctionality {
-		t += m.sums[c]
-	}
-	return t
 }
 
 // Breakdown is an immutable snapshot of a model's accounting.
@@ -233,7 +193,9 @@ func (b Breakdown) Total() float64 {
 	return t
 }
 
-// LQEnergy returns the LQ-functionality energy in the snapshot.
+// LQEnergy returns the energy spent implementing LQ functionality in the
+// snapshot, whichever design provided it (CAM LQ, or DMDC's replacement
+// structures).
 func (b Breakdown) LQEnergy() float64 {
 	var t float64
 	for _, c := range LQFunctionality {

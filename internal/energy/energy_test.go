@@ -47,17 +47,20 @@ func TestModelAccumulation(t *testing.T) {
 	m := NewModel(100)
 	m.Add(CompLQ, 2.0)
 	m.Add(CompLQ, 3.0)
-	m.AddN(CompSQ, 10.0, 4)
-	if got := m.Of(CompLQ); got != 5.0 {
+	for i := 0; i < 4; i++ {
+		m.Add(CompSQ, 2.5)
+	}
+	b := m.Snapshot()
+	if got := b.Of(CompLQ); got != 5.0 {
 		t.Errorf("LQ energy = %v, want 5", got)
 	}
-	if got := m.Events(CompLQ); got != 2 {
+	if got := b.Counts[CompLQ]; got != 2 {
 		t.Errorf("LQ events = %v, want 2", got)
 	}
-	if got := m.Events(CompSQ); got != 4 {
+	if got := b.Counts[CompSQ]; got != 4 {
 		t.Errorf("SQ events = %v, want 4", got)
 	}
-	if got := m.Total(); got != 15.0 {
+	if got := b.Total(); got != 15.0 {
 		t.Errorf("total = %v, want 15", got)
 	}
 }
@@ -66,29 +69,30 @@ func TestModelTick(t *testing.T) {
 	m := NewModel(100)
 	m.Tick()
 	m.Tick()
-	if m.Cycles() != 2 {
-		t.Errorf("cycles = %d", m.Cycles())
+	if b := m.Snapshot(); b.Cycles != 2 {
+		t.Errorf("cycles = %d", b.Cycles)
 	}
-	if m.Of(CompClock) <= 0 {
+	if m.Snapshot().Of(CompClock) <= 0 {
 		t.Error("clock energy should accumulate per tick")
 	}
 	// Zero core size disables the per-cycle cost but still counts cycles.
 	z := NewModel(0)
 	z.Tick()
-	if z.Of(CompClock) != 0 || z.Cycles() != 1 {
+	if b := z.Snapshot(); b.Of(CompClock) != 0 || b.Cycles != 1 {
 		t.Error("zero-size model should tick without clock energy")
 	}
 }
 
+// The zero Model is the disabled one.
 func TestDisabled(t *testing.T) {
-	m := Disabled()
+	m := new(Model)
 	if m.Enabled() {
 		t.Error("disabled model reports enabled")
 	}
 	m.Add(CompLQ, 5)
-	m.AddN(CompSQ, 5, 2)
+	m.Add(CompSQ, 5)
 	m.Tick()
-	if m.Total() != 0 || m.Cycles() != 0 || m.Events(CompLQ) != 0 {
+	if b := m.Snapshot(); b.Total() != 0 || b.Cycles != 0 || b.Counts[CompLQ] != 0 {
 		t.Error("disabled model accumulated state")
 	}
 }
@@ -100,7 +104,7 @@ func TestLQEnergy(t *testing.T) {
 	m.Add(CompHashQueue, 3)
 	m.Add(CompYLA, 1)
 	m.Add(CompROB, 500) // not LQ functionality
-	if got := m.LQEnergy(); got != 106 {
+	if got := m.Snapshot().LQEnergy(); got != 106 {
 		t.Errorf("LQ functionality energy = %v, want 106", got)
 	}
 }
@@ -152,11 +156,12 @@ func TestModelTotalConsistencyProperty(t *testing.T) {
 			m.Add(c, e)
 			want += e
 		}
+		b := m.Snapshot()
 		var sum float64
 		for c := 0; c < NumComponents; c++ {
-			sum += m.Of(Component(c))
+			sum += b.Of(Component(c))
 		}
-		return math.Abs(sum-want) < 1e-6 && math.Abs(m.Total()-want) < 1e-6
+		return math.Abs(sum-want) < 1e-6 && math.Abs(b.Total()-want) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 
 	"dmdc/internal/stats"
 )
@@ -76,8 +77,12 @@ func (d *DetailResult) String() string {
 // per benchmark, a fixed set of leading columns, then one column per
 // counter (the union across benchmarks, sorted). A counter named like a
 // fixed column (the "cycles" stat) is left out: the fixed column already
-// carries it. For plotting and external analysis.
+// carries it. For plotting and external analysis. A key outside the
+// run-spec table is an error that lists the valid ones (RunKeys).
 func (s *Suite) WriteCSV(w io.Writer, key string) error {
+	if _, ok := resolveSpec(key); !ok {
+		return fmt.Errorf("unknown run key %q; valid run keys: %s", key, strings.Join(RunKeys(), ", "))
+	}
 	rs := s.get(key)[key]
 	fixed := []string{"benchmark", "class", "config", "policy", "cycles", "insts", "ipc", "energy_total", "energy_lq"}
 	cols := map[string]bool{}

@@ -33,7 +33,7 @@ func TestDetailTable(t *testing.T) {
 func TestWriteCSV(t *testing.T) {
 	s := testSuite(t, 30_000, "gzip", "swim")
 	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf, KeyBaseConfig2()); err != nil {
+	if err := s.WriteCSV(&buf, keyBase("config2")); err != nil {
 		t.Fatal(err)
 	}
 	records, err := csv.NewReader(&buf).ReadAll()
@@ -109,5 +109,66 @@ func TestRunKeysComplete(t *testing.T) {
 		if !advertised[k] {
 			t.Errorf("the report ran key %q, which RunKeys does not list", k)
 		}
+	}
+}
+
+// An unknown run key is an input error, not a panic: WriteCSV returns an
+// error listing every valid key, and writes and runs nothing.
+func TestWriteCSVUnknownKey(t *testing.T) {
+	s := mustSuite(Options{Insts: 1000, Benchmarks: []string{"gzip"}})
+	var buf bytes.Buffer
+	err := s.WriteCSV(&buf, "nonsense")
+	if err == nil {
+		t.Fatal("unknown run key accepted")
+	}
+	for _, k := range RunKeys() {
+		if !strings.Contains(err.Error(), k) {
+			t.Errorf("error %q does not list run key %q", err, k)
+		}
+	}
+	if buf.Len() != 0 || s.Simulated() != 0 {
+		t.Errorf("unknown key wrote %d bytes and ran %d simulations", buf.Len(), s.Simulated())
+	}
+}
+
+// The artifact table is the one list of artifact names: every name is
+// unique and renders, an unknown name is an error listing them all, and
+// the extensions group prints its four members.
+func TestArtifactTable(t *testing.T) {
+	names := ArtifactNames()
+	if len(names) != 21 {
+		t.Errorf("%d artifacts, want 21: %v", len(names), names)
+	}
+	s := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip", "swim"}})
+	seen := map[string]bool{}
+	for _, name := range names {
+		if seen[name] {
+			t.Errorf("artifact %q listed twice", name)
+		}
+		seen[name] = true
+		if out, err := s.Artifact(name); err != nil || out == "" {
+			t.Errorf("artifact %q: %d bytes, error %v", name, len(out), err)
+		}
+	}
+	_, err := s.Artifact("figure9")
+	if err == nil {
+		t.Fatal("unknown artifact accepted")
+	}
+	for _, name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list artifact %q", err, name)
+		}
+	}
+	ext, _ := s.Artifact("extensions")
+	var parts []string
+	for _, name := range []string{"tablesweep", "ylasweep", "sqfilter-ext", "clamp"} {
+		out, _ := s.Artifact(name)
+		parts = append(parts, out)
+	}
+	if want := strings.Join(parts, "\n"); ext != want {
+		t.Errorf("extensions group:\n%s\nwant its members joined by blank lines:\n%s", ext, want)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

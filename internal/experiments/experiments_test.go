@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dmdc/internal/core"
 	"dmdc/internal/trace"
 )
 
@@ -32,6 +33,12 @@ func mustSuite(o Options) *Suite {
 	return s
 }
 
+// Results returns the per-benchmark results of one run key, running them
+// if needed.
+func (s *Suite) Results(key string) []*core.Result {
+	return s.get(key)[key]
+}
+
 func TestOptionsNormalization(t *testing.T) {
 	o, err := Options{}.normalized()
 	if err != nil {
@@ -39,9 +46,6 @@ func TestOptionsNormalization(t *testing.T) {
 	}
 	if o.Insts == 0 || o.Parallelism <= 0 || len(o.Benchmarks) != 26 {
 		t.Errorf("normalization incomplete: %+v", o)
-	}
-	if DefaultOptions().Insts == 0 {
-		t.Error("default options empty")
 	}
 }
 
@@ -85,7 +89,7 @@ func TestSpecForUnknownKeyPanics(t *testing.T) {
 			t.Error("unknown key accepted")
 		}
 	}()
-	mustSuite(DefaultOptions()).specFor("nonsense")
+	mustSuite(Options{}).specFor("nonsense")
 }
 
 func TestFigure2Shape(t *testing.T) {
@@ -337,17 +341,14 @@ func TestCheckQueueEquivalence(t *testing.T) {
 
 func TestResultsAccessor(t *testing.T) {
 	s := testSuite(t, 30_000, "gzip")
-	rs := s.Results(KeyBaseConfig2())
+	rs := s.Results(keyBase("config2"))
 	if len(rs) != 1 || rs[0] == nil || rs[0].Benchmark != "gzip" {
 		t.Fatalf("results accessor broken: %v", rs)
 	}
 	// Cached: a second call must not re-run (same pointers).
-	rs2 := s.Results(KeyBaseConfig2())
+	rs2 := s.Results(keyBase("config2"))
 	if rs[0] != rs2[0] {
 		t.Error("results not cached")
-	}
-	if KeyGlobalConfig2() == "" {
-		t.Error("key accessor empty")
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"dmdc/internal/config"
 	"dmdc/internal/core"
@@ -216,7 +215,7 @@ func (s *Suite) SQFilterExtension() *SQFilterResult {
 			if searches+filtered > 0 {
 				row.FilterPct.Observe(100 * filtered / (searches + filtered))
 			}
-			row.SQSavingsPct.Observe(100 * savings(
+			row.SQSavingsPct.Observe(100 * energy.Savings(
 				p.base.Energy.Of(energy.CompSQ), p.test.Energy.Of(energy.CompSQ)))
 			row.TotalPct.Observe(100 * p.totalSavings())
 			row.SlowdownPct.Observe(100 * p.slowdown())
@@ -281,17 +280,4 @@ func (c *ClampAblationResult) String() string {
 		tb.AddRow(r.Class.String(), r.Regs, r.WithPct.Mean(), r.WithoutPct.Mean())
 	}
 	return tb.String()
-}
-
-// ExtensionsReport renders all extension/ablation studies.
-func (s *Suite) ExtensionsReport() string {
-	var b strings.Builder
-	b.WriteString(s.TableSizeSweep().String())
-	b.WriteByte('\n')
-	b.WriteString(s.DMDCYLASweep().String())
-	b.WriteByte('\n')
-	b.WriteString(s.SQFilterExtension().String())
-	b.WriteByte('\n')
-	b.WriteString(s.ClampAblation().String())
-	return b.String()
 }

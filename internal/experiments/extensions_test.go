@@ -98,7 +98,10 @@ func TestExtensionsReport(t *testing.T) {
 		t.Skip("slow")
 	}
 	s := testSuite(t, 40_000, "gzip", "swim")
-	out := s.ExtensionsReport()
+	out, err := s.Artifact("extensions")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{"table size sweep", "YLA register count sweep", "store-side age filter", "clamp"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("extensions report missing %q", want)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dmdc/internal/core"
 	"dmdc/internal/stats"
 	"dmdc/internal/trace"
 )
@@ -237,53 +236,89 @@ func (c *CheckQueueResult) String() string {
 	return b.String()
 }
 
+// An artifact is one table or figure of the evaluation: the name
+// cmd/experiments -only selects it by, the section that prints it, and
+// its renderer. A group has no renderer: it prints the artifacts whose
+// section is its name.
+type artifact struct {
+	name    string
+	section string // "report", "extensions", or "" (printed only by name)
+	render  func(*Suite) string
+}
+
+// artifacts lists every artifact once, each section in the paper's order.
+// Report, the extensions group and cmd/experiments -only all read it.
+var artifacts = []artifact{
+	{"figure2", "report", func(s *Suite) string { return s.Figure2().String() }},
+	{"figure3", "report", func(s *Suite) string { return s.Figure3().String() }},
+	{"yla", "report", func(s *Suite) string { return s.YLAEnergy().String() }},
+	{"sqfilter", "report", func(s *Suite) string { return s.StoreFilterPotential().String() }},
+	{"figure4", "report", func(s *Suite) string { return s.Figure4().String() }},
+	{"table2", "report", func(s *Suite) string { return s.Table2().String() }},
+	{"table3", "report", func(s *Suite) string { return s.Table3().String() }},
+	{"safeloads", "report", func(s *Suite) string { return s.SafeLoadAblation().String() }},
+	{"table4", "report", func(s *Suite) string { return s.Table4().String() }},
+	{"table5", "report", func(s *Suite) string { return s.Table5().String() }},
+	{"figure5", "report", func(s *Suite) string { return s.Figure5().String() }},
+	{"queue", "report", func(s *Suite) string { return s.CheckQueueEquivalence().String() }},
+	{"table6", "report", func(s *Suite) string { return s.Table6().String() }},
+	{"extensions", "report", nil},
+	{"tablesweep", "extensions", func(s *Suite) string { return s.TableSizeSweep().String() }},
+	{"ylasweep", "extensions", func(s *Suite) string { return s.DMDCYLASweep().String() }},
+	{"sqfilter-ext", "extensions", func(s *Suite) string { return s.SQFilterExtension().String() }},
+	{"clamp", "extensions", func(s *Suite) string { return s.ClampAblation().String() }},
+	{"relatedwork", "report", func(s *Suite) string { return s.RelatedWork().String() }},
+	{"verification", "report", func(s *Suite) string { return s.VerificationComparison().String() }},
+	{"detail", "", func(s *Suite) string { return s.Detail().String() }},
+}
+
+// ArtifactNames lists the name of every artifact, in table order.
+func ArtifactNames() []string {
+	names := make([]string, len(artifacts))
+	for i, a := range artifacts {
+		names[i] = a.name
+	}
+	return names
+}
+
+// Artifact runs the named artifact's experiments and renders it. An
+// unknown name is an error that lists the valid ones.
+func (s *Suite) Artifact(name string) (string, error) {
+	for _, a := range artifacts {
+		if a.name == name {
+			return s.render(a), nil
+		}
+	}
+	return "", fmt.Errorf("unknown artifact %q; valid artifacts: %s", name, strings.Join(ArtifactNames(), ", "))
+}
+
 // Report runs every experiment and renders the full evaluation, in the
 // paper's order. This is what cmd/experiments prints.
 func (s *Suite) Report() string {
+	return fmt.Sprintf("DMDC reproduction — %d instructions per benchmark, %d benchmarks\n\n",
+		s.opts.Insts, len(s.opts.Benchmarks)) + s.section("report")
+}
+
+// render renders one artifact, or one group's section.
+func (s *Suite) render(a artifact) string {
+	if a.render == nil {
+		return s.section(a.name)
+	}
+	return a.render(s)
+}
+
+// section renders the artifacts of the named section in table order, with
+// a blank line between two of them unless the first already ends in one.
+func (s *Suite) section(name string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "DMDC reproduction — %d instructions per benchmark, %d benchmarks\n\n",
-		s.opts.Insts, len(s.opts.Benchmarks))
-	b.WriteString(s.Figure2().String())
-	b.WriteString(s.Figure3().String())
-	b.WriteString(s.YLAEnergy().String())
-	b.WriteString("\n")
-	b.WriteString(s.StoreFilterPotential().String())
-	b.WriteString("\n")
-	b.WriteString(s.Figure4().String())
-	b.WriteString("\n")
-	b.WriteString(s.Table2().String())
-	b.WriteString("\n")
-	b.WriteString(s.Table3().String())
-	b.WriteString("\n")
-	b.WriteString(s.SafeLoadAblation().String())
-	b.WriteString("\n")
-	b.WriteString(s.Table4().String())
-	b.WriteString("\n")
-	b.WriteString(s.Table5().String())
-	b.WriteString("\n")
-	b.WriteString(s.Figure5().String())
-	b.WriteString("\n")
-	b.WriteString(s.CheckQueueEquivalence().String())
-	b.WriteString("\n")
-	b.WriteString(s.Table6().String())
-	b.WriteString("\n")
-	b.WriteString(s.ExtensionsReport())
-	b.WriteString("\n")
-	b.WriteString(s.RelatedWork().String())
-	b.WriteString("\n")
-	b.WriteString(s.VerificationComparison().String())
+	for _, a := range artifacts {
+		if a.section != name {
+			continue
+		}
+		if b.Len() > 0 && !strings.HasSuffix(b.String(), "\n\n") {
+			b.WriteByte('\n')
+		}
+		b.WriteString(s.render(a))
+	}
 	return b.String()
 }
-
-// Results exposes the raw per-benchmark results for a run key (primarily
-// for tests and custom analyses); it triggers the runs if needed.
-func (s *Suite) Results(key string) []*core.Result {
-	return s.get(key)[key]
-}
-
-// KeyGlobalConfig2 returns the run key for the primary DMDC configuration;
-// exported for external analyses.
-func KeyGlobalConfig2() string { return keyGlobal("config2") }
-
-// KeyBaseConfig2 returns the run key for the config2 baseline.
-func KeyBaseConfig2() string { return keyBase("config2") }

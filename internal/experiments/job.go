@@ -226,7 +226,7 @@ type execParams struct {
 // policy wired to that model, and the Sim. oracle attaches the lockstep
 // architectural oracle, fed by a second generator built from the same
 // profile; opts are the further core options (injection, monitors,
-// soundness checks, telemetry). A detailed run passes an arena from the
+// soundness checks, telemetry). Every run passes an arena from the
 // process-wide pool and releases it once the Sim will not step again; a
 // nil arena gives the Sim a fresh one of its own.
 //
@@ -251,10 +251,7 @@ func NewCell(m config.Machine, bench string, factory PolicyFactory, oracle bool,
 	if oracle {
 		opts = append(opts, core.WithOracle(core.FromGenerator(trace.NewGenerator(prof))))
 	}
-	if arena != nil {
-		opts = append(opts, core.WithArena(arena))
-	}
-	return core.New(m, prof, pol, em, opts...)
+	return core.New(m, prof, pol, em, append(opts, core.WithArena(arena))...)
 }
 
 // executeCell builds and runs one cell of the matrix or one wire job: the

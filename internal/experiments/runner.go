@@ -88,12 +88,6 @@ type Options struct {
 	Backend Backend
 }
 
-// DefaultOptions returns options suitable for regenerating the paper's
-// numbers in a few minutes on a laptop.
-func DefaultOptions() Options {
-	return Options{Insts: 1_000_000}
-}
-
 // normalized fills defaults and validates the benchmark list: names are
 // whitespace-trimmed, and empty or unknown names are rejected with an
 // error listing the valid set.

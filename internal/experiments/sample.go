@@ -121,10 +121,9 @@ func RunSampled(ctx context.Context, sp SampleSpec) (*SampledResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The pass gets a fresh arena, not a pooled one: it only fast-forwards,
-	// and a checkpoint saved before any detailed cycle would carry a
-	// reused arena's stale wakeup-list links, which a restore rejects.
-	sim, err := NewCell(sp.Job.Machine, sp.Job.Benchmark, factory, false, nil)
+	arena := core.PooledArena()
+	defer arena.Release()
+	sim, err := NewCell(sp.Job.Machine, sp.Job.Benchmark, factory, false, arena)
 	if err != nil {
 		return nil, err
 	}

@@ -114,6 +114,45 @@ func TestSampledDeterminism(t *testing.T) {
 	}
 }
 
+// TestSampledWarmup pins what Warmup does to a run whose gaps are 16,000
+// instructions. A Warmup at or above the gap warms the whole gap, exactly
+// as Warmup 0 does. A shorter one skips the rest of the gap cold: it is
+// deterministic, and every interval starts from another state than the
+// fully warmed run's, so every checkpoint ref differs.
+func TestSampledWarmup(t *testing.T) {
+	t.Parallel()
+	run := func(warmup uint64) ([]byte, *SampledResult) {
+		t.Helper()
+		r, err := RunSampled(context.Background(), SampleSpec{
+			Job:       JobSpec{Machine: config.Config1(), Policy: "dmdc", Benchmark: "gcc", Insts: 120_000},
+			Intervals: 6, IntervalInsts: 4_000, Warmup: warmup,
+		})
+		if err != nil {
+			t.Fatalf("warmup %d: %v", warmup, err)
+		}
+		b, err := json.MarshalIndent(r, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, r
+	}
+	full, rFull := run(0)
+	for _, w := range []uint64{16_000, 50_000} {
+		if b, _ := run(w); !bytes.Equal(b, full) {
+			t.Errorf("warmup %d covers the 16,000-instruction gap but differs from warmup 0:\n%s\nwant\n%s", w, b, full)
+		}
+	}
+	short, rShort := run(2_000)
+	if again, _ := run(2_000); !bytes.Equal(again, short) {
+		t.Fatal("two identical runs with a 2,000-instruction warmup produced different results")
+	}
+	for i, iv := range rShort.Intervals {
+		if iv.CheckpointRef == rFull.Intervals[i].CheckpointRef {
+			t.Errorf("interval %d: a 2,000-instruction warmup starts from the fully warmed state %s", i, iv.CheckpointRef)
+		}
+	}
+}
+
 // failingBackend runs interval jobs in process, counting Run calls, and
 // fails the one whose checkpoint ref is failRef.
 type failingBackend struct {

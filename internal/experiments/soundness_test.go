@@ -50,7 +50,7 @@ func TestFactoryErrorQuarantined(t *testing.T) {
 // reports full coverage in the result stats.
 func TestSuiteSoundness(t *testing.T) {
 	s := mustSuite(Options{Insts: 3000, Benchmarks: []string{"gzip"}, Soundness: true})
-	rs := s.Results(KeyGlobalConfig2())
+	rs := s.Results(keyGlobal("config2"))
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +67,13 @@ func TestSuiteSoundness(t *testing.T) {
 func TestSoundnessBypassesCache(t *testing.T) {
 	dir := t.TempDir()
 	warm := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, CacheDir: dir})
-	warm.Results(KeyBaseConfig2())
+	warm.Results(keyBase("config2"))
 	if warm.Simulated() != 1 {
 		t.Fatalf("warmup simulated %d runs, want 1", warm.Simulated())
 	}
 
 	s := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, CacheDir: dir, Soundness: true})
-	s.Results(KeyBaseConfig2())
+	s.Results(keyBase("config2"))
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestSoundnessBypassesCache(t *testing.T) {
 func TestFaultsKeyedSeparately(t *testing.T) {
 	dir := t.TempDir()
 	clean := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, CacheDir: dir})
-	clean.Results(KeyBaseConfig2())
+	clean.Results(keyBase("config2"))
 
 	faults := soundness.FaultSpec{StoreDelay: 20, StoreDelayEvery: 5}
 	a := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, CacheDir: dir, Faults: faults})
-	ra := a.Results(KeyBaseConfig2())
+	ra := a.Results(keyBase("config2"))
 	if err := a.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestFaultsKeyedSeparately(t *testing.T) {
 	}
 
 	b := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, CacheDir: dir, Faults: faults})
-	rb := b.Results(KeyBaseConfig2())
+	rb := b.Results(keyBase("config2"))
 	if b.Simulated() != 0 {
 		t.Errorf("identical faulted run missed its own cache entry (simulated %d)", b.Simulated())
 	}
@@ -129,7 +129,7 @@ func TestSuiteFaultsWithOracle(t *testing.T) {
 		Soundness:  true,
 		Faults:     faults,
 	})
-	for _, key := range []string{KeyBaseConfig2(), KeyGlobalConfig2()} {
+	for _, key := range []string{keyBase("config2"), keyGlobal("config2")} {
 		rs := s.Results(key)
 		if len(rs) != 1 || rs[0] == nil {
 			t.Fatalf("%s: missing result", key)

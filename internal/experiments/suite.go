@@ -9,6 +9,7 @@ import (
 
 	"dmdc/internal/config"
 	"dmdc/internal/core"
+	"dmdc/internal/energy"
 	"dmdc/internal/lsq"
 	"dmdc/internal/resultcache"
 	"dmdc/internal/telemetry"
@@ -280,17 +281,10 @@ func (p pair) slowdown() float64 {
 
 // lqSavings returns the fraction of LQ-functionality energy saved.
 func (p pair) lqSavings() float64 {
-	return savings(p.base.Energy.LQEnergy(), p.test.Energy.LQEnergy())
+	return energy.Savings(p.base.Energy.LQEnergy(), p.test.Energy.LQEnergy())
 }
 
 // totalSavings returns the fraction of processor-wide energy saved.
 func (p pair) totalSavings() float64 {
-	return savings(p.base.Energy.Total(), p.test.Energy.Total())
-}
-
-func savings(base, test float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return (base - test) / base
+	return energy.Savings(p.base.Energy.Total(), p.test.Energy.Total())
 }

@@ -53,7 +53,7 @@ func TestSuiteResultCache(t *testing.T) {
 	opts := Options{Insts: 2000, Benchmarks: []string{"gzip"}, CacheDir: dir}
 
 	cold := mustSuite(opts)
-	first := cold.Results(KeyGlobalConfig2())
+	first := cold.Results(keyGlobal("config2"))
 	if err := cold.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSuiteResultCache(t *testing.T) {
 	}
 
 	warm := mustSuite(opts)
-	second := warm.Results(KeyGlobalConfig2())
+	second := warm.Results(keyGlobal("config2"))
 	if err := warm.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +91,9 @@ func TestSuiteResultCache(t *testing.T) {
 func TestSuiteCacheKeyedByInsts(t *testing.T) {
 	dir := t.TempDir()
 	a := mustSuite(Options{Insts: 1000, Benchmarks: []string{"gzip"}, CacheDir: dir})
-	a.Results(KeyBaseConfig2())
+	a.Results(keyBase("config2"))
 	b := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, CacheDir: dir})
-	b.Results(KeyBaseConfig2())
+	b.Results(keyBase("config2"))
 	if b.Simulated() != 1 {
 		t.Errorf("different insts budget reused cache (simulated %d, want 1)", b.Simulated())
 	}

@@ -68,11 +68,6 @@ func (o Op) IsBranch() bool { return o == OpBranch }
 // IsFP reports whether the operation executes on the floating-point cluster.
 func (o Op) IsFP() bool { return o == OpFAlu || o == OpFMul || o == OpFDiv }
 
-// IsLongLat reports whether the operation uses a multiply/divide unit.
-func (o Op) IsLongLat() bool {
-	return o == OpIMul || o == OpIDiv || o == OpFMul || o == OpFDiv
-}
-
 // Latency returns the default execution latency in cycles for the
 // operation class, excluding any memory-hierarchy latency for loads.
 func (o Op) Latency() int {

@@ -48,9 +48,6 @@ func TestOpPredicates(t *testing.T) {
 		if op.IsFP() != (op == OpFAlu || op == OpFMul || op == OpFDiv) {
 			t.Errorf("%v IsFP mismatch", op)
 		}
-		if op.IsLongLat() != (op == OpIMul || op == OpIDiv || op == OpFMul || op == OpFDiv) {
-			t.Errorf("%v IsLongLat mismatch", op)
-		}
 		if op.Latency() < 1 {
 			t.Errorf("%v latency %d < 1", op, op.Latency())
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 func testAgeTable() *AgeTable {
-	return Must(NewAgeTable(AgeTableConfig{TableSize: 2048, LQSize: 256}, energy.Disabled()))
+	return Must(NewAgeTable(AgeTableConfig{TableSize: 2048, LQSize: 256}, new(energy.Model)))
 }
 
 func TestAgeTableConfigValidate(t *testing.T) {
@@ -29,7 +29,7 @@ func TestAgeTableConfigValidate(t *testing.T) {
 }
 
 func TestAgeTableRejectsBadConfig(t *testing.T) {
-	_, err := NewAgeTable(AgeTableConfig{}, energy.Disabled())
+	_, err := NewAgeTable(AgeTableConfig{}, new(energy.Model))
 	var ce *ConfigError
 	if !errors.As(err, &ce) {
 		t.Fatalf("bad config: err = %v, want *ConfigError", err)
@@ -72,7 +72,7 @@ func TestAgeTableBitmapScreensNarrowAccesses(t *testing.T) {
 
 func TestAgeTableHashAliasing(t *testing.T) {
 	cfg := AgeTableConfig{TableSize: 2, LQSize: 64}
-	a := Must(NewAgeTable(cfg, energy.Disabled()))
+	a := Must(NewAgeTable(cfg, new(energy.Model)))
 	ld := newLoad(10, 0x108, 8)
 	issueLoad(a, ld, 5)
 	st := newStore(3, 0x100, 8)

@@ -56,14 +56,3 @@ func (f *BloomFilter) Remove(addr uint64) {
 func (f *BloomFilter) MayMatch(addr uint64) bool {
 	return f.buckets[f.Hash(addr)] != 0
 }
-
-// Occupancy returns the number of nonzero buckets, for diagnostics.
-func (f *BloomFilter) Occupancy() int {
-	var n int
-	for _, b := range f.buckets {
-		if b != 0 {
-			n++
-		}
-	}
-	return n
-}

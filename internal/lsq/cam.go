@@ -74,8 +74,8 @@ func (c CAMConfig) Validate() error {
 	return nil
 }
 
-// NewCAM builds the policy. em may be energy.Disabled(). An invalid
-// configuration yields a *ConfigError.
+// NewCAM builds the policy. em may be a zero energy.Model, which accounts
+// nothing. An invalid configuration yields a *ConfigError.
 func NewCAM(cfg CAMConfig, em *energy.Model) (*CAM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, &ConfigError{Policy: "cam", Err: err}

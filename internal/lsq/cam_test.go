@@ -24,7 +24,7 @@ func issueLoad(p Policy, op *MemOp, cycle uint64) {
 }
 
 func TestCAMDetectsViolation(t *testing.T) {
-	c := Must(NewCAM(CAMConfig{LQSize: 16}, energy.Disabled()))
+	c := Must(NewCAM(CAMConfig{LQSize: 16}, new(energy.Model)))
 	// A younger load issues to 0x100 before the older store resolves.
 	ld := newLoad(10, 0x100, 8)
 	issueLoad(c, ld, 5)
@@ -43,7 +43,7 @@ func TestCAMDetectsViolation(t *testing.T) {
 }
 
 func TestCAMNoViolationDifferentAddr(t *testing.T) {
-	c := Must(NewCAM(CAMConfig{LQSize: 16}, energy.Disabled()))
+	c := Must(NewCAM(CAMConfig{LQSize: 16}, new(energy.Model)))
 	issueLoad(c, newLoad(10, 0x200, 8), 5)
 	if r := c.StoreResolve(newStore(3, 0x100, 8)); r != nil {
 		t.Error("false violation on disjoint addresses")
@@ -51,7 +51,7 @@ func TestCAMNoViolationDifferentAddr(t *testing.T) {
 }
 
 func TestCAMNoViolationOlderLoad(t *testing.T) {
-	c := Must(NewCAM(CAMConfig{LQSize: 16}, energy.Disabled()))
+	c := Must(NewCAM(CAMConfig{LQSize: 16}, new(energy.Model)))
 	issueLoad(c, newLoad(2, 0x100, 8), 5)
 	if r := c.StoreResolve(newStore(3, 0x100, 8)); r != nil {
 		t.Error("older load flagged as violation")
@@ -59,7 +59,7 @@ func TestCAMNoViolationOlderLoad(t *testing.T) {
 }
 
 func TestCAMUnissuedLoadIgnored(t *testing.T) {
-	c := Must(NewCAM(CAMConfig{LQSize: 16}, energy.Disabled()))
+	c := Must(NewCAM(CAMConfig{LQSize: 16}, new(energy.Model)))
 	ld := newLoad(10, 0x100, 8)
 	c.LoadDispatch(ld) // in LQ but not issued
 	if r := c.StoreResolve(newStore(3, 0x100, 8)); r != nil {
@@ -68,7 +68,7 @@ func TestCAMUnissuedLoadIgnored(t *testing.T) {
 }
 
 func TestCAMWrongPathLoadIgnored(t *testing.T) {
-	c := Must(NewCAM(CAMConfig{LQSize: 16}, energy.Disabled()))
+	c := Must(NewCAM(CAMConfig{LQSize: 16}, new(energy.Model)))
 	ld := newLoad(10, 0x100, 8)
 	ld.WrongPath = true
 	issueLoad(c, ld, 5)
@@ -78,7 +78,7 @@ func TestCAMWrongPathLoadIgnored(t *testing.T) {
 }
 
 func TestCAMOldestViolatorChosen(t *testing.T) {
-	c := Must(NewCAM(CAMConfig{LQSize: 16}, energy.Disabled()))
+	c := Must(NewCAM(CAMConfig{LQSize: 16}, new(energy.Model)))
 	issueLoad(c, newLoad(20, 0x100, 8), 5)
 	issueLoad(c, newLoad(12, 0x104, 4), 6)
 	r := c.StoreResolve(newStore(3, 0x100, 8))
@@ -88,7 +88,7 @@ func TestCAMOldestViolatorChosen(t *testing.T) {
 }
 
 func TestCAMPartialOverlapDetected(t *testing.T) {
-	c := Must(NewCAM(CAMConfig{LQSize: 16}, energy.Disabled()))
+	c := Must(NewCAM(CAMConfig{LQSize: 16}, new(energy.Model)))
 	issueLoad(c, newLoad(10, 0x104, 4), 5)
 	if r := c.StoreResolve(newStore(3, 0x100, 8)); r == nil {
 		t.Error("partial overlap not detected")
@@ -96,7 +96,7 @@ func TestCAMPartialOverlapDetected(t *testing.T) {
 }
 
 func TestCAMSquashRemovesLoads(t *testing.T) {
-	c := Must(NewCAM(CAMConfig{LQSize: 16}, energy.Disabled()))
+	c := Must(NewCAM(CAMConfig{LQSize: 16}, new(energy.Model)))
 	issueLoad(c, newLoad(10, 0x100, 8), 5)
 	issueLoad(c, newLoad(11, 0x108, 8), 6)
 	c.Squash(10)
@@ -106,7 +106,7 @@ func TestCAMSquashRemovesLoads(t *testing.T) {
 }
 
 func TestCAMCommitRemovesLoads(t *testing.T) {
-	c := Must(NewCAM(CAMConfig{LQSize: 16}, energy.Disabled()))
+	c := Must(NewCAM(CAMConfig{LQSize: 16}, new(energy.Model)))
 	ld := newLoad(10, 0x100, 8)
 	issueLoad(c, ld, 5)
 	if r := c.LoadCommit(ld); r != nil {
@@ -118,7 +118,7 @@ func TestCAMCommitRemovesLoads(t *testing.T) {
 }
 
 func TestCAMCapacity(t *testing.T) {
-	c := Must(NewCAM(CAMConfig{LQSize: 48}, energy.Disabled()))
+	c := Must(NewCAM(CAMConfig{LQSize: 48}, new(energy.Model)))
 	if c.LoadCapacity() != 48 {
 		t.Errorf("capacity = %d", c.LoadCapacity())
 	}
@@ -129,11 +129,11 @@ func TestCAMYLAFiltering(t *testing.T) {
 	c := Must(NewCAM(CAMConfig{LQSize: 16, Filter: FilterYLA, YLARegs: 8}, em))
 	// Store younger than every issued load: filtered, no LQ search energy.
 	issueLoad(c, newLoad(5, 0x100, 8), 2)
-	before := em.Of(energy.CompLQ)
+	before := em.Snapshot().Of(energy.CompLQ)
 	if r := c.StoreResolve(newStore(9, 0x200, 8)); r != nil {
 		t.Fatal("unexpected replay")
 	}
-	if em.Of(energy.CompLQ) != before {
+	if em.Snapshot().Of(energy.CompLQ) != before {
 		t.Error("filtered store still paid for an LQ search")
 	}
 	s := stats.NewSet()
@@ -145,13 +145,13 @@ func TestCAMYLAFiltering(t *testing.T) {
 	if r := c.StoreResolve(newStore(3, 0x100, 8)); r == nil {
 		t.Error("YLA-filtered CAM missed a real violation")
 	}
-	if em.Of(energy.CompLQ) <= before {
+	if em.Snapshot().Of(energy.CompLQ) <= before {
 		t.Error("unfiltered search should cost LQ energy")
 	}
 }
 
 func TestCAMYLARecoverClamp(t *testing.T) {
-	c := Must(NewCAM(CAMConfig{LQSize: 16, Filter: FilterYLA, YLARegs: 1}, energy.Disabled()))
+	c := Must(NewCAM(CAMConfig{LQSize: 16, Filter: FilterYLA, YLARegs: 1}, new(energy.Model)))
 	// A wrong-path-ish young load pollutes YLA, then recovery clamps it.
 	ld := newLoad(100, 0x100, 8)
 	issueLoad(c, ld, 2)
@@ -169,7 +169,7 @@ func TestCAMYLARecoverClamp(t *testing.T) {
 }
 
 func TestCAMBloomFiltering(t *testing.T) {
-	c := Must(NewCAM(CAMConfig{LQSize: 16, Filter: FilterBloom, BloomSize: 64}, energy.Disabled()))
+	c := Must(NewCAM(CAMConfig{LQSize: 16, Filter: FilterBloom, BloomSize: 64}, new(energy.Model)))
 	issueLoad(c, newLoad(10, 0x100, 8), 5)
 	// Store to an address whose bucket is empty: filtered.
 	st := newStore(3, 0x100+8*64*1024, 8)
@@ -191,7 +191,7 @@ func TestCAMBloomFiltering(t *testing.T) {
 }
 
 func TestCAMBloomSquashCleans(t *testing.T) {
-	c := Must(NewCAM(CAMConfig{LQSize: 16, Filter: FilterBloom, BloomSize: 64}, energy.Disabled()))
+	c := Must(NewCAM(CAMConfig{LQSize: 16, Filter: FilterBloom, BloomSize: 64}, new(energy.Model)))
 	ld := newLoad(10, 0x100, 8)
 	issueLoad(c, ld, 5)
 	c.Squash(10)
@@ -202,19 +202,19 @@ func TestCAMBloomSquashCleans(t *testing.T) {
 }
 
 func TestCAMNames(t *testing.T) {
-	if Must(NewCAM(CAMConfig{LQSize: 4}, energy.Disabled())).Name() != "cam" {
+	if Must(NewCAM(CAMConfig{LQSize: 4}, new(energy.Model))).Name() != "cam" {
 		t.Error("baseline name wrong")
 	}
-	if Must(NewCAM(CAMConfig{LQSize: 4, Filter: FilterYLA, YLARegs: 8}, energy.Disabled())).Name() != "cam+yla8" {
+	if Must(NewCAM(CAMConfig{LQSize: 4, Filter: FilterYLA, YLARegs: 8}, new(energy.Model))).Name() != "cam+yla8" {
 		t.Error("yla name wrong")
 	}
-	if Must(NewCAM(CAMConfig{LQSize: 4, Filter: FilterBloom, BloomSize: 32}, energy.Disabled())).Name() != "cam+bf32" {
+	if Must(NewCAM(CAMConfig{LQSize: 4, Filter: FilterBloom, BloomSize: 32}, new(energy.Model))).Name() != "cam+bf32" {
 		t.Error("bloom name wrong")
 	}
 }
 
 func TestCAMRejectsBadConfig(t *testing.T) {
-	_, err := NewCAM(CAMConfig{}, energy.Disabled())
+	_, err := NewCAM(CAMConfig{}, new(energy.Model))
 	var ce *ConfigError
 	if !errors.As(err, &ce) {
 		t.Fatalf("zero LQ size: err = %v, want *ConfigError", err)
@@ -222,16 +222,16 @@ func TestCAMRejectsBadConfig(t *testing.T) {
 	if ce.Policy != "cam" {
 		t.Errorf("ConfigError.Policy = %q, want cam", ce.Policy)
 	}
-	if _, err := NewCAM(CAMConfig{LQSize: 8, Filter: FilterYLA, YLARegs: 3}, energy.Disabled()); err == nil {
+	if _, err := NewCAM(CAMConfig{LQSize: 8, Filter: FilterYLA, YLARegs: 3}, new(energy.Model)); err == nil {
 		t.Error("non-power-of-two YLA register count accepted")
 	}
-	if _, err := NewCAM(CAMConfig{LQSize: 8, Filter: FilterBloom, BloomSize: 48}, energy.Disabled()); err == nil {
+	if _, err := NewCAM(CAMConfig{LQSize: 8, Filter: FilterBloom, BloomSize: 48}, new(energy.Model)); err == nil {
 		t.Error("non-power-of-two bloom size accepted")
 	}
 }
 
 func TestCAMReportCauses(t *testing.T) {
-	c := Must(NewCAM(CAMConfig{LQSize: 16}, energy.Disabled()))
+	c := Must(NewCAM(CAMConfig{LQSize: 16}, new(energy.Model)))
 	issueLoad(c, newLoad(10, 0x100, 8), 5)
 	c.StoreResolve(newStore(3, 0x100, 8))
 	s := stats.NewSet()

@@ -133,8 +133,8 @@ type DMDC struct {
 	queueSearchCost float64 // one checking-queue search, precomputed
 }
 
-// NewDMDC builds the policy; em may be energy.Disabled(). An invalid
-// configuration yields a *ConfigError.
+// NewDMDC builds the policy; em may be a zero energy.Model, which accounts
+// nothing. An invalid configuration yields a *ConfigError.
 func NewDMDC(cfg DMDCConfig, em *energy.Model) (*DMDC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, &ConfigError{Policy: "dmdc", Err: err}

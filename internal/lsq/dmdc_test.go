@@ -20,7 +20,7 @@ func resolveStore(d *DMDC, op *MemOp, cycle uint64) *Replay {
 }
 
 func TestDMDCSafeStoreSkipsChecking(t *testing.T) {
-	d := Must(NewDMDC(testDMDCConfig(), energy.Disabled()))
+	d := Must(NewDMDC(testDMDCConfig(), new(energy.Model)))
 	// Store younger than all issued loads: safe, no window.
 	ld := newLoad(5, 0x100, 8)
 	issueLoad(d, ld, 2)
@@ -38,7 +38,7 @@ func TestDMDCSafeStoreSkipsChecking(t *testing.T) {
 }
 
 func TestDMDCDetectsViolationAtCommit(t *testing.T) {
-	d := Must(NewDMDC(testDMDCConfig(), energy.Disabled()))
+	d := Must(NewDMDC(testDMDCConfig(), new(energy.Model)))
 	// Younger load issues early to 0x100 (cycle 5); older store to the
 	// same address resolves later (cycle 9): a genuine premature load.
 	ld := newLoad(10, 0x100, 8)
@@ -71,7 +71,7 @@ func TestDMDCDetectsViolationAtCommit(t *testing.T) {
 }
 
 func TestDMDCReplayClearsTable(t *testing.T) {
-	d := Must(NewDMDC(testDMDCConfig(), energy.Disabled()))
+	d := Must(NewDMDC(testDMDCConfig(), new(energy.Model)))
 	ld := newLoad(10, 0x100, 8)
 	issueLoad(d, ld, 5)
 	st := newStore(3, 0x100, 8)
@@ -92,7 +92,7 @@ func TestDMDCReplayClearsTable(t *testing.T) {
 }
 
 func TestDMDCWindowTermination(t *testing.T) {
-	d := Must(NewDMDC(testDMDCConfig(), energy.Disabled()))
+	d := Must(NewDMDC(testDMDCConfig(), new(energy.Model)))
 	ld := newLoad(10, 0x200, 8) // different address: no violation
 	issueLoad(d, ld, 5)
 	st := newStore(3, 0x100, 8)
@@ -122,7 +122,7 @@ func TestDMDCWindowTermination(t *testing.T) {
 }
 
 func TestDMDCSafeLoadBypass(t *testing.T) {
-	d := Must(NewDMDC(testDMDCConfig(), energy.Disabled()))
+	d := Must(NewDMDC(testDMDCConfig(), new(energy.Model)))
 	// Two loads to the same hash entry as the store; one safe, one not.
 	safe := newLoad(10, 0x100, 8)
 	safe.SafeAtIssue = true
@@ -144,7 +144,7 @@ func TestDMDCSafeLoadBypass(t *testing.T) {
 func TestDMDCSafeLoadDisabled(t *testing.T) {
 	cfg := testDMDCConfig()
 	cfg.SafeLoads = false
-	d := Must(NewDMDC(cfg, energy.Disabled()))
+	d := Must(NewDMDC(cfg, new(energy.Model)))
 	safe := newLoad(10, 0x100, 8)
 	safe.SafeAtIssue = true
 	issueLoad(d, safe, 5)
@@ -160,7 +160,7 @@ func TestDMDCSafeLoadDisabled(t *testing.T) {
 func TestDMDCHashConflictFalseReplay(t *testing.T) {
 	cfg := testDMDCConfig()
 	cfg.TableSize = 2 // tiny table: everything collides
-	d := Must(NewDMDC(cfg, energy.Disabled()))
+	d := Must(NewDMDC(cfg, new(energy.Model)))
 	ld := newLoad(10, 0x108, 8) // different quad word from the store
 	issueLoad(d, ld, 5)
 	st := newStore(3, 0x100, 8)
@@ -180,7 +180,7 @@ func TestDMDCHashConflictFalseReplay(t *testing.T) {
 }
 
 func TestDMDCBitmapAvoidsNarrowConflicts(t *testing.T) {
-	d := Must(NewDMDC(testDMDCConfig(), energy.Disabled()))
+	d := Must(NewDMDC(testDMDCConfig(), new(energy.Model)))
 	// Store writes bytes 0-3 of the quad word, load reads bytes 4-7: same
 	// table entry, disjoint bitmaps, no replay.
 	ld := newLoad(10, 0x104, 4)
@@ -195,7 +195,7 @@ func TestDMDCBitmapAvoidsNarrowConflicts(t *testing.T) {
 }
 
 func TestDMDCTimingFalseReplay(t *testing.T) {
-	d := Must(NewDMDC(testDMDCConfig(), energy.Disabled()))
+	d := Must(NewDMDC(testDMDCConfig(), new(energy.Model)))
 	// Load issued AFTER the store resolved (no real violation) but lands
 	// in the window and overlaps the address: timing-approximation false
 	// replay, category X.
@@ -217,7 +217,7 @@ func TestDMDCTimingFalseReplay(t *testing.T) {
 }
 
 func TestDMDCMergedWindowYCategory(t *testing.T) {
-	d := Must(NewDMDC(testDMDCConfig(), energy.Disabled()))
+	d := Must(NewDMDC(testDMDCConfig(), new(energy.Model)))
 	// Store A's window ends at age 8; store B's window extends to age 20.
 	// A load at age 15 overlapping store A's address is only checked
 	// because the windows merged: category Y.
@@ -249,7 +249,7 @@ func TestDMDCLocalWindowsSmaller(t *testing.T) {
 	// the load at age 15 is never checked if stB has not committed.
 	cfg := testDMDCConfig()
 	cfg.Local = true
-	d := Must(NewDMDC(cfg, energy.Disabled()))
+	d := Must(NewDMDC(cfg, new(energy.Model)))
 	l1 := newLoad(8, 0x100, 8)
 	issueLoad(d, l1, 4)
 	stA := newStore(3, 0x200, 8)
@@ -271,7 +271,7 @@ func TestDMDCLocalWindowsSmaller(t *testing.T) {
 }
 
 func TestDMDCGlobalEndCheckPushedAtResolve(t *testing.T) {
-	d := Must(NewDMDC(testDMDCConfig(), energy.Disabled()))
+	d := Must(NewDMDC(testDMDCConfig(), new(energy.Model)))
 	l1 := newLoad(8, 0x100, 8)
 	issueLoad(d, l1, 4)
 	st := newStore(3, 0x100, 8)
@@ -282,7 +282,7 @@ func TestDMDCGlobalEndCheckPushedAtResolve(t *testing.T) {
 }
 
 func TestDMDCCheckingCycles(t *testing.T) {
-	d := Must(NewDMDC(testDMDCConfig(), energy.Disabled()))
+	d := Must(NewDMDC(testDMDCConfig(), new(energy.Model)))
 	d.Tick()
 	l1 := newLoad(8, 0x100, 8)
 	issueLoad(d, l1, 4)
@@ -305,7 +305,7 @@ func TestDMDCQueueVariantExactAddresses(t *testing.T) {
 	cfg := testDMDCConfig()
 	cfg.TableSize = 0
 	cfg.QueueSize = 16
-	d := Must(NewDMDC(cfg, energy.Disabled()))
+	d := Must(NewDMDC(cfg, new(energy.Model)))
 	// A load in the same YLA bank (8 banks × quad words: 0x140 aliases
 	// 0x100) makes the store unsafe, but its exact address differs: the
 	// queue must NOT replay it.
@@ -330,7 +330,7 @@ func TestDMDCQueueOverflowForcesReplay(t *testing.T) {
 	cfg := testDMDCConfig()
 	cfg.TableSize = 0
 	cfg.QueueSize = 1
-	d := Must(NewDMDC(cfg, energy.Disabled()))
+	d := Must(NewDMDC(cfg, new(energy.Model)))
 	l1 := newLoad(30, 0x100, 8)
 	issueLoad(d, l1, 5)
 	stA := newStore(3, 0x200, 8)
@@ -352,7 +352,7 @@ func TestDMDCInvalidateWriteSerialization(t *testing.T) {
 	cfg := testDMDCConfig()
 	cfg.Coherence = true
 	cfg.LineYLARegs = 8
-	d := Must(NewDMDC(cfg, energy.Disabled()))
+	d := Must(NewDMDC(cfg, new(energy.Model)))
 	// Load i (younger, age 12) issues first, getting old data.
 	ldI := newLoad(12, 0x140, 8)
 	issueLoad(d, ldI, 5)
@@ -383,7 +383,7 @@ func TestDMDCInvalidateWriteSerialization(t *testing.T) {
 func TestDMDCInvalidateNoLoadsNoWindow(t *testing.T) {
 	cfg := testDMDCConfig()
 	cfg.Coherence = true
-	d := Must(NewDMDC(cfg, energy.Disabled()))
+	d := Must(NewDMDC(cfg, new(energy.Model)))
 	d.Invalidate(0x9000)
 	if d.checking {
 		t.Error("invalidation with no issued loads opened a window")
@@ -391,7 +391,7 @@ func TestDMDCInvalidateNoLoadsNoWindow(t *testing.T) {
 }
 
 func TestDMDCInvalidateIgnoredWithoutCoherence(t *testing.T) {
-	d := Must(NewDMDC(testDMDCConfig(), energy.Disabled()))
+	d := Must(NewDMDC(testDMDCConfig(), new(energy.Model)))
 	d.Invalidate(0x140)
 	if d.checking {
 		t.Error("coherence-disabled DMDC reacted to invalidation")
@@ -399,7 +399,7 @@ func TestDMDCInvalidateIgnoredWithoutCoherence(t *testing.T) {
 }
 
 func TestDMDCRecoverClampsYLA(t *testing.T) {
-	d := Must(NewDMDC(testDMDCConfig(), energy.Disabled()))
+	d := Must(NewDMDC(testDMDCConfig(), new(energy.Model)))
 	wp := newLoad(100, 0x100, 8)
 	wp.WrongPath = true
 	issueLoad(d, wp, 5)
@@ -413,7 +413,7 @@ func TestDMDCRecoverClampsYLA(t *testing.T) {
 }
 
 func TestDMDCWindowStats(t *testing.T) {
-	d := Must(NewDMDC(testDMDCConfig(), energy.Disabled()))
+	d := Must(NewDMDC(testDMDCConfig(), new(energy.Model)))
 	l1 := newLoad(10, 0x100, 8)
 	issueLoad(d, l1, 4)
 	st := newStore(3, 0x200, 8)
@@ -441,23 +441,23 @@ func TestDMDCWindowStats(t *testing.T) {
 }
 
 func TestDMDCLoadCapacity(t *testing.T) {
-	d := Must(NewDMDC(testDMDCConfig(), energy.Disabled()))
+	d := Must(NewDMDC(testDMDCConfig(), new(energy.Model)))
 	if d.LoadCapacity() != 256 {
 		t.Errorf("capacity = %d, want 256", d.LoadCapacity())
 	}
 }
 
 func TestDMDCNames(t *testing.T) {
-	if Must(NewDMDC(testDMDCConfig(), energy.Disabled())).Name() != "dmdc-global-t2048" {
+	if Must(NewDMDC(testDMDCConfig(), new(energy.Model))).Name() != "dmdc-global-t2048" {
 		t.Error("global name wrong")
 	}
 	cfg := testDMDCConfig()
 	cfg.Local = true
-	if Must(NewDMDC(cfg, energy.Disabled())).Name() != "dmdc-local-t2048" {
+	if Must(NewDMDC(cfg, new(energy.Model))).Name() != "dmdc-local-t2048" {
 		t.Error("local name wrong")
 	}
 	cfg.QueueSize = 16
-	if Must(NewDMDC(cfg, energy.Disabled())).Name() != "dmdc-local-q16" {
+	if Must(NewDMDC(cfg, new(energy.Model))).Name() != "dmdc-local-q16" {
 		t.Error("queue name wrong")
 	}
 }
@@ -500,7 +500,7 @@ func TestDMDCEnergyMuchCheaperThanCAM(t *testing.T) {
 			p.InstCommit(age)
 			p.LoadCommit(ld)
 		}
-		return em.LQEnergy()
+		return em.Snapshot().LQEnergy()
 	}
 	emCAM := energy.NewModel(0)
 	camE := run(Must(NewCAM(CAMConfig{LQSize: 96}, emCAM)), emCAM)

@@ -131,11 +131,11 @@ func fuzzPolicies() map[string]Policy {
 	queue.TableSize = 0
 	queue.QueueSize = 64
 	return map[string]Policy{
-		"dmdc":       Must(NewDMDC(testDMDCConfig(), energy.Disabled())),
-		"dmdc-local": Must(NewDMDC(local, energy.Disabled())),
-		"dmdc-tiny":  Must(NewDMDC(small, energy.Disabled())),
-		"dmdc-coh":   Must(NewDMDC(coh, energy.Disabled())),
-		"dmdc-queue": Must(NewDMDC(queue, energy.Disabled())),
+		"dmdc":       Must(NewDMDC(testDMDCConfig(), new(energy.Model))),
+		"dmdc-local": Must(NewDMDC(local, new(energy.Model))),
+		"dmdc-tiny":  Must(NewDMDC(small, new(energy.Model))),
+		"dmdc-coh":   Must(NewDMDC(coh, new(energy.Model))),
+		"dmdc-queue": Must(NewDMDC(queue, new(energy.Model))),
 	}
 }
 
@@ -144,7 +144,7 @@ func fuzzPolicies() map[string]Policy {
 // overlapping load already issued, and from the oldest such load.
 func checkCAMExact(t *testing.T, sc scenario) {
 	t.Helper()
-	c := Must(NewCAM(CAMConfig{LQSize: 64}, energy.Disabled()))
+	c := Must(NewCAM(CAMConfig{LQSize: 64}, new(energy.Model)))
 	ops := sc.memOps()
 	order := make([]int, len(ops))
 	for i := range order {

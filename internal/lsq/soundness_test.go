@@ -140,27 +140,27 @@ func driveDMDC(d *DMDC, sc scenario) uint64 {
 func TestDMDCSoundnessProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(12345))
 	variants := []func() *DMDC{
-		func() *DMDC { return Must(NewDMDC(testDMDCConfig(), energy.Disabled())) },
+		func() *DMDC { return Must(NewDMDC(testDMDCConfig(), new(energy.Model))) },
 		func() *DMDC {
 			cfg := testDMDCConfig()
 			cfg.Local = true
-			return Must(NewDMDC(cfg, energy.Disabled()))
+			return Must(NewDMDC(cfg, new(energy.Model)))
 		},
 		func() *DMDC {
 			cfg := testDMDCConfig()
 			cfg.TableSize = 4 // heavy hash conflicts must still be sound
-			return Must(NewDMDC(cfg, energy.Disabled()))
+			return Must(NewDMDC(cfg, new(energy.Model)))
 		},
 		func() *DMDC {
 			cfg := testDMDCConfig()
 			cfg.Coherence = true
-			return Must(NewDMDC(cfg, energy.Disabled()))
+			return Must(NewDMDC(cfg, new(energy.Model)))
 		},
 		func() *DMDC {
 			cfg := testDMDCConfig()
 			cfg.TableSize = 0
 			cfg.QueueSize = 64 // large enough to never overflow here
-			return Must(NewDMDC(cfg, energy.Disabled()))
+			return Must(NewDMDC(cfg, new(energy.Model)))
 		},
 	}
 	for trial := 0; trial < 3000; trial++ {
@@ -186,7 +186,7 @@ func TestCAMSoundnessProperty(t *testing.T) {
 	for trial := 0; trial < 3000; trial++ {
 		sc := makeScenario(rng, 3+rng.Intn(12))
 		want := sc.groundTruthViolation()
-		c := Must(NewCAM(CAMConfig{LQSize: 64}, energy.Disabled()))
+		c := Must(NewCAM(CAMConfig{LQSize: 64}, new(energy.Model)))
 		ops := sc.memOps()
 		// Time-ordered event replay.
 		order := make([]int, len(ops))

@@ -10,7 +10,7 @@ import (
 )
 
 func testValueBased(svw bool) *ValueBased {
-	return Must(NewValueBased(ValueBasedConfig{SVW: svw, SVWSize: 1024, LoadCap: 256}, energy.Disabled()))
+	return Must(NewValueBased(ValueBasedConfig{SVW: svw, SVWSize: 1024, LoadCap: 256}, new(energy.Model)))
 }
 
 func TestValueBasedConfigValidate(t *testing.T) {
@@ -29,7 +29,7 @@ func TestValueBasedConfigValidate(t *testing.T) {
 }
 
 func TestValueBasedRejectsBadConfig(t *testing.T) {
-	_, err := NewValueBased(ValueBasedConfig{}, energy.Disabled())
+	_, err := NewValueBased(ValueBasedConfig{}, new(energy.Model))
 	var ce *ConfigError
 	if !errors.As(err, &ce) {
 		t.Fatalf("zero load cap: err = %v, want *ConfigError", err)
@@ -200,7 +200,7 @@ func TestValueBasedBandwidthAccounting(t *testing.T) {
 	if s.Get("reexecutions") != 100 {
 		t.Errorf("re-executions = %v, want 100 (every load, no filter)", s.Get("reexecutions"))
 	}
-	if em.Of(energy.CompL1D) <= 0 {
+	if em.Snapshot().Of(energy.CompL1D) <= 0 {
 		t.Error("re-execution bandwidth not charged")
 	}
 }

@@ -207,6 +207,17 @@ func TestBloomNoFalseNegativesProperty(t *testing.T) {
 	}
 }
 
+// Occupancy returns the number of nonzero buckets.
+func (f *BloomFilter) Occupancy() int {
+	var n int
+	for _, b := range f.buckets {
+		if b != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestBloomOccupancySaturates(t *testing.T) {
 	small := NewBloomFilter(32)
 	rng := rand.New(rand.NewSource(9))

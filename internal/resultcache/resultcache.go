@@ -522,27 +522,6 @@ func (c *Cache) Clear() error {
 	return firstErr
 }
 
-// Len counts the distinct keys in the index, after refreshing it.
-func (c *Cache) Len() (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.refreshLocked(); err != nil {
-		return 0, err
-	}
-	return len(c.index), nil
-}
-
-// Hits returns the number of successful Gets since Open.
-func (c *Cache) Hits() uint64 { return c.hits.Load() }
-
-// Misses returns the number of failed Gets since Open.
-func (c *Cache) Misses() uint64 { return c.misses.Load() }
-
-// WriteErrors returns the number of failed Puts since Open. Put failures
-// are recoverable (the result is simply recomputed next time), so callers
-// typically surface this as a counter rather than aborting.
-func (c *Cache) WriteErrors() uint64 { return c.writeErrs.Load() }
-
 // Stats snapshots the cache's counters, implementing Store.
 func (c *Cache) Stats() Stats {
 	return Stats{

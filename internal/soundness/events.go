@@ -74,17 +74,6 @@ func (r *EventRing) Snapshot() []Event {
 	return out
 }
 
-// Len reports how many events are buffered.
-func (r *EventRing) Len() int {
-	if r == nil {
-		return 0
-	}
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
-
 // FormatEvents renders events one per line, oldest first.
 func FormatEvents(evs []Event) string {
 	var b strings.Builder

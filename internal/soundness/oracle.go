@@ -231,15 +231,6 @@ func (o *Oracle) compact(st *qwState) {
 	st.recs = kept
 }
 
-// RegWriter returns the sequence number of the last committed writer of
-// an architectural register (0 = still the initial value).
-func (o *Oracle) RegWriter(reg int16) uint64 {
-	if reg < 0 || int(reg) >= len(o.regWriter) {
-		return 0
-	}
-	return o.regWriter[reg]
-}
-
 // Checked returns how many instructions and loads the oracle verified.
 func (o *Oracle) Checked() (insts, loads uint64) { return o.commits, o.loadsChecked }
 

@@ -65,8 +65,8 @@ func TestOracleCleanStream(t *testing.T) {
 	if insts != 5 || loads != 3 {
 		t.Errorf("Checked() = (%d, %d), want (5, 3)", insts, loads)
 	}
-	if o.RegWriter(3) != 5 {
-		t.Errorf("RegWriter(3) = %d, want 5", o.RegWriter(3))
+	if o.regWriter[3] != 5 {
+		t.Errorf("last writer of r3 = %d, want 5", o.regWriter[3])
 	}
 }
 
@@ -251,7 +251,7 @@ func TestOracleSquashDropsInflight(t *testing.T) {
 }
 
 func TestUnsoundWrapperSuppresses(t *testing.T) {
-	inner := lsq.Must(lsq.NewCAM(lsq.CAMConfig{LQSize: 8}, energy.Disabled()))
+	inner := lsq.Must(lsq.NewCAM(lsq.CAMConfig{LQSize: 8}, new(energy.Model)))
 	u := NewUnsound(inner)
 	if u.Name() != "unsound(cam)" {
 		t.Errorf("Name() = %q", u.Name())

@@ -202,15 +202,6 @@ type Sample struct {
 	FilterLookups uint64 `json:"filter_lookups"`
 }
 
-// ReplaysTotal sums the per-cause replay counters.
-func (s Sample) ReplaysTotal() uint64 {
-	var t uint64
-	for _, v := range s.Replays {
-		t += v
-	}
-	return t
-}
-
 // Sampler records samples into a preallocated ring buffer. One simulator
 // goroutine calls Record; any number of goroutines may call Snapshot
 // concurrently (the live endpoint does), so both take a mutex — paid once

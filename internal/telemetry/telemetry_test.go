@@ -215,6 +215,15 @@ func TestRegistryHTTP(t *testing.T) {
 	}
 }
 
+// ReplaysTotal sums the per-cause replay counters.
+func (s Sample) ReplaysTotal() uint64 {
+	var t uint64
+	for _, v := range s.Replays {
+		t += v
+	}
+	return t
+}
+
 func TestSampleReplaysTotal(t *testing.T) {
 	var s Sample
 	for i := range s.Replays {

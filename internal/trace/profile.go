@@ -395,17 +395,6 @@ func buildCatalog() []Profile {
 	}
 }
 
-// ByClass returns only the profiles of class c, in suite order.
-func ByClass(c Class) []Profile {
-	var out []Profile
-	for _, p := range catalog {
-		if p.Class == c {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // ByName returns the named profile, or an error listing valid names.
 func ByName(name string) (Profile, error) {
 	for _, p := range catalog {

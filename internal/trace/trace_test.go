@@ -14,6 +14,7 @@ func TestProfilesValid(t *testing.T) {
 		t.Fatalf("expected 26 benchmarks, got %d", len(ps))
 	}
 	seen := make(map[string]bool)
+	perClass := make(map[Class]int)
 	for _, p := range ps {
 		if err := p.Validate(); err != nil {
 			t.Errorf("profile %s invalid: %v", p.Name, err)
@@ -22,11 +23,12 @@ func TestProfilesValid(t *testing.T) {
 			t.Errorf("duplicate profile name %s", p.Name)
 		}
 		seen[p.Name] = true
+		perClass[p.Class]++
 	}
-	if got := len(ByClass(INT)); got != 12 {
+	if got := perClass[INT]; got != 12 {
 		t.Errorf("INT count = %d, want 12", got)
 	}
-	if got := len(ByClass(FP)); got != 14 {
+	if got := perClass[FP]; got != 14 {
 		t.Errorf("FP count = %d, want 14", got)
 	}
 }

@@ -33,11 +33,16 @@ func FuzzTraceReader(f *testing.F) {
 		if r.Len() == 0 {
 			t.Fatal("accepted trace has no instructions")
 		}
-		for i := 0; i <= r.Len(); i++ {
+		first := r.Next()
+		for i := 1; i < r.Len(); i++ {
 			r.Next()
 		}
-		if !r.Wrapped() {
-			t.Fatalf("replay of %d instructions did not wrap after %d Next calls", r.Len(), r.Len()+1)
+		again := r.Next()
+		if again.Seq != first.Seq+uint64(r.Len()) {
+			t.Fatalf("instruction %d has seq %d, want %d", r.Len(), again.Seq, first.Seq+uint64(r.Len()))
+		}
+		if again.Seq = first.Seq; again != first {
+			t.Fatalf("replay of %d instructions did not wrap: got %v, want %v", r.Len(), &again, &first)
 		}
 	})
 }

@@ -146,11 +146,10 @@ func writeVarint(w *bufio.Writer, v int64) {
 // When the trace is exhausted the stream wraps around to the beginning,
 // so callers may simulate more instructions than were recorded.
 type Reader struct {
-	hdr     Header
-	insts   []isa.Inst
-	pos     int
-	seq     uint64
-	wrapped bool
+	hdr   Header
+	insts []isa.Inst
+	pos   int
+	seq   uint64
 }
 
 // NewReader parses an entire trace from r into memory.
@@ -287,14 +286,10 @@ func (r *Reader) Header() Header { return r.hdr }
 // Len returns the number of recorded instructions.
 func (r *Reader) Len() int { return len(r.insts) }
 
-// Wrapped reports whether replay has looped past the end of the trace.
-func (r *Reader) Wrapped() bool { return r.wrapped }
-
 // Next returns the next instruction, wrapping at the end of the trace.
 func (r *Reader) Next() isa.Inst {
 	if r.pos == len(r.insts) {
 		r.pos = 0
-		r.wrapped = true
 	}
 	in := r.insts[r.pos]
 	r.pos++

@@ -2,6 +2,7 @@ package tracefile
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -42,9 +43,6 @@ func TestRoundTripExact(t *testing.T) {
 			t.Fatalf("instruction %d: got %v, want %v", i, &got, &want)
 		}
 	}
-	if rd.Wrapped() {
-		t.Error("reader wrapped prematurely")
-	}
 }
 
 func TestHeaderMetadata(t *testing.T) {
@@ -72,17 +70,18 @@ func TestWrapAround(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seqs []uint64
+	var insts []isa.Inst
 	for i := 0; i < 120; i++ {
-		seqs = append(seqs, rd.Next().Seq)
+		insts = append(insts, rd.Next())
 	}
-	if !rd.Wrapped() {
-		t.Fatal("reader did not wrap")
+	// The 51st instruction replays the first, and sequence numbers keep
+	// increasing across the wrap.
+	if again, first := insts[50], insts[0]; again.PC != first.PC || again.Op != first.Op || again.Addr != first.Addr {
+		t.Fatalf("reader did not wrap: instruction 50 is %v, instruction 0 %v", &again, &first)
 	}
-	// Sequence numbers keep increasing across the wrap.
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] != seqs[i-1]+1 {
-			t.Fatalf("seq discontinuity at %d: %d -> %d", i, seqs[i-1], seqs[i])
+	for i := 1; i < len(insts); i++ {
+		if insts[i].Seq != insts[i-1].Seq+1 {
+			t.Fatalf("seq discontinuity at %d: %d -> %d", i, insts[i-1].Seq, insts[i].Seq)
 		}
 	}
 }
@@ -107,7 +106,8 @@ func TestCorruptInputs(t *testing.T) {
 }
 
 // A recorded trace replayed through the pipeline must commit the identical
-// instruction stream.
+// instruction stream: the lockstep oracle, fed by the generator that
+// recorded the trace, checks every commit.
 func TestReplayThroughPipeline(t *testing.T) {
 	const n = 15000
 	buf := recordGzip(t, n)
@@ -119,18 +119,11 @@ func TestReplayThroughPipeline(t *testing.T) {
 	em := energy.NewModel(cfg.CoreSize())
 	pol := lsq.Must(lsq.NewDMDC(lsq.DefaultDMDCConfig(cfg.CheckTable, cfg.ROBSize), em))
 	prof, _ := trace.ByName("gzip")
-	ref := trace.NewGenerator(prof)
-	var mismatches, commits int
-	sim := core.MustSim(core.NewWithWorkload(cfg, rd, pol, em, core.WithCommitHook(func(in isa.Inst) {
-		want := ref.Next()
-		if commits < n && (in.PC != want.PC || in.Op != want.Op || in.Addr != want.Addr) {
-			mismatches++
-		}
-		commits++
-	})))
-	r := sim.MustRun(n - 100) // stay within one pass of the trace
-	if mismatches > 0 {
-		t.Fatalf("%d commits diverged from the recorded trace", mismatches)
+	ref := core.FromGenerator(trace.NewGenerator(prof))
+	sim := core.MustSim(core.NewWithWorkload(cfg, rd, pol, em, core.WithOracle(ref)))
+	r, err := sim.RunContext(context.Background(), n-100) // stay within one pass of the trace
+	if err != nil {
+		t.Fatalf("replay diverged from the recorded trace: %v", err)
 	}
 	if r.IPC() <= 0 {
 		t.Error("replay stalled")
