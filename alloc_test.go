@@ -7,6 +7,7 @@ import (
 	"dmdc"
 	"dmdc/internal/core"
 	"dmdc/internal/experiments"
+	"dmdc/internal/resultcache"
 )
 
 // Allocation budget for one pooled-arena simulation run. The arena owns
@@ -126,5 +127,43 @@ func TestAllocationBudgetCheckpoint(t *testing.T) {
 	if limit := saveBytesSlack * float64(len(blob)); saveBytes > limit {
 		t.Fatalf("bytes allocated per repeat save = %.0f, budget %.0f (%.1f× the %d-byte record) — the encoder is growing its buffer again",
 			saveBytes, limit, saveBytesSlack, len(blob))
+	}
+}
+
+// Allocation budget for decoding one result-cache entry. A warm report
+// decodes an entry per cell, and the decoder allocates only the Result,
+// one string for all its names, the stats' slices, set and index. A
+// decoder allocating per field, as a JSON one does, takes 85 allocations
+// and 9.9 KB for this entry.
+const (
+	entryAllocBudget      = 10
+	entryAllocBytesBudget = 4 << 10
+)
+
+// TestAllocationBudgetEntry keeps DecodeEntry of a Config2/gcc/dmdc 5k
+// result within a fixed count and size of allocations.
+func TestAllocationBudgetEntry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is load-sensitive; skipped in -short")
+	}
+	r, err := simulate(dmdc.Config2(), "gcc", dmdc.PolicyDMDC, 5_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := resultcache.EncodeEntry(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() {
+		if _, err := resultcache.DecodeEntry(entry); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, decode)
+	bytes := bytesPerRun(100, decode)
+	t.Logf("decoding a %d-byte entry with %d stats: %.0f allocations, %.0f bytes", len(entry), r.Stats.Len(), allocs, bytes)
+	if allocs > entryAllocBudget || bytes > entryAllocBytesBudget {
+		t.Fatalf("DecodeEntry: %.0f allocations and %.0f bytes per entry, budget %d and %d — the decoder allocates per field again",
+			allocs, bytes, entryAllocBudget, entryAllocBytesBudget)
 	}
 }

@@ -139,13 +139,18 @@ func (p *Predictor) Reset(cfg Config) {
 
 // counters returns a table of n 2-bit counters in the weakly taken start
 // state, which reduces cold-start noise, reusing buf when it is big enough.
+// The table is filled by copying its filled prefix onto the rest, doubling
+// it each time: log2(n) memmoves instead of a store per counter.
 func counters(buf []uint8, n int) []uint8 {
 	if cap(buf) < n {
 		buf = make([]uint8, n)
 	}
 	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 2
+	if n > 0 {
+		buf[0] = 2
+		for i := 1; i < n; i *= 2 {
+			copy(buf[i:], buf[:i])
+		}
 	}
 	return buf
 }

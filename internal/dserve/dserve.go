@@ -32,7 +32,7 @@
 // interchangeable and results can be deduplicated by content address
 // alone.
 //
-// Wire protocol (all bodies JSON):
+// Wire protocol (bodies are JSON, apart from the cache entries):
 //
 //	POST /v1/jobs            {"jobs":[JobSpec,...]} → {"jobs":[JobStatus,...]}
 //	                         X-DMDC-Tenant names the submitting tenant;
@@ -41,7 +41,7 @@
 //	GET  /v1/jobs            → {"jobs":[JobStatus,...]} (no results)
 //	GET  /v1/jobs/{id}       → JobStatus; ?wait=10s long-polls for a terminal state
 //	GET  /v1/jobs/{id}/result → the core.Result JSON (404 unknown, 409 not done)
-//	GET  /v1/cache/{key}     → raw result-cache entry bytes; the X-DMDC-Cache-Sha256
+//	GET  /v1/cache/{key}     → raw binary result-cache entry; the X-DMDC-Cache-Sha256
 //	                         header carries the body's hex SHA-256 and
 //	                         X-DMDC-Cache-Format the cache format version,
 //	                         so the fetching peer verifies before trusting
@@ -75,9 +75,17 @@ const TenantHeader = "X-DMDC-Tenant"
 // ProtocolVersion identifies the /v1 wire protocol that GET /v1/version
 // reports. Bump it on any incompatible change to routes, bodies, or the
 // error envelope. Nothing compares it automatically: what fences version
-// skew is the X-DMDC-Cache-Format check on every peer fetch and the job
-// store's MANIFEST.
-const ProtocolVersion = 1
+// skew is the X-DMDC-Cache-Format check on every peer fetch, DecodeEntry's
+// magic and version check on every fetched body, and the job store's
+// MANIFEST.
+//
+// History:
+//
+//	1 — JSON bodies throughout
+//	2 — GET /v1/cache/{key} serves the binary entry encoding
+//	    (resultcache.EncodeEntry) as application/octet-stream; a version-1
+//	    peer's JSON entries fail DecodeEntry and count as peer errors
+const ProtocolVersion = 2
 
 // Cache wire headers: the hex SHA-256 of the entry body and the
 // resultcache format version it was encoded under. The fetching peer

@@ -13,7 +13,8 @@ import (
 )
 
 // maxCacheEntryBytes bounds an entry body a peer fetch reads; entries are
-// a few KB of JSON stats, so 16 MiB is generous without being unbounded.
+// about a KB of binary stats, so 16 MiB is generous without being
+// unbounded.
 const maxCacheEntryBytes = 16 << 20
 
 // CachePeer fetches raw result-cache entries from another dmdcd instance

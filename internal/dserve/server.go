@@ -759,7 +759,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	sum := sha256.Sum256(body)
 	w.Header().Set(CacheSumHeader, hex.EncodeToString(sum[:]))
 	w.Header().Set(CacheFormatHeader, strconv.Itoa(resultcache.FormatVersion))
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
 }

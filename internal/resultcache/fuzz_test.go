@@ -17,11 +17,18 @@ func FuzzDecodeEntry(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte(`{"version":2,"result":{}}`)) // decoded with nil stats
-	f.Add([]byte(`{"version":2,"result":{"Stats":{"names":["a","a"],"values":[1,2]}}}`))
-	f.Add([]byte(`{"version":1,"result":{"Stats":{"names":[],"values":[]}}}`))
-	f.Add([]byte(`null`))
+	// Truncated at each field boundary.
+	end := 0
+	for _, field := range entryFields(testResult()) {
+		f.Add(valid[:end])
+		end += len(field)
+	}
+	// A wrong version, a repeated stat name, trailing bytes, a 2^63 length
+	// prefix, an overflowing varint, and a JSON entry of an older build.
+	for _, name := range []string{"newer version", "repeated stat", "trailing byte", "2^63 length",
+		"overflowed varint", "json entry"} {
+		f.Add(malformedEntries()[name])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeEntry(data)
 		if err != nil {
@@ -44,7 +51,7 @@ func FuzzDecodeEntry(f *testing.F) {
 			t.Fatalf("second re-encode failed: %v", err)
 		}
 		if !bytes.Equal(once, twice) {
-			t.Fatalf("round trip unstable:\n%s\n%s", once, twice)
+			t.Fatalf("round trip unstable:\n%x\n%x", once, twice)
 		}
 	})
 }
@@ -62,7 +69,7 @@ func FuzzSegmentScan(f *testing.F) {
 	good = append(good, segFrame(keyN(1), body)...)
 	f.Add(good)
 	f.Add(good[:len(good)-7])                                                                    // torn tail
-	f.Add(append([]byte(segMagic), segFrame(testKey(), []byte(`{"version":2,"result":{}}`))...)) // no stats
+	f.Add(append([]byte(segMagic), segFrame(testKey(), []byte(`{"version":2,"result":{}}`))...)) // JSON entry
 	f.Add(append([]byte(segMagic), segFrame(testKey(), body[:len(body)/2])...))                  // checksummed garbage
 	f.Add(append([]byte(segMagic), segFrame("", body)...))                                       // empty key
 	f.Add(append([]byte(segMagic), append([]byte{0, 0, 0, 0xff}, good[8:]...)...))               // absurd length

@@ -15,16 +15,16 @@
 //
 //	[4B little-endian payload length][4B CRC-32C of payload][key '\n' entry]
 //
-// where entry is the EncodeEntry encoding — the bytes GetRaw serves to
-// peers. A Put is one write to a file that already exists, and a hit is
-// one positioned read.
+// where entry is the EncodeEntry encoding, a little-endian binary layout of
+// the result (entry.go) — the bytes GetRaw serves to peers. A Put is one
+// write to a file that already exists, and a hit is one positioned read.
 //
 // Open builds the index by scanning every segment in the directory. A miss
 // refreshes it, scanning only segments created, and bytes appended, since
 // the last look, so Caches in other processes sharing the directory see
-// each other's entries without reopening. A Cache keeps at most one
-// descriptor open, its own segment's, however many segments the directory
-// holds.
+// each other's entries without reopening. A Cache keeps at most two
+// descriptors open however many segments the directory holds: its own
+// segment's, and that of the last other segment it read a hit from.
 //
 // Reads fail closed. A frame that is cut short or fails its checksum ends
 // the scan of its segment at that offset, and the next refresh retries
@@ -38,9 +38,10 @@
 // then verified peer fetch, so a fleet of dmdcd instances deduplicates
 // simulation work globally.
 //
-// Entries from before the segment layout (one <key>.json file each) are
-// not read, so an existing cache directory re-runs cold once after the
-// upgrade; Clear deletes them.
+// Entries of older layouts are not read, so an existing cache directory
+// re-runs cold once after each upgrade: segments of JSON entries (magic
+// dmdcseg1) are skipped, and one-file-per-entry <key>.json files are
+// ignored. Clear deletes both.
 //
 // Invalidation: bump FormatVersion whenever simulator semantics change in
 // a way that alters results (new stats, timing fixes, energy recalibration).
@@ -67,10 +68,11 @@ import (
 	"dmdc/internal/jobstore"
 )
 
-// FormatVersion identifies the cache entry format AND the simulator
-// semantics the cached results were produced under. Bump it whenever a
-// change to the simulator, energy model, workloads, or stats would make
-// previously cached results stale.
+// FormatVersion identifies the simulator semantics the cached results were
+// produced under. Bump it whenever a change to the simulator, energy model,
+// workloads, or stats would make previously cached results stale. The
+// byte layouts have magics of their own (entryMagic, segMagic), so a layout
+// change moves no key.
 //
 // History:
 //
@@ -81,8 +83,9 @@ import (
 const FormatVersion = 2
 
 const (
-	// segMagic opens every segment file and names the layout version.
-	segMagic = "dmdcseg1"
+	// segMagic opens every segment file and names the layout version:
+	// dmdcseg1 segments held JSON entries.
+	segMagic = "dmdcseg2"
 	// segPrefix and segExt bracket segment file names (seg-*.pack).
 	segPrefix, segExt = "seg-", ".pack"
 	// legacyExt names the one-file-per-entry layout's files, which Clear
@@ -129,49 +132,6 @@ func Key(ks KeySpec) string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// entry is the on-disk (and on-wire) representation of one cached result.
-type entry struct {
-	Version int          `json:"version"`
-	Result  *core.Result `json:"result"`
-}
-
-// EncodeEntry serializes a result into the canonical entry encoding used
-// both on disk and on the peer cache wire protocol (GET /v1/cache/{key}).
-func EncodeEntry(r *core.Result) ([]byte, error) {
-	b, err := json.Marshal(entry{Version: FormatVersion, Result: r})
-	if err != nil {
-		return nil, fmt.Errorf("resultcache: marshal entry: %w", err)
-	}
-	return b, nil
-}
-
-// ErrIncompleteEntry reports an entry that decodes cleanly but lacks a
-// part every simulation result has: the result itself or its stats.
-// Serving one would hand callers a result whose first stats lookup
-// dereferences nil.
-var ErrIncompleteEntry = errors.New("resultcache: incomplete entry")
-
-// DecodeEntry parses an entry encoding, failing closed on malformed bodies
-// and on any format-version mismatch: a result produced under different
-// simulator semantics must never be served as current. An entry missing
-// its result or its stats fails with an error wrapping ErrIncompleteEntry.
-func DecodeEntry(b []byte) (*core.Result, error) {
-	var e entry
-	if err := json.Unmarshal(b, &e); err != nil {
-		return nil, fmt.Errorf("resultcache: decode entry: %w", err)
-	}
-	if e.Version != FormatVersion {
-		return nil, fmt.Errorf("resultcache: entry format version %d, want %d", e.Version, FormatVersion)
-	}
-	if e.Result == nil {
-		return nil, fmt.Errorf("%w: no result", ErrIncompleteEntry)
-	}
-	if e.Result.Stats == nil {
-		return nil, fmt.Errorf("%w: result has no stats", ErrIncompleteEntry)
-	}
-	return e.Result, nil
 }
 
 // Stats is a point-in-time snapshot of a Store's counters. The Local*/Peer*/
@@ -224,6 +184,11 @@ type Cache struct {
 	// it. Only this Cache writes to it.
 	w    *os.File
 	wseg *segment
+	// r is the last segment other than w that a hit was read from, kept
+	// open for the next hit, and rseg its entry: a fresh process's warm
+	// report reads every entry from the one segment the cold run wrote.
+	r    *os.File
+	rseg *segment
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -331,15 +296,21 @@ func (c *Cache) load(key string) ([]byte, *core.Result, bool) {
 }
 
 // readLocked reads the frame at loc and returns its entry encoding, failing
-// when the frame is short, fails its checksum or holds another key.
+// when the frame is short, fails its checksum or holds another key. A frame
+// outside the Cache's own segment is read through c.r, which moves to its
+// segment first.
 func (c *Cache) readLocked(key string, loc frameLoc) ([]byte, error) {
 	f := c.w
 	if loc.seg != c.wseg {
-		var err error
-		if f, err = os.Open(filepath.Join(c.dir, loc.seg.name)); err != nil {
-			return nil, err
+		if loc.seg != c.rseg {
+			r, err := os.Open(filepath.Join(c.dir, loc.seg.name))
+			if err != nil {
+				return nil, err
+			}
+			c.closeReaderLocked()
+			c.r, c.rseg = r, loc.seg
 		}
-		defer f.Close()
+		f = c.r
 	}
 	b := make([]byte, loc.n)
 	if _, err := f.ReadAt(b, loc.off); err != nil {
@@ -442,6 +413,10 @@ func (c *Cache) indexFrames(s *segment, b []byte) {
 	s.next += int64(pos)
 }
 
+// frameHeader is the length of the header jobstore.AppendFrame puts before
+// a payload.
+var frameHeader = len(jobstore.AppendFrame(nil, nil))
+
 // Put stores a result under key with one write to the Cache's segment,
 // creating the segment on the Cache's first Put. A reader (in this or any
 // other process) sees either no entry or a complete one.
@@ -450,16 +425,20 @@ func (c *Cache) Put(key string, r *core.Result) error {
 		c.writeErrs.Add(1)
 		return fmt.Errorf("resultcache: key %q contains a newline", key)
 	}
-	b, err := EncodeEntry(r)
-	if err != nil {
+	if err := encodable(r); err != nil {
 		c.writeErrs.Add(1)
 		return err
 	}
-	payload := append(append(append(make([]byte, 0, len(key)+1+len(b)), key...), '\n'), b...)
+	// The frame is built in one allocation: the payload (key, '\n', entry)
+	// is encoded in place behind room for the header, so AppendFrame
+	// writes the header into that room and copies the payload onto itself.
+	buf := make([]byte, frameHeader, frameHeader+len(key)+1+entrySize(r))
+	payload := appendEntry(append(append(buf[frameHeader:], key...), '\n'), r)
+	frame := jobstore.AppendFrame(buf[:0], payload)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var frame []byte
+	write, magic := frame, 0
 	if c.w == nil {
 		f, err := os.CreateTemp(c.dir, segPrefix+"*"+segExt)
 		if err != nil {
@@ -469,18 +448,17 @@ func (c *Cache) Put(key string, r *core.Result) error {
 		c.w = f
 		c.wseg = &segment{name: filepath.Base(f.Name())}
 		c.segs[c.wseg.name] = c.wseg
-		frame = []byte(segMagic) // the magic rides on the first frame's write
+		// The magic rides on the first frame's write.
+		write, magic = append([]byte(segMagic), frame...), len(segMagic)
 	}
-	magic := len(frame)
-	frame = jobstore.AppendFrame(frame, payload)
-	if _, err := c.w.Write(frame); err != nil {
+	if _, err := c.w.Write(write); err != nil {
 		// The write may have landed in part: no frame may follow it.
 		c.abandonLocked()
 		c.writeErrs.Add(1)
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	c.index[key] = frameLoc{seg: c.wseg, off: c.wseg.next + int64(magic), n: len(frame) - magic}
-	c.wseg.next += int64(len(frame))
+	c.index[key] = frameLoc{seg: c.wseg, off: c.wseg.next + int64(magic), n: len(frame)}
+	c.wseg.next += int64(len(write))
 	return nil
 }
 
@@ -490,6 +468,14 @@ func (c *Cache) Put(key string, r *core.Result) error {
 func (c *Cache) abandonLocked() {
 	c.w.Close()
 	c.w, c.wseg = nil, nil
+}
+
+// closeReaderLocked closes the other writer's segment kept open for reads.
+func (c *Cache) closeReaderLocked() {
+	if c.r != nil {
+		c.r.Close()
+		c.r, c.rseg = nil, nil
+	}
 }
 
 // Clear removes every segment, every legacy entry file and stray temp
@@ -502,6 +488,7 @@ func (c *Cache) Clear() error {
 	if c.w != nil {
 		c.abandonLocked()
 	}
+	c.closeReaderLocked()
 	c.index = make(map[string]frameLoc)
 	c.segs = make(map[string]*segment)
 	names, err := os.ReadDir(c.dir)

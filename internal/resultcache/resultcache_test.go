@@ -1,7 +1,6 @@
 package resultcache
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -130,13 +129,9 @@ func TestVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := testKey()
-	// Hand-write an entry claiming a stale format version; it must read
+	// Hand-write an entry claiming a newer format version; it must read
 	// as a miss and be evicted.
-	b, err := json.Marshal(entry{Version: FormatVersion + 1, Result: testResult()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeSegment(t, c.Dir(), segFrame(key, b))
+	writeSegment(t, c.Dir(), segFrame(key, malformedEntries()["newer version"]))
 	if _, ok := c.Get(key); ok {
 		t.Error("stale-version entry served")
 	}
@@ -154,11 +149,7 @@ func TestStaleFormatEntryIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := testKey()
-	b, err := json.Marshal(entry{Version: FormatVersion - 1, Result: testResult()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeSegment(t, c.Dir(), segFrame(key, b))
+	writeSegment(t, c.Dir(), segFrame(key, malformedEntries()["older version"]))
 	if _, ok := c.Get(key); ok {
 		t.Error("previous-format entry served")
 	}
@@ -231,21 +222,37 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 	}
 }
 
-// TestDecodeEntryRejectsIncomplete: a well-formed entry whose result is
-// missing, or carries no stats, must fail with ErrIncompleteEntry — never
-// decode into a result whose first Stats.Get dereferences nil. Every
-// cache entry crosses this function: disk reads, peer fetches and
-// /v1/cache PUT bodies.
+// TestDecodeEntryRejectsIncomplete: an entry cut short anywhere — at a
+// field boundary or inside a field — must fail with ErrIncompleteEntry,
+// never decode into a result missing a field or its stats. Every cache
+// entry crosses DecodeEntry: disk reads and peer fetches. A result without
+// stats cannot be encoded or stored in the first place.
 func TestDecodeEntryRejectsIncomplete(t *testing.T) {
-	for _, body := range []string{
-		`{"version":2,"result":{}}`,
-		`{"version":2,"result":{"Benchmark":"gzip","Stats":null}}`,
-		`{"version":2,"result":null}`,
-		`{"version":2}`,
-	} {
-		r, err := DecodeEntry([]byte(body))
+	valid, err := EncodeEntry(testResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(valid); n++ {
+		r, err := DecodeEntry(valid[:n])
 		if !errors.Is(err, ErrIncompleteEntry) {
-			t.Errorf("DecodeEntry(%s) = (%v, %v), want ErrIncompleteEntry", body, r, err)
+			t.Errorf("DecodeEntry of the first %d of %d bytes = (%v, %v), want ErrIncompleteEntry", n, len(valid), r, err)
 		}
+	}
+	noStats := testResult()
+	noStats.Stats = nil
+	for _, r := range []*core.Result{nil, noStats} {
+		if _, err := EncodeEntry(r); !errors.Is(err, ErrIncompleteEntry) {
+			t.Errorf("EncodeEntry(%v): %v, want ErrIncompleteEntry", r, err)
+		}
+	}
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(testKey(), noStats); !errors.Is(err, ErrIncompleteEntry) {
+		t.Errorf("Put of a result without stats: %v, want ErrIncompleteEntry", err)
+	}
+	if st := c.Stats(); st.WriteErrors != 1 {
+		t.Errorf("refused Put counted %d write errors, want 1", st.WriteErrors)
 	}
 }

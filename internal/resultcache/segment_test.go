@@ -215,11 +215,21 @@ func TestFlippedByteIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := bytes.LastIndex(b, []byte("1234")) // a cycles count, inside the body
+	body, err := EncodeEntry(testResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(b, body)
 	if i < 0 {
 		t.Fatal("body not found in the segment")
 	}
-	b[i] = '9' // still valid JSON: only the checksum can tell
+	// The body's last byte belongs to the last stat's value: flipped, the
+	// body still decodes, so only the checksum can tell.
+	end := i + len(body) - 1
+	b[end] ^= 1
+	if _, err := DecodeEntry(b[i : end+1]); err != nil {
+		t.Fatalf("flipped body no longer decodes (%v): the test would not reach the checksum", err)
+	}
 	if err := os.WriteFile(seg, b, 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +276,36 @@ func TestForeignSegmentSkipped(t *testing.T) {
 	if _, ok := c.Get(testKey()); ok {
 		t.Fatal("entry served from a segment of another layout")
 	}
+
+	// A segment of the JSON entry layout, as builds before the binary
+	// entries wrote it, is skipped too: its keys miss, and the recomputed
+	// Put serves from a new segment.
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segPrefix+"old"+segExt),
+		append([]byte("dmdcseg1"), segFrame(testKey(), []byte(jsonEntry))...), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	c, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Len(); err != nil || n != 0 {
+		t.Fatalf("a dmdcseg1 segment was indexed: Len = %d, %v", n, err)
+	}
+	if _, ok := c.Get(testKey()); ok {
+		t.Fatal("JSON entry served from a dmdcseg1 segment")
+	}
+	if err := c.Put(testKey(), testResult()); err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := reopen(t, c).Get(testKey()); !ok || r.Cycles != 1234 {
+		t.Fatalf("recomputed entry beside a dmdcseg1 segment: %v, %v", r, ok)
+	}
 }
 
 // TestDescriptorsBounded: however many segments a directory holds, a Cache
-// keeps at most its own segment open.
+// keeps at most two open — its own, and the last other segment it read a
+// hit from — and Clear closes both.
 func TestDescriptorsBounded(t *testing.T) {
 	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
 		t.Skip("no /proc/self/fd to count descriptors")
@@ -300,16 +336,28 @@ func TestDescriptorsBounded(t *testing.T) {
 			t.Fatalf("entry %d missing", i)
 		}
 	}
+	if got := openFDs() - before; got > 1 {
+		t.Fatalf("a reading Cache over %d segments holds %d descriptors, want at most 1", segs, got)
+	}
+	if last := c.index[keyN(segs-1)].seg; c.r == nil || c.rseg != last {
+		t.Fatal("the last segment read from is not kept open for the next hit")
+	}
 	if err := c.Put(keyN(segs), testResult()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(keyN(segs + 1)); ok {
 		t.Fatal("hit on a key never Put")
 	}
-	if got := openFDs() - before; got > 1 {
-		t.Fatalf("a Cache over %d segments holds %d descriptors, want at most 1", segs, got)
+	if got := openFDs() - before; got > 2 {
+		t.Fatalf("a writing Cache over %d segments holds %d descriptors, want at most 2", segs, got)
 	}
 	if n, err := c.Len(); err != nil || n != segs+1 {
 		t.Fatalf("Len = %d, %v; want %d", n, err, segs+1)
+	}
+	if err := c.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	if got := openFDs() - before; got > 0 || c.r != nil || c.w != nil {
+		t.Fatalf("after Clear a Cache holds %d descriptors, want none", got)
 	}
 }

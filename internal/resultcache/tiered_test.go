@@ -37,6 +37,11 @@ func (p *fakePeer) put(t *testing.T, key string, r *core.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.putRaw(key, body)
+}
+
+// putRaw stores body verbatim under key, with a truthful hash.
+func (p *fakePeer) putRaw(key string, body []byte) {
 	sum := sha256.Sum256(body)
 	p.mu.Lock()
 	p.entries[key] = body
@@ -154,7 +159,7 @@ func TestTieredLyingHashFailsClosed(t *testing.T) {
 	ts, _ := newTestTiered(t, peer)
 	key := testKey()
 	peer.put(t, key, testResult())
-	// The body is valid JSON but the hash claim doesn't match: refuse it.
+	// The body is a valid entry but the hash claim doesn't match: refuse it.
 	peer.mu.Lock()
 	peer.sums[key] = "deadbeef"
 	peer.mu.Unlock()
@@ -172,12 +177,7 @@ func TestTieredVersionSkewFailsClosed(t *testing.T) {
 	key := testKey()
 	// A well-hashed body from a peer running a different cache format:
 	// transfer verifies, decode refuses.
-	body := []byte(`{"version":999,"result":{"benchmark":"gzip"}}`)
-	sum := sha256.Sum256(body)
-	peer.mu.Lock()
-	peer.entries[key] = body
-	peer.sums[key] = hex.EncodeToString(sum[:])
-	peer.mu.Unlock()
+	peer.putRaw(key, malformedEntries()["newer version"])
 
 	if _, ok := ts.Get(key); ok {
 		t.Fatal("version-skewed peer entry must not produce a hit")
@@ -187,6 +187,37 @@ func TestTieredVersionSkewFailsClosed(t *testing.T) {
 	}
 	if s := ts.Stats(); s.PeerErrors != 1 {
 		t.Fatalf("stats = %+v, want PeerErrors=1", s)
+	}
+}
+
+// TestTieredPreviousBuildPeerFailsClosed: a peer running a build from
+// before the binary entries serves the JSON entry encoding under the same
+// FormatVersion and an honest hash. The fetch fails closed as one peer
+// error, and the cell is recomputed and served locally from then on.
+func TestTieredPreviousBuildPeerFailsClosed(t *testing.T) {
+	peer := newFakePeer("old")
+	ts, local := newTestTiered(t, peer)
+	key := testKey()
+	peer.putRaw(key, []byte(jsonEntry))
+
+	if _, ok := ts.Get(key); ok {
+		t.Fatal("a previous build's JSON entry produced a hit")
+	}
+	if s := ts.Stats(); s.PeerErrors != 1 || s.PeerHits != 0 || s.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 peer error and 1 miss", s)
+	}
+	if _, ok := local.Get(key); ok {
+		t.Fatal("a previous build's JSON entry was written back")
+	}
+	// The caller recomputes and stores the cell; the next Get is local.
+	if err := ts.Put(key, testResult()); err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := ts.Get(key); !ok || r.Cycles != 1234 {
+		t.Fatalf("recomputed cell not served: %v, %v", r, ok)
+	}
+	if s := ts.Stats(); s.LocalHits != 1 || s.PeerErrors != 1 || peer.fetches.Load() != 1 {
+		t.Fatalf("stats = %+v after %d fetches, want the recomputed cell served locally", s, peer.fetches.Load())
 	}
 }
 

@@ -25,6 +25,31 @@ func NewSet() *Set {
 	return &Set{index: make(map[string]int)}
 }
 
+// NewSetOf returns a set holding vals[i] under names[i], in order, and
+// takes ownership of both slices. A repeated name keeps its first position
+// and takes its last value, as successive Puts would, and is compacted out
+// of both slices; repeated reports whether any name repeated. The set is
+// built in one pass over a presized index. It panics when the slices
+// differ in length.
+func NewSetOf(names []string, vals []float64) (s *Set, repeated bool) {
+	if len(names) != len(vals) {
+		panic(fmt.Sprintf("stats: %d names for %d values", len(names), len(vals)))
+	}
+	index := make(map[string]int, len(names))
+	k := 0
+	for i, name := range names {
+		if j, ok := index[name]; ok {
+			vals[j] = vals[i]
+			repeated = true
+			continue
+		}
+		index[name] = k
+		names[k], vals[k] = name, vals[i]
+		k++
+	}
+	return &Set{index: index, names: names[:k], vals: vals[:k]}, repeated
+}
+
 // slot returns the index for name, appending a zero-valued counter first
 // if it does not exist yet.
 func (s *Set) slot(name string) int {
@@ -55,6 +80,12 @@ func (s *Set) Get(name string) float64 {
 	}
 	return 0
 }
+
+// Len returns the number of counters.
+func (s *Set) Len() int { return len(s.names) }
+
+// At returns the name and value of the i-th counter in insertion order.
+func (s *Set) At(i int) (name string, v float64) { return s.names[i], s.vals[i] }
 
 // Names returns the counter names in insertion order.
 func (s *Set) Names() []string {
@@ -101,7 +132,8 @@ func (s *Set) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a set encoded by MarshalJSON, replacing any
-// existing contents.
+// existing contents. A repeated name keeps its first position and takes
+// its last value.
 func (s *Set) UnmarshalJSON(b []byte) error {
 	var sj setJSON
 	if err := json.Unmarshal(b, &sj); err != nil {
@@ -111,12 +143,8 @@ func (s *Set) UnmarshalJSON(b []byte) error {
 		return fmt.Errorf("stats: malformed set: %d names, %d values",
 			len(sj.Names), len(sj.Values))
 	}
-	s.index = make(map[string]int, len(sj.Names))
-	s.names = nil
-	s.vals = nil
-	for i, name := range sj.Names {
-		s.Put(name, sj.Values[i])
-	}
+	set, _ := NewSetOf(sj.Names, sj.Values)
+	*s = *set
 	return nil
 }
 

@@ -177,6 +177,46 @@ func TestSetJSONRoundTrip(t *testing.T) {
 	if back.Get("new") != 1 {
 		t.Error("decoded set not writable")
 	}
+
+	// A repeated name keeps its first position and takes its last value,
+	// as successive Puts would.
+	var dup Set
+	if err := json.Unmarshal([]byte(`{"names":["a","b","a","c"],"values":[1,2,3,4]}`), &dup); err != nil {
+		t.Fatal(err)
+	}
+	if got := dup.Names(); !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Errorf("repeated name: order %v, want [a b c]", got)
+	}
+	if dup.Get("a") != 3 || dup.Get("b") != 2 || dup.Get("c") != 4 {
+		t.Errorf("repeated name: values a=%g b=%g c=%g, want 3 2 4", dup.Get("a"), dup.Get("b"), dup.Get("c"))
+	}
+	dup.Add("c", 1)
+	if dup.Get("c") != 5 || dup.Len() != 3 {
+		t.Errorf("repeated name: set not writable after decode: c=%g, %d counters", dup.Get("c"), dup.Len())
+	}
+}
+
+// TestNewSetOf: the constructor keeps the slices' order and values, is
+// indexed for Get and writes, and reports a repeated name.
+func TestNewSetOf(t *testing.T) {
+	s, repeated := NewSetOf([]string{"x", "y"}, []float64{1.5, -2})
+	if repeated {
+		t.Error("unique names reported as repeated")
+	}
+	if s.Len() != 2 || s.Get("x") != 1.5 || s.Get("y") != -2 {
+		t.Fatalf("NewSetOf lost values: %v", s)
+	}
+	if name, v := s.At(1); name != "y" || v != -2 {
+		t.Errorf("At(1) = %q, %g; want y, -2", name, v)
+	}
+	s.Put("z", 3)
+	if s.Get("z") != 3 || s.Len() != 3 {
+		t.Error("constructed set not writable")
+	}
+	s, repeated = NewSetOf([]string{"x", "x"}, []float64{1, 2})
+	if !repeated || s.Len() != 1 || s.Get("x") != 2 {
+		t.Errorf("repeated name: repeated=%v, %d counters, x=%g; want true, 1, 2", repeated, s.Len(), s.Get("x"))
+	}
 }
 
 func TestSetJSONMalformed(t *testing.T) {
