@@ -6,7 +6,8 @@
 #                    any file; also vets the job store for windows and
 #                    solaris, so its no-flock fallback keeps compiling
 #   make check       vet + race-enabled tests for the concurrent packages
-#                    (experiment runner, result cache, simulation service;
+#                    (experiment runner, result cache, simulation service,
+#                    and the trace tapes several cells replay at once;
 #                    every TestFleet* test included) — keeps the
 #                    singleflight and worker-pool fixes fixed — plus the
 #                    chaos and sampling gates, the benchmark smoke run, the
@@ -75,7 +76,7 @@ vet:
 # -short skips the slow paper-shape regressions (tier-1's job); the
 # singleflight/worker-pool/cache concurrency tests all run in short mode.
 race:
-	$(GO) test -race -short ./internal/experiments/... ./internal/resultcache/... ./internal/core/... ./internal/dserve/...
+	$(GO) test -race -short ./internal/experiments/... ./internal/resultcache/... ./internal/core/... ./internal/dserve/... ./internal/trace/...
 
 # The soundness suite: lockstep oracle across every policy, the full
 # fault-injection campaign, watchdog and wrong-path error paths, and the

@@ -8,6 +8,7 @@ import (
 	"dmdc/internal/core"
 	"dmdc/internal/experiments"
 	"dmdc/internal/resultcache"
+	"dmdc/internal/trace"
 )
 
 // Allocation budget for one pooled-arena simulation run. The arena owns
@@ -165,5 +166,72 @@ func TestAllocationBudgetEntry(t *testing.T) {
 	if allocs > entryAllocBudget || bytes > entryAllocBytesBudget {
 		t.Fatalf("DecodeEntry: %.0f allocations and %.0f bytes per entry, budget %d and %d — the decoder allocates per field again",
 			allocs, bytes, entryAllocBudget, entryAllocBytesBudget)
+	}
+}
+
+// tapeRecordBytesBudget caps the bytes recording a tape into a released
+// tape's storage allocates. Its records (16 bytes an instruction, 85 KB
+// here) and end-state tables are reused, so it allocates nothing today;
+// storage that is not reused costs more than 20 times the budget.
+const tapeRecordBytesBudget = 4 << 10
+
+// TestAllocationBudgetTape keeps a cell that replays its benchmark's tape
+// as lean as one that generates its path, and the tapes of a report's
+// benchmarks in one recycled set of storage: a warm pooled
+// Config2/gcc/dmdc 5k cell over a tape stays within the warm-run budgets,
+// and a second tape recorded into the first's storage allocates no tape
+// storage.
+func TestAllocationBudgetTape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is load-sensitive; skipped in -short")
+	}
+	const insts = 5_000
+	m := dmdc.Config2()
+	factory, err := experiments.PolicyFactoryByName("dmdc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcc, err := trace.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	swim, err := trace.ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tape := new(trace.Tape)
+	tape.Record(gcc, insts+core.FetchAhead(m))
+	run := func() {
+		arena := core.PooledArena()
+		defer arena.Release()
+		sim, err := experiments.NewCell(m, "gcc", factory, false, arena, core.WithTape(tape))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Run(insts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the arena pool
+	allocs := testing.AllocsPerRun(10, run)
+	bytes := bytesPerRun(10, run)
+	t.Logf("a warm pooled cell over a tape: %.0f allocations, %.0f bytes", allocs, bytes)
+	if allocs > allocBudget || bytes > allocBytesBudget {
+		t.Fatalf("a warm pooled cell over a tape allocates %.0f times and %.0f bytes, budget %d and %d",
+			allocs, bytes, allocBudget, allocBytesBudget)
+	}
+	// The first tape, gcc's, is released; swim's is recorded into it, and
+	// then gcc's again. Neither profile's CFG is built here: the cells
+	// that replay a tape build it first.
+	trace.NewGenerator(swim)
+	record := func() {
+		tape.Record(swim, insts+core.FetchAhead(m))
+		tape.Record(gcc, insts+core.FetchAhead(m))
+	}
+	got := bytesPerRun(5, record) / 2
+	t.Logf("recording a tape into released storage: %.0f bytes", got)
+	if got > tapeRecordBytesBudget {
+		t.Fatalf("recording a tape into a released one allocates %.0f bytes, budget %d — tape storage is not reused",
+			got, tapeRecordBytesBudget)
 	}
 }

@@ -81,11 +81,13 @@ func main() {
 		Workers: *workers, QueueDepth: *queue, Tenants: tenants,
 		Instance: *instance,
 	}
+	var disk *resultcache.Cache
 	if *cacheDir != "" {
 		c, err := resultcache.Open(*cacheDir)
 		if err != nil {
 			die(err)
 		}
+		disk = c
 		cfg.Cache = c
 		fmt.Fprintf(os.Stderr, "dmdcd: result cache at %s\n", c.Dir())
 		if *peersFl != "" {
@@ -158,6 +160,11 @@ func main() {
 		srv.Close()
 		if store != nil {
 			if err := store.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "dmdcd:", err)
+			}
+		}
+		if disk != nil {
+			if err := disk.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "dmdcd:", err)
 			}
 		}

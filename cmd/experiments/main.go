@@ -94,6 +94,7 @@ func main() {
 		if err != nil {
 			die(err)
 		}
+		defer c.Close()
 		if err := c.Clear(); err != nil {
 			die(err)
 		}
@@ -104,7 +105,6 @@ func main() {
 	opts := experiments.Options{
 		Insts:          *insts,
 		Parallelism:    *par,
-		CacheDir:       *cacheDir,
 		Soundness:      *sound,
 		WatchdogCycles: *wdCycles,
 	}
@@ -156,6 +156,16 @@ func main() {
 		return
 	}
 
+	if *cacheDir != "" {
+		c, err := resultcache.Open(*cacheDir)
+		if err != nil {
+			die(err)
+		}
+		// Close's error is dropped: entries are never synced, and one
+		// lost to a failed close costs a recompute.
+		defer c.Close()
+		opts.Cache = c
+	}
 	suite, err := experiments.NewSuite(opts)
 	if err != nil {
 		die(err)
@@ -190,7 +200,7 @@ func main() {
 		fmt.Println(suite.TelemetryReport())
 	}
 	fmt.Fprintf(os.Stderr, "elapsed: %s — %s\n",
-		time.Since(start).Round(time.Millisecond), runSummary(suite))
+		time.Since(start).Round(time.Millisecond), runSummary(suite, *cacheDir != ""))
 	if disp != nil {
 		printBackendStats(disp)
 	}
@@ -300,11 +310,12 @@ func serveLive(addr string, suite *experiments.Suite) {
 	}()
 }
 
-// runSummary renders the simulated-vs-cached counters for the run.
-func runSummary(s *experiments.Suite) string {
+// runSummary renders the simulated-vs-cached counters for the run; cached
+// says whether a result cache was in use.
+func runSummary(s *experiments.Suite, cached bool) string {
 	hits, misses, werrs := s.CacheStats()
 	line := fmt.Sprintf("%d simulations run", s.Simulated())
-	if s.Options().CacheDir != "" {
+	if cached {
 		line += fmt.Sprintf(", cache: %d hits / %d misses", hits, misses)
 		if werrs > 0 {
 			line += fmt.Sprintf(" (%d write errors)", werrs)

@@ -29,6 +29,9 @@ import (
 	"testing"
 
 	"dmdc"
+	"dmdc/internal/core"
+	"dmdc/internal/experiments"
+	"dmdc/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden fingerprints")
@@ -119,6 +122,67 @@ func TestGoldenMatrix(t *testing.T) {
 					if !bytes.Equal(got, want) {
 						t.Errorf("result diverged from golden fingerprint %s\n%s",
 							path, goldenDiff(want, got))
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestGoldenMatrixOverTape rebuilds every golden cell the way a report's
+// cells are built, over a recording of its benchmark's committed path
+// (core.WithTape), and requires the committed fingerprint. Each benchmark
+// has two tapes, shared by all its cells at once: one covering every
+// machine's deepest fetch-ahead, and one only 64 instructions past the
+// budget, so that most cells replaying it hand off to live generation near
+// the end of the run.
+func TestGoldenMatrixOverTape(t *testing.T) {
+	ahead := 0
+	for _, cfg := range goldenConfigs() {
+		ahead = max(ahead, core.FetchAhead(cfg))
+	}
+	for _, bench := range goldenBenchmarks {
+		prof, err := trace.ByName(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, short := new(trace.Tape), new(trace.Tape)
+		full.Record(prof, goldenInsts+ahead)
+		short.Record(prof, goldenInsts+64)
+		for _, cfg := range goldenConfigs() {
+			for i, pol := range goldenPolicies {
+				bench, cfg, pol, tape, margin := bench, cfg, pol, full, ahead
+				if i%2 == 1 {
+					tape, margin = short, 64
+				}
+				t.Run(fmt.Sprintf("%s/%s/%s", bench, cfg.Name, pol.name), func(t *testing.T) {
+					t.Parallel()
+					factory, err := experiments.PolicyFactoryByName(pol.kind.String())
+					if err != nil {
+						t.Fatal(err)
+					}
+					arena := core.PooledArena()
+					defer arena.Release()
+					sim, err := experiments.NewCell(cfg, bench, factory, false, arena, core.WithTape(tape))
+					if err != nil {
+						t.Fatal(err)
+					}
+					r, err := sim.Run(goldenInsts)
+					if err != nil {
+						t.Fatalf("simulate: %v", err)
+					}
+					got, err := fingerprint(r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					path := goldenPath(bench, cfg.Name, pol.name)
+					want, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatalf("missing golden fingerprint: %v", err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("cell over a tape %d instructions past the budget diverged from %s\n%s",
+							margin, path, goldenDiff(want, got))
 					}
 				})
 			}

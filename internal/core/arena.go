@@ -58,11 +58,13 @@ type Arena struct {
 	replayQ       []isa.Inst
 	squashScratch []isa.Inst
 
-	// State tables: ensure rebuilds mem, bp and invRng; New rebuilds gen.
+	// State tables: ensure rebuilds mem, bp and invRng; New rebuilds gen,
+	// and tape when the Sim replays a trace.Tape (WithTape).
 	mem    cache.Hierarchy
 	bp     bpred.Predictor
 	invRng xrand.Rand
 	gen    trace.Generator
+	tape   trace.TapeReader
 }
 
 // NewArena returns an empty arena; the first Sim built on it sizes the
@@ -81,8 +83,12 @@ var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 // arena memory, so releasing before the caller reads the Result is safe.
 func PooledArena() *Arena { return arenaPool.Get().(*Arena) }
 
-// Release returns a to the pool for the next run.
-func (a *Arena) Release() { arenaPool.Put(a) }
+// Release returns a to the pool for the next run. It drops a's reader of
+// the tape the run replayed, so a pooled arena keeps no tape alive.
+func (a *Arena) Release() {
+	a.tape = trace.TapeReader{}
+	arenaPool.Put(a)
+}
 
 // WithArena makes the Sim draw its per-run storage and tables from a
 // instead of allocating fresh ones. See Arena for the exclusivity contract.

@@ -127,6 +127,26 @@ func WithSQFilter() Option {
 	return func(s *Sim) { s.sqFilter = true }
 }
 
+// WithTape makes a Sim built by New replay t, a recording of its profile's
+// committed path, instead of generating that path; wrong paths are still
+// generated, and past the end of t generation continues live, so the run
+// is byte-identical to one without the tape. Many Sims, on any goroutines,
+// may replay one tape. A Sim that replays a tape cannot be checkpointed
+// or fast-forwarded, and New fails if t was recorded from another profile
+// or the Sim is built by NewWithWorkload.
+func WithTape(t *trace.Tape) Option {
+	return func(s *Sim) { s.tape = t }
+}
+
+// FetchAhead bounds how many committed-path instructions a Sim on m draws
+// from its workload beyond its instruction budget: a run may overshoot
+// the budget by less than a commit group, and then holds at most a full
+// ROB and fetch queue of younger instructions. A tape this much longer
+// than the budget lets a cell replay to its end.
+func FetchAhead(m config.Machine) int {
+	return m.CommitWidth + m.ROBSize + 3*m.FetchWidth
+}
+
 // Sim is one simulated processor running one benchmark. Not safe for
 // concurrent use; run different benchmarks on different Sims.
 type Sim struct {
@@ -287,6 +307,9 @@ type Sim struct {
 	costIQ, costBPred                 float64
 	costL1I, costL1D, costL2, costALU float64
 
+	// tape, when set by WithTape, is the committed path New replays.
+	tape *trace.Tape
+
 	// lastSave is the length of the last SaveCheckpoint record, which
 	// sizes the next save's buffer, and ffRing backs warm fast-forward's
 	// block ring (see fastforward.go), allocated on first use. Both are
@@ -364,7 +387,16 @@ func build(cfg config.Machine, wl Workload, prof *trace.Profile, pol lsq.Policy,
 	if a == nil {
 		a = NewArena()
 	}
-	if prof != nil {
+	switch {
+	case s.tape != nil && prof == nil:
+		return nil, fmt.Errorf("core: a tape replaces a profile's generator; NewWithWorkload has none")
+	case s.tape != nil && s.tape.Profile() != *prof:
+		return nil, fmt.Errorf("core: tape of %s cannot stand in for %s", s.tape.Profile().Name, prof.Name)
+	case s.tape != nil:
+		a.tape.Reset(&a.gen, s.tape)
+		a.gen.EnableWrongPathReuse()
+		s.wl = tapeWorkload{generatorView{g: &a.gen}, &a.tape}
+	case prof != nil:
 		a.gen.Reset(*prof)
 		s.wl = FromGenerator(&a.gen)
 	}

@@ -48,26 +48,14 @@ type Batcher interface {
 	NextBatch(dst []isa.Inst) int
 }
 
-// generatorWorkload adapts trace.Generator to the Workload interface.
-type generatorWorkload struct {
+// generatorView answers what a generator-backed workload reads from the
+// generator itself rather than from its committed path: wrong-path
+// streams, the entry PC and the metadata.
+type generatorView struct {
 	g *trace.Generator
 }
 
-// FromGenerator wraps the synthetic benchmark generator as a Workload.
-// The front end follows at most one wrong path at a time, so the wrapped
-// generator is switched to its reused wrong-path stream (one 5KB rand
-// state per misprediction otherwise dominates the simulator's allocation
-// profile; the instruction sequences are identical either way).
-func FromGenerator(g *trace.Generator) Workload {
-	g.EnableWrongPathReuse()
-	return generatorWorkload{g: g}
-}
-
-func (w generatorWorkload) Next() isa.Inst { return w.g.Next() }
-
-func (w generatorWorkload) NextBatch(dst []isa.Inst) int { return w.g.NextBatch(dst) }
-
-func (w generatorWorkload) WrongPath(branchPC uint64, taken bool, salt uint64) InstSource {
+func (w generatorView) WrongPath(branchPC uint64, taken bool, salt uint64) InstSource {
 	ws := w.g.WrongPath(branchPC, taken, salt)
 	if ws == nil {
 		return nil // avoid a typed-nil interface
@@ -75,9 +63,9 @@ func (w generatorWorkload) WrongPath(branchPC uint64, taken bool, salt uint64) I
 	return ws
 }
 
-func (w generatorWorkload) EntryPC() uint64 { return w.g.EntryPC() }
+func (w generatorView) EntryPC() uint64 { return w.g.EntryPC() }
 
-func (w generatorWorkload) Meta() WorkloadMeta {
+func (w generatorView) Meta() WorkloadMeta {
 	p := w.g.Profile()
 	return WorkloadMeta{
 		Name:     p.Name,
@@ -87,3 +75,35 @@ func (w generatorWorkload) Meta() WorkloadMeta {
 		Seed:     p.Seed,
 	}
 }
+
+// generatorWorkload adapts trace.Generator to the Workload interface.
+type generatorWorkload struct {
+	generatorView
+}
+
+// FromGenerator wraps the synthetic benchmark generator as a Workload.
+// The front end follows at most one wrong path at a time, so the wrapped
+// generator is switched to its reused wrong-path stream (one 5KB rand
+// state per misprediction otherwise dominates the simulator's allocation
+// profile; the instruction sequences are identical either way).
+func FromGenerator(g *trace.Generator) Workload {
+	g.EnableWrongPathReuse()
+	return generatorWorkload{generatorView{g: g}}
+}
+
+func (w generatorWorkload) Next() isa.Inst { return w.g.Next() }
+
+func (w generatorWorkload) NextBatch(dst []isa.Inst) int { return w.g.NextBatch(dst) }
+
+// tapeWorkload reads the committed path from a trace.TapeReader and the
+// rest from the generator it replays through. It is not a
+// CheckpointableWorkload: a replaying generator's RNG is not where its
+// stream stands, so its state cannot be saved.
+type tapeWorkload struct {
+	generatorView
+	r *trace.TapeReader
+}
+
+func (w tapeWorkload) Next() isa.Inst { return w.r.Next() }
+
+func (w tapeWorkload) NextBatch(dst []isa.Inst) int { return w.r.NextBatch(dst) }

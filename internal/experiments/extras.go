@@ -293,8 +293,12 @@ func (s *Suite) Artifact(name string) (string, error) {
 }
 
 // Report runs every experiment and renders the full evaluation, in the
-// paper's order. This is what cmd/experiments prints.
+// paper's order. This is what cmd/experiments prints. The report reads
+// every run key, so it fetches them all in one matrix first: each
+// benchmark's committed path is then recorded once for the whole report,
+// and progress counts one sequence over every cell.
 func (s *Suite) Report() string {
+	s.get(RunKeys()...)
 	return fmt.Sprintf("DMDC reproduction — %d instructions per benchmark, %d benchmarks\n\n",
 		s.opts.Insts, len(s.opts.Benchmarks)) + s.section("report")
 }

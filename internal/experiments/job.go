@@ -219,6 +219,7 @@ type execParams struct {
 	faults    soundness.FaultSpec
 	watchdog  uint64
 	sampler   *telemetry.Sampler
+	tape      *trace.Tape // the benchmark's committed path; nil generates it
 }
 
 // NewCell builds one simulation of bench on machine m: the benchmark's
@@ -270,6 +271,9 @@ func executeCell(ctx context.Context, sp runSpec, bench string, p execParams) (*
 	}
 	if p.sampler != nil {
 		opts = append(opts, core.WithTelemetry(p.sampler))
+	}
+	if p.tape != nil {
+		opts = append(opts, core.WithTape(p.tape))
 	}
 	arena := core.PooledArena()
 	defer arena.Release()

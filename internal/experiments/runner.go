@@ -217,9 +217,10 @@ func (e *RunError) Error() string {
 // Unwrap exposes the underlying cause.
 func (e *RunError) Unwrap() error { return e.Err }
 
-// job is one (spec, benchmark) cell of the matrix.
+// job is one (spec, benchmark) cell of the matrix. It points at its spec,
+// a few hundred bytes with the machine, which the matrix's cells share.
 type job struct {
-	spec  runSpec
+	spec  *runSpec
 	bench string
 	slot  int
 }
@@ -229,17 +230,22 @@ type job struct {
 // cells stay nil in the result slices; their labeled errors are joined
 // into the returned error, so one bad run never takes down the process or
 // discards its siblings' work.
+//
+// In process, the cells of a benchmark share one recording of its
+// committed path (see tapeSet), which lives only while the benchmark has
+// queued cells.
 func (s *Suite) runMatrix(specs []runSpec) (map[string][]*core.Result, error) {
 	o := s.opts
-	jobs := make([]job, 0, len(specs)*len(o.Benchmarks))
-	for _, sp := range specs {
-		for i, b := range o.Benchmarks {
-			jobs = append(jobs, job{spec: sp, bench: b, slot: i})
-		}
-	}
+	jobs := matrixJobs(specs, o.Benchmarks)
 	out := make(map[string][]*core.Result, len(specs))
+	ahead := 0
 	for _, sp := range specs {
 		out[sp.key] = make([]*core.Result, len(o.Benchmarks))
+		ahead = max(ahead, core.FetchAhead(sp.machine))
+	}
+	var tapes *tapeSet
+	if o.Backend == nil {
+		tapes = newTapeSet(int(o.Insts), ahead, o.Benchmarks, len(specs))
 	}
 
 	workers := o.Parallelism
@@ -272,8 +278,9 @@ func (s *Suite) runMatrix(specs []runSpec) (map[string][]*core.Result, error) {
 					// of hanging or silently dropping work.
 					err = &RunError{Key: j.spec.key, Benchmark: j.bench, Err: cerr}
 				} else {
-					r, cached, err = s.runJob(ctx, j.spec, j.bench)
+					r, cached, err = s.runJob(ctx, *j.spec, j.bench, tapes)
 				}
+				tapes.done(j.bench)
 				mu.Lock()
 				if err != nil {
 					errs = append(errs, err)
@@ -297,6 +304,19 @@ func (s *Suite) runMatrix(specs []runSpec) (map[string][]*core.Result, error) {
 	return out, errors.Join(errs...)
 }
 
+// matrixJobs queues the cells of specs over benches benchmark-major: all
+// of one benchmark's cells, then the next benchmark's, so a benchmark's
+// tape is released before most later ones are recorded.
+func matrixJobs(specs []runSpec, benches []string) []job {
+	jobs := make([]job, 0, len(specs)*len(benches))
+	for i, b := range benches {
+		for k := range specs {
+			jobs = append(jobs, job{spec: &specs[k], bench: b, slot: i})
+		}
+	}
+	return jobs
+}
+
 // progressLine formats one completion: "[done/total] status key/bench eta".
 func progressLine(done, total int, j job, cached bool, err error, start time.Time) string {
 	status := "sim"
@@ -316,12 +336,13 @@ func progressLine(done, total int, j job, cached bool, err error, start time.Tim
 	return line
 }
 
-// runJob runs (or fetches from cache) one cell of the matrix. Every
-// failure mode — a policy configuration error, a bad machine config, a
-// soundness divergence, a watchdog trip, or a panic anywhere inside the
-// simulator — becomes a labeled *RunError rather than crashing the worker
-// pool, so one bad cell never discards its siblings' work.
-func (s *Suite) runJob(ctx context.Context, sp runSpec, bench string) (r *core.Result, cached bool, err error) {
+// runJob runs (or fetches from cache) one cell of the matrix; an
+// in-process cell replays its benchmark's tape from tapes. Every failure
+// mode — a policy configuration error, a bad machine config, a soundness
+// divergence, a watchdog trip, or a panic anywhere inside the simulator —
+// becomes a labeled *RunError rather than crashing the worker pool, so one
+// bad cell never discards its siblings' work.
+func (s *Suite) runJob(ctx context.Context, sp runSpec, bench string, tapes *tapeSet) (r *core.Result, cached bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r, cached = nil, false
@@ -372,6 +393,7 @@ func (s *Suite) runJob(ctx context.Context, sp runSpec, bench string) (r *core.R
 			faults:    s.opts.Faults,
 			watchdog:  s.opts.WatchdogCycles,
 			sampler:   sampler,
+			tape:      tapes.acquire(ctx, bench),
 		})
 		if err == nil {
 			if sampler != nil && s.opts.TelemetryDir != "" {

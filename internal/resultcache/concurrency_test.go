@@ -13,10 +13,7 @@ import (
 // fields disagree. Run under -race this also checks the in-memory counter
 // bookkeeping.
 func TestConcurrentGetPutSameKey(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openCache(t, t.TempDir())
 	key := testKey()
 
 	const (
@@ -95,10 +92,7 @@ func (e errInconsistent) Error() string {
 // still be a complete entry, and once the writers finish every key must
 // be visible to both Caches and to a fresh Open.
 func TestSharedDirConcurrentWriters(t *testing.T) {
-	a, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := openCache(t, t.TempDir())
 	b := reopen(t, a)
 	const perWriter = 100
 	var wg sync.WaitGroup

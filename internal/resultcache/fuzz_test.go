@@ -81,10 +81,7 @@ func FuzzSegmentScan(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, segPrefix+"fuzz"+segExt), data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		c, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := openCache(t, dir)
 		keys := make([]string, 0, len(c.index))
 		for k := range c.index {
 			keys = append(keys, k)

@@ -24,7 +24,8 @@
 // the last look, so Caches in other processes sharing the directory see
 // each other's entries without reopening. A Cache keeps at most two
 // descriptors open however many segments the directory holds: its own
-// segment's, and that of the last other segment it read a hit from.
+// segment's, and that of the last other segment it read a hit from. Its
+// owner releases both with Close.
 //
 // Reads fail closed. A frame that is cut short or fails its checksum ends
 // the scan of its segment at that offset, and the next refresh retries
@@ -189,6 +190,8 @@ type Cache struct {
 	// report reads every entry from the one segment the cold run wrote.
 	r    *os.File
 	rseg *segment
+	// closed is set by Close: every later Get misses and Put fails.
+	closed bool
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -262,6 +265,10 @@ func (c *Cache) GetRaw(key string) ([]byte, bool) {
 // check leaves the index.
 func (c *Cache) load(key string) ([]byte, *core.Result, bool) {
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, nil, false
+	}
 	loc, ok := c.index[key]
 	if !ok {
 		// An unreadable directory is one more reason to miss.
@@ -438,6 +445,10 @@ func (c *Cache) Put(key string, r *core.Result) error {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		c.writeErrs.Add(1)
+		return errClosed
+	}
 	write, magic := frame, 0
 	if c.w == nil {
 		f, err := os.CreateTemp(c.dir, segPrefix+"*"+segExt)
@@ -476,6 +487,31 @@ func (c *Cache) closeReaderLocked() {
 		c.r.Close()
 		c.r, c.rseg = nil, nil
 	}
+}
+
+// errClosed is the error Put returns after Close.
+var errClosed = errors.New("resultcache: the cache is closed")
+
+// Close releases the Cache's descriptors: its own segment's and the one it
+// keeps open for reads. After Close every Get misses and every Put fails;
+// closing again does nothing.
+func (c *Cache) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil
+	}
+	c.closed = true
+	var err error
+	if c.w != nil {
+		err = c.w.Close()
+		c.w, c.wseg = nil, nil
+	}
+	c.closeReaderLocked()
+	if err != nil {
+		return fmt.Errorf("resultcache: %w", err)
+	}
+	return nil
 }
 
 // Clear removes every segment, every legacy entry file and stray temp

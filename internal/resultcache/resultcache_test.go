@@ -55,10 +55,7 @@ func testKey() string {
 }
 
 func TestRoundTrip(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openCache(t, t.TempDir())
 	key := testKey()
 	if _, ok := c.Get(key); ok {
 		t.Fatal("hit on empty cache")
@@ -124,10 +121,7 @@ func TestKeyDiscriminates(t *testing.T) {
 }
 
 func TestVersionMismatch(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openCache(t, t.TempDir())
 	key := testKey()
 	// Hand-write an entry claiming a newer format version; it must read
 	// as a miss and be evicted.
@@ -144,10 +138,7 @@ func TestVersionMismatch(t *testing.T) {
 // version (before the soundness layer changed simulator semantics) must
 // read as misses and be evicted, even when addressed directly.
 func TestStaleFormatEntryIsMiss(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openCache(t, t.TempDir())
 	key := testKey()
 	writeSegment(t, c.Dir(), segFrame(key, malformedEntries()["older version"]))
 	if _, ok := c.Get(key); ok {
@@ -162,10 +153,7 @@ func TestStaleFormatEntryIsMiss(t *testing.T) {
 }
 
 func TestCorruptedEntry(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openCache(t, t.TempDir())
 	key := testKey()
 	writeSegment(t, c.Dir(), segFrame(key, []byte("{truncated garbage")))
 	if _, ok := c.Get(key); ok {
@@ -183,10 +171,7 @@ func TestCorruptedEntry(t *testing.T) {
 // TestClear: Clear deletes segments, entry files of the one-file-per-entry
 // layout and stray temp files, and nothing else.
 func TestClear(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openCache(t, t.TempDir())
 	if err := c.Put(testKey(), testResult()); err != nil {
 		t.Fatal(err)
 	}
@@ -245,10 +230,7 @@ func TestDecodeEntryRejectsIncomplete(t *testing.T) {
 			t.Errorf("EncodeEntry(%v): %v, want ErrIncompleteEntry", r, err)
 		}
 	}
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openCache(t, t.TempDir())
 	if err := c.Put(testKey(), noStats); !errors.Is(err, ErrIncompleteEntry) {
 		t.Errorf("Put of a result without stats: %v, want ErrIncompleteEntry", err)
 	}

@@ -63,14 +63,21 @@ func onlySegment(t *testing.T, dir string) string {
 	return filepath.Join(dir, names[0])
 }
 
-// reopen opens a second, fresh Cache over c's directory.
-func reopen(t *testing.T, c *Cache) *Cache {
+// openCache opens a Cache over dir that is closed when the test ends.
+func openCache(t *testing.T, dir string) *Cache {
 	t.Helper()
-	c2, err := Open(c.Dir())
+	c, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c2
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// reopen opens a second, fresh Cache over c's directory.
+func reopen(t *testing.T, c *Cache) *Cache {
+	t.Helper()
+	return openCache(t, c.Dir())
 }
 
 // keyN returns a distinct content address per n.
@@ -82,10 +89,7 @@ func keyN(n int) string {
 // it creates on its first Put, and a Cache that only reads creates nothing.
 func TestPutsShareOneSegment(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openCache(t, dir)
 	if _, ok := c.Get(keyN(0)); ok {
 		t.Fatal("hit on an empty cache")
 	}
@@ -114,10 +118,7 @@ func TestPutsShareOneSegment(t *testing.T) {
 // TestSharedDirVisibility: two Caches on one directory see each other's
 // Puts without reopening, and GetRaw serves the EncodeEntry bytes.
 func TestSharedDirVisibility(t *testing.T) {
-	a, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := openCache(t, t.TempDir())
 	b := reopen(t, a)
 	r := testResult()
 	want, err := EncodeEntry(r)
@@ -150,10 +151,7 @@ func TestSharedDirVisibility(t *testing.T) {
 // crash mid-write leaves it, keeps its earlier entries; the torn one
 // misses, and later Puts are visible to a fresh Open.
 func TestTornTail(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openCache(t, t.TempDir())
 	seg := ""
 	var sizes []int64
 	for i := 0; i < 3; i++ {
@@ -202,10 +200,7 @@ func TestTornTail(t *testing.T) {
 // checksum, so the entry reads as a miss — even though the body may still
 // decode — and the recomputed Put replaces it for every reader.
 func TestFlippedByteIsMiss(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openCache(t, t.TempDir())
 	key := testKey()
 	if err := c.Put(key, testResult()); err != nil {
 		t.Fatal(err)
@@ -269,10 +264,7 @@ func TestForeignSegmentSkipped(t *testing.T) {
 	if err := os.WriteFile(seg, b, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openCache(t, dir)
 	if _, ok := c.Get(testKey()); ok {
 		t.Fatal("entry served from a segment of another layout")
 	}
@@ -285,10 +277,7 @@ func TestForeignSegmentSkipped(t *testing.T) {
 		append([]byte("dmdcseg1"), segFrame(testKey(), []byte(jsonEntry))...), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	c, err = Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c = openCache(t, dir)
 	if n, err := c.Len(); err != nil || n != 0 {
 		t.Fatalf("a dmdcseg1 segment was indexed: Len = %d, %v", n, err)
 	}
@@ -327,10 +316,7 @@ func TestDescriptorsBounded(t *testing.T) {
 		writeSegment(t, dir, segFrame(keyN(i), body))
 	}
 	before := openFDs()
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openCache(t, dir)
 	for i := 0; i < segs; i++ {
 		if _, ok := c.Get(keyN(i)); !ok {
 			t.Fatalf("entry %d missing", i)
@@ -359,5 +345,56 @@ func TestDescriptorsBounded(t *testing.T) {
 	}
 	if got := openFDs() - before; got > 0 || c.r != nil || c.w != nil {
 		t.Fatalf("after Clear a Cache holds %d descriptors, want none", got)
+	}
+}
+
+// TestClose: Close releases both descriptors a Cache holds, after it
+// every Get misses and every Put fails, and closing again does nothing.
+func TestClose(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count descriptors")
+	}
+	openFDs := func() int {
+		des, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(des)
+	}
+	dir := t.TempDir()
+	if err := openCache(t, dir).Put(keyN(0), testResult()); err != nil {
+		t.Fatal(err)
+	}
+	before := openFDs()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(keyN(0)); !ok {
+		t.Fatal("entry of another Cache missing")
+	}
+	if err := c.Put(keyN(1), testResult()); err != nil {
+		t.Fatal(err)
+	}
+	if got := openFDs() - before; got != 2 {
+		t.Fatalf("a Cache reading one segment and writing another holds %d descriptors, want 2", got)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := openFDs() - before; got != 0 {
+		t.Fatalf("a closed Cache holds %d descriptors", got)
+	}
+	if _, ok := c.Get(keyN(1)); ok {
+		t.Error("a closed Cache served a hit")
+	}
+	if err := c.Put(keyN(2), testResult()); err == nil {
+		t.Error("a closed Cache accepted a Put")
+	}
+	if err := c.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	if n, err := reopen(t, c).Len(); err != nil || n != 2 {
+		t.Errorf("entries written before Close: Len = %d, %v; want 2", n, err)
 	}
 }

@@ -72,10 +72,7 @@ func (p *fakePeer) FetchEntry(ctx context.Context, key string) ([]byte, string, 
 
 func newTestTiered(t *testing.T, peers ...Peer) (*Tiered, *Cache) {
 	t.Helper()
-	local, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := openCache(t, t.TempDir())
 	ts, err := NewTiered(TieredConfig{Local: local, Peers: peers})
 	if err != nil {
 		t.Fatal(err)

@@ -62,6 +62,21 @@ func (s *branchSite) direction(rng *xrand.Rand, c *drawCuts) bool {
 	}
 }
 
+// replay advances the site's pattern machine past a recorded outcome,
+// exactly as direction did when it returned taken.
+func (s *branchSite) replay(taken bool) {
+	switch s.kind {
+	case brLoop:
+		if taken {
+			s.counter++
+		} else {
+			s.counter = 0
+		}
+	case brPattern:
+		s.counter = (s.counter + 1) % len(s.pattern)
+	}
+}
+
 // guess returns a plausible direction without mutating state; used for
 // wrong-path streams so they cannot perturb the committed-path machines.
 func (s *branchSite) guess(rng *xrand.Rand, c *drawCuts) bool {
@@ -748,16 +763,22 @@ func (g *Generator) commonAddr(size uint8) uint64 {
 			i = rng.Intn(len(g.seqPtrs))
 		}
 		a := g.seqPtrs[i]
-		g.lastStream = i
-		g.seqPtrs[i] += g.seqStrides[i]
-		if g.seqPtrs[i] >= dataBase+g.regionBytes {
-			g.seqPtrs[i] = dataBase
-		}
+		g.stepStream(i)
 		return align(a, size)
 	case r < c.seqStack:
 		return align(stackBase+uint64(rng.Intn(stackSize)), size)
 	default:
 		return align(dataBase+uint64(rng.Int63n(int64(g.regionBytes))), size)
+	}
+}
+
+// stepStream makes stream i the current one and advances its pointer past
+// one access, wrapping at the end of the region.
+func (g *Generator) stepStream(i int) {
+	g.lastStream = i
+	g.seqPtrs[i] += g.seqStrides[i]
+	if g.seqPtrs[i] >= dataBase+g.regionBytes {
+		g.seqPtrs[i] = dataBase
 	}
 }
 

@@ -70,16 +70,29 @@ func hashStream(p Profile, n int, reuse bool) string {
 	if reuse {
 		g.EnableWrongPathReuse()
 	}
+	return hashPath(g, g, n)
+}
+
+// committedPath is what hashPath reads the committed path from: a
+// generator, or a TapeReader replaying through one.
+type committedPath interface {
+	Next() isa.Inst
+	NextBatch(dst []isa.Inst) int
+}
+
+// hashPath is hashStream over any committed-path source; the wrong paths
+// come from g, the generator behind it.
+func hashPath(src committedPath, g *Generator, n int) string {
 	h := sha256.New()
 	var buf [16]isa.Inst
 	branches := 0
 	for done := 0; done < n; {
 		var batch []isa.Inst
 		if done%3 == 0 {
-			buf[0] = g.Next()
+			buf[0] = src.Next()
 			batch = buf[:1]
 		} else {
-			batch = buf[:g.NextBatch(buf[:])]
+			batch = buf[:src.NextBatch(buf[:])]
 		}
 		for i := range batch {
 			in := &batch[i]

@@ -428,7 +428,7 @@ func TestProfilesIsACopy(t *testing.T) {
 	}
 }
 
-func mustProfile(t *testing.T, name string) Profile {
+func mustProfile(t testing.TB, name string) Profile {
 	t.Helper()
 	p, err := ByName(name)
 	if err != nil {
