@@ -12,8 +12,8 @@
 #                    singleflight and worker-pool fixes fixed — plus the
 #                    chaos and sampling gates, the benchmark smoke run, the
 #                    benchmark module's vet and smoke test, a run of every
-#                    example program, a short fuzz pass and whole-suite
-#                    coverage. The coverage run is the
+#                    example program, the unlinked-function sweep, a short
+#                    fuzz pass and whole-suite coverage. The coverage run is the
 #                    full test suite, so it also runs the API-surface test,
 #                    the soundness suite and the allocation budget: the
 #                    api-check, soundness and alloc-gate targets below stay
@@ -46,6 +46,11 @@
 #   make fuzz-short  90s split across the fuzz targets
 #   make bench-module  vet and test cmd/dmdcbench, a module of its own that
 #                    `go build ./...` and `go test ./...` never reach
+#   make unlinked    build every cmd/* and examples/* program and the
+#                    benchmark without inlining, and fail on any non-test
+#                    function that none of them links (TestUnlinkedFunctions;
+#                    the dmdc facade's library-only entry points and
+#                    internal/apigen are the allowed exceptions)
 #   make examples    build each examples/ program and run it with default
 #                    arguments; a non-zero exit or an empty stdout fails
 #   make bench-smoke one-iteration run of the simulator benchmarks — a fast
@@ -56,7 +61,7 @@
 GO ?= go
 CACHE_DIR ?= .dmdc-cache
 
-.PHONY: all build test check vet api-check race soundness alloc-gate chaos fleet-check sample-check fuzz-short cover bench-smoke bench-module examples bench-all report clean-cache
+.PHONY: all build test check vet api-check race soundness alloc-gate chaos fleet-check sample-check fuzz-short cover bench-smoke bench-module examples unlinked bench-all report clean-cache
 
 all: build test check
 
@@ -153,7 +158,7 @@ api-check:
 alloc-gate:
 	$(GO) test -run 'TestAllocationBudget' -count 1 .
 
-check: vet race chaos sample-check bench-smoke bench-module examples fuzz-short cover
+check: vet race chaos sample-check bench-smoke bench-module examples unlinked fuzz-short cover
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSim(Baseline|DMDC|Telemetry|Sampled5M)$$' -benchtime 1x .
@@ -175,6 +180,11 @@ examples:
 		[ -n "$$out" ] || { echo "examples/$$name: empty stdout"; exit 1; }; \
 		echo "examples/$$name: ok"; \
 	done
+
+# Every non-test function must be linked into some program: a function
+# only tests call belongs in a _test.go file (see unlinked_test.go).
+unlinked:
+	DMDC_UNLINKED=1 $(GO) test -count 1 -run '^TestUnlinkedFunctions$$' .
 
 bench-all:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...

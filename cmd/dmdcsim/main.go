@@ -216,23 +216,13 @@ func reportTelemetry(sn telemetry.Snapshot, outPrefix string) {
 	if outPrefix == "" {
 		return
 	}
-	write := func(path string, fn func(*os.File) error) {
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+	written, err := sn.WriteFiles(outPrefix)
+	for _, path := range written {
 		fmt.Fprintln(os.Stderr, "dmdcsim: wrote", path)
 	}
-	write(outPrefix+".csv", func(f *os.File) error { return sn.WriteCSV(f) })
-	write(outPrefix+".series.json", func(f *os.File) error { return sn.WriteJSON(f) })
-	write(outPrefix+".trace.json", func(f *os.File) error { return sn.WriteChromeTrace(f) })
+	if err != nil {
+		fatal(err)
+	}
 }
 
 // newPolicy builds the selected load-queue policy. Canonical policy

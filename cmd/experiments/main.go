@@ -33,6 +33,7 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux for -serve
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -127,7 +128,6 @@ func main() {
 	}
 	if *telDir != "" || *telStride > 0 || *serveAddr != "" {
 		opts.Telemetry = &telemetry.Config{Stride: *telStride}
-		opts.TelemetryDir = *telDir
 	}
 	var disp *dserve.Dispatcher
 	if *backendsFl != "" {
@@ -184,6 +184,7 @@ func main() {
 		if err := suite.WriteCSV(os.Stdout, *csvKey); err != nil {
 			die(err)
 		}
+		exportTelemetry(suite, *telDir)
 		checkRuns(suite)
 		return
 	}
@@ -210,7 +211,28 @@ func main() {
 			die(err)
 		}
 	}
+	exportTelemetry(suite, *telDir)
 	checkRuns(suite)
+}
+
+// exportTelemetry writes every simulated job's series under dir (nothing
+// when dir is empty or no job simulated): one telemetry.Snapshot.WriteFiles
+// per job, its prefix the "<run key>/<benchmark>" key with "/" and " "
+// made "_".
+func exportTelemetry(suite *experiments.Suite, dir string) {
+	reg := suite.Telemetry()
+	if dir == "" || len(reg.Keys()) == 0 {
+		return
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		die(fmt.Errorf("telemetry dir: %w", err))
+	}
+	flat := strings.NewReplacer("/", "_", " ", "_")
+	for key, sn := range reg.Snapshots() {
+		if _, err := sn.WriteFiles(filepath.Join(dir, flat.Replace(key))); err != nil {
+			die(fmt.Errorf("telemetry export: %w", err))
+		}
+	}
 }
 
 // sampledArgs packages the sampled-mode flag values.

@@ -182,12 +182,3 @@ func (r *Remote) Run(ctx context.Context, spec experiments.JobSpec) (*core.Resul
 	}
 	return &res, nil
 }
-
-// Health fetches the server's health snapshot.
-func (r *Remote) Health(ctx context.Context) (*Health, error) {
-	var h Health
-	if err := r.do(ctx, http.MethodGet, "/v1/healthz", nil, &h); err != nil {
-		return nil, err
-	}
-	return &h, nil
-}

@@ -139,9 +139,10 @@ func TestRemoteAgainstServer(t *testing.T) {
 	}
 
 	// A dead server must come back retryable.
-	h, err := r.Health(context.Background())
-	if err != nil || !h.OK {
-		t.Fatalf("health: %v %+v", err, h)
+	var h Health
+	getJSON(t, ts.URL+"/v1/healthz", &h)
+	if !h.OK {
+		t.Fatalf("health: %+v", h)
 	}
 	ts.Close()
 	_, err = r.Run(context.Background(), spec)

@@ -85,7 +85,9 @@ const TenantHeader = "X-DMDC-Tenant"
 //	2 — GET /v1/cache/{key} serves the binary entry encoding
 //	    (resultcache.EncodeEntry) as application/octet-stream; a version-1
 //	    peer's JSON entries fail DecodeEntry and count as peer errors
-const ProtocolVersion = 2
+//	3 — the GET /v1/telemetry index drops "counters"; service counters
+//	    are served only by GET /v1/healthz (Health, TenantHealth)
+const ProtocolVersion = 3
 
 // Cache wire headers: the hex SHA-256 of the entry body and the
 // resultcache format version it was encoded under. The fetching peer

@@ -57,20 +57,10 @@ func (d *drr) tenant(name string, weight, quota, depth int) *tenantQ {
 	return tq
 }
 
-// push appends a job to its tenant's queue, reporting false when the
-// tenant's depth is exhausted (admission control rejects, not blocks).
-func (d *drr) push(tq *tenantQ, st *jobState) bool {
-	if tq.depth > 0 && len(tq.queue) >= tq.depth {
-		return false
-	}
-	tq.queue = append(tq.queue, st)
-	d.queued++
-	return true
-}
-
-// pushForce enqueues past the depth bound; the restart-resume path must
-// never drop a journaled job to admission control.
-func (d *drr) pushForce(tq *tenantQ, st *jobState) {
+// push appends a job to its tenant's queue. It never refuses: the
+// server's admission control checks the tenant's depth before it journals
+// a job, and a resumed job is re-queued past the bound.
+func (d *drr) push(tq *tenantQ, st *jobState) {
 	tq.queue = append(tq.queue, st)
 	d.queued++
 }

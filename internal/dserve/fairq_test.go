@@ -138,24 +138,3 @@ func TestDRRQuotaDeadlock(t *testing.T) {
 		t.Fatal("pop served past the running quota")
 	}
 }
-
-// TestDRRDepthBound: push honors the per-tenant depth independently of
-// other tenants' occupancy.
-func TestDRRDepthBound(t *testing.T) {
-	d := newDRR()
-	a := d.tenant("a", 1, 0, 2)
-	b := d.tenant("b", 1, 0, 2)
-	if !d.push(a, &jobState{}) || !d.push(a, &jobState{}) {
-		t.Fatal("pushes within depth rejected")
-	}
-	if d.push(a, &jobState{}) {
-		t.Fatal("push past depth accepted")
-	}
-	if !d.push(b, &jobState{}) {
-		t.Fatal("tenant b rejected because tenant a is full")
-	}
-	d.pushForce(a, &jobState{})
-	if len(a.queue) != 3 {
-		t.Fatalf("pushForce did not bypass depth: len=%d", len(a.queue))
-	}
-}

@@ -158,10 +158,8 @@ func TestFleetPeerFetchDedup(t *testing.T) {
 	// Mixed-version guard: every instance must agree on the version tuple
 	// peers compare before interoperating.
 	for _, inst := range []*fleetInstance{a, b, c} {
-		v, err := NewCachePeer(inst.ts.URL, nil).Version(context.Background())
-		if err != nil {
-			t.Fatalf("version: %v", err)
-		}
+		var v VersionInfo
+		getJSON(t, inst.ts.URL+"/v1/version", &v)
 		if v.Protocol != ProtocolVersion || v.CacheFormat != resultcache.FormatVersion ||
 			v.JournalFormat != jobstore.FormatVersion {
 			t.Fatalf("version tuple %+v does not match this build", v)

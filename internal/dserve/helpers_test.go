@@ -1,6 +1,7 @@
 package dserve
 
 import (
+	"encoding/json"
 	"net/http"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,22 @@ func newTestServer(t *testing.T, cfg ServerConfig) *Server {
 		t.Fatalf("NewServer: %v", err)
 	}
 	return s
+}
+
+// getJSON GETs url and decodes its 200 JSON body into out.
+func getJSON(t *testing.T, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s", url, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("GET %s: decode: %v", url, err)
+	}
 }
 
 // openTestCache opens a fresh result cache under the test's temp dir.

@@ -2,7 +2,6 @@ package dserve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -77,25 +76,4 @@ func (p *CachePeer) FetchEntry(ctx context.Context, key string) ([]byte, string,
 		return nil, "", fmt.Errorf("dserve: peer %s: entry exceeds %d bytes", p.base, maxCacheEntryBytes)
 	}
 	return body, sum, nil
-}
-
-// Version fetches the peer's version tuple (see VersionInfo).
-func (p *CachePeer) Version(ctx context.Context) (*VersionInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.base+"/v1/version", nil)
-	if err != nil {
-		return nil, fmt.Errorf("dserve: peer %s: %w", p.base, err)
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("dserve: peer %s: %w", p.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("dserve: peer %s: %w", p.base, errBody(resp))
-	}
-	var vi VersionInfo
-	if err := json.NewDecoder(resp.Body).Decode(&vi); err != nil {
-		return nil, fmt.Errorf("dserve: peer %s: decode version: %w", p.base, err)
-	}
-	return &vi, nil
 }

@@ -136,7 +136,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.cond = sync.NewCond(&s.mu)
 	if s.telCfg != nil {
 		s.reg = telemetry.NewRegistry()
-		s.reg.SetCounterSource(s.counterSnapshot)
 	}
 	s.routes()
 	if s.store != nil {
@@ -175,7 +174,7 @@ func (s *Server) resume() error {
 		// before the done record is appended, so a crash between the two
 		// leaves an admitted job whose work is done, while a done record
 		// alone (a soundness job, or a lost cache) proves nothing.
-		if s.cache != nil && !spec.Soundness {
+		if s.cache != nil && spec.Cacheable() {
 			if hit, ok := s.cache.Get(jr.ID); ok {
 				st.status = StatusDone
 				st.result = hit
@@ -194,9 +193,9 @@ func (s *Server) resume() error {
 			s.resumedDone++
 			continue
 		}
-		// Re-queue past the depth bound: journaled admissions are never
-		// dropped.
-		s.sched.pushForce(st.tq, st)
+		// Re-queue past the depth bound: admission control ran before the
+		// journal append, and a journaled admission is never dropped.
+		s.sched.push(st.tq, st)
 		st.tq.admitted++
 		s.resumedRequeued++
 	}
@@ -290,7 +289,7 @@ func (s *Server) execute(st *jobState) {
 		s.finish(st, nil, fmt.Sprintf("server shutting down: %v", err), true)
 		return
 	}
-	if s.cache != nil && !st.spec.Soundness {
+	if s.cache != nil && st.spec.Cacheable() {
 		// Late re-check: between admission and execution a peer (or a
 		// Tiered store's fetch) may have landed this result. A warm fleet
 		// run must re-simulate nothing, even for jobs that were queued
@@ -325,7 +324,7 @@ func (s *Server) execute(st *jobState) {
 		return
 	}
 	s.executed.Add(1)
-	if s.cache != nil && !st.spec.Soundness {
+	if s.cache != nil && st.spec.Cacheable() {
 		// Best-effort, but ordered before the journal's done record: once
 		// "done" is durable, the result must be durable too (resume treats
 		// a cache hit as the job's completion certificate).
@@ -382,7 +381,7 @@ func (s *Server) admit(spec experiments.JobSpec, tenant string) JobStatus {
 	// unrelated jobs. (Tiered singleflights, so concurrent identical
 	// admits still cost one fetch.)
 	var hit *core.Result
-	if s.cache != nil && !spec.Soundness {
+	if s.cache != nil && spec.Cacheable() {
 		hit, _ = s.cache.Get(id)
 	}
 
@@ -406,6 +405,8 @@ func (s *Server) admit(spec experiments.JobSpec, tenant string) JobStatus {
 		s.jobs[id] = st
 		return s.statusLocked(st)
 	}
+	// Admission control: a full tenant queue rejects before the journal
+	// append, so a rejected job is never journaled.
 	if tq.depth > 0 && len(tq.queue) >= tq.depth {
 		tq.rejected++
 		s.rejected.Add(1)
@@ -659,33 +660,6 @@ func (s *Server) Stats() Health {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-// counterSnapshot feeds the telemetry registry's service-counter view:
-// flat name → value, one row per global counter plus per-tenant
-// depth/served gauges.
-func (s *Server) counterSnapshot() map[string]int64 {
-	h := s.Stats()
-	out := map[string]int64{
-		"jobs_executed":   int64(h.Executed),
-		"jobs_cache_hits": int64(h.CacheHits),
-		"jobs_rejected":   int64(h.Rejected),
-		"queue_depth":     int64(h.Queued),
-		"journal_errors":  int64(h.JournalErrors),
-	}
-	if pc := h.PeerCache; pc != nil {
-		out["peer_cache_hits"] = int64(pc.PeerHits)
-		out["peer_cache_errors"] = int64(pc.PeerErrors)
-		out["peer_cache_negative_hits"] = int64(pc.NegativeHits)
-	}
-	for name, th := range h.Tenants {
-		out["tenant_"+name+"_queued"] = int64(th.Queued)
-		out["tenant_"+name+"_running"] = int64(th.Running)
-		out["tenant_"+name+"_admitted"] = int64(th.Admitted)
-		out["tenant_"+name+"_served"] = int64(th.Served)
-		out["tenant_"+name+"_rejected"] = int64(th.Rejected)
-	}
-	return out
 }
 
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {

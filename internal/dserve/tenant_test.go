@@ -212,8 +212,9 @@ func TestTenantWeightedServing(t *testing.T) {
 	}
 }
 
-// TestTelemetryCounters: with telemetry enabled, the registry index
-// exposes the server's counter snapshot, including per-tenant rows.
+// TestTelemetryCounters: with telemetry enabled, the service counters are
+// served on /v1/healthz, per tenant too, and only there: the
+// /v1/telemetry index lists jobs and nothing else.
 func TestTelemetryCounters(t *testing.T) {
 	t.Parallel()
 	srv := newTestServer(t, ServerConfig{Workers: 1, Telemetry: &telemetry.Config{Stride: 1024}})
@@ -226,21 +227,18 @@ func TestTelemetryCounters(t *testing.T) {
 		t.Fatalf("job ended %s (%s)", js.Status, js.Error)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/telemetry")
-	if err != nil {
-		t.Fatal(err)
+	var h Health
+	getJSON(t, ts.URL+"/v1/healthz", &h)
+	if h.Executed != 1 {
+		t.Fatalf("executed = %d, want 1 (health: %+v)", h.Executed, h)
 	}
-	defer resp.Body.Close()
-	var idx struct {
-		Counters map[string]int64 `json:"counters"`
+	if th := h.Tenants["alice"]; th.Served != 1 || th.Admitted != 1 {
+		t.Fatalf("tenant alice served %d of %d admitted, want 1 of 1", th.Served, th.Admitted)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&idx); err != nil {
-		t.Fatalf("decode telemetry index: %v", err)
-	}
-	if idx.Counters["jobs_executed"] != 1 {
-		t.Fatalf("jobs_executed = %d, want 1 (counters: %v)", idx.Counters["jobs_executed"], idx.Counters)
-	}
-	if idx.Counters["tenant_alice_served"] != 1 {
-		t.Fatalf("tenant_alice_served = %d, want 1 (counters: %v)", idx.Counters["tenant_alice_served"], idx.Counters)
+
+	var idx map[string]any
+	getJSON(t, ts.URL+"/v1/telemetry", &idx)
+	if _, ok := idx["jobs"]; !ok || len(idx) != 1 {
+		t.Fatalf("telemetry index %v, want the jobs list only", idx)
 	}
 }

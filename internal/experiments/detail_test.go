@@ -100,8 +100,8 @@ func TestRunKeysComplete(t *testing.T) {
 	for _, k := range keys {
 		advertised[k] = true
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.run.Lock()
+	defer s.run.Unlock()
 	if len(s.results) == 0 {
 		t.Fatal("the report ran no keys")
 	}

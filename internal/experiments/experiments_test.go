@@ -5,8 +5,21 @@ import (
 	"testing"
 
 	"dmdc/internal/core"
+	"dmdc/internal/resultcache"
 	"dmdc/internal/trace"
 )
+
+// openCache opens a result cache on dir, closed when the test ends: a
+// Suite uses the store its caller opened and owns none of its own.
+func openCache(t *testing.T, dir string) *resultcache.Cache {
+	t.Helper()
+	c, err := resultcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
 
 // testSuite builds a small, fast suite: a benchmark subset and a short
 // instruction budget. Shapes are noisier at this scale, so assertions stay
@@ -32,6 +45,9 @@ func mustSuite(o Options) *Suite {
 	}
 	return s
 }
+
+// Options returns the normalized options in effect.
+func (s *Suite) Options() Options { return s.opts }
 
 // Results returns the per-benchmark results of one run key, running them
 // if needed.

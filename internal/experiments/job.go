@@ -71,22 +71,17 @@ func (j JobSpec) Validate() error {
 		return fmt.Errorf("experiments: job needs exactly one of run_key and policy (have %q and %q)",
 			j.RunKey, j.Policy)
 	}
+	sp, err := specForJob(j)
+	if err != nil {
+		return err
+	}
 	if j.RunKey != "" {
-		sp, ok := resolveSpec(j.RunKey)
-		if !ok {
-			return fmt.Errorf("experiments: unknown run key %q", j.RunKey)
-		}
 		if j.Machine.Name != "" && j.Machine.Name != sp.machine.Name {
 			return fmt.Errorf("experiments: run key %q pins machine %s, job says %s",
 				j.RunKey, sp.machine.Name, j.Machine.Name)
 		}
-	} else {
-		if _, err := PolicyFactoryByName(j.Policy); err != nil {
-			return err
-		}
-		if err := j.Machine.Validate(); err != nil {
-			return fmt.Errorf("experiments: job machine: %w", err)
-		}
+	} else if err := j.Machine.Validate(); err != nil {
+		return fmt.Errorf("experiments: job machine: %w", err)
 	}
 	if j.Benchmark == "" {
 		return fmt.Errorf("experiments: job has no benchmark")
@@ -127,29 +122,27 @@ func (j JobSpec) Validate() error {
 }
 
 // CacheKey returns the job's content address in the persistent result
-// cache — the same address Suite uses for in-process runs, so results
-// computed locally, remotely, or in a previous process are interchangeable.
-// It doubles as the job's idempotency key on the wire: resubmitting an
-// identical spec addresses the same job.
+// cache. It is the only cache-key layout: a Suite keys its in-process
+// cells by it too, so results computed locally, remotely, or in a previous
+// process are interchangeable. It doubles as the job's idempotency key on
+// the wire: resubmitting an identical spec addresses the same job. An
+// invalid spec still gets a key, the ID its rejection is reported under.
 func (j JobSpec) CacheKey() string {
-	runKey := j.RunKey
-	machine := j.Machine
-	if runKey == "" {
-		// Policy jobs get a reserved pseudo-key namespace; ":" cannot occur
-		// in experiment run keys, so the two spaces never collide.
-		runKey = "policy:" + j.Policy
-	} else if sp, ok := resolveSpec(runKey); ok {
-		machine = sp.machine
-	}
+	sp, _ := specForJob(j)
 	return resultcache.Key(resultcache.KeySpec{
-		Machine:       machine,
-		RunKey:        runKey,
+		Machine:       sp.machine,
+		RunKey:        sp.key,
 		Benchmark:     j.Benchmark,
 		Insts:         j.Insts,
 		Faults:        j.Faults,
 		CheckpointRef: j.CheckpointRef,
 	})
 }
+
+// Cacheable reports whether the job's result may be read from or written
+// to a result cache. A lockstep-oracle job never is: a cached result would
+// skip exactly the verification the job asks for.
+func (j JobSpec) Cacheable() bool { return !j.Soundness }
 
 // Backend executes simulation jobs for a Suite: in process (the default),
 // or sharded across remote dmdcd servers (internal/dserve.Dispatcher).
@@ -165,61 +158,59 @@ type Backend interface {
 	Run(ctx context.Context, spec JobSpec) (*core.Result, error)
 }
 
+// policies is the one name→construction table: the dmdc facade, the
+// CLIs, and the dmdcd server all resolve policy names here, in this order.
+var policies = []struct {
+	name    string
+	factory PolicyFactory
+}{
+	{"baseline", BaselineFactory},
+	{"yla", YLAFactory},
+	{"dmdc", DMDCGlobalFactory},
+	{"dmdc-local", DMDCLocalFactory},
+	{"agetable", AgeTableFactory},
+	{"value-based", ValueBasedFactory},
+	{"value-svw", ValueSVWFactory},
+}
+
 // PolicyNames lists the canonical policy names accepted by
 // PolicyFactoryByName, in declaration order. The names round-trip through
 // dmdc.PolicyKind.String / dmdc.ParsePolicy.
 func PolicyNames() []string {
-	return []string{"baseline", "yla", "dmdc", "dmdc-local", "agetable", "value-based", "value-svw"}
+	names := make([]string, len(policies))
+	for i, p := range policies {
+		names[i] = p.name
+	}
+	return names
 }
 
-// PolicyFactoryByName maps a canonical policy name to its factory. This is
-// the single name→construction table: the dmdc facade, the CLIs, and the
-// dmdcd server all resolve policy names here.
+// PolicyFactoryByName maps a canonical policy name to its factory.
 func PolicyFactoryByName(name string) (PolicyFactory, error) {
-	switch name {
-	case "baseline":
-		return BaselineFactory, nil
-	case "yla":
-		return YLAFactory, nil
-	case "dmdc":
-		return DMDCGlobalFactory, nil
-	case "dmdc-local":
-		return DMDCLocalFactory, nil
-	case "agetable":
-		return AgeTableFactory, nil
-	case "value-based":
-		return ValueBasedFactory, nil
-	case "value-svw":
-		return ValueSVWFactory, nil
+	for _, p := range policies {
+		if p.name == name {
+			return p.factory, nil
+		}
 	}
 	return nil, fmt.Errorf("experiments: unknown policy %q (valid: %s)",
 		name, strings.Join(PolicyNames(), ", "))
 }
 
-// specForJob materializes the runSpec a JobSpec describes.
+// specForJob resolves the run spec a JobSpec describes: its run key's
+// entry in the run-spec table, or its policy's factory on its machine
+// under the reserved "policy:" key (":" cannot occur in a run key, so the
+// two namespaces never collide). On an unknown run key or policy it
+// returns the error together with a spec that still carries the job's key
+// and machine, which is all CacheKey reads.
 func specForJob(j JobSpec) (runSpec, error) {
 	if j.RunKey != "" {
-		sp, ok := resolveSpec(j.RunKey)
-		if !ok {
-			return runSpec{}, fmt.Errorf("experiments: unknown run key %q", j.RunKey)
+		if sp, ok := resolveSpec(j.RunKey); ok {
+			return sp, nil
 		}
-		return sp, nil
+		return runSpec{key: j.RunKey, machine: j.Machine},
+			fmt.Errorf("experiments: unknown run key %q", j.RunKey)
 	}
 	f, err := PolicyFactoryByName(j.Policy)
-	if err != nil {
-		return runSpec{}, err
-	}
-	return runSpec{key: "policy:" + j.Policy, machine: j.Machine, factory: f}, nil
-}
-
-// execParams is everything outside the runSpec that shapes one cell.
-type execParams struct {
-	insts     uint64
-	soundness bool
-	faults    soundness.FaultSpec
-	watchdog  uint64
-	sampler   *telemetry.Sampler
-	tape      *trace.Tape // the benchmark's committed path; nil generates it
+	return runSpec{key: "policy:" + j.Policy, machine: j.Machine, factory: f}, err
 }
 
 // NewCell builds one simulation of bench on machine m: the benchmark's
@@ -255,33 +246,38 @@ func NewCell(m config.Machine, bench string, factory PolicyFactory, oracle bool,
 	return core.New(m, prof, pol, em, append(opts, core.WithArena(arena))...)
 }
 
-// executeCell builds and runs one cell of the matrix or one wire job: the
-// spec's own options, then the run's verification, injection and
-// telemetry settings.
-func executeCell(ctx context.Context, sp runSpec, bench string, p execParams) (*core.Result, error) {
+// executeCell builds and runs the cell j describes, sp being its resolved
+// run spec: the spec's own options, then the job's verification, injection
+// and watchdog settings, and the sampler and the benchmark's recorded
+// committed path when given (a nil tape generates the path live).
+func executeCell(ctx context.Context, sp *runSpec, j JobSpec, sampler *telemetry.Sampler, tape *trace.Tape) (*core.Result, error) {
 	opts := append([]core.Option{}, sp.opts...)
 	if sp.monitors != nil {
 		opts = append(opts, core.WithMonitors(sp.monitors()...))
 	}
-	if !p.faults.Zero() {
-		opts = append(opts, core.WithFaults(p.faults))
+	if j.Faults != "" {
+		faults, err := soundness.ParseFaultSpec(j.Faults)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, core.WithFaults(faults))
 	}
-	if p.watchdog > 0 {
-		opts = append(opts, core.WithWatchdog(p.watchdog))
+	if j.WatchdogCycles > 0 {
+		opts = append(opts, core.WithWatchdog(j.WatchdogCycles))
 	}
-	if p.sampler != nil {
-		opts = append(opts, core.WithTelemetry(p.sampler))
+	if sampler != nil {
+		opts = append(opts, core.WithTelemetry(sampler))
 	}
-	if p.tape != nil {
-		opts = append(opts, core.WithTape(p.tape))
+	if tape != nil {
+		opts = append(opts, core.WithTape(tape))
 	}
 	arena := core.PooledArena()
 	defer arena.Release()
-	sim, err := NewCell(sp.machine, bench, sp.factory, p.soundness, arena, opts...)
+	sim, err := NewCell(sp.machine, j.Benchmark, sp.factory, j.Soundness, arena, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return sim.RunContext(ctx, p.insts)
+	return sim.RunContext(ctx, j.Insts)
 }
 
 // ExecuteJob runs one wire job to completion. It is the server-side
@@ -317,19 +313,7 @@ func ExecuteJobWithSampler(ctx context.Context, j JobSpec, sampler *telemetry.Sa
 	if err != nil {
 		return nil, err
 	}
-	var faults soundness.FaultSpec
-	if j.Faults != "" {
-		if faults, err = soundness.ParseFaultSpec(j.Faults); err != nil {
-			return nil, err
-		}
-	}
-	return executeCell(ctx, sp, j.Benchmark, execParams{
-		insts:     j.Insts,
-		soundness: j.Soundness,
-		faults:    faults,
-		watchdog:  j.WatchdogCycles,
-		sampler:   sampler,
-	})
+	return executeCell(ctx, &sp, j, sampler, nil)
 }
 
 // executeRestored runs a checkpoint job: verify the payload against its

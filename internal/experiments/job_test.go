@@ -75,10 +75,13 @@ func TestExecuteJobPolicyForm(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExecuteJob: %v", err)
 	}
-	sp := runSpec{key: "policy:yla", machine: m, factory: YLAFactory}
-	want, err := executeCell(context.Background(), sp, "swim", execParams{insts: jobInsts})
+	sim, err := NewCell(m, "swim", YLAFactory, false, nil)
 	if err != nil {
-		t.Fatalf("executeCell: %v", err)
+		t.Fatalf("NewCell: %v", err)
+	}
+	want, err := sim.RunContext(context.Background(), jobInsts)
+	if err != nil {
+		t.Fatalf("direct run: %v", err)
 	}
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatal("policy-form job diverged from direct execution")
@@ -119,14 +122,15 @@ func TestJobSpecValidate(t *testing.T) {
 	}
 }
 
-// TestJobCacheKeyMatchesSuite pins the idempotency contract: a wire job's
-// content address equals the address the Suite uses for the same cell, so
-// local and remote results share one cache namespace.
+// TestJobCacheKeyMatchesSuite pins the idempotency contract end to end: a
+// wire job as a client writes it (no machine, since the run key pins one)
+// addresses the entry a Suite cached for the same cell, so local and
+// remote results share one cache namespace.
 func TestJobCacheKeyMatchesSuite(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
+	cache := openCache(t, t.TempDir())
 	bench := "gzip"
-	s, err := NewSuite(Options{Insts: jobInsts, Benchmarks: []string{bench}, CacheDir: dir})
+	s, err := NewSuite(Options{Insts: jobInsts, Benchmarks: []string{bench}, Cache: cache})
 	if err != nil {
 		t.Fatalf("NewSuite: %v", err)
 	}
@@ -136,7 +140,7 @@ func TestJobCacheKeyMatchesSuite(t *testing.T) {
 		t.Fatalf("suite: %v", err)
 	}
 	spec := JobSpec{RunKey: key, Benchmark: bench, Insts: jobInsts}
-	if hit, ok := s.cache.Get(spec.CacheKey()); !ok {
+	if hit, ok := cache.Get(spec.CacheKey()); !ok {
 		t.Fatal("wire job's cache key missed the suite's cached result")
 	} else if hit == nil {
 		t.Fatal("cache returned nil result")

@@ -39,14 +39,12 @@ type Options struct {
 	// Progress, when non-nil, receives one line per completed run with
 	// completed/total counts, cache-hit status, and an ETA.
 	Progress func(string)
-	// CacheDir, when non-empty, enables the persistent result cache
-	// rooted at that directory (see internal/resultcache). Deterministic
-	// simulation makes cached results exact, not approximate.
-	CacheDir string
-	// Cache, when non-nil, is the result store the suite uses directly —
-	// a disk *resultcache.Cache, a fleet-aware *resultcache.Tiered, or a
-	// test fake. It takes precedence over CacheDir, and the caller owns
-	// its lifecycle.
+	// Cache, when non-nil, is the persistent result store the suite reads
+	// and writes every cacheable cell through (see JobSpec.Cacheable) — a
+	// disk *resultcache.Cache, a fleet-aware *resultcache.Tiered, or a
+	// test fake. The caller opens it and closes it once the suite is done.
+	// Deterministic simulation makes cached results exact, not
+	// approximate.
 	Cache resultcache.Store
 	// Soundness attaches the lockstep architectural oracle to every run:
 	// each commit is checked against an independent in-order model and any
@@ -65,13 +63,10 @@ type Options struct {
 	// Telemetry, when non-nil, attaches a sampling engine to every
 	// *simulated* run (cache hits carry no samples): per-job time series
 	// and stall attribution land in the suite Registry (see
-	// Suite.Telemetry) keyed "<run key>/<benchmark>". Zero config fields
+	// Suite.Telemetry) keyed "<run key>/<benchmark>", from which a caller
+	// exports them (telemetry.Snapshot.WriteFiles). Zero config fields
 	// take the telemetry defaults.
 	Telemetry *telemetry.Config
-	// TelemetryDir, when non-empty, exports each simulated job's telemetry
-	// as CSV + JSON time series + Chrome trace files under this directory
-	// (implies Telemetry with defaults when unset).
-	TelemetryDir string
 	// Context, when non-nil, scopes every matrix run: cancel it and
 	// in-flight simulations stop on the next check cadence with
 	// context.Canceled (labeled per cell in Suite.Err), queued cells are
@@ -100,9 +95,6 @@ func (o Options) normalized() (Options, error) {
 	}
 	if err := o.Faults.Validate(); err != nil {
 		return o, err
-	}
-	if o.TelemetryDir != "" && o.Telemetry == nil {
-		o.Telemetry = &telemetry.Config{}
 	}
 	if o.Context == nil {
 		o.Context = context.Background()
@@ -278,7 +270,7 @@ func (s *Suite) runMatrix(specs []runSpec) (map[string][]*core.Result, error) {
 					// of hanging or silently dropping work.
 					err = &RunError{Key: j.spec.key, Benchmark: j.bench, Err: cerr}
 				} else {
-					r, cached, err = s.runJob(ctx, *j.spec, j.bench, tapes)
+					r, cached, err = s.runJob(ctx, j.spec, j.bench, tapes)
 				}
 				tapes.done(j.bench)
 				mu.Lock()
@@ -336,48 +328,42 @@ func progressLine(done, total int, j job, cached bool, err error, start time.Tim
 	return line
 }
 
-// runJob runs (or fetches from cache) one cell of the matrix; an
-// in-process cell replays its benchmark's tape from tapes. Every failure
-// mode — a policy configuration error, a bad machine config, a soundness
-// divergence, a watchdog trip, or a panic anywhere inside the simulator —
-// becomes a labeled *RunError rather than crashing the worker pool, so one
-// bad cell never discards its siblings' work.
-func (s *Suite) runJob(ctx context.Context, sp runSpec, bench string, tapes *tapeSet) (r *core.Result, cached bool, err error) {
+// runJob runs (or fetches from cache) one cell of the matrix. One JobSpec
+// describes the cell: it gives the cache key, and it is the job a Backend
+// runs, or executeCell in process with the cell's run spec sp and its
+// benchmark's tape from tapes. Every failure mode — a policy configuration
+// error, a bad machine config, a soundness divergence, a watchdog trip, or
+// a panic anywhere inside the simulator — becomes a labeled *RunError
+// rather than crashing the worker pool, so one bad cell never discards its
+// siblings' work.
+func (s *Suite) runJob(ctx context.Context, sp *runSpec, bench string, tapes *tapeSet) (r *core.Result, cached bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r, cached = nil, false
 			err = &RunError{Key: sp.key, Benchmark: bench, Err: fmt.Errorf("panic: %v", p)}
 		}
 	}()
-	// Oracle runs bypass the cache entirely: a cached result would skip
-	// exactly the lockstep verification the caller asked for.
-	useCache := s.cache != nil && !s.opts.Soundness
+	j := JobSpec{
+		Machine:        sp.machine,
+		RunKey:         sp.key,
+		Benchmark:      bench,
+		Insts:          s.opts.Insts,
+		Soundness:      s.opts.Soundness,
+		Faults:         s.opts.Faults.String(),
+		WatchdogCycles: s.opts.WatchdogCycles,
+	}
+	useCache := s.opts.Cache != nil && j.Cacheable()
 	var key string
 	if useCache {
-		key = resultcache.Key(resultcache.KeySpec{
-			Machine:   sp.machine,
-			RunKey:    sp.key,
-			Benchmark: bench,
-			Insts:     s.opts.Insts,
-			Faults:    s.opts.Faults.String(),
-		})
-		if hit, ok := s.cache.Get(key); ok {
+		key = j.CacheKey()
+		if hit, ok := s.opts.Cache.Get(key); ok {
 			return hit, true, nil
 		}
 	}
 	if s.opts.Backend != nil {
-		// Ship the cell as a (run key, benchmark) wire job; the backend
-		// reconstructs the spec through the same resolveSpec table, so the
-		// result is byte-identical to the in-process path below.
-		r, err = s.opts.Backend.Run(ctx, JobSpec{
-			Machine:        sp.machine,
-			RunKey:         sp.key,
-			Benchmark:      bench,
-			Insts:          s.opts.Insts,
-			Soundness:      s.opts.Soundness,
-			Faults:         s.opts.Faults.String(),
-			WatchdogCycles: s.opts.WatchdogCycles,
-		})
+		// The backend resolves the run key through the same run-spec
+		// table, so its result is byte-identical to the in-process path.
+		r, err = s.opts.Backend.Run(ctx, j)
 	} else {
 		var sampler *telemetry.Sampler
 		if s.telemetry != nil {
@@ -387,24 +373,7 @@ func (s *Suite) runJob(ctx context.Context, sp runSpec, bench string, tapes *tap
 			sampler = telemetry.New(*s.opts.Telemetry)
 			s.telemetry.Register(jobKey(sp.key, bench), sampler)
 		}
-		r, err = executeCell(ctx, sp, bench, execParams{
-			insts:     s.opts.Insts,
-			soundness: s.opts.Soundness,
-			faults:    s.opts.Faults,
-			watchdog:  s.opts.WatchdogCycles,
-			sampler:   sampler,
-			tape:      tapes.acquire(ctx, bench),
-		})
-		if err == nil {
-			if sampler != nil && s.opts.TelemetryDir != "" {
-				// The simulation itself succeeded; an export failure is
-				// still an error (the caller asked for the files), labeled
-				// like any other.
-				if werr := writeJobTelemetry(s.opts.TelemetryDir, jobKey(sp.key, bench), sampler.Snapshot()); werr != nil {
-					return nil, false, &RunError{Key: sp.key, Benchmark: bench, Err: werr}
-				}
-			}
-		}
+		r, err = executeCell(ctx, sp, j, sampler, tapes.acquire(ctx, bench))
 	}
 	if err != nil {
 		return nil, false, &RunError{Key: sp.key, Benchmark: bench, Err: err}
@@ -413,7 +382,7 @@ func (s *Suite) runJob(ctx context.Context, sp runSpec, bench string, tapes *tap
 	if useCache {
 		// Best-effort: a failed write only costs a recompute next time;
 		// the cache counts it (WriteErrors) for observability.
-		s.cache.Put(key, r)
+		s.opts.Cache.Put(key, r)
 	}
 	return r, false, nil
 }

@@ -66,13 +66,13 @@ func TestSuiteSoundness(t *testing.T) {
 // cache entry exists — a cached result would skip the verification.
 func TestSoundnessBypassesCache(t *testing.T) {
 	dir := t.TempDir()
-	warm := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, CacheDir: dir})
+	warm := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, Cache: openCache(t, dir)})
 	warm.Results(keyBase("config2"))
 	if warm.Simulated() != 1 {
 		t.Fatalf("warmup simulated %d runs, want 1", warm.Simulated())
 	}
 
-	s := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, CacheDir: dir, Soundness: true})
+	s := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, Cache: openCache(t, dir), Soundness: true})
 	s.Results(keyBase("config2"))
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
@@ -89,11 +89,11 @@ func TestSoundnessBypassesCache(t *testing.T) {
 // never hit entries cached by clean runs — and must hit their own.
 func TestFaultsKeyedSeparately(t *testing.T) {
 	dir := t.TempDir()
-	clean := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, CacheDir: dir})
+	clean := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, Cache: openCache(t, dir)})
 	clean.Results(keyBase("config2"))
 
 	faults := soundness.FaultSpec{StoreDelay: 20, StoreDelayEvery: 5}
-	a := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, CacheDir: dir, Faults: faults})
+	a := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, Cache: openCache(t, dir), Faults: faults})
 	ra := a.Results(keyBase("config2"))
 	if err := a.Err(); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestFaultsKeyedSeparately(t *testing.T) {
 		t.Error("fault campaign inert")
 	}
 
-	b := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, CacheDir: dir, Faults: faults})
+	b := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, Cache: openCache(t, dir), Faults: faults})
 	rb := b.Results(keyBase("config2"))
 	if b.Simulated() != 0 {
 		t.Errorf("identical faulted run missed its own cache entry (simulated %d)", b.Simulated())

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,7 +12,6 @@ import (
 	"dmdc/internal/core"
 	"dmdc/internal/energy"
 	"dmdc/internal/lsq"
-	"dmdc/internal/resultcache"
 	"dmdc/internal/telemetry"
 )
 
@@ -42,59 +42,36 @@ func keyQueue(n int) string       { return fmt.Sprintf("dmdc-queue%d", n) }
 
 // Suite lazily runs the simulation matrix: each experiment method triggers
 // only the runs it needs, and results are shared between experiments.
-// A Suite is safe for concurrent use; overlapping requests for the same
-// run key are single-flighted so each spec simulates at most once.
+// A Suite is safe for concurrent use: one lock is held while a matrix
+// runs, so overlapping requests for the same run key queue behind it and
+// each spec simulates at most once.
 type Suite struct {
 	opts      Options
-	cache     resultcache.Store   // nil when neither Cache nor CacheDir is set
 	telemetry *telemetry.Registry // nil when Options.Telemetry is nil
 
 	simulated atomic.Uint64 // simulations actually executed (cache hits excluded)
 
-	mu       sync.Mutex
-	results  map[string][]*core.Result
-	inflight map[string]*inflightRun
-	err      error // sticky join of every runner error so far
-}
+	run     sync.Mutex // held for the whole of get, matrix included
+	results map[string][]*core.Result
 
-// inflightRun tracks one key being computed; waiters block on done.
-type inflightRun struct {
-	done chan struct{}
+	mu  sync.Mutex // guards err alone, so Err never waits for a matrix
+	err error      // sticky join of every runner error so far
 }
 
 // NewSuite builds a suite; runs happen on demand. It returns an error when
-// the benchmark list names an unknown benchmark or the result cache
-// directory cannot be opened.
+// the options are invalid: an unknown benchmark, a bad fault campaign, or
+// telemetry with a Backend.
 func NewSuite(o Options) (*Suite, error) {
 	no, err := o.normalized()
 	if err != nil {
 		return nil, err
 	}
-	s := &Suite{
-		opts:     no,
-		results:  make(map[string][]*core.Result),
-		inflight: make(map[string]*inflightRun),
-	}
-	switch {
-	case no.Cache != nil:
-		// An injected store wins: the caller controls tiering (disk,
-		// fleet-tiered, test fake) and its lifecycle.
-		s.cache = no.Cache
-	case no.CacheDir != "":
-		c, err := resultcache.Open(no.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		s.cache = c
-	}
+	s := &Suite{opts: no, results: make(map[string][]*core.Result)}
 	if no.Telemetry != nil {
 		s.telemetry = telemetry.NewRegistry()
 	}
 	return s, nil
 }
-
-// Options returns the normalized options in effect.
-func (s *Suite) Options() Options { return s.opts }
 
 // Err returns every runner error accumulated so far (joined), or nil.
 // Experiment methods render whatever results exist; callers that need
@@ -112,10 +89,10 @@ func (s *Suite) Simulated() uint64 { return s.simulated.Load() }
 // CacheStats returns the result-store hit/miss/write-error counters, or
 // zeros when no cache is configured.
 func (s *Suite) CacheStats() (hits, misses, writeErrors uint64) {
-	if s.cache == nil {
+	if s.opts.Cache == nil {
 		return 0, 0, 0
 	}
-	st := s.cache.Stats()
+	st := s.opts.Cache.Stats()
 	return st.Hits, st.Misses, st.WriteErrors
 }
 
@@ -205,51 +182,30 @@ func allMonitors() []lsq.Monitor {
 	return ms
 }
 
-// get returns results for the given keys, running any that are missing.
-// Each key is single-flighted: when several goroutines request overlapping
-// keys, exactly one claims each missing key and runs it while the others
-// wait on its completion, so no spec ever simulates twice.
+// get returns results for the given keys, running any that are missing
+// in one matrix. It holds s.run throughout, so a concurrent caller waits
+// for the running matrix and then finds its keys done: no spec ever
+// simulates twice.
 func (s *Suite) get(keys ...string) map[string][]*core.Result {
-	s.mu.Lock()
-	var mine []runSpec
-	var wait []*inflightRun
+	s.run.Lock()
+	defer s.run.Unlock()
+	var missing []runSpec
 	for _, k := range keys {
-		if _, ok := s.results[k]; ok {
-			continue
+		if _, ok := s.results[k]; !ok && !slices.ContainsFunc(missing, func(sp runSpec) bool { return sp.key == k }) {
+			missing = append(missing, s.specFor(k))
 		}
-		if fl, ok := s.inflight[k]; ok {
-			wait = append(wait, fl)
-			continue
-		}
-		sp := s.specFor(k)
-		s.inflight[k] = &inflightRun{done: make(chan struct{})}
-		mine = append(mine, sp)
 	}
-	s.mu.Unlock()
-
-	if len(mine) > 0 {
-		fresh, err := s.runMatrix(mine)
-		s.mu.Lock()
+	if len(missing) > 0 {
+		fresh, err := s.runMatrix(missing)
 		for k, v := range fresh {
 			s.results[k] = v
 		}
 		if err != nil {
+			s.mu.Lock()
 			s.err = errors.Join(s.err, err)
+			s.mu.Unlock()
 		}
-		for _, sp := range mine {
-			if fl, ok := s.inflight[sp.key]; ok {
-				close(fl.done)
-				delete(s.inflight, sp.key)
-			}
-		}
-		s.mu.Unlock()
 	}
-	for _, fl := range wait {
-		<-fl.done
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make(map[string][]*core.Result, len(keys))
 	for _, k := range keys {
 		out[k] = s.results[k]

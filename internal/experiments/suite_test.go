@@ -6,10 +6,9 @@ import (
 )
 
 // TestSuiteSingleflight hammers one Suite from many goroutines requesting
-// overlapping key sets and asserts each spec simulated exactly once.
-// Before the singleflight fix, Suite.get released the lock between the
-// missing-key check and the run, so concurrent callers duplicated entire
-// matrices. Run with -race.
+// overlapping key sets and asserts each spec simulated exactly once:
+// Suite.get holds its lock while a matrix runs, so a concurrent caller
+// finds its keys done instead of running them again. Run with -race.
 func TestSuiteSingleflight(t *testing.T) {
 	s := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip", "swim"}})
 	keys := []string{keyBase("config2"), keyYLA, keyGlobal("config2")}
@@ -50,7 +49,7 @@ func TestSuiteSingleflight(t *testing.T) {
 // regenerates the same artifact with zero simulations.
 func TestSuiteResultCache(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Insts: 2000, Benchmarks: []string{"gzip"}, CacheDir: dir}
+	opts := Options{Insts: 2000, Benchmarks: []string{"gzip"}, Cache: openCache(t, dir)}
 
 	cold := mustSuite(opts)
 	first := cold.Results(keyGlobal("config2"))
@@ -64,6 +63,7 @@ func TestSuiteResultCache(t *testing.T) {
 		t.Errorf("cold cache stats: %d hits / %d misses / %d write errors", hits, misses, werrs)
 	}
 
+	opts.Cache = openCache(t, dir)
 	warm := mustSuite(opts)
 	second := warm.Results(keyGlobal("config2"))
 	if err := warm.Err(); err != nil {
@@ -90,9 +90,9 @@ func TestSuiteResultCache(t *testing.T) {
 // entries cached under another budget.
 func TestSuiteCacheKeyedByInsts(t *testing.T) {
 	dir := t.TempDir()
-	a := mustSuite(Options{Insts: 1000, Benchmarks: []string{"gzip"}, CacheDir: dir})
+	a := mustSuite(Options{Insts: 1000, Benchmarks: []string{"gzip"}, Cache: openCache(t, dir)})
 	a.Results(keyBase("config2"))
-	b := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, CacheDir: dir})
+	b := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}, Cache: openCache(t, dir)})
 	b.Results(keyBase("config2"))
 	if b.Simulated() != 1 {
 		t.Errorf("different insts budget reused cache (simulated %d, want 1)", b.Simulated())

@@ -78,14 +78,14 @@ func TestTapeLifetime(t *testing.T) {
 	want := live.Report()
 	for _, par := range []int{1, 2, 3} {
 		dir := t.TempDir()
-		cold := mustSuite(Options{Insts: 1500, Benchmarks: benches, Parallelism: par, CacheDir: dir})
+		cold := mustSuite(Options{Insts: 1500, Benchmarks: benches, Parallelism: par, Cache: openCache(t, dir)})
 		if got := cold.Report(); got != want {
 			t.Fatalf("parallelism %d: the report over tapes differs from live generation's", par)
 		}
 		if err := cold.Err(); err != nil {
 			t.Fatal(err)
 		}
-		warm := mustSuite(Options{Insts: 1500, Benchmarks: benches, Parallelism: par, CacheDir: dir})
+		warm := mustSuite(Options{Insts: 1500, Benchmarks: benches, Parallelism: par, Cache: openCache(t, dir)})
 		if got := warm.Report(); got != want || warm.Simulated() != 0 {
 			t.Fatalf("parallelism %d: the warm report differs or simulated %d cells", par, warm.Simulated())
 		}
@@ -122,8 +122,8 @@ func TestTapeSoundness(t *testing.T) {
 			tape.Record(prof, insts/2) // the cells hand off to live generation
 			for _, k := range keys {
 				sp, _ := resolveSpec(k)
-				p := execParams{insts: insts, soundness: true, faults: faults, tape: tape}
-				if _, err := executeCell(context.Background(), sp, b, p); err != nil {
+				j := JobSpec{RunKey: k, Benchmark: b, Insts: insts, Soundness: true, Faults: faults.String()}
+				if _, err := executeCell(context.Background(), &sp, j, nil, tape); err != nil {
 					t.Errorf("faults %q: %s/%s over a tape: %v", faults.String(), k, b, err)
 				}
 			}

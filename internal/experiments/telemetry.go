@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"dmdc/internal/stats"
 	"dmdc/internal/telemetry"
@@ -14,10 +11,9 @@ import (
 // Per-job telemetry plumbing: when Options.Telemetry is set, every
 // simulated cell of the matrix gets its own Sampler, registered in the
 // suite-wide Registry under "<run key>/<benchmark>" before the run starts —
-// so the -serve live endpoint watches jobs mid-flight — and exported to
-// Options.TelemetryDir (CSV + JSON time series + Chrome trace) when the
-// run finishes. Cache hits skip telemetry: a cached Result carries no
-// samples, and re-simulating to produce them would defeat the cache.
+// so the -serve live endpoint watches jobs mid-flight. Cache hits skip
+// telemetry: a cached Result carries no samples, and re-simulating to
+// produce them would defeat the cache.
 
 // Telemetry returns the suite's sampler registry, or nil when telemetry is
 // disabled. Safe for concurrent use with a running matrix.
@@ -25,45 +21,6 @@ func (s *Suite) Telemetry() *telemetry.Registry { return s.telemetry }
 
 // jobKey names one telemetry stream.
 func jobKey(runKey, bench string) string { return runKey + "/" + bench }
-
-// telemetryFileBase flattens a job key into a filename stem.
-func telemetryFileBase(key string) string {
-	return strings.NewReplacer("/", "_", " ", "_").Replace(key)
-}
-
-// writeJobTelemetry exports one job's snapshot as three sibling files:
-// <job>.csv (interval time series), <job>.series.json (full snapshot), and
-// <job>.trace.json (Chrome trace_event, load in chrome://tracing).
-func writeJobTelemetry(dir, key string, sn telemetry.Snapshot) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("telemetry dir: %w", err)
-	}
-	base := filepath.Join(dir, telemetryFileBase(key))
-	type export struct {
-		path  string
-		write func(*os.File) error
-	}
-	exports := []export{
-		{base + ".csv", func(f *os.File) error { return sn.WriteCSV(f) }},
-		{base + ".series.json", func(f *os.File) error { return sn.WriteJSON(f) }},
-		{base + ".trace.json", func(f *os.File) error { return sn.WriteChromeTrace(f) }},
-	}
-	for _, ex := range exports {
-		f, err := os.Create(ex.path)
-		if err != nil {
-			return fmt.Errorf("telemetry export: %w", err)
-		}
-		werr := ex.write(f)
-		cerr := f.Close()
-		if werr != nil {
-			return fmt.Errorf("telemetry export %s: %w", ex.path, werr)
-		}
-		if cerr != nil {
-			return fmt.Errorf("telemetry export %s: %w", ex.path, cerr)
-		}
-	}
-	return nil
-}
 
 // TelemetryReport renders a per-job stall-attribution table from the
 // registry: overall IPC, the fraction of cycles with zero commits, and how

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -17,13 +15,11 @@ import (
 // discipline of the Sampler/Registry pair; the invariant checks pin that
 // no job's samples bleed into another's stream.
 func TestTelemetryConcurrentMatrix(t *testing.T) {
-	dir := t.TempDir()
 	s := mustSuite(Options{
-		Insts:        2000,
-		Benchmarks:   []string{"gzip", "swim"},
-		Parallelism:  4,
-		Telemetry:    &telemetry.Config{Stride: 64},
-		TelemetryDir: dir,
+		Insts:       2000,
+		Benchmarks:  []string{"gzip", "swim"},
+		Parallelism: 4,
+		Telemetry:   &telemetry.Config{Stride: 64},
 	})
 
 	keys := []string{keyBase("config2"), keyGlobal("config2"), keyLocal("config2"), keyYLA}
@@ -68,16 +64,6 @@ func TestTelemetryConcurrentMatrix(t *testing.T) {
 	}
 	for key, sn := range reg.Snapshots() {
 		checkJobSnapshot(t, key, sn, s.Options().Insts, true)
-	}
-
-	// The -telemetry-dir export wrote the three sibling files per job.
-	for _, key := range reg.Keys() {
-		base := filepath.Join(dir, telemetryFileBase(key))
-		for _, suffix := range []string{".csv", ".series.json", ".trace.json"} {
-			if fi, err := os.Stat(base + suffix); err != nil || fi.Size() == 0 {
-				t.Errorf("missing or empty export %s%s (err=%v)", base, suffix, err)
-			}
-		}
 	}
 
 	if rep := s.TelemetryReport(); !strings.Contains(rep, "commit-stall attribution") {
@@ -127,16 +113,5 @@ func TestTelemetryDisabled(t *testing.T) {
 	}
 	if got := s.TelemetryReport(); !strings.Contains(got, "disabled") {
 		t.Errorf("report = %q, want disabled notice", got)
-	}
-}
-
-// TelemetryDir alone must imply a default sampler config.
-func TestTelemetryDirImpliesConfig(t *testing.T) {
-	o, err := Options{TelemetryDir: t.TempDir()}.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Telemetry == nil {
-		t.Fatal("TelemetryDir did not imply a telemetry config")
 	}
 }

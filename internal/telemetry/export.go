@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 
 	"dmdc/internal/lsq"
@@ -202,8 +203,11 @@ func (sn Snapshot) BuildChromeTrace() ChromeTrace {
 	}
 	ev := func(e TraceEvent) { tr.TraceEvents = append(tr.TraceEvents, e) }
 	ev(TraceEvent{Name: "process_name", Ph: "M", Args: map[string]any{"name": procName}})
-	for tid, name := range map[int]string{tidFetch: "fetch", tidIssue: "issue", tidCommit: "commit"} {
-		ev(TraceEvent{Name: "thread_name", Ph: "M", Tid: tid, Args: map[string]any{"name": name}})
+	for _, th := range []struct {
+		tid  int
+		name string
+	}{{tidFetch, "fetch"}, {tidIssue, "issue"}, {tidCommit, "commit"}} {
+		ev(TraceEvent{Name: "thread_name", Ph: "M", Tid: th.tid, Args: map[string]any{"name": th.name}})
 	}
 
 	counter := func(ts float64, name string, args map[string]any) {
@@ -278,4 +282,36 @@ func (sn Snapshot) WriteChromeTrace(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
+}
+
+// WriteFiles exports the snapshot as three sibling files —
+// PREFIX.csv (WriteCSV), PREFIX.series.json (WriteJSON) and
+// PREFIX.trace.json (WriteChromeTrace) — and returns the paths it wrote,
+// in that order, up to the first failure.
+func (sn Snapshot) WriteFiles(prefix string) ([]string, error) {
+	exports := []struct {
+		suffix string
+		write  func(io.Writer) error
+	}{
+		{".csv", sn.WriteCSV},
+		{".series.json", sn.WriteJSON},
+		{".trace.json", sn.WriteChromeTrace},
+	}
+	var written []string
+	for _, ex := range exports {
+		path := prefix + ex.suffix
+		f, err := os.Create(path)
+		if err != nil {
+			return written, err
+		}
+		err = ex.write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return written, fmt.Errorf("%s: %w", path, err)
+		}
+		written = append(written, path)
+	}
+	return written, nil
 }

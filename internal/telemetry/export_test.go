@@ -3,6 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -71,6 +74,41 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	}
 	if back.Samples[2].Cycle != 30 {
 		t.Errorf("sample cycle = %d, want 30", back.Samples[2].Cycle)
+	}
+}
+
+// TestWriteFiles: the three sibling files hold exactly what the three
+// writers produce, and a failed create reports the files written so far.
+func TestWriteFiles(t *testing.T) {
+	s := New(Config{Stride: 10, Cap: 8})
+	s.SetMeta(Meta{Benchmark: "gzip", Config: "config2", Policy: "dmdc"})
+	for _, smp := range seq(4, 10) {
+		s.Record(smp)
+	}
+	sn := s.Snapshot()
+	prefix := filepath.Join(t.TempDir(), "job")
+	written, err := sn.WriteFiles(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range []struct {
+		suffix string
+		write  func(io.Writer) error
+	}{{".csv", sn.WriteCSV}, {".series.json", sn.WriteJSON}, {".trace.json", sn.WriteChromeTrace}} {
+		if i >= len(written) || written[i] != prefix+w.suffix {
+			t.Fatalf("written %v, want %s at %d", written, prefix+w.suffix, i)
+		}
+		var want bytes.Buffer
+		if err := w.write(&want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(written[i])
+		if err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s differs from its writer's output (err=%v)", written[i], err)
+		}
+	}
+	if written, err := sn.WriteFiles(filepath.Join(t.TempDir(), "missing", "job")); err == nil || len(written) != 0 {
+		t.Errorf("export into a missing directory: written %v, err %v", written, err)
 	}
 }
 

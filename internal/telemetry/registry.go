@@ -15,25 +15,11 @@ import (
 type Registry struct {
 	mu       sync.Mutex
 	samplers map[string]*Sampler
-	// counters, when set, is polled for service-level counters (the dmdcd
-	// server wires its per-tenant depth/served counters here) and rendered
-	// alongside the job index.
-	counters func() map[string]int64
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{samplers: make(map[string]*Sampler)}
-}
-
-// SetCounterSource attaches a service-counter provider. The function is
-// called on each index request (it must be safe for concurrent use) and
-// its name → value rows are rendered under "counters" in the index
-// response. A nil source detaches.
-func (r *Registry) SetCounterSource(fn func() map[string]int64) {
-	r.mu.Lock()
-	r.counters = fn
-	r.mu.Unlock()
 }
 
 // Register adds (or replaces) the sampler for a job key.
@@ -131,14 +117,7 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		}
 		rows = append(rows, row)
 	}
-	resp := map[string]any{"jobs": rows}
-	r.mu.Lock()
-	counters := r.counters
-	r.mu.Unlock()
-	if counters != nil {
-		resp["counters"] = counters()
-	}
-	writeIndentedJSON(w, resp)
+	writeIndentedJSON(w, map[string]any{"jobs": rows})
 }
 
 func writeIndentedJSON(w http.ResponseWriter, v any) {
