@@ -12,13 +12,13 @@
 #                    singleflight and worker-pool fixes fixed — plus the
 #                    chaos and sampling gates, the benchmark smoke run, the
 #                    benchmark module's vet and smoke test, a run of every
-#                    example program, the unlinked-function sweep, a short
-#                    fuzz pass and whole-suite coverage. The coverage run is the
-#                    full test suite, so it also runs the API-surface test,
-#                    the soundness suite and the allocation budget: the
-#                    api-check, soundness and alloc-gate targets below stay
-#                    as standalone shortcuts, not `check` sub-gates, and so
-#                    does fleet-check
+#                    example program, the unlinked-function sweep, the claims
+#                    gate, a short fuzz pass and whole-suite coverage. The
+#                    coverage run is the full test suite, so it also runs
+#                    the API-surface test, the soundness suite and the
+#                    allocation budget: the api-check, soundness and
+#                    alloc-gate targets below stay as standalone shortcuts,
+#                    not `check` sub-gates, and so does fleet-check
 #   make api-check   just the API-surface comparison (TestAPISurfaceGolden)
 #   make chaos       kill/restart durability matrix under -race: SIGKILL a
 #                    real dmdcd mid-matrix with a journal on disk, restart,
@@ -53,15 +53,20 @@
 #                    internal/apigen are the allowed exceptions)
 #   make examples    build each examples/ program and run it with default
 #                    arguments; a non-zero exit or an empty stdout fails
+#   make claims      regenerate the paper report cold at 500k instructions
+#                    on all 26 benchmarks (~2.5 min on 2 cores) and check
+#                    the claims table against it: every reproduced claim
+#                    holds, no known deviation's paper band holds, and
+#                    EXPERIMENTS.md's generated blocks match a fresh render
+#                    (TestExperimentsDoc; re-render with its -update flag)
 #   make bench-smoke one-iteration run of the simulator benchmarks — a fast
 #                    "do the benchmarks still work" gate, part of `check`
-#   make bench-all   every artifact benchmark once (slow)
 #   make report      regenerate the full paper report with a warm cache
 
 GO ?= go
 CACHE_DIR ?= .dmdc-cache
 
-.PHONY: all build test check vet api-check race soundness alloc-gate chaos fleet-check sample-check fuzz-short cover bench-smoke bench-module examples unlinked bench-all report clean-cache
+.PHONY: all build test check vet api-check race soundness alloc-gate chaos fleet-check sample-check fuzz-short cover bench-smoke bench-module examples unlinked claims report clean-cache
 
 all: build test check
 
@@ -78,7 +83,8 @@ vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
-# -short skips the slow paper-shape regressions (tier-1's job); the
+# -short skips the slow paper-shape regressions, so no paper claim is
+# checked here (tier-1 and `claims` check them); the
 # singleflight/worker-pool/cache concurrency tests all run in short mode.
 race:
 	$(GO) test -race -short ./internal/experiments/... ./internal/resultcache/... ./internal/core/... ./internal/dserve/... ./internal/trace/...
@@ -158,7 +164,7 @@ api-check:
 alloc-gate:
 	$(GO) test -run 'TestAllocationBudget' -count 1 .
 
-check: vet race chaos sample-check bench-smoke bench-module examples unlinked fuzz-short cover
+check: vet race chaos sample-check bench-smoke bench-module examples unlinked claims fuzz-short cover
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSim(Baseline|DMDC|Telemetry|Sampled5M)$$' -benchtime 1x .
@@ -186,8 +192,11 @@ examples:
 unlinked:
 	DMDC_UNLINKED=1 $(GO) test -count 1 -run '^TestUnlinkedFunctions$$' .
 
-bench-all:
-	$(GO) test -bench . -benchtime 1x -run xxx ./...
+# Each paper claim is one row of the claims table
+# (internal/experiments/claims_test.go); this gate checks every row against
+# a cold 500k-instruction report and EXPERIMENTS.md against its render.
+claims:
+	DMDC_CLAIMS=1 $(GO) test -count 1 -timeout 30m -run '^TestExperimentsDoc$$' ./internal/experiments/
 
 report:
 	$(GO) run ./cmd/experiments -cache-dir $(CACHE_DIR) -v -out report_full.txt

@@ -264,8 +264,8 @@ func (s *Suite) ClampAblation() *ClampAblationResult {
 			out.Rows = append(out.Rows, ClampAblationRow{
 				Class:      g.class,
 				Regs:       n,
-				WithPct:    summarizeStat(g.rs, fmt.Sprintf("yla%d_qw_filter_rate", n), 100),
-				WithoutPct: summarizeStat(g.rs, fmt.Sprintf("yla%d_qw_noclamp_filter_rate", n), 100),
+				WithPct:    summarizeMetric(g.rs, statPct(fmt.Sprintf("yla%d_qw_filter_rate", n))),
+				WithoutPct: summarizeMetric(g.rs, statPct(fmt.Sprintf("yla%d_qw_noclamp_filter_rate", n))),
 			})
 		}
 	}

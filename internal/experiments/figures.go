@@ -40,8 +40,8 @@ func (s *Suite) Figure2() *Figure2Result {
 		rs    []*core.Result
 	}{{trace.INT, ints}, {trace.FP, fps}} {
 		for _, n := range YLACounts {
-			qw := summarizeStat(group.rs, fmt.Sprintf("yla%d_qw_filter_rate", n), 100)
-			ln := summarizeStat(group.rs, fmt.Sprintf("yla%d_line_filter_rate", n), 100)
+			qw := summarizeMetric(group.rs, statPct(fmt.Sprintf("yla%d_qw_filter_rate", n)))
+			ln := summarizeMetric(group.rs, statPct(fmt.Sprintf("yla%d_line_filter_rate", n)))
 			out.QuadWord[group.class] = append(out.QuadWord[group.class], FilterPoint{Size: n, Pct: qw})
 			out.Line[group.class] = append(out.Line[group.class], FilterPoint{Size: n, Pct: ln})
 		}
@@ -87,10 +87,10 @@ func (s *Suite) Figure3() *Figure3Result {
 		class trace.Class
 		rs    []*core.Result
 	}{{trace.INT, ints}, {trace.FP, fps}} {
-		out.YLA1[group.class] = summarizeStat(group.rs, "yla1_qw_filter_rate", 100)
-		out.YLA8[group.class] = summarizeStat(group.rs, "yla8_qw_filter_rate", 100)
+		out.YLA1[group.class] = summarizeMetric(group.rs, statPct("yla1_qw_filter_rate"))
+		out.YLA8[group.class] = summarizeMetric(group.rs, statPct("yla8_qw_filter_rate"))
 		for _, sz := range BloomSizes {
-			p := summarizeStat(group.rs, fmt.Sprintf("bf%d_filter_rate", sz), 100)
+			p := summarizeMetric(group.rs, statPct(fmt.Sprintf("bf%d_filter_rate", sz)))
 			out.Bloom[group.class] = append(out.Bloom[group.class], FilterPoint{Size: sz, Pct: p})
 		}
 	}
@@ -225,15 +225,4 @@ func (f *Figure5Result) String() string {
 		t.AddRow(r.Config, r.Class.String(), r.Global.Mean(), r.Global.Max, r.Local.Mean(), r.Local.Max)
 	}
 	return t.String()
-}
-
-// summarizeStat folds one named stat (scaled) across runs.
-func summarizeStat(rs []*core.Result, name string, scale float64) stats.Summary {
-	var m stats.Summary
-	for _, r := range rs {
-		if r != nil {
-			m.Observe(r.Stats.Get(name) * scale)
-		}
-	}
-	return m
 }

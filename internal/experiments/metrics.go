@@ -64,6 +64,11 @@ func singleStoreWindowPct(r *core.Result) float64 {
 	return 100 * r.Stats.Get("single_store_windows") / w
 }
 
+// statPct returns the metric that reads one named rate stat as a percentage.
+func statPct(name string) func(*core.Result) float64 {
+	return func(r *core.Result) float64 { return 100 * r.Stats.Get(name) }
+}
+
 // summarizeMetric folds a per-run metric over a result group.
 func summarizeMetric(rs []*core.Result, metric func(*core.Result) float64) stats.Summary {
 	var m stats.Summary

@@ -1,15 +1,38 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
-
-	"dmdc/internal/trace"
 )
 
-// TestPaperShapes pins the qualitative claims recorded in EXPERIMENTS.md
-// at a moderate simulation scale, so regressions in the simulator, the
+// paperShapeGroups names TestPaperShapes' subtests: one per paper
+// artifact, or pair of artifacts whose claims compare them, with the
+// -only artifacts whose claims it checks.
+var paperShapeGroups = []struct {
+	name      string
+	artifacts []string
+}{
+	{"Figure2", []string{"figure2"}},
+	{"Figure3", []string{"figure3"}},
+	{"YLAEnergy", []string{"yla"}},
+	{"StoreFilter", []string{"sqfilter"}},
+	{"Figure4", []string{"figure4"}},
+	{"Tables2and4", []string{"table2", "table4"}},
+	{"Tables3and5", []string{"table3", "table5"}},
+	{"SafeLoads", []string{"safeloads"}},
+	{"Figure5", []string{"figure5"}},
+	{"CheckQueue", []string{"queue"}},
+	{"Table6", []string{"table6"}},
+	{"Extensions", []string{"tablesweep", "ylasweep", "sqfilter-ext", "clamp"}},
+	{"RelatedWork", []string{"relatedwork", "verification"}},
+}
+
+// TestPaperShapes checks every reproduced claim of the claims table at a
+// moderate simulation scale, so regressions in the simulator, the
 // workloads, or the energy calibration surface as failures here rather
-// than silently bending the reproduction. Skipped under -short.
+// than silently bending the reproduction. Known deviations are measured
+// and logged, not checked: TestExperimentsDoc judges them at the
+// documented scale. Skipped under -short.
 func TestPaperShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-shape regression is slow")
@@ -21,163 +44,29 @@ func TestPaperShapes(t *testing.T) {
 			"swim", "art", "applu", "mesa", // FP spread
 		},
 	})
-
-	t.Run("Figure2", func(t *testing.T) {
-		f := s.Figure2()
-		for _, class := range []trace.Class{trace.INT, trace.FP} {
-			qw := f.QuadWord[class]
-			// Paper: 8 registers filter 95-98%.
-			if got := qw[3].Pct.Mean(); got < 90 || got > 99.5 {
-				t.Errorf("%v: 8-YLA filtering %.1f%% outside band", class, got)
-			}
-			// Strictly improving with register count (to within noise).
-			for i := 1; i < len(qw); i++ {
-				if qw[i].Pct.Mean() < qw[i-1].Pct.Mean()-0.5 {
-					t.Errorf("%v: filtering not monotone at %d regs", class, qw[i].Size)
+	s.get(RunKeys()...) // one matrix, so each benchmark's path is recorded once
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, g := range paperShapeGroups {
+		t.Run(g.name, func(t *testing.T) {
+			for _, c := range claims {
+				if !slices.Contains(g.artifacts, c.artifact) {
+					continue
+				}
+				checked++
+				measured, ok := c.check(s)
+				switch {
+				case c.status != reproduced:
+					t.Logf("%s (%s): measured %s", c.text, c.status, measured)
+				case !ok:
+					t.Errorf("%s: measured %s, accepted if %s (paper: %s)", c.text, measured, c.accept, c.paper)
 				}
 			}
-			// Line interleaving is no better than quad-word at ≥4 regs.
-			ln := f.Line[class]
-			for i := 2; i < len(qw); i++ {
-				if ln[i].Pct.Mean() > qw[i].Pct.Mean()+0.5 {
-					t.Errorf("%v: line interleaving beat quad-word at %d regs", class, qw[i].Size)
-				}
-			}
-		}
-	})
-
-	t.Run("Figure3", func(t *testing.T) {
-		f := s.Figure3()
-		for _, class := range []trace.Class{trace.INT, trace.FP} {
-			bf1024 := f.Bloom[class][len(BloomSizes)-1].Pct.Mean()
-			if f.YLA8[class].Mean() <= bf1024 {
-				t.Errorf("%v: 8 YLA (%.1f%%) did not beat BF=1024 (%.1f%%)",
-					class, f.YLA8[class].Mean(), bf1024)
-			}
-		}
-	})
-
-	t.Run("YLAEnergy", func(t *testing.T) {
-		y := s.YLAEnergy()
-		for _, r := range y.Rows {
-			// Paper: ~32.4% LQ energy saved by filtering alone.
-			if got := r.LQSavingsPct.Mean(); got < 15 || got > 55 {
-				t.Errorf("%v: YLA-only LQ savings %.1f%% outside band (paper ~32%%)", r.Class, got)
-			}
-			if r.SlowdownPct.Mean() != 0 {
-				t.Errorf("%v: YLA filtering changed timing (%.3f%%)", r.Class, r.SlowdownPct.Mean())
-			}
-		}
-	})
-
-	t.Run("Figure4", func(t *testing.T) {
-		f := s.Figure4()
-		bySizeINT := map[string]float64{}
-		for _, r := range f.Rows {
-			// Paper: 95-97% LQ savings; allow a generous floor.
-			if r.LQSavingsPct.Mean() < 80 {
-				t.Errorf("%s/%v: LQ savings %.1f%% too low", r.Config, r.Class, r.LQSavingsPct.Mean())
-			}
-			// Paper: net savings 3-8%.
-			if net := r.TotalSavePct.Mean(); net < 1.5 || net > 14 {
-				t.Errorf("%s/%v: net savings %.1f%% outside band", r.Config, r.Class, net)
-			}
-			// Paper: slowdown negligible (worst cases ~1-3%).
-			if slow := r.SlowdownPct.Mean(); slow > 3 {
-				t.Errorf("%s/%v: slowdown %.1f%% too high", r.Config, r.Class, slow)
-			}
-			if r.Class == trace.INT {
-				bySizeINT[r.Config] = r.TotalSavePct.Mean()
-			}
-		}
-		// Savings grow with machine size (config1 < config3).
-		if bySizeINT["config3"] <= bySizeINT["config1"] {
-			t.Errorf("net savings did not grow with machine size: %v", bySizeINT)
-		}
-	})
-
-	t.Run("Tables2and4", func(t *testing.T) {
-		t2 := s.Table2()
-		t4 := s.Table4()
-		for i, r := range t2.Rows {
-			// Paper: ~95-98% of stores are safe.
-			if r.SafeStorePct.Mean() < 90 {
-				t.Errorf("%v: safe stores %.1f%% too low", r.Class, r.SafeStorePct.Mean())
-			}
-			// Local windows shrink (paper: 13-25%).
-			if t4.Rows[i].Insts.Mean() >= r.Insts.Mean() {
-				t.Errorf("%v: local windows did not shrink (%.0f vs %.0f)",
-					r.Class, t4.Rows[i].Insts.Mean(), r.Insts.Mean())
-			}
-			// Safe loads never exceed loads; loads never exceed insts.
-			if r.SafeLoads.Mean() > r.Loads.Mean() || r.Loads.Mean() > r.Insts.Mean() {
-				t.Errorf("%v: window composition inconsistent: %+v", r.Class, r)
-			}
-		}
-	})
-
-	t.Run("Tables3and5", func(t *testing.T) {
-		t3 := s.Table3()
-		t5 := s.Table5()
-		for i := range t3.Rows {
-			// Local DMDC mitigates the merged-window (Y) categories.
-			gy := t3.Rows[i].AddrY + t3.Rows[i].HashY
-			ly := t5.Rows[i].AddrY + t5.Rows[i].HashY
-			if ly > gy+5 {
-				t.Errorf("%v: local DMDC did not mitigate Y replays (%.1f vs %.1f)",
-					t3.Rows[i].Class, ly, gy)
-			}
-		}
-		// INT has more false replays than FP (paper: 168 vs 35).
-		if t3.Rows[0].FalseTotal < t3.Rows[1].FalseTotal {
-			t.Errorf("INT false replays (%.0f) below FP (%.0f)",
-				t3.Rows[0].FalseTotal, t3.Rows[1].FalseTotal)
-		}
-	})
-
-	t.Run("SafeLoads", func(t *testing.T) {
-		a := s.SafeLoadAblation()
-		for _, r := range a.Rows {
-			// Paper: replays roughly double without the bypass.
-			if r.WithoutPerM < r.WithPerM {
-				t.Errorf("%v: bypass removal reduced replays (%.0f -> %.0f)",
-					r.Class, r.WithPerM, r.WithoutPerM)
-			}
-		}
-	})
-
-	t.Run("Table6", func(t *testing.T) {
-		t6 := s.Table6()
-		for _, class := range []trace.Class{trace.INT, trace.FP} {
-			var r100 Table6Row
-			for _, r := range t6.Rows {
-				if r.Class == class && r.RatePer1K == 100 {
-					r100 = r
-				}
-			}
-			// Paper: ~4.6x false replays and ~1.4% slowdown at 100/1000.
-			if r100.RelFalseReplay < 1.2 {
-				t.Errorf("%v: invalidation pressure did not raise replays (%.2fx)", class, r100.RelFalseReplay)
-			}
-			if r100.SlowdownPct > 5 {
-				t.Errorf("%v: slowdown %.1f%% under invalidations far above the paper's ~1.4%%", class, r100.SlowdownPct)
-			}
-		}
-	})
-
-	t.Run("Extensions", func(t *testing.T) {
-		// Table-size sweep: hash replays shrink with table size.
-		ts := s.TableSizeSweep()
-		first := ts.Rows[0].HashPerM[trace.INT]
-		last := ts.Rows[len(ts.Rows)-1].HashPerM[trace.INT]
-		if last >= first && first > 5 {
-			t.Errorf("hash replays did not shrink with table size: %.1f -> %.1f", first, last)
-		}
-		// Clamp ablation: remedy never hurts.
-		for _, r := range s.ClampAblation().Rows {
-			if r.WithoutPct.Mean() > r.WithPct.Mean()+1 {
-				t.Errorf("%v yla%d: clamp hurt filtering", r.Class, r.Regs)
-			}
-		}
-	})
+		})
+	}
+	if checked != len(claims) {
+		t.Errorf("the subtests checked %d of %d claims: give every claimed artifact a group", checked, len(claims))
+	}
 }

@@ -387,16 +387,13 @@ func (s *Suite) runJob(ctx context.Context, sp *runSpec, bench string, tapes *ta
 	return r, false, nil
 }
 
-// classOf returns each result's benchmark class.
-func classOf(r *core.Result) trace.Class { return r.Class }
-
 // byClass partitions results into INT and FP groups.
 func byClass(rs []*core.Result) (ints, fps []*core.Result) {
 	for _, r := range rs {
 		if r == nil {
 			continue
 		}
-		if classOf(r) == trace.INT {
+		if r.Class == trace.INT {
 			ints = append(ints, r)
 		} else {
 			fps = append(fps, r)

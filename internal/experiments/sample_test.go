@@ -17,7 +17,8 @@ import (
 	"dmdc/internal/core"
 )
 
-var updateSampled = flag.Bool("update", false, "rewrite testdata/sampled_error_bounds.json")
+var update = flag.Bool("update", false,
+	"rewrite testdata/sampled_error_bounds.json, and with DMDC_CLAIMS=1 the generated blocks of EXPERIMENTS.md")
 
 // TestSampledValidation exercises the spec-level fail-closed rules: a
 // sampled run only makes sense for a clean policy-form job with intervals
@@ -289,7 +290,7 @@ func TestSampledErrorBounds(t *testing.T) {
 	}
 	got = append(got, '\n')
 	path := filepath.Join("testdata", "sampled_error_bounds.json")
-	if *updateSampled {
+	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}

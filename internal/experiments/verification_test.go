@@ -1,47 +1,21 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
-
-	"dmdc/internal/trace"
 )
 
 func TestVerificationComparison(t *testing.T) {
-	s := testSuite(t, 80_000, "gzip", "gcc", "swim")
-	v := s.VerificationComparison()
+	v := structureSuite().VerificationComparison()
 	if len(v.Rows) != 8 { // 4 schemes × 2 classes
 		t.Fatalf("rows = %d", len(v.Rows))
 	}
-	find := func(class trace.Class, scheme string) VerificationRow {
-		for _, r := range v.Rows {
-			if r.Class == class && r.Scheme == scheme {
-				return r
+	for _, class := range classes {
+		for _, scheme := range []string{"dmdc", "age-table", "value-based", "value+svw"} {
+			if !slices.ContainsFunc(v.Rows, func(r VerificationRow) bool { return r.Class == class && r.Scheme == scheme }) {
+				t.Errorf("missing row %v/%s", class, scheme)
 			}
-		}
-		t.Fatalf("missing row %v/%s", class, scheme)
-		return VerificationRow{}
-	}
-	for _, class := range []trace.Class{trace.INT, trace.FP} {
-		vb := find(class, "value-based")
-		svw := find(class, "value+svw")
-		dm := find(class, "dmdc")
-		// The paper's Section 7 argument: value-based checking costs
-		// memory bandwidth — every load re-executes. SVW filtering
-		// recovers most of it; DMDC needs (almost) none.
-		if vb.ExtraL1DPerK < 100 {
-			t.Errorf("%v: plain value-based extra L1D %.0f/K too low — every load should re-execute", class, vb.ExtraL1DPerK)
-		}
-		if svw.ExtraL1DPerK > vb.ExtraL1DPerK/2 {
-			t.Errorf("%v: SVW recovered too little bandwidth: %.0f vs %.0f", class, svw.ExtraL1DPerK, vb.ExtraL1DPerK)
-		}
-		if dm.ExtraL1DPerK > svw.ExtraL1DPerK+5 {
-			t.Errorf("%v: DMDC uses more extra bandwidth (%.0f/K) than value+SVW (%.0f/K)", class, dm.ExtraL1DPerK, svw.ExtraL1DPerK)
-		}
-		// Value-based checking is exact: replays = true violations only,
-		// so it must not exceed DMDC's total (true + false).
-		if vb.ReplaysPerM > dm.ReplaysPerM+10 {
-			t.Errorf("%v: value-based replays (%.0f/M) above DMDC total (%.0f/M)", class, vb.ReplaysPerM, dm.ReplaysPerM)
 		}
 	}
 	if !strings.Contains(v.String(), "value+svw") {
