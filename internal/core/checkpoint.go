@@ -166,9 +166,7 @@ func (s *Sim) state(c *checkpoint.Codec) {
 	c.Rand(s.invRng)
 	c.U64(&s.committed)
 	c.U64(&s.lastCommitCycle)
-	for i := range s.replayCounts {
-		c.U64(&s.replayCounts[i])
-	}
+	s.replayCounts.State(c)
 	c.U64(&s.replaysWrongPath)
 	c.U64(&s.loadRejections)
 	c.U64(&s.forwards)

@@ -352,7 +352,7 @@ func TestCheckpointResealedCorruption(t *testing.T) {
 			case 2:
 				mut = mut[:off]
 			}
-			binary.LittleEndian.PutUint32(mut[8:12], crc32.ChecksumIEEE(mut[12:]))
+			reseal(mut)
 			s := ckptSim(t, "gcc", pol)
 			if err := s.RestoreCheckpoint(mut); err != nil {
 				var fe *checkpoint.FormatError
@@ -369,43 +369,182 @@ func TestCheckpointResealedCorruption(t *testing.T) {
 	}
 }
 
-// fuzzSeedBlob builds one small valid checkpoint for the fuzz corpus.
-func fuzzSeedBlob(t testing.TB) []byte {
-	s := ckptSim(t, "gzip", "cam")
-	if _, err := s.Run(1200); err != nil {
-		t.Fatalf("seed run: %v", err)
+// polSection returns the offset just past the tag of blob's policy
+// section, which is the last section of every checkpoint.
+func polSection(t *testing.T, blob []byte, tag string) int {
+	t.Helper()
+	i := bytes.LastIndex(blob, []byte(tag))
+	if i < 0 {
+		t.Fatalf("no %q section in the blob", tag)
+	}
+	return i + len(tag)
+}
+
+// reseal recomputes a blob's checksum after a test edits its payload.
+func reseal(blob []byte) {
+	binary.LittleEndian.PutUint32(blob[8:12], crc32.ChecksumIEEE(blob[12:]))
+}
+
+// wantCorrupt restores a resealed blob into a fresh sim of pol and
+// requires a Corrupt format error.
+func wantCorrupt(t *testing.T, pol string, blob []byte) {
+	t.Helper()
+	reseal(blob)
+	err := ckptSim(t, "gcc", pol).RestoreCheckpoint(blob)
+	var fe *checkpoint.FormatError
+	if !errors.As(err, &fe) || fe.Kind != checkpoint.Corrupt {
+		t.Fatalf("restore: got %v, want a Corrupt FormatError", err)
+	}
+}
+
+// saveWhen steps a fresh gcc sim of pol past 2000 commits and on until
+// ready holds, and returns its checkpoint then.
+func saveWhen(t *testing.T, pol string, ready func(*Sim) bool) []byte {
+	t.Helper()
+	s := ckptSim(t, "gcc", pol)
+	for s.committed < 2000 || !ready(s) {
+		if s.committed >= 20000 {
+			t.Fatalf("no %s state in 20000 commits was ready", pol)
+		}
+		s.step()
+		if s.simErr != nil {
+			t.Fatal(s.simErr)
+		}
 	}
 	blob, err := s.SaveCheckpoint()
 	if err != nil {
-		t.Fatalf("seed save: %v", err)
+		t.Fatal(err)
 	}
 	return blob
 }
 
+// trackedLoads saves a bloom-CAM checkpoint whose load queue holds an
+// issued load, and returns it with the offset of its tracked-load count.
+// The policy section opens with the queue's ages, then the YLA and Bloom
+// presence flags, then the 256 buckets and the tracked loads.
+func trackedLoads(t *testing.T) (blob []byte, at int) {
+	blob = saveWhen(t, "bloom", func(s *Sim) bool {
+		for age := s.headAge; s.live(age); age++ {
+			if op := s.memAt(s.idxOf(age)); op != nil && op.IsLoad && op.Issued {
+				return true
+			}
+		}
+		return false
+	})
+	p := polSection(t, blob, "pol:cam")
+	at = p + 4 + 8*int(binary.LittleEndian.Uint32(blob[p:])) + 2 + 2*256
+	if binary.LittleEndian.Uint32(blob[at:]) == 0 {
+		t.Fatal("the blob tracks no load")
+	}
+	return blob, at
+}
+
+// TestCheckpointBloomTrackedAddress: the Bloom filter tracks the load
+// queue's issued loads, so a tracked address that differs from its load's
+// is corrupt.
+func TestCheckpointBloomTrackedAddress(t *testing.T) {
+	blob, at := trackedLoads(t)
+	blob[at+4+8] ^= 0x08 // the first tracked load's address, one quad word off
+	wantCorrupt(t, "bloom", blob)
+}
+
+// TestCheckpointBloomBucketCount: each bucket counts the tracked loads
+// that hash to it, so a count the queue does not produce is corrupt.
+func TestCheckpointBloomBucketCount(t *testing.T) {
+	blob, at := trackedLoads(t)
+	b := at - 2*256
+	binary.LittleEndian.PutUint16(blob[b:], binary.LittleEndian.Uint16(blob[b:])+1)
+	wantCorrupt(t, "bloom", blob)
+}
+
+// TestCheckpointDMDCDirtyList: the dirty list names every table entry
+// that is not clear, so a WRT bit on an entry it does not name, which
+// the window's end would never clear, is corrupt.
+func TestCheckpointDMDCDirtyList(t *testing.T) {
+	blob := ckptSave(t, "gcc", "dmdc", 3000)
+	p := polSection(t, blob, "pol:dmdc")
+	// Table entries are (WRT byte, INV, promoted), in index order.
+	for e := p; e < p+3*config.Config1().CheckTable; e += 3 {
+		if blob[e] == 0 && blob[e+1] == 0 && blob[e+2] == 0 {
+			blob[e] = 1
+			wantCorrupt(t, "dmdc", blob)
+			return
+		}
+	}
+	t.Fatal("no clear checking-table entry")
+}
+
+// TestCheckpointDMDCQueue: the checking queue is the window's first
+// QueueSize stores, so a queued store the window does not hold is
+// corrupt.
+func TestCheckpointDMDCQueue(t *testing.T) {
+	blob := saveWhen(t, "dmdc-queue", func(s *Sim) bool {
+		return s.pol.(lsq.TelemetryProbe).TelemetrySample().CheckOcc > 0 // queued stores
+	})
+	// The queue variant has no table, so the section opens with an empty
+	// dirty list and then the queue's length and stores.
+	p := polSection(t, blob, "pol:dmdc") + 4
+	if binary.LittleEndian.Uint32(blob[p:]) == 0 {
+		t.Fatal("the blob queues no store")
+	}
+	blob[p+4+8] ^= 0x08 // the first queued store's address, one quad word off
+	wantCorrupt(t, "dmdc-queue", blob)
+}
+
+// ckptSave runs a fresh sim of pol over bench for insts instructions and
+// returns its checkpoint.
+func ckptSave(t testing.TB, bench, pol string, insts uint64) []byte {
+	t.Helper()
+	s := ckptSim(t, bench, pol)
+	if _, err := s.Run(insts); err != nil {
+		t.Fatalf("%s run: %v", pol, err)
+	}
+	blob, err := s.SaveCheckpoint()
+	if err != nil {
+		t.Fatalf("%s save: %v", pol, err)
+	}
+	return blob
+}
+
+// fuzzKinds are the policies FuzzCheckpointRoundTrip restores into, the
+// input's first byte picking one: the plain queue, and the layouts whose
+// decoders check state against the rest of the blob.
+var fuzzKinds = []string{"cam", "bloom", "dmdc", "dmdc-queue"}
+
 // FuzzCheckpointRoundTrip asserts the decoder's core contract on arbitrary
 // input: RestoreCheckpoint either fails with a typed *checkpoint.FormatError
 // or accepts — and an accepted blob re-encodes byte-identically (no silent
-// canonicalization, no partial state). It must never panic.
+// canonicalization, no partial state). It must never panic. The first
+// byte picks the restore target among fuzzKinds; the rest is the blob.
 func FuzzCheckpointRoundTrip(f *testing.F) {
-	blob := fuzzSeedBlob(f)
-	f.Add(append([]byte(nil), blob...))
-	f.Add(blob[:len(blob)/2])         // truncation
-	f.Add([]byte("not a checkpoint")) // foreign payload
+	seed := func(kind int, blob []byte) { f.Add(append([]byte{byte(kind)}, blob...)) }
+	blob := ckptSave(f, "gzip", "cam", 1200)
+	seed(0, blob)
+	seed(0, blob[:len(blob)/2])         // truncation
+	seed(0, []byte("not a checkpoint")) // foreign payload
 	f.Add([]byte{})
 
 	flipped := append([]byte(nil), blob...)
 	flipped[len(flipped)/2] ^= 0x40
-	f.Add(flipped) // checksum failure
+	seed(0, flipped) // checksum failure
 
 	// Version skew with a recomputed CRC, so the decoder reaches the
 	// version check rather than stopping at the checksum.
 	skew := append([]byte(nil), blob...)
 	binary.LittleEndian.PutUint32(skew[12:16], checkpoint.FormatVersion+7)
-	binary.LittleEndian.PutUint32(skew[8:12], crc32.ChecksumIEEE(skew[12:]))
-	f.Add(skew)
+	reseal(skew)
+	seed(0, skew)
+
+	for kind := 1; kind < len(fuzzKinds); kind++ {
+		seed(kind, ckptSave(f, "gzip", fuzzKinds[kind], 1200))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := ckptSim(t, "gzip", "cam")
+		kind := fuzzKinds[0]
+		if len(data) > 0 {
+			kind, data = fuzzKinds[int(data[0])%len(fuzzKinds)], data[1:]
+		}
+		s := ckptSim(t, "gzip", kind)
 		err := s.RestoreCheckpoint(data)
 		if err != nil {
 			var fe *checkpoint.FormatError

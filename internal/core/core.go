@@ -293,7 +293,7 @@ type Sim struct {
 	// Statistics.
 	committed            uint64
 	cstats               *stats.Set
-	replayCounts         [lsq.NumCauses]uint64
+	replayCounts         lsq.Replays
 	replaysWrongPath     uint64 // replays landing entirely on the wrong path
 	loadRejections       uint64
 	forwards             uint64
@@ -767,15 +767,7 @@ func (s *Sim) result() *Result {
 	set.Put("l1i_misses", float64(s.mem.L1I.Misses))
 	set.Put("l2_accesses", float64(s.mem.L2.Accesses))
 	set.Put("l2_misses", float64(s.mem.L2.Misses))
-	var totalReplays uint64
-	for c := lsq.Cause(0); c < lsq.Cause(lsq.NumCauses); c++ {
-		n := s.replayCounts[c]
-		totalReplays += n
-		if n > 0 {
-			set.Put("core_replay_"+c.String(), float64(n))
-		}
-	}
-	set.Put("core_replays_total", float64(totalReplays))
+	s.replayCounts.Report(set, "core_replay_", "core_replays_total")
 	if s.replaysWrongPath > 0 {
 		set.Put("core_replays_wrongpath", float64(s.replaysWrongPath))
 	}

@@ -150,9 +150,6 @@ func (o outcome) problem() string {
 	return ""
 }
 
-// classes are the two benchmark groups every artifact reports.
-var classes = []trace.Class{trace.INT, trace.FP}
-
 // perClass measures f once per class.
 func perClass(f func(trace.Class) float64) []obs {
 	out := make([]obs, len(classes))

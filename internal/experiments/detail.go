@@ -33,25 +33,21 @@ type DetailResult struct {
 // Detail builds the per-benchmark comparison on config2.
 func (s *Suite) Detail() *DetailResult {
 	res := s.get(keyBase("config2"), keyGlobal("config2"))
-	base := res[keyBase("config2")]
-	dm := res[keyGlobal("config2")]
 	out := &DetailResult{}
-	for i := range base {
-		if base[i] == nil || dm[i] == nil {
-			continue
+	for _, class := range classes {
+		for _, p := range pairsOf(res[keyBase("config2")], res[keyGlobal("config2")], class) {
+			out.Rows = append(out.Rows, DetailRow{
+				Benchmark:   p.base.Benchmark,
+				Class:       class.String(),
+				BaseIPC:     p.base.IPC(),
+				DMDCIPC:     p.test.IPC(),
+				SlowdownPct: 100 * p.slowdown(),
+				FalsePerM:   falseReplaysPerM(p.test),
+				TruePerM:    perMillion(p.test, p.test.Stats.Get("core_replay_true_violation")),
+				LQSavedPct:  100 * p.lqSavings(),
+				NetSavedPct: 100 * p.totalSavings(),
+			})
 		}
-		p := pair{base: base[i], test: dm[i]}
-		out.Rows = append(out.Rows, DetailRow{
-			Benchmark:   base[i].Benchmark,
-			Class:       base[i].Class.String(),
-			BaseIPC:     base[i].IPC(),
-			DMDCIPC:     dm[i].IPC(),
-			SlowdownPct: 100 * p.slowdown(),
-			FalsePerM:   falseReplaysPerM(dm[i]),
-			TruePerM:    perMillion(dm[i], dm[i].Stats.Get("core_replay_true_violation")),
-			LQSavedPct:  100 * p.lqSavings(),
-			NetSavedPct: 100 * p.totalSavings(),
-		})
 	}
 	sort.Slice(out.Rows, func(i, j int) bool {
 		if out.Rows[i].Class != out.Rows[j].Class {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dmdc/internal/config"
-	"dmdc/internal/core"
 	"dmdc/internal/energy"
 	"dmdc/internal/lsq"
 	"dmdc/internal/stats"
@@ -86,12 +85,9 @@ func (s *Suite) TableSizeSweep() *TableSizeSweepResult {
 			FalsePerM: make(map[trace.Class]float64),
 			HashPerM:  make(map[trace.Class]float64),
 		}
-		for _, class := range []trace.Class{trace.INT, trace.FP} {
+		for _, class := range classes {
 			var f, h stats.Summary
-			for _, r := range res[keyTableSize(n)] {
-				if r == nil || r.Class != class {
-					continue
-				}
+			for _, r := range ofClass(res[keyTableSize(n)], class) {
 				f.Observe(falseReplaysPerM(r))
 				h.Observe(replayRatePerM(r, lsq.CauseFalseHashBefore) +
 					replayRatePerM(r, lsq.CauseFalseHashX) +
@@ -138,6 +134,7 @@ func (s *Suite) DMDCYLASweep() *DMDCYLASweepResult {
 		keys = append(keys, keyYLACount(n))
 	}
 	res := s.get(keys...)
+	base := res[keyBase("config2")]
 	out := &DMDCYLASweepResult{}
 	for _, n := range YLASweepCounts {
 		row := YLACountRow{
@@ -147,20 +144,15 @@ func (s *Suite) DMDCYLASweep() *DMDCYLASweepResult {
 			FalsePerM:   make(map[trace.Class]float64),
 			SlowdownPct: make(map[trace.Class]float64),
 		}
-		base := res[keyBase("config2")]
-		for _, class := range []trace.Class{trace.INT, trace.FP} {
-			var unsafePct, chk, f, slow stats.Summary
-			for i, r := range res[keyYLACount(n)] {
-				if r == nil || r.Class != class {
-					continue
-				}
+		rs := res[keyYLACount(n)]
+		for _, class := range classes {
+			var unsafePct, chk, f stats.Summary
+			for _, r := range ofClass(rs, class) {
 				unsafePct.Observe(100 - safeStorePct(r))
 				chk.Observe(checkingPct(r))
 				f.Observe(falseReplaysPerM(r))
-				if base[i] != nil {
-					slow.Observe(100 * (float64(r.Cycles)/float64(base[i].Cycles) - 1))
-				}
 			}
+			slow := summarizePairs(pairsOf(base, rs, class), func(p pair) float64 { return 100 * p.slowdown() })
 			row.UnsafePct[class] = unsafePct.Mean()
 			row.CheckingPct[class] = chk.Mean()
 			row.FalsePerM[class] = f.Mean()
@@ -202,14 +194,10 @@ type SQFilterResult struct {
 // SQFilterExtension compares the baseline with and without the SQ filter.
 func (s *Suite) SQFilterExtension() *SQFilterResult {
 	res := s.get(keyBase("config2"), keySQFilter)
-	ps := zip(res[keyBase("config2")], res[keySQFilter])
 	out := &SQFilterResult{}
-	for _, class := range []trace.Class{trace.INT, trace.FP} {
+	for _, class := range classes {
 		row := SQFilterRow{Class: class}
-		for _, p := range ps {
-			if p.base.Class != class {
-				continue
-			}
+		for _, p := range pairsOf(res[keyBase("config2")], res[keySQFilter], class) {
 			searches := p.test.Stats.Get("sq_searches")
 			filtered := p.test.Stats.Get("sq_searches_filtered")
 			if searches+filtered > 0 {
@@ -254,18 +242,15 @@ type ClampAblationResult struct {
 // ClampAblation measures filtering with and without the recovery clamp.
 func (s *Suite) ClampAblation() *ClampAblationResult {
 	rs := s.get(keyClampMonitors)[keyClampMonitors]
-	ints, fps := byClass(rs)
 	out := &ClampAblationResult{}
-	for _, g := range []struct {
-		class trace.Class
-		rs    []*core.Result
-	}{{trace.INT, ints}, {trace.FP, fps}} {
+	for _, class := range classes {
+		group := ofClass(rs, class)
 		for _, n := range []int{1, 8} {
 			out.Rows = append(out.Rows, ClampAblationRow{
-				Class:      g.class,
+				Class:      class,
 				Regs:       n,
-				WithPct:    summarizeMetric(g.rs, statPct(fmt.Sprintf("yla%d_qw_filter_rate", n))),
-				WithoutPct: summarizeMetric(g.rs, statPct(fmt.Sprintf("yla%d_qw_noclamp_filter_rate", n))),
+				WithPct:    summarizeMetric(group, statPct(fmt.Sprintf("yla%d_qw_filter_rate", n))),
+				WithoutPct: summarizeMetric(group, statPct(fmt.Sprintf("yla%d_qw_noclamp_filter_rate", n))),
 			})
 		}
 	}

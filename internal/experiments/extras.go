@@ -27,14 +27,10 @@ type YLAEnergyRow struct {
 // YLAEnergy compares the YLA-filtered CAM against the plain baseline.
 func (s *Suite) YLAEnergy() *YLAEnergyResult {
 	res := s.get(keyBase("config2"), keyYLA)
-	ps := zip(res[keyBase("config2")], res[keyYLA])
 	out := &YLAEnergyResult{}
-	for _, class := range []trace.Class{trace.INT, trace.FP} {
+	for _, class := range classes {
 		row := YLAEnergyRow{Class: class}
-		for _, p := range ps {
-			if p.base.Class != class {
-				continue
-			}
+		for _, p := range pairsOf(res[keyBase("config2")], res[keyYLA], class) {
 			row.LQSavingsPct.Observe(100 * p.lqSavings())
 			row.TotalPct.Observe(100 * p.totalSavings())
 			row.SlowdownPct.Observe(100 * p.slowdown())
@@ -69,20 +65,12 @@ type StoreFilterResult struct {
 // StoreFilterPotential measures SQ-side filtering headroom.
 func (s *Suite) StoreFilterPotential() *StoreFilterResult {
 	rs := s.get(keyMonitored)[keyMonitored]
-	out := &StoreFilterResult{}
-	for _, r := range rs {
-		if r == nil {
-			continue
-		}
-		v := 100 * r.Stats.Get("sq_filter_rate")
-		out.All.Observe(v)
-		if r.Class == trace.INT {
-			out.INT.Observe(v)
-		} else {
-			out.FP.Observe(v)
-		}
+	rate := statPct("sq_filter_rate")
+	return &StoreFilterResult{
+		INT: summarizeMetric(ofClass(rs, trace.INT), rate),
+		FP:  summarizeMetric(ofClass(rs, trace.FP), rate),
+		All: summarizeMetric(rs, rate),
 	}
-	return out
 }
 
 // String renders the result.
@@ -115,14 +103,11 @@ func (s *Suite) SafeLoadAblation() *SafeLoadAblationResult {
 	with := res[keyGlobal("config2")]
 	without := res[keyNoSafe()]
 	out := &SafeLoadAblationResult{}
-	for _, class := range []trace.Class{trace.INT, trace.FP} {
+	for _, class := range classes {
 		row := SafeLoadRow{Class: class}
 		var w, wo stats.Summary
-		for i := range with {
-			a, b := with[i], without[i]
-			if a == nil || b == nil || a.Class != class {
-				continue
-			}
+		for _, p := range pairsOf(with, without, class) {
+			a, b := p.base, p.test
 			fa, fb := falseReplaysPerM(a), falseReplaysPerM(b)
 			w.Observe(fa)
 			wo.Observe(fb)
@@ -176,14 +161,8 @@ func (s *Suite) CheckQueueEquivalence() *CheckQueueResult {
 	}
 	res := s.get(keys...)
 	out := &CheckQueueResult{TablePerM: make(map[trace.Class]float64)}
-	for _, class := range []trace.Class{trace.INT, trace.FP} {
-		var m stats.Summary
-		for _, r := range res[keyGlobal("config2")] {
-			if r != nil && r.Class == class {
-				m.Observe(falseReplaysPerM(r))
-			}
-		}
-		out.TablePerM[class] = m.Mean()
+	for _, class := range classes {
+		out.TablePerM[class] = summarizeMetric(ofClass(res[keyGlobal("config2")], class), falseReplaysPerM).Mean()
 	}
 	for _, n := range QueueSizes {
 		row := CheckQueueRow{
@@ -191,12 +170,9 @@ func (s *Suite) CheckQueueEquivalence() *CheckQueueResult {
 			FalsePerM:    make(map[trace.Class]float64),
 			OverflowPerM: make(map[trace.Class]float64),
 		}
-		for _, class := range []trace.Class{trace.INT, trace.FP} {
+		for _, class := range classes {
 			var f, o stats.Summary
-			for _, r := range res[keyQueue(n)] {
-				if r == nil || r.Class != class {
-					continue
-				}
+			for _, r := range ofClass(res[keyQueue(n)], class) {
 				f.Observe(falseReplaysPerM(r))
 				o.Observe(perMillion(r, r.Stats.Get("core_replay_overflow")))
 			}

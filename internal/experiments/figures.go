@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"dmdc/internal/config"
-	"dmdc/internal/core"
 	"dmdc/internal/stats"
 	"dmdc/internal/trace"
 )
@@ -30,20 +29,17 @@ type Figure2Result struct {
 // YLA sweep.
 func (s *Suite) Figure2() *Figure2Result {
 	rs := s.get(keyMonitored)[keyMonitored]
-	ints, fps := byClass(rs)
 	out := &Figure2Result{
 		QuadWord: make(map[trace.Class][]FilterPoint),
 		Line:     make(map[trace.Class][]FilterPoint),
 	}
-	for _, group := range []struct {
-		class trace.Class
-		rs    []*core.Result
-	}{{trace.INT, ints}, {trace.FP, fps}} {
+	for _, class := range classes {
+		group := ofClass(rs, class)
 		for _, n := range YLACounts {
-			qw := summarizeMetric(group.rs, statPct(fmt.Sprintf("yla%d_qw_filter_rate", n)))
-			ln := summarizeMetric(group.rs, statPct(fmt.Sprintf("yla%d_line_filter_rate", n)))
-			out.QuadWord[group.class] = append(out.QuadWord[group.class], FilterPoint{Size: n, Pct: qw})
-			out.Line[group.class] = append(out.Line[group.class], FilterPoint{Size: n, Pct: ln})
+			qw := summarizeMetric(group, statPct(fmt.Sprintf("yla%d_qw_filter_rate", n)))
+			ln := summarizeMetric(group, statPct(fmt.Sprintf("yla%d_line_filter_rate", n)))
+			out.QuadWord[class] = append(out.QuadWord[class], FilterPoint{Size: n, Pct: qw})
+			out.Line[class] = append(out.Line[class], FilterPoint{Size: n, Pct: ln})
 		}
 	}
 	return out
@@ -52,7 +48,7 @@ func (s *Suite) Figure2() *Figure2Result {
 // String renders the figure as two tables (one per class).
 func (f *Figure2Result) String() string {
 	var b strings.Builder
-	for _, class := range []trace.Class{trace.INT, trace.FP} {
+	for _, class := range classes {
 		t := stats.NewTable(fmt.Sprintf("Figure 2 (%s): %% LQ searches filtered vs #YLA registers", class),
 			"#YLA", "quad-word mean", "qw min", "qw max", "cache-line mean", "line min", "line max")
 		qws := f.QuadWord[class]
@@ -77,21 +73,18 @@ type Figure3Result struct {
 // Figure3 collects the Bloom-vs-YLA comparison from the same run.
 func (s *Suite) Figure3() *Figure3Result {
 	rs := s.get(keyMonitored)[keyMonitored]
-	ints, fps := byClass(rs)
 	out := &Figure3Result{
 		YLA1:  make(map[trace.Class]stats.Summary),
 		YLA8:  make(map[trace.Class]stats.Summary),
 		Bloom: make(map[trace.Class][]FilterPoint),
 	}
-	for _, group := range []struct {
-		class trace.Class
-		rs    []*core.Result
-	}{{trace.INT, ints}, {trace.FP, fps}} {
-		out.YLA1[group.class] = summarizeMetric(group.rs, statPct("yla1_qw_filter_rate"))
-		out.YLA8[group.class] = summarizeMetric(group.rs, statPct("yla8_qw_filter_rate"))
+	for _, class := range classes {
+		group := ofClass(rs, class)
+		out.YLA1[class] = summarizeMetric(group, statPct("yla1_qw_filter_rate"))
+		out.YLA8[class] = summarizeMetric(group, statPct("yla8_qw_filter_rate"))
 		for _, sz := range BloomSizes {
-			p := summarizeMetric(group.rs, statPct(fmt.Sprintf("bf%d_filter_rate", sz)))
-			out.Bloom[group.class] = append(out.Bloom[group.class], FilterPoint{Size: sz, Pct: p})
+			p := summarizeMetric(group, statPct(fmt.Sprintf("bf%d_filter_rate", sz)))
+			out.Bloom[class] = append(out.Bloom[class], FilterPoint{Size: sz, Pct: p})
 		}
 	}
 	return out
@@ -100,7 +93,7 @@ func (s *Suite) Figure3() *Figure3Result {
 // String renders the comparison tables.
 func (f *Figure3Result) String() string {
 	var b strings.Builder
-	for _, class := range []trace.Class{trace.INT, trace.FP} {
+	for _, class := range classes {
 		t := stats.NewTable(fmt.Sprintf("Figure 3 (%s): filtering capability, %% searches avoided", class),
 			"scheme", "mean", "min", "max")
 		t.AddRow("1 YLA", f.YLA1[class].Mean(), f.YLA1[class].Min, f.YLA1[class].Max)
@@ -139,14 +132,8 @@ func (s *Suite) Figure4() *Figure4Result {
 	res := s.get(keys...)
 	out := &Figure4Result{}
 	for _, m := range config.All() {
-		ps := zip(res[keyBase(m.Name)], res[keyGlobal(m.Name)])
-		for _, class := range []trace.Class{trace.INT, trace.FP} {
-			var group []pair
-			for _, p := range ps {
-				if p.base.Class == class {
-					group = append(group, p)
-				}
-			}
+		for _, class := range classes {
+			group := pairsOf(res[keyBase(m.Name)], res[keyGlobal(m.Name)], class)
 			out.Rows = append(out.Rows, Figure4Row{
 				Config:       m.Name,
 				Class:        class,
@@ -191,26 +178,15 @@ func (s *Suite) Figure5() *Figure5Result {
 	}
 	res := s.get(keys...)
 	out := &Figure5Result{}
+	slowdown := func(p pair) float64 { return 100 * p.slowdown() }
 	for _, m := range config.All() {
-		gp := zip(res[keyBase(m.Name)], res[keyGlobal(m.Name)])
-		lp := zip(res[keyBase(m.Name)], res[keyLocal(m.Name)])
-		for _, class := range []trace.Class{trace.INT, trace.FP} {
-			var gg, lg []pair
-			for _, p := range gp {
-				if p.base.Class == class {
-					gg = append(gg, p)
-				}
-			}
-			for _, p := range lp {
-				if p.base.Class == class {
-					lg = append(lg, p)
-				}
-			}
+		base := res[keyBase(m.Name)]
+		for _, class := range classes {
 			out.Rows = append(out.Rows, Figure5Row{
 				Config: m.Name,
 				Class:  class,
-				Global: summarizePairs(gg, func(p pair) float64 { return 100 * p.slowdown() }),
-				Local:  summarizePairs(lg, func(p pair) float64 { return 100 * p.slowdown() }),
+				Global: summarizePairs(pairsOf(base, res[keyGlobal(m.Name)], class), slowdown),
+				Local:  summarizePairs(pairsOf(base, res[keyLocal(m.Name)], class), slowdown),
 			})
 		}
 	}

@@ -51,7 +51,7 @@ func (s *Suite) RelatedWork() *RelatedWorkResult {
 	dm := res[keyGlobal("config2")]
 	at := res[keyAgeTable]
 	out := &RelatedWorkResult{}
-	for _, class := range []trace.Class{trace.INT, trace.FP} {
+	for _, class := range classes {
 		row := RelatedWorkRow{Class: class}
 		var atR, dmR, atAcc, dmAcc stats.Summary
 		for i := range base {

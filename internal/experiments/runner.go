@@ -386,18 +386,3 @@ func (s *Suite) runJob(ctx context.Context, sp *runSpec, bench string, tapes *ta
 	}
 	return r, false, nil
 }
-
-// byClass partitions results into INT and FP groups.
-func byClass(rs []*core.Result) (ints, fps []*core.Result) {
-	for _, r := range rs {
-		if r == nil {
-			continue
-		}
-		if r.Class == trace.INT {
-			ints = append(ints, r)
-		} else {
-			fps = append(fps, r)
-		}
-	}
-	return ints, fps
-}

@@ -13,6 +13,7 @@ import (
 	"dmdc/internal/energy"
 	"dmdc/internal/lsq"
 	"dmdc/internal/telemetry"
+	"dmdc/internal/trace"
 )
 
 // Monitor sweep parameters for Figures 2 and 3.
@@ -213,19 +214,36 @@ func (s *Suite) get(keys ...string) map[string][]*core.Result {
 	return out
 }
 
-// pairByBenchmark zips two result sets (same benchmark ordering).
+// classes are the benchmark groups every artifact reports, in report
+// order.
+var classes = []trace.Class{trace.INT, trace.FP}
+
+// ofClass returns the results of class c, in benchmark order, skipping
+// failed cells.
+func ofClass(rs []*core.Result, c trace.Class) []*core.Result {
+	var out []*core.Result
+	for _, r := range rs {
+		if r != nil && r.Class == c {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// pair is one benchmark's base and test results.
 type pair struct {
 	base *core.Result
 	test *core.Result
 }
 
-func zip(base, test []*core.Result) []pair {
-	out := make([]pair, 0, len(base))
+// pairsOf pairs the base and test results of class c by benchmark, in
+// benchmark order, skipping a benchmark whose either cell failed.
+func pairsOf(base, test []*core.Result, c trace.Class) []pair {
+	var out []pair
 	for i := range base {
-		if base[i] == nil || test[i] == nil {
-			continue
+		if base[i] != nil && test[i] != nil && base[i].Class == c {
+			out = append(out, pair{base: base[i], test: test[i]})
 		}
-		out = append(out, pair{base: base[i], test: test[i]})
 	}
 	return out
 }

@@ -32,14 +32,10 @@ type WindowRow struct {
 
 func (s *Suite) windowStats(key, variant string) *WindowStats {
 	rs := s.get(key)[key]
-	ints, fps := byClass(rs)
 	out := &WindowStats{Variant: variant}
-	for _, g := range []struct {
-		class trace.Class
-		rs    []*core.Result
-	}{{trace.INT, ints}, {trace.FP, fps}} {
-		row := WindowRow{Class: g.class}
-		for _, r := range g.rs {
+	for _, class := range classes {
+		row := WindowRow{Class: class}
+		for _, r := range ofClass(rs, class) {
 			i, l, sl := windowMeans(r)
 			row.Insts.Observe(i)
 			row.Loads.Observe(l)
@@ -101,15 +97,12 @@ type ReplayRow struct {
 
 func (s *Suite) replayBreakdown(key, variant string) *ReplayBreakdown {
 	rs := s.get(key)[key]
-	ints, fps := byClass(rs)
 	out := &ReplayBreakdown{Variant: variant}
-	for _, g := range []struct {
-		class trace.Class
-		rs    []*core.Result
-	}{{trace.INT, ints}, {trace.FP, fps}} {
-		row := ReplayRow{Class: g.class}
+	for _, class := range classes {
+		group := ofClass(rs, class)
+		row := ReplayRow{Class: class}
 		mean := func(c lsq.Cause) float64 {
-			return summarizeMetric(g.rs, func(r *core.Result) float64 {
+			return summarizeMetric(group, func(r *core.Result) float64 {
 				return replayRatePerM(r, c)
 			}).Mean()
 		}
@@ -120,7 +113,7 @@ func (s *Suite) replayBreakdown(key, variant string) *ReplayBreakdown {
 		row.HashX = mean(lsq.CauseFalseHashX)
 		row.HashY = mean(lsq.CauseFalseHashY)
 		row.InvPerM = mean(lsq.CauseInvalidation)
-		row.FalseTotal = summarizeMetric(g.rs, falseReplaysPerM).Mean()
+		row.FalseTotal = summarizeMetric(group, falseReplaysPerM).Mean()
 		out.Rows = append(out.Rows, row)
 	}
 	return out
@@ -188,27 +181,21 @@ func (s *Suite) Table6() *Table6Result {
 		keys = append(keys, keyInv(rate))
 	}
 	res := s.get(keys...)
+	base := res[keyBase("config2")]
 	out := &Table6Result{}
-	for _, class := range []trace.Class{trace.INT, trace.FP} {
+	for _, class := range classes {
 		// Zero-rate reference values.
 		var refWin, refReplay float64
 		for _, rate := range InvRates {
 			rs := res[keyInv(rate)]
-			base := res[keyBase("config2")]
 			var chk, win, repl stats.Summary
-			var slow stats.Summary
-			for i, r := range rs {
-				if r == nil || r.Class != class {
-					continue
-				}
+			for _, r := range ofClass(rs, class) {
 				chk.Observe(checkingPct(r))
 				wi, _, _ := windowMeans(r)
 				win.Observe(wi)
 				repl.Observe(falseReplaysPerM(r))
-				if base[i] != nil {
-					slow.Observe(100 * (float64(r.Cycles)/float64(base[i].Cycles) - 1))
-				}
 			}
+			slow := summarizePairs(pairsOf(base, rs, class), func(p pair) float64 { return 100 * p.slowdown() })
 			if rate == 0 {
 				refWin, refReplay = win.Mean(), repl.Mean()
 			}

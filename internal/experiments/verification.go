@@ -63,20 +63,16 @@ func (s *Suite) VerificationComparison() *VerificationResult {
 		{"value+svw", keyValueSVW},
 	} {
 		rs := res[sch.key]
-		for _, class := range []trace.Class{trace.INT, trace.FP} {
+		for _, class := range classes {
 			row := VerificationRow{Class: class, Scheme: sch.name}
 			var repl, extra stats.Summary
-			for i := range rs {
-				if rs[i] == nil || base[i] == nil || rs[i].Class != class {
-					continue
-				}
-				repl.Observe(perMillion(rs[i], rs[i].Stats.Get("core_replays_total")))
+			for _, p := range pairsOf(base, rs, class) {
+				repl.Observe(perMillion(p.test, p.test.Stats.Get("core_replays_total")))
 				// Extra data-cache traffic: policy re-executions count as
 				// L1D events in the energy model.
-				d := float64(rs[i].Energy.Counts[energy.CompL1D]) -
-					float64(base[i].Energy.Counts[energy.CompL1D])
-				extra.Observe(d / float64(rs[i].Insts) * 1000)
-				p := pair{base: base[i], test: rs[i]}
+				d := float64(p.test.Energy.Counts[energy.CompL1D]) -
+					float64(p.base.Energy.Counts[energy.CompL1D])
+				extra.Observe(d / float64(p.test.Insts) * 1000)
 				row.LQSavedPct.Observe(100 * p.lqSavings())
 				row.NetSavedPct.Observe(100 * p.totalSavings())
 				row.SlowdownPct.Observe(100 * p.slowdown())

@@ -33,7 +33,7 @@ type AgeTableConfig struct {
 
 // Validate reports the first problem, or nil.
 func (c AgeTableConfig) Validate() error {
-	if c.TableSize < 2 || c.TableSize&(c.TableSize-1) != 0 {
+	if !pow2(c.TableSize, 2) {
 		return fmt.Errorf("age table size %d must be a power of two ≥ 2", c.TableSize)
 	}
 	if c.LQSize < 1 {
@@ -54,12 +54,11 @@ type AgeTable struct {
 	cfg       AgeTableConfig
 	em        *energy.Model
 	table     []ageEntry
-	mask      uint32
-	bits      uint
+	hash      h0
 	entryBits int
 
 	searches uint64
-	replays  [NumCauses]uint64
+	replays  Replays
 	// loads tracked for squash cleanup (the table is an approximation, so
 	// exact cleanup is impossible; the original relies on conservative
 	// aging — modeled here by clamping on recovery).
@@ -75,13 +74,10 @@ func NewAgeTable(cfg AgeTableConfig, em *energy.Model) (*AgeTable, error) {
 		cfg:   cfg,
 		em:    em,
 		table: make([]ageEntry, cfg.TableSize),
-		mask:  uint32(cfg.TableSize - 1),
+		hash:  newH0(cfg.TableSize),
 		// Each entry stores a full age plus bitmap: wide (the paper's
 		// criticism — "age information ... costs more bits").
 		entryBits: 24,
-	}
-	for s := cfg.TableSize; s > 1; s >>= 1 {
-		a.bits++
 	}
 	return a, nil
 }
@@ -92,24 +88,13 @@ func (a *AgeTable) Name() string { return fmt.Sprintf("agetable-%d", a.cfg.Table
 // LoadCapacity returns the in-flight load bound.
 func (a *AgeTable) LoadCapacity() int { return a.cfg.LQSize }
 
-func (a *AgeTable) hash(addr uint64) uint32 {
-	v := addr >> QuadWordShift
-	var h uint64
-	for v != 0 {
-		h ^= v
-		v >>= a.bits
-	}
-	return uint32(h) & a.mask
-}
-
 // LoadDispatch is a no-op (allocation happens at issue).
 func (a *AgeTable) LoadDispatch(*MemOp) {}
 
 // LoadIssue records the load's age in its table entry — every load writes
 // the (wide) table, wrong-path included.
 func (a *AgeTable) LoadIssue(op *MemOp) {
-	idx := a.hash(op.Addr)
-	e := &a.table[idx]
+	e := &a.table[a.hash.index(op.Addr)]
 	bm := isa.QuadWordBitmap(op.Addr, op.Size)
 	if op.Age > e.age {
 		e.age = op.Age
@@ -131,9 +116,8 @@ func (a *AgeTable) LoadIssue(op *MemOp) {
 // original replays from the recorded load).
 func (a *AgeTable) StoreResolve(op *MemOp) *Replay {
 	a.searches++
-	idx := a.hash(op.Addr)
 	a.em.Add(energy.CompCheckTable, energy.RAMAccess(a.cfg.TableSize, a.entryBits))
-	e := &a.table[idx]
+	e := &a.table[a.hash.index(op.Addr)]
 	if e.age <= op.Age {
 		return nil
 	}
@@ -188,12 +172,5 @@ func (a *AgeTable) Tick() {}
 // Report writes the policy's counters.
 func (a *AgeTable) Report(s *stats.Set) {
 	s.Add("agetable_searches", float64(a.searches))
-	var total uint64
-	for cause := Cause(0); cause < Cause(NumCauses); cause++ {
-		if a.replays[cause] > 0 {
-			s.Add("replay_"+cause.String(), float64(a.replays[cause]))
-		}
-		total += a.replays[cause]
-	}
-	s.Add("replays_total", float64(total))
+	a.replays.Report(s, "replay_", "replays_total")
 }

@@ -76,7 +76,7 @@ func TestAgeTableHashAliasing(t *testing.T) {
 	ld := newLoad(10, 0x108, 8)
 	issueLoad(a, ld, 5)
 	st := newStore(3, 0x100, 8)
-	if a.hash(0x100) != a.hash(0x108) {
+	if a.hash.index(0x100) != a.hash.index(0x108) {
 		t.Skip("addresses did not alias")
 	}
 	// The table cannot distinguish: an aliasing false replay is the

@@ -8,35 +8,22 @@ package lsq
 // width — which is what Hash implements.
 type BloomFilter struct {
 	buckets []uint16
-	bits    uint
+	hash    h0
 }
 
 // NewBloomFilter builds a filter with size buckets (power of two ≥ 2).
 func NewBloomFilter(size int) *BloomFilter {
-	if size < 2 || size&(size-1) != 0 {
+	if !pow2(size, 2) {
 		panic("lsq: bloom filter size must be a power of two ≥ 2")
 	}
-	bits := uint(0)
-	for s := size; s > 1; s >>= 1 {
-		bits++
-	}
-	return &BloomFilter{buckets: make([]uint16, size), bits: bits}
+	return &BloomFilter{buckets: make([]uint16, size), hash: newH0(size)}
 }
 
 // Size returns the number of buckets.
 func (f *BloomFilter) Size() int { return len(f.buckets) }
 
-// Hash implements the H0 function: successive XOR folding of the
-// quad-word address into the index width.
-func (f *BloomFilter) Hash(addr uint64) uint32 {
-	v := addr >> QuadWordShift
-	var h uint64
-	for v != 0 {
-		h ^= v
-		v >>= f.bits
-	}
-	return uint32(h & uint64(len(f.buckets)-1))
-}
+// Hash returns addr's bucket under the H0 function.
+func (f *BloomFilter) Hash(addr uint64) uint32 { return f.hash.index(addr) }
 
 // Insert records an issued load at addr.
 func (f *BloomFilter) Insert(addr uint64) {

@@ -39,15 +39,14 @@ type CAM struct {
 	// loads from the front, and popping via a head index replaces the
 	// per-commit memmove of the whole queue. Compacted when hd grows past
 	// a few LQ lengths so the backing array stays bounded.
-	loads        []*MemOp
-	hd           int
-	yla          *YLAFile
-	bloom        *BloomFilter
-	bloomTracked map[uint64]uint64 // age -> addr, for removal on squash/commit
+	loads []*MemOp
+	hd    int
+	yla   *YLAFile
+	bloom *BloomFilter // holds the queue's issued loads
 
 	searches   uint64
 	filtered   uint64
-	replays    [NumCauses]uint64
+	replays    Replays
 	searchCost float64
 	writeCost  float64
 	commitCost float64
@@ -61,11 +60,11 @@ func (c CAMConfig) Validate() error {
 	switch c.Filter {
 	case FilterNone:
 	case FilterYLA:
-		if c.YLARegs < 1 || c.YLARegs&(c.YLARegs-1) != 0 {
+		if !pow2(c.YLARegs, 1) {
 			return fmt.Errorf("YLA register count %d must be a power of two ≥ 1", c.YLARegs)
 		}
 	case FilterBloom:
-		if c.BloomSize < 2 || c.BloomSize&(c.BloomSize-1) != 0 {
+		if !pow2(c.BloomSize, 2) {
 			return fmt.Errorf("bloom filter size %d must be a power of two ≥ 2", c.BloomSize)
 		}
 	default:
@@ -92,7 +91,6 @@ func NewCAM(cfg CAMConfig, em *energy.Model) (*CAM, error) {
 		c.yla = NewYLAFile(cfg.YLARegs, QuadWordShift)
 	case FilterBloom:
 		c.bloom = NewBloomFilter(cfg.BloomSize)
-		c.bloomTracked = make(map[uint64]uint64)
 	}
 	return c, nil
 }
@@ -128,7 +126,6 @@ func (c *CAM) LoadIssue(op *MemOp) {
 	}
 	if c.bloom != nil {
 		c.bloom.Insert(op.Addr)
-		c.bloomTracked[op.Age] = op.Addr
 		c.em.Add(energy.CompBloom, energy.RAMAccess(c.bloom.Size(), 4))
 	}
 }
@@ -188,7 +185,6 @@ func (c *CAM) removeUpTo(age uint64) {
 	for c.hd < len(c.loads) && c.loads[c.hd].Age <= age {
 		if c.bloom != nil && c.loads[c.hd].Issued {
 			c.bloom.Remove(c.loads[c.hd].Addr)
-			delete(c.bloomTracked, c.loads[c.hd].Age)
 		}
 		c.hd++
 	}
@@ -214,7 +210,6 @@ func (c *CAM) Squash(fromAge uint64) {
 	for _, l := range live[cut:] {
 		if c.bloom != nil && l.Issued {
 			c.bloom.Remove(l.Addr)
-			delete(c.bloomTracked, l.Age)
 		}
 	}
 	c.loads = c.loads[:c.hd+cut]
@@ -243,19 +238,6 @@ func (c *CAM) Tick() {}
 func (c *CAM) Report(s *stats.Set) {
 	s.Add("lq_searches", float64(c.searches))
 	s.Add("lq_searches_filtered", float64(c.filtered))
-	for cause := Cause(0); cause < Cause(NumCauses); cause++ {
-		if c.replays[cause] > 0 {
-			s.Add("replay_"+cause.String(), float64(c.replays[cause]))
-		}
-	}
-	s.Add("replays_total", float64(c.totalReplays()))
+	c.replays.Report(s, "replay_", "replays_total")
 	s.Add("inflight_loads", float64(len(c.loads)-c.hd))
-}
-
-func (c *CAM) totalReplays() uint64 {
-	var t uint64
-	for _, n := range c.replays {
-		t += n
-	}
-	return t
 }

@@ -14,7 +14,8 @@ type DMDCConfig struct {
 	// Ignored when QueueSize > 0.
 	TableSize int
 	// QueueSize, when positive, replaces the hash table with an
-	// associative checking queue of that many entries (Section 4.4).
+	// associative checking queue of that many entries (Section 4.4),
+	// fewer than maxWindowStores.
 	QueueSize int
 	// Local selects local end-check management: each unsafe store records
 	// its own window boundary at resolve and publishes it only at commit,
@@ -54,15 +55,16 @@ func (c DMDCConfig) Validate() error {
 	if c.QueueSize < 0 {
 		return fmt.Errorf("negative queue size")
 	}
-	if c.QueueSize == 0 {
-		if c.TableSize < 2 || c.TableSize&(c.TableSize-1) != 0 {
-			return fmt.Errorf("checking table size %d must be a power of two ≥ 2", c.TableSize)
-		}
+	if c.QueueSize >= maxWindowStores {
+		return fmt.Errorf("queue size %d must be below the %d-store window record", c.QueueSize, maxWindowStores)
 	}
-	if c.YLARegs < 1 || c.YLARegs&(c.YLARegs-1) != 0 {
+	if c.QueueSize == 0 && !pow2(c.TableSize, 2) {
+		return fmt.Errorf("checking table size %d must be a power of two ≥ 2", c.TableSize)
+	}
+	if !pow2(c.YLARegs, 1) {
 		return fmt.Errorf("YLA register count %d must be a power of two ≥ 1", c.YLARegs)
 	}
-	if c.Coherence && (c.LineYLARegs < 1 || c.LineYLARegs&(c.LineYLARegs-1) != 0) {
+	if c.Coherence && !pow2(c.LineYLARegs, 1) {
 		return fmt.Errorf("line YLA register count %d must be a power of two ≥ 1", c.LineYLARegs)
 	}
 	if c.LoadCap < 1 {
@@ -80,6 +82,12 @@ type tableEntry struct {
 	inv         bool
 	invPromoted bool
 }
+
+// maxWindowStores bounds the stores an open window records, which bounds
+// memory in pathological merges. The checking queue holds the window's
+// first QueueSize stores, so it is a prefix of the record, and it has
+// overflowed once the record holds more.
+const maxWindowStores = 8192
 
 // winStore records a committed unsafe store whose checking window is
 // currently open; used for exact-address checking (queue variant) and for
@@ -102,13 +110,9 @@ type DMDC struct {
 	ylaQW   *YLAFile
 	ylaLine *YLAFile
 
-	table   []tableEntry
-	dirty   []uint32
-	tblMask uint32
-	tblBits uint
-
-	queue           []winStore
-	overflowPending bool
+	table []tableEntry
+	hash  h0
+	dirty []uint32 // the table entries that are not clear, each once
 
 	endCheck uint64
 	checking bool
@@ -123,7 +127,7 @@ type DMDC struct {
 	safeLoadBypass                uint64
 	loadsChecked                  uint64
 	checkingCycles, totalCycles   uint64
-	replays                       [NumCauses]uint64
+	replays                       Replays
 	invActivations, invalidations uint64
 	invPromotions                 uint64
 	windowInsts, windowLoads      stats.Summary
@@ -150,10 +154,7 @@ func NewDMDC(cfg DMDCConfig, em *energy.Model) (*DMDC, error) {
 	}
 	if cfg.QueueSize == 0 {
 		d.table = make([]tableEntry, cfg.TableSize)
-		d.tblMask = uint32(cfg.TableSize - 1)
-		for s := cfg.TableSize; s > 1; s >>= 1 {
-			d.tblBits++
-		}
+		d.hash = newH0(cfg.TableSize)
 	}
 	return d, nil
 }
@@ -173,17 +174,6 @@ func (d *DMDC) Name() string {
 // LoadCapacity returns the configured in-flight load limit.
 func (d *DMDC) LoadCapacity() int { return d.cfg.LoadCap }
 
-// hash maps an address's quad word onto the checking table by XOR folding.
-func (d *DMDC) hash(addr uint64) uint32 {
-	v := addr >> QuadWordShift
-	var h uint64
-	for v != 0 {
-		h ^= v
-		v >>= d.tblBits
-	}
-	return uint32(h) & d.tblMask
-}
-
 // LoadDispatch charges the hash-key FIFO allocation.
 func (d *DMDC) LoadDispatch(*MemOp) {
 	d.em.Add(energy.CompHashQueue, energy.FIFOAccess(16))
@@ -193,7 +183,7 @@ func (d *DMDC) LoadDispatch(*MemOp) {
 // including for wrong-path loads, which is how YLA gets corrupted.
 func (d *DMDC) LoadIssue(op *MemOp) {
 	if d.cfg.QueueSize == 0 {
-		op.HashKey = d.hash(op.Addr)
+		op.HashKey = d.hash.index(op.Addr)
 	}
 	op.Bitmap = isa.QuadWordBitmap(op.Addr, op.Size)
 	d.em.Add(energy.CompHashQueue, energy.FIFOAccess(16))
@@ -258,13 +248,8 @@ func (d *DMDC) StoreCommit(op *MemOp) {
 		resolveCycle: op.ResolveCycle, endAge: op.EndAge}
 	if d.cfg.QueueSize > 0 {
 		d.em.Add(energy.CompCheckTable, energy.RAMAccess(d.cfg.QueueSize, energy.AddressBits))
-		if len(d.queue) >= d.cfg.QueueSize {
-			d.overflowPending = true
-		} else {
-			d.queue = append(d.queue, ws)
-		}
 	} else {
-		idx := d.hash(op.Addr)
+		idx := d.hash.index(op.Addr)
 		e := &d.table[idx]
 		if e.wrt == 0 && !e.inv {
 			d.dirty = append(d.dirty, idx)
@@ -272,7 +257,7 @@ func (d *DMDC) StoreCommit(op *MemOp) {
 		e.wrt |= op.Bitmap
 		d.em.Add(energy.CompCheckTable, energy.RAMAccess(d.cfg.TableSize, 5))
 	}
-	if len(d.windowStores) < 8192 { // bound memory in pathological merges
+	if len(d.windowStores) < maxWindowStores {
 		d.windowStores = append(d.windowStores, ws)
 	}
 	if !d.checking {
@@ -298,8 +283,6 @@ func (d *DMDC) endChecking() {
 		d.table[idx] = tableEntry{}
 	}
 	d.dirty = d.dirty[:0]
-	d.queue = d.queue[:0]
-	d.overflowPending = false
 	d.windowStores = d.windowStores[:0]
 	d.em.Add(energy.CompCheckTable, energy.RAMAccess(d.cfg.TableSize+d.cfg.QueueSize, 2))
 	d.windows++
@@ -350,13 +333,8 @@ func (d *DMDC) LoadCommit(op *MemOp) *Replay {
 	}
 	if d.cfg.Coherence && e.inv {
 		// First same-location load after the invalidation: promote so a
-		// second one replays (write serialization, Section 4.3).
-		if e.wrt == 0 {
-			// Entry becomes dirty via promotion only.
-			if !containsIdx(d.dirty, op.HashKey) {
-				d.dirty = append(d.dirty, op.HashKey)
-			}
-		}
+		// second one replays (write serialization, Section 4.3). The
+		// entry is on the dirty list since Invalidate set its INV bit.
 		e.wrt |= op.Bitmap
 		e.invPromoted = true
 		d.invPromotions++
@@ -365,27 +343,29 @@ func (d *DMDC) LoadCommit(op *MemOp) *Replay {
 	return nil
 }
 
-func containsIdx(s []uint32, v uint32) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
+// queue returns the checking queue: the window's first QueueSize stores.
+func (d *DMDC) queue() []winStore {
+	return d.windowStores[:min(len(d.windowStores), d.cfg.QueueSize)]
+}
+
+// overflowed reports whether the window holds more stores than the
+// checking queue.
+func (d *DMDC) overflowed() bool {
+	return d.cfg.QueueSize > 0 && len(d.windowStores) > d.cfg.QueueSize
 }
 
 // queueCheck is the associative checking-queue variant of LoadCommit.
 func (d *DMDC) queueCheck(op *MemOp) *Replay {
 	d.em.Add(energy.CompCheckTable, d.queueSearchCost)
-	if d.overflowPending {
+	if d.overflowed() {
 		// The queue lost a store: conservatively replay the first checked
 		// load so no violation can slip through.
 		d.replays[CauseOverflow]++
 		d.endChecking()
 		return &Replay{FromAge: op.Age, Cause: CauseOverflow}
 	}
-	for i := range d.queue {
-		ws := &d.queue[i]
+	for i := range d.windowStores { // all in the queue: none overflowed
+		ws := &d.windowStores[i]
 		if isa.Overlap(op.Addr, op.Size, ws.addr, ws.size) {
 			cause := d.classify(op, false)
 			d.replays[cause]++
@@ -426,7 +406,7 @@ func (d *DMDC) classify(op *MemOp, invPromoted bool) Cause {
 	var before, hashX, hashY, found bool
 	for i := range d.windowStores {
 		ws := &d.windowStores[i]
-		if d.cfg.QueueSize == 0 && d.hash(ws.addr) != op.HashKey {
+		if d.cfg.QueueSize == 0 && d.hash.index(ws.addr) != op.HashKey {
 			continue
 		}
 		if d.cfg.QueueSize > 0 {
@@ -490,7 +470,7 @@ func (d *DMDC) Invalidate(lineAddr uint64) {
 	if d.cfg.QueueSize == 0 {
 		lineBase := lineAddr &^ uint64(1<<CacheLineShift-1)
 		for qw := uint64(0); qw < 1<<(CacheLineShift-QuadWordShift); qw++ {
-			idx := d.hash(lineBase + qw*8)
+			idx := d.hash.index(lineBase + qw*8)
 			e := &d.table[idx]
 			if e.wrt == 0 && !e.inv {
 				d.dirty = append(d.dirty, idx)
@@ -532,12 +512,5 @@ func (d *DMDC) Report(s *stats.Set) {
 	s.Add("inv_received", float64(d.invalidations))
 	s.Add("inv_activations", float64(d.invActivations))
 	s.Add("inv_promotions", float64(d.invPromotions))
-	var total uint64
-	for cause := Cause(0); cause < Cause(NumCauses); cause++ {
-		if d.replays[cause] > 0 {
-			s.Add("replay_"+cause.String(), float64(d.replays[cause]))
-		}
-		total += d.replays[cause]
-	}
-	s.Add("replays_total", float64(total))
+	d.replays.Report(s, "replay_", "replays_total")
 }

@@ -168,7 +168,7 @@ func TestDMDCHashConflictFalseReplay(t *testing.T) {
 	d.StoreCommit(st)
 	d.InstCommit(10)
 	r := d.LoadCommit(ld)
-	if d.hash(0x108) != d.hash(0x100) {
+	if d.hash.index(0x108) != d.hash.index(0x100) {
 		t.Skip("addresses did not collide in the tiny table")
 	}
 	if r == nil {
@@ -474,6 +474,7 @@ func TestDMDCConfigValidate(t *testing.T) {
 		func(c *DMDCConfig) { c.YLARegs = 0 },
 		func(c *DMDCConfig) { c.LoadCap = 0 },
 		func(c *DMDCConfig) { c.QueueSize = -1 },
+		func(c *DMDCConfig) { c.QueueSize = maxWindowStores }, // the queue must be a strict prefix of the window record
 		func(c *DMDCConfig) { c.Coherence = true; c.LineYLARegs = 5 },
 	}
 	for i, mut := range bad {

@@ -15,6 +15,7 @@ package lsq
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dmdc/internal/stats"
 )
@@ -111,11 +112,56 @@ func (c Cause) String() string {
 	return "unknown"
 }
 
+// Replays tallies replays by cause. The core and every policy that
+// replays count into one, so each reports and checkpoints it the same way.
+type Replays [NumCauses]uint64
+
+// Report writes each nonzero cause's count as prefix plus the cause name,
+// in cause order, and then the sum of all causes as total.
+func (r *Replays) Report(s *stats.Set, prefix, total string) {
+	var sum uint64
+	for c, n := range r {
+		if n > 0 {
+			s.Add(prefix+Cause(c).String(), float64(n))
+		}
+		sum += n
+	}
+	s.Add(total, float64(sum))
+}
+
 // Replay asks the core to squash from FromAge (inclusive) and refetch.
 type Replay struct {
 	FromAge uint64
 	Cause   Cause
 }
+
+// h0 is the paper's H0 hashing function, which indexes Figure 3's Bloom
+// filters, DMDC's checking table, the age table and the SVW filter: the
+// quad-word address XOR-folded, bits at a time, down to a table of
+// 2^bits entries.
+type h0 struct {
+	bits uint
+	mask uint32
+}
+
+// newH0 indexes a table of size entries, a power of two ≥ 2.
+func newH0(size int) h0 {
+	return h0{bits: uint(bits.TrailingZeros(uint(size))), mask: uint32(size - 1)}
+}
+
+// index maps addr's quad word to a table index.
+func (h h0) index(addr uint64) uint32 {
+	v := addr >> QuadWordShift
+	var x uint64
+	for v != 0 {
+		x ^= v
+		v >>= h.bits
+	}
+	return uint32(x) & h.mask
+}
+
+// pow2 reports whether n is a power of two no smaller than least (≥ 1).
+func pow2(n, least int) bool { return n >= least && n&(n-1) == 0 }
 
 // Policy is one load-queue management scheme. The core invokes the hooks
 // as the pipeline advances; a non-nil Replay return demands recovery.

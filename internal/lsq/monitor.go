@@ -7,16 +7,45 @@ import (
 	"dmdc/internal/stats"
 )
 
+// filterCount counts a monitor's would-be LQ searches and how many of
+// them its filter screens out.
+type filterCount struct {
+	searches uint64
+	hits     uint64
+}
+
+// count records one would-be search, filtered when hit is true.
+func (f *filterCount) count(hit bool) {
+	f.searches++
+	if hit {
+		f.hits++
+	}
+}
+
+// FilterRate returns the fraction of searches filtered.
+func (f *filterCount) FilterRate() float64 {
+	if f.searches == 0 {
+		return 0
+	}
+	return float64(f.hits) / float64(f.searches)
+}
+
+// report writes "<name>_filter_rate" plus the raw counters.
+func (f *filterCount) report(s *stats.Set, name string) {
+	s.Put(name+"_filter_rate", f.FilterRate())
+	s.Put(name+"_searches", float64(f.searches))
+	s.Put(name+"_hits", float64(f.hits))
+}
+
 // YLAMonitor passively measures what fraction of LQ searches a YLA file of
 // a given size and interleaving would filter on a baseline run. Several
 // monitors with different geometries can observe one simulation, which is
 // how Figure 2's sweep is produced from a single run per benchmark.
 type YLAMonitor struct {
 	BaseMonitor
-	yla      *YLAFile
-	noClamp  bool
-	searches uint64
-	hits     uint64
+	filterCount
+	yla     *YLAFile
+	noClamp bool
 }
 
 // NewYLAMonitor builds a monitor with n registers at the given shift.
@@ -48,10 +77,7 @@ func (m *YLAMonitor) LoadIssue(op *MemOp) { m.yla.Update(op.Addr, op.Age) }
 
 // StoreResolve counts a would-be LQ search and whether it filters.
 func (m *YLAMonitor) StoreResolve(op *MemOp) {
-	m.searches++
-	if m.yla.SafeStore(op.Addr, op.Age) {
-		m.hits++
-	}
+	m.count(m.yla.SafeStore(op.Addr, op.Age))
 }
 
 // Recover applies the clamp remedy (unless ablated).
@@ -61,29 +87,16 @@ func (m *YLAMonitor) Recover(age uint64) {
 	}
 }
 
-// FilterRate returns the fraction of searches filtered.
-func (m *YLAMonitor) FilterRate() float64 {
-	if m.searches == 0 {
-		return 0
-	}
-	return float64(m.hits) / float64(m.searches)
-}
-
 // Report writes "<name>_filter_rate" plus raw counters.
-func (m *YLAMonitor) Report(s *stats.Set) {
-	s.Put(m.Name()+"_filter_rate", m.FilterRate())
-	s.Put(m.Name()+"_searches", float64(m.searches))
-	s.Put(m.Name()+"_hits", float64(m.hits))
-}
+func (m *YLAMonitor) Report(s *stats.Set) { m.report(s, m.Name()) }
 
 // BloomMonitor measures the filtering rate of a Sethumadhavan-style
 // counting Bloom filter of issued loads (Figure 3's comparison points).
 type BloomMonitor struct {
 	BaseMonitor
-	bf       *BloomFilter
-	tracked  []trackedLoad // in-flight issued loads, age order
-	searches uint64
-	hits     uint64
+	filterCount
+	bf      *BloomFilter
+	tracked []trackedLoad // in-flight issued loads, age order
 }
 
 type trackedLoad struct {
@@ -107,10 +120,7 @@ func (m *BloomMonitor) LoadIssue(op *MemOp) {
 
 // StoreResolve counts a would-be search and whether the filter screens it.
 func (m *BloomMonitor) StoreResolve(op *MemOp) {
-	m.searches++
-	if !m.bf.MayMatch(op.Addr) {
-		m.hits++
-	}
+	m.count(!m.bf.MayMatch(op.Addr))
 }
 
 // StoreCommit drains tracked loads older than the committing store: their
@@ -137,20 +147,8 @@ func (m *BloomMonitor) Squash(fromAge uint64) {
 	m.tracked = m.tracked[:cut]
 }
 
-// FilterRate returns the fraction of searches filtered.
-func (m *BloomMonitor) FilterRate() float64 {
-	if m.searches == 0 {
-		return 0
-	}
-	return float64(m.hits) / float64(m.searches)
-}
-
 // Report writes "<name>_filter_rate" plus raw counters.
-func (m *BloomMonitor) Report(s *stats.Set) {
-	s.Put(m.Name()+"_filter_rate", m.FilterRate())
-	s.Put(m.Name()+"_searches", float64(m.searches))
-	s.Put(m.Name()+"_hits", float64(m.hits))
-}
+func (m *BloomMonitor) Report(s *stats.Set) { m.report(s, m.Name()) }
 
 // StoreAgeMonitor measures the Section 3 aside: the fraction of loads that
 // are older than the oldest in-flight store at issue time, and could hence

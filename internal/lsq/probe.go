@@ -41,7 +41,7 @@ func (c *CAM) TelemetrySample() ProbeSample {
 // while a window is being buffered) and the YLA safe-store hit rate.
 func (d *DMDC) TelemetrySample() ProbeSample {
 	occ := len(d.dirty)
-	if q := len(d.queue); q > occ {
+	if q := len(d.queue()); q > occ {
 		occ = q
 	}
 	return ProbeSample{

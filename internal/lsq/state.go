@@ -25,6 +25,13 @@ type Warmer interface {
 	WarmLoad(addr, age uint64)
 }
 
+// State visits the tally in cause order.
+func (r *Replays) State(c *checkpoint.Codec) {
+	for i := range r {
+		c.U64(&r[i])
+	}
+}
+
 // state visits a YLA register file's contents.
 func (y *YLAFile) state(c *checkpoint.Codec) {
 	for i := range y.regs {
@@ -65,7 +72,9 @@ const maxList = 1 << 20
 
 // State visits the CAM policy: the in-flight load queue (as ages; the
 // MemOps themselves live in the core's ROB arena), the optional YLA or
-// Bloom filter, and the stats.
+// Bloom filter, and the stats. The Bloom filter holds the queue's issued
+// loads, and the format lists them after its buckets, so decoding checks
+// both against the restored queue.
 func (c *CAM) State(k *checkpoint.Codec, resolve func(age uint64) *MemOp) {
 	k.Section("pol:cam")
 	live := c.loads[c.hd:]
@@ -101,35 +110,54 @@ func (c *CAM) State(k *checkpoint.Codec, resolve func(age uint64) *MemOp) {
 	}
 	checkpoint.Same(k, c.bloom != nil, "bloom presence")
 	if c.bloom != nil {
-		for i := range c.bloom.buckets {
-			k.U16(&c.bloom.buckets[i])
-		}
-		// bloomTracked in canonical (ascending-age) order.
-		ages := make([]uint64, 0, len(c.bloomTracked))
-		for age := range c.bloomTracked {
-			ages = append(ages, age)
-		}
-		slices.Sort(ages)
-		checkpoint.List(k, &ages, maxList)
-		if k.Decoding() {
-			clear(c.bloomTracked)
-		}
-		for i := range ages {
-			addr := c.bloomTracked[ages[i]] // decoding overwrites both
-			k.U64(&ages[i])
-			k.U64(&addr)
-			if i > 0 && ages[i] <= ages[i-1] {
-				k.Corrupt("tracked ages not strictly ascending")
-			}
-			if k.Decoding() {
-				c.bloomTracked[ages[i]] = addr
-			}
-		}
+		c.bloomState(k)
 	}
 	k.U64(&c.searches)
 	k.U64(&c.filtered)
-	for i := range c.replays {
-		k.U64(&c.replays[i])
+	c.replays.State(k)
+}
+
+// bloomState visits the Bloom filter's buckets and then the loads it
+// holds, (age, address) in age order: the queue's issued loads.
+func (c *CAM) bloomState(k *checkpoint.Codec) {
+	f := c.bloom
+	for i := range f.buckets {
+		k.U16(&f.buckets[i])
+	}
+	live := c.loads[c.hd:]
+	issued := 0
+	for _, l := range live {
+		if l.Issued {
+			issued++
+		}
+	}
+	if n := k.Len(issued, maxList); n != issued {
+		k.Corrupt("%d tracked loads for %d issued loads in the queue", n, issued)
+		return
+	}
+	for _, l := range live {
+		if !l.Issued {
+			continue
+		}
+		age, addr := l.Age, l.Addr
+		k.U64(&age)
+		k.U64(&addr)
+		if age != l.Age || addr != l.Addr {
+			k.Corrupt("tracked load (%d, %#x) is not the queue's issued load (%d, %#x)", age, addr, l.Age, l.Addr)
+		}
+	}
+	if k.Decoding() {
+		for b := range f.buckets {
+			n := 0
+			for _, l := range live {
+				if l.Issued && f.Hash(l.Addr) == uint32(b) {
+					n++
+				}
+			}
+			if int(f.buckets[b]) != n {
+				k.Corrupt("bucket %d counts %d loads, the queue holds %d", b, f.buckets[b], n)
+			}
+		}
 	}
 }
 
@@ -144,7 +172,12 @@ func (c *CAM) WarmLoad(addr, age uint64) {
 
 // State visits the DMDC policy: checking table and dirty list,
 // pending-store queue (queue variant), open checking-window state, YLA
-// register files, and all statistics.
+// register files, and all statistics. The queue and its overflow flag
+// are derived from the window's stores, and the format lists them before
+// the window, so decoding reads them aside and checks them once the
+// window is in. Decoding also checks that the dirty list names exactly
+// the table entries that are not clear, each once: an entry it missed
+// would outlive its window.
 func (d *DMDC) State(c *checkpoint.Codec, _ func(age uint64) *MemOp) {
 	c.Section("pol:dmdc")
 	for i := range d.table {
@@ -156,15 +189,24 @@ func (d *DMDC) State(c *checkpoint.Codec, _ func(age uint64) *MemOp) {
 	checkpoint.List(c, &d.dirty, maxList)
 	for i := range d.dirty {
 		c.U32(&d.dirty[i])
-		if d.dirty[i] >= uint32(len(d.table)) {
-			c.Corrupt("dirty index %d outside table of %d", d.dirty[i], len(d.table))
-		}
 	}
-	winStores(c, &d.queue)
-	c.Bool(&d.overflowPending)
+	if c.Decoding() {
+		d.checkDirty(c)
+	}
+	var queue []winStore
+	overflowed := d.overflowed()
+	if !c.Decoding() {
+		queue = d.queue()
+	}
+	winStores(c, &queue)
+	c.Bool(&overflowed)
 	c.U64(&d.endCheck)
 	c.Bool(&d.checking)
 	winStores(c, &d.windowStores)
+	if !slices.Equal(queue, d.queue()) || overflowed != d.overflowed() {
+		c.Corrupt("checking queue of %d stores (overflowed %t) is not the window's first %d of %d",
+			len(queue), overflowed, d.cfg.QueueSize, len(d.windowStores))
+	}
 	c.U64(&d.winInsts)
 	c.U64(&d.winLoads)
 	c.U64(&d.winSafeLoads)
@@ -180,9 +222,7 @@ func (d *DMDC) State(c *checkpoint.Codec, _ func(age uint64) *MemOp) {
 	c.U64(&d.loadsChecked)
 	c.U64(&d.checkingCycles)
 	c.U64(&d.totalCycles)
-	for i := range d.replays {
-		c.U64(&d.replays[i])
-	}
+	d.replays.State(c)
 	c.U64(&d.invActivations)
 	c.U64(&d.invalidations)
 	c.U64(&d.invPromotions)
@@ -191,6 +231,30 @@ func (d *DMDC) State(c *checkpoint.Codec, _ func(age uint64) *MemOp) {
 	summary(c, &d.windowSafeLoads)
 	c.U64(&d.windows)
 	c.U64(&d.singleStoreWindows)
+}
+
+// checkDirty fails decoding unless the dirty list names exactly the table
+// entries that are not clear, each once.
+func (d *DMDC) checkDirty(c *checkpoint.Codec) {
+	for i, idx := range d.dirty {
+		switch {
+		case idx >= uint32(len(d.table)):
+			c.Corrupt("dirty index %d outside table of %d", idx, len(d.table))
+		case d.table[idx] == tableEntry{}:
+			c.Corrupt("dirty index %d names a clear entry", idx)
+		case slices.Contains(d.dirty[:i], idx):
+			c.Corrupt("dirty index %d listed twice", idx)
+		}
+	}
+	n := 0
+	for _, en := range d.table {
+		if en != (tableEntry{}) {
+			n++
+		}
+	}
+	if n != len(d.dirty) {
+		c.Corrupt("%d dirty indices for %d entries that are not clear", len(d.dirty), n)
+	}
 }
 
 // WarmLoad absorbs a committed load during functional fast-forward: both
@@ -210,9 +274,7 @@ func (a *AgeTable) State(c *checkpoint.Codec, _ func(age uint64) *MemOp) {
 		c.U8(&a.table[i].bitmap)
 	}
 	c.U64(&a.searches)
-	for i := range a.replays {
-		c.U64(&a.replays[i])
-	}
+	a.replays.State(c)
 }
 
 // State visits the value-based policy: the optional SVW filter table,
@@ -227,7 +289,5 @@ func (v *ValueBased) State(c *checkpoint.Codec, _ func(age uint64) *MemOp) {
 	c.U64(&v.storeSeq)
 	c.U64(&v.reexecutions)
 	c.U64(&v.svwFiltered)
-	for i := range v.replays {
-		c.U64(&v.replays[i])
-	}
+	v.replays.State(c)
 }

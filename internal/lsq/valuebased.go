@@ -34,7 +34,7 @@ type ValueBasedConfig struct {
 
 // Validate reports the first problem, or nil.
 func (c ValueBasedConfig) Validate() error {
-	if c.SVW && (c.SVWSize < 2 || c.SVWSize&(c.SVWSize-1) != 0) {
+	if c.SVW && !pow2(c.SVWSize, 2) {
 		return fmt.Errorf("SVW size %d must be a power of two ≥ 2", c.SVWSize)
 	}
 	if c.LoadCap < 1 {
@@ -53,8 +53,7 @@ type ValueBased struct {
 	cfg  ValueBasedConfig
 	em   *energy.Model
 	svw  []uint64 // last committed store sequence per hash bucket
-	mask uint32
-	bits uint
+	hash h0
 
 	// Committed-store tracking for the oracle comparison: recent stores
 	// that resolved "late" are the only possible violation sources.
@@ -63,7 +62,7 @@ type ValueBased struct {
 
 	reexecutions uint64
 	svwFiltered  uint64
-	replays      [NumCauses]uint64
+	replays      Replays
 }
 
 // NewValueBased builds the policy. An invalid configuration yields a
@@ -75,10 +74,7 @@ func NewValueBased(cfg ValueBasedConfig, em *energy.Model) (*ValueBased, error) 
 	v := &ValueBased{cfg: cfg, em: em}
 	if cfg.SVW {
 		v.svw = make([]uint64, cfg.SVWSize)
-		v.mask = uint32(cfg.SVWSize - 1)
-		for s := cfg.SVWSize; s > 1; s >>= 1 {
-			v.bits++
-		}
+		v.hash = newH0(cfg.SVWSize)
 	}
 	return v, nil
 }
@@ -93,16 +89,6 @@ func (v *ValueBased) Name() string {
 
 // LoadCapacity returns the in-flight load bound.
 func (v *ValueBased) LoadCapacity() int { return v.cfg.LoadCap }
-
-func (v *ValueBased) hash(addr uint64) uint32 {
-	x := addr >> QuadWordShift
-	var h uint64
-	for x != 0 {
-		h ^= x
-		x >>= v.bits
-	}
-	return uint32(h) & v.mask
-}
 
 // LoadDispatch is a no-op (no LQ exists).
 func (v *ValueBased) LoadDispatch(*MemOp) {}
@@ -121,7 +107,7 @@ func (v *ValueBased) StoreResolve(*MemOp) *Replay { return nil }
 func (v *ValueBased) StoreCommit(op *MemOp) {
 	v.storeSeq++
 	if v.cfg.SVW {
-		v.svw[v.hash(op.Addr)] = v.storeSeq
+		v.svw[v.hash.index(op.Addr)] = v.storeSeq
 		v.em.Add(energy.CompCheckTable, energy.RAMAccess(v.cfg.SVWSize, 16))
 	}
 	// Track recent stores for the oracle comparison (bounded).
@@ -138,7 +124,7 @@ func (v *ValueBased) StoreCommit(op *MemOp) {
 func (v *ValueBased) LoadCommit(op *MemOp) *Replay {
 	if v.cfg.SVW {
 		v.em.Add(energy.CompCheckTable, energy.RAMAccess(v.cfg.SVWSize, 16))
-		if v.svw[v.hash(op.Addr)] <= op.EndAge {
+		if v.svw[v.hash.index(op.Addr)] <= op.EndAge {
 			// No store to this bucket committed since the load issued.
 			v.svwFiltered++
 			return nil
@@ -181,12 +167,5 @@ func (v *ValueBased) Tick() {}
 func (v *ValueBased) Report(s *stats.Set) {
 	s.Add("reexecutions", float64(v.reexecutions))
 	s.Add("svw_filtered", float64(v.svwFiltered))
-	var total uint64
-	for cause := Cause(0); cause < Cause(NumCauses); cause++ {
-		if v.replays[cause] > 0 {
-			s.Add("replay_"+cause.String(), float64(v.replays[cause]))
-		}
-		total += v.replays[cause]
-	}
-	s.Add("replays_total", float64(total))
+	v.replays.Report(s, "replay_", "replays_total")
 }

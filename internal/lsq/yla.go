@@ -24,7 +24,7 @@ const (
 // interleaved at the given shift. It panics on invalid n — register counts
 // are static experiment parameters.
 func NewYLAFile(n int, shift uint) *YLAFile {
-	if n < 1 || n&(n-1) != 0 {
+	if !pow2(n, 1) {
 		panic("lsq: YLA register count must be a power of two ≥ 1")
 	}
 	return &YLAFile{regs: make([]uint64, n), shift: shift, mask: uint64(n - 1)}
@@ -63,12 +63,5 @@ func (y *YLAFile) Clamp(age uint64) {
 		if v > age {
 			y.regs[i] = age
 		}
-	}
-}
-
-// Reset clears all registers.
-func (y *YLAFile) Reset() {
-	for i := range y.regs {
-		y.regs[i] = 0
 	}
 }

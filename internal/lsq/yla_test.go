@@ -77,15 +77,6 @@ func TestYLAClamp(t *testing.T) {
 	}
 }
 
-func TestYLAReset(t *testing.T) {
-	y := NewYLAFile(2, QuadWordShift)
-	y.Update(0x0, 9)
-	y.Reset()
-	if y.Age(0x0) != 0 {
-		t.Error("reset did not clear registers")
-	}
-}
-
 func TestYLAInvalidSize(t *testing.T) {
 	for _, n := range []int{0, 3, -1, 12} {
 		func() {
