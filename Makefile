@@ -39,10 +39,11 @@
 #                    and the mid-pipeline white-box states, the sampled
 #                    error-bound report, the distributed sampled run with a
 #                    mid-run server kill, the 5M-instruction
-#                    sampled-vs-full speedup acceptance, and warm
-#                    fast-forward's block handoff between its two
-#                    goroutines ten times over at one and two Ps (with one
-#                    P the pipeline must still make progress)
+#                    sampled-vs-full speedup acceptance, and the two
+#                    two-goroutine handoffs — warm fast-forward's blocks
+#                    and a streamed run's record ring — ten times over at
+#                    one and two Ps (with one P the pipeline must still
+#                    make progress)
 #   make fuzz-short  90s split across the fuzz targets
 #   make bench-module  vet and test cmd/dmdcbench, a module of its own that
 #                    `go build ./...` and `go test ./...` never reach
@@ -96,14 +97,16 @@ soundness:
 	$(GO) test -run 'Soundness|Oracle|Watchdog|WrongPath|Fault|Invariant' ./internal/core/... ./internal/soundness/... ./internal/lsq/... ./internal/experiments/...
 
 # 90 seconds of fuzzing split across the targets (seed corpora always run
-# as part of tier-1; this explores beyond them).
+# as part of tier-1; this explores beyond them). FuzzCheckpointRoundTrip's
+# inputs are ~345 KB checkpoints, which the fuzzer would spend its whole
+# budget minimizing, so that target does not minimize.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzPolicySoundness -fuzztime 20s ./internal/lsq/
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpecParse -fuzztime 10s ./internal/soundness/
 	$(GO) test -run '^$$' -fuzz FuzzTraceEventExport -fuzztime 10s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/jobstore/
 	$(GO) test -run '^$$' -fuzz FuzzWakeupInvariants -fuzztime 5s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzCheckpointRoundTrip -fuzztime 15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointRoundTrip -fuzztime 15s -fuzzminimizetime 0 ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 5s ./internal/resultcache/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime 5s ./internal/resultcache/
 	$(GO) test -run '^$$' -fuzz FuzzTraceReader -fuzztime 5s ./internal/tracefile/
@@ -130,16 +133,18 @@ fleet-check:
 # restore equivalence over the full golden matrix and the mid-pipeline
 # white-box states, the pinned sampled-vs-full error-bound report, and the
 # distributed sampled run with a mid-run server kill — all under -race.
-# Then warm fast-forward's pins and panic contract and the sampled
-# determinism check, ten times each at one and two Ps under -race, so the
-# race detector sees the block handoff between fast-forward's two
-# goroutines and a single P proves the pipeline still makes progress.
-# Last, the 5M-instruction speedup acceptance without the race detector's
-# timing skew.
+# Then warm fast-forward's pins and panic contract, the streamed
+# committed path's equivalence, settle and lifecycle tests (TestStream*),
+# and the sampled determinism check, ten times each at one and two Ps
+# under -race, so the race detector sees the block handoff between
+# fast-forward's two goroutines and the record ring between a streamed
+# run's producer and its pipeline, and a single P proves the pipeline
+# still makes progress. Last, the 5M-instruction speedup acceptance
+# without the race detector's timing skew.
 sample-check:
 	$(GO) test -race -count 1 -run 'TestCheckpoint|TestFastForward|TestSampled|TestDistributedSampled' \
 		. ./internal/checkpoint/ ./internal/core/ ./internal/experiments/ ./internal/dserve/
-	$(GO) test -race -count 10 -cpu 1,2 -run 'TestFastForward|TestSampledDeterminism' ./internal/core/ ./internal/experiments/
+	$(GO) test -race -count 10 -cpu 1,2 -run 'TestFastForward|TestStream|TestSampledDeterminism' ./internal/core/ ./internal/experiments/
 	DMDC_SAMPLE_SPEEDUP=1 $(GO) test -count 1 -run 'TestSampledSpeedup' -v ./internal/experiments/
 
 # Whole-module coverage with a per-package summary; the total line is the

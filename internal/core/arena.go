@@ -22,14 +22,16 @@ const wheelSlotCap = 8
 // An Arena owns every per-run table a Sim builds. The hot backing arrays
 // are the ROB struct-of-arrays halves, the MemOp arena, the event wheel,
 // and the scheduler and fetch queues; the state tables are the cache
-// hierarchy, the branch predictor, the invalidation RNG and, for a Sim
-// built by New, the trace generator with its committed-path and
-// wrong-path RNGs. Passing one to New or NewWithWorkload via WithArena
-// lets consecutive runs reuse the storage: arrays are reset (zeroed or
-// emptied, capacities kept) and tables rebuilt in place through the Reset
-// paths their constructors use, never freed, so a warmed arena makes a
-// run allocation-free on all of them and bit-identical, checkpoint bytes
-// included, to one on fresh allocations.
+// hierarchy, the branch predictor, the invalidation RNG, for a Sim built
+// by New the trace generator with its committed-path and wrong-path RNGs,
+// and for a Sim that streams its committed path the producer's generator
+// and the ring of recorded blocks with their snapshots. Passing one to
+// New or NewWithWorkload via WithArena lets consecutive runs reuse the
+// storage: arrays are reset (zeroed or emptied, capacities kept) and
+// tables rebuilt in place through the Reset paths their constructors
+// use, never freed, so a warmed arena makes a run allocation-free on all
+// of them and bit-identical, checkpoint bytes included, to one on fresh
+// allocations.
 //
 // An Arena is exclusive to one live Sim at a time. Handing the same arena
 // to a second Sim while the first may still step corrupts both. Callers
@@ -59,12 +61,16 @@ type Arena struct {
 	squashScratch []isa.Inst
 
 	// State tables: ensure rebuilds mem, bp and invRng; New rebuilds gen,
-	// and tape when the Sim replays a trace.Tape (WithTape).
+	// and tape when the Sim replays a trace.Tape (WithTape); a Sim that
+	// streams its committed path resets stream, whose producer's
+	// generator and block snapshots follow the Sim's generator when the
+	// stream starts.
 	mem    cache.Hierarchy
 	bp     bpred.Predictor
 	invRng xrand.Rand
 	gen    trace.Generator
 	tape   trace.TapeReader
+	stream stream
 }
 
 // NewArena returns an empty arena; the first Sim built on it sizes the

@@ -237,8 +237,11 @@ func TestArenaReuseAcrossMachines(t *testing.T) {
 // pattern: a run on a poisoned arena reads garbage wherever it reads
 // storage ensure did not reset. It finds the slices by reflection, so a
 // slice added to Arena later is poisoned too. The tables (caches,
-// predictor, generator, RNGs) rebuild through their Reset paths, which
-// their own TestResetMatchesNew* tests pin.
+// predictor, RNGs) rebuild through their Reset paths, which their own
+// TestResetMatchesNew* tests pin. The generators' dynamic state — the
+// arena generator's, the stream producer's and every block snapshot's —
+// is poisoned too, and so are the blocks' records: the stream must
+// overwrite all of it before it reads any.
 func (a *Arena) poison(t *testing.T) {
 	t.Helper()
 	v := reflect.ValueOf(a).Elem()
@@ -246,6 +249,37 @@ func (a *Arena) poison(t *testing.T) {
 		if f := v.Field(i); f.Kind() == reflect.Slice {
 			poisonSlice(t, v.Type().Field(i).Name, f)
 		}
+	}
+	poisonGenerator(t, reflect.ValueOf(&a.gen).Elem())
+	poisonGenerator(t, reflect.ValueOf(&a.stream.src).Elem())
+	for i := range a.stream.ring {
+		b := reflect.ValueOf(&a.stream.ring[i]).Elem()
+		poisonSlice(t, "stream block records", b.FieldByName("recs"))
+		poisonGenerator(t, b.FieldByName("start"))
+	}
+}
+
+// poisonGenerator poisons the dynamic state of g, a trace.Generator: its
+// register and store rings, its RNG, its stream pointers and its branch
+// sites' counters. The static CFG is shared with every generator of the
+// profile, so it is left alone.
+func poisonGenerator(t *testing.T, g reflect.Value) {
+	t.Helper()
+	for _, name := range []string{"destRing", "aluRing", "loadRing", "fpRing", "storeRing"} {
+		poisonValue(g.FieldByName(name))
+	}
+	poisonSlice(t, "seqPtrs", g.FieldByName("seqPtrs"))
+	poisonSlice(t, "counters", g.FieldByName("counters"))
+	if rng := g.FieldByName("rng"); !rng.IsNil() {
+		poisonValue(rng.Elem())
+	}
+}
+
+// poisonValue overwrites every byte of the addressable value v with 0x01.
+func poisonValue(v reflect.Value) {
+	b := unsafe.Slice((*byte)(unsafe.Pointer(v.UnsafeAddr())), v.Type().Size())
+	for i := range b {
+		b[i] = 0x01
 	}
 }
 
@@ -298,20 +332,23 @@ func plainData(t reflect.Type) bool {
 // gives: ensure hands out exactly what a fresh arena holds. Each cell
 // saves a checkpoint after a warm fast-forward, before any detailed
 // cycle — it encodes every ROB slot and wakeup link as ensure left them —
-// then restores it on another poisoned arena, runs in detail, and saves
-// again. The machines' ROBs grow and shrink along the sequence.
+// then restores it on another poisoned arena and runs in detail twice,
+// the second run replaying the records the first left buffered, and
+// saves again part way through a streamed block. The machines' ROBs grow
+// and shrink along the sequence, and so do the profiles' CFGs.
 func TestArenaPoisonedReuse(t *testing.T) {
-	const ff, n = 20_000, 6_000
+	const ff, n = 20_000, 3_000
 	cells := []arenaCell{
 		{config.Config3(), "swim", "dmdc", 0},
 		{config.Config2(), "gcc", "dmdc", 0},
 		{config.IQPressure(), "mcf", "dmdc-local", 0},
 		{config.Config1(), "perlbmk", "valuebased", 5},
 		{config.Config2(), "gzip", "yla", 0},
+		{config.Config2(), "gzip", "dmdc", 0},
 	}
 	type outcome struct {
-		pass, end []byte // checkpoints after the fast-forward and the run
-		res       string
+		pass, end  []byte // checkpoints after the fast-forward and the runs
+		res, again string // the first run's Result and the resumed run's
 	}
 	run := func(c arenaCell, pass, detail *Arena) outcome {
 		t.Helper()
@@ -336,7 +373,15 @@ func TestArenaPoisonedReuse(t *testing.T) {
 		if err := r.RestoreCheckpoint(o.pass); err != nil {
 			t.Fatal(err)
 		}
-		o.res, o.end = runAndSave(t, r, n)
+		res, err := r.RunContext(context.Background(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.res = fingerprint(t, res)
+		if !r.midBlock() {
+			t.Fatalf("%s: the first run ended on a block boundary; pick another length", c)
+		}
+		o.again, o.end = runAndSave(t, r, n)
 		return o
 	}
 	pass, detail := NewArena(), NewArena()
@@ -350,8 +395,10 @@ func TestArenaPoisonedReuse(t *testing.T) {
 			t.Fatalf("%s: checkpoint before any detailed cycle differs on a poisoned arena", c)
 		case got.res != want.res:
 			t.Fatalf("%s: result differs on a poisoned arena:\ngot  %s\nwant %s", c, got.res, want.res)
+		case got.again != want.again:
+			t.Fatalf("%s: resumed run's result differs on a poisoned arena:\ngot  %s\nwant %s", c, got.again, want.again)
 		case !bytes.Equal(got.end, want.end):
-			t.Fatalf("%s: checkpoint after the detailed run differs on a poisoned arena", c)
+			t.Fatalf("%s: checkpoint after the streamed runs differs on a poisoned arena", c)
 		}
 	}
 }

@@ -77,12 +77,15 @@ func (s *Sim) checkpointable() error {
 // predictor, caches, energy accumulators, workload generator, and policy —
 // into a self-validating checkpoint record. The simulated state is not
 // modified; a run continued after a save is byte-identical to one never
-// saved. The Sim only remembers the record's length, so a repeat save
-// encodes into one buffer of that size instead of growing one.
+// saved. A Sim that streams its committed path settles the stream first,
+// so the record holds the live generator (see stream.go). The Sim only
+// remembers the record's length, so a repeat save encodes into one buffer
+// of that size instead of growing one.
 func (s *Sim) SaveCheckpoint() ([]byte, error) {
 	if err := s.checkpointable(); err != nil {
 		return nil, err
 	}
+	s.stream.settle()
 	e := checkpoint.NewEncoderSize(s.lastSave)
 	s.state(&e.Codec)
 	blob := e.Finish()
@@ -105,6 +108,7 @@ func (s *Sim) RestoreCheckpoint(data []byte) error {
 	if err != nil {
 		return err
 	}
+	s.stream.settle()
 	s.state(&d.Codec)
 	return d.Finish()
 }

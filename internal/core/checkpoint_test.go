@@ -42,7 +42,17 @@ func newPolicySim(cfg config.Machine, bench, polKind string, opts ...Option) (*S
 		return nil, err
 	}
 	em := energy.NewModel(cfg.CoreSize())
+	pol, err := newPolicy(cfg, polKind, em)
+	if err != nil {
+		return nil, err
+	}
+	return New(cfg, prof, pol, em, opts...)
+}
+
+// newPolicy builds one of ckptSim's policy kinds for machine cfg.
+func newPolicy(cfg config.Machine, polKind string, em *energy.Model) (lsq.Policy, error) {
 	var pol lsq.Policy
+	var err error
 	switch polKind {
 	case "cam":
 		pol, err = lsq.NewCAM(lsq.CAMConfig{LQSize: cfg.LQSize}, em)
@@ -71,7 +81,7 @@ func newPolicySim(cfg config.Machine, bench, polKind string, opts ...Option) (*S
 	if err != nil {
 		return nil, fmt.Errorf("policy %q: %w", polKind, err)
 	}
-	return New(cfg, prof, pol, em, opts...)
+	return pol, nil
 }
 
 func fingerprint(t testing.TB, r *Result) string {

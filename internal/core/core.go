@@ -133,7 +133,10 @@ func WithSQFilter() Option {
 // is byte-identical to one without the tape. Many Sims, on any goroutines,
 // may replay one tape. A Sim that replays a tape cannot be checkpointed
 // or fast-forwarded, and New fails if t was recorded from another profile
-// or the Sim is built by NewWithWorkload.
+// or the Sim is built by NewWithWorkload. Without a tape, a Sim over its
+// own generator records its path on a helper goroutine while it runs and
+// replays that (stream.go); a tape, recorded once for many Sims, spares
+// the recording too.
 func WithTape(t *trace.Tape) Option {
 	return func(s *Sim) { s.tape = t }
 }
@@ -142,7 +145,8 @@ func WithTape(t *trace.Tape) Option {
 // from its workload beyond its instruction budget: a run may overshoot
 // the budget by less than a commit group, and then holds at most a full
 // ROB and fetch queue of younger instructions. A tape this much longer
-// than the budget lets a cell replay to its end.
+// than the budget lets a cell replay to its end, and a streamed Sim's
+// producer records no further than this past the run's budget.
 func FetchAhead(m config.Machine) int {
 	return m.CommitWidth + m.ROBSize + 3*m.FetchWidth
 }
@@ -242,7 +246,8 @@ type Sim struct {
 	// In-flight load count (policy capacity gate).
 	inflightLoads int
 	loadCap       int     // policy LoadCapacity, resolved once at construction
-	wlBatch       Batcher // wl's batch refinement, nil if unsupported
+	wlBatch       Batcher // wl's batch refinement or stream, nil if neither
+	stream        *stream // the streamed committed path, nil if wl is not core's generator
 	faultsActive  bool    // !faults.Zero(), cached off the dispatch path
 
 	// Concrete fast paths for the two hot policy implementations. Resolved
@@ -413,9 +418,15 @@ func build(cfg config.Machine, wl Workload, prof *trace.Profile, pol lsq.Policy,
 	s.loadCap = pol.LoadCapacity()
 	// Assert on s.wl, not the constructor argument: finishSoundness may have
 	// wrapped the workload (alias faults), and the wrapper must see every
-	// instruction the batch path produces.
-	if b, ok := s.wl.(Batcher); ok {
-		s.wlBatch = b
+	// instruction the batch path produces. A Sim over core's own generator
+	// streams its committed path (stream.go).
+	switch w := s.wl.(type) {
+	case generatorWorkload:
+		a.stream.reset(w.g)
+		s.stream = &a.stream
+		s.wlBatch = s.stream
+	case Batcher:
+		s.wlBatch = w
 	}
 	s.faultsActive = !s.faults.Zero()
 	switch p := pol.(type) {
@@ -624,6 +635,14 @@ func (s *Sim) RunContext(ctx context.Context, nInsts uint64) (*Result, error) {
 		// headers back so the arena's next run reuses them. Deferred so
 		// error paths reclaim too.
 		defer s.arena.reclaim(s)
+	}
+	if s.stream != nil && nInsts > 0 {
+		// The run draws at most FetchAhead past its budget
+		// (TestFetchAheadBounds), so the producer records no further.
+		// It is stopped and joined on every exit, a panic included, so
+		// no goroutine outlives the call.
+		s.stream.start(nInsts + uint64(FetchAhead(s.cfg)))
+		defer s.stream.producer.join()
 	}
 	res, err := s.runLoop(ctx, nInsts)
 	if err != nil {

@@ -45,6 +45,8 @@ const (
 // FastForward requires an idle pipeline (it is meant for use between a
 // construction or restore and a detailed interval) and the same gating as
 // SaveCheckpoint, so a fast-forwarded simulation is always checkpointable.
+// Like SaveCheckpoint it settles a streamed committed path first, and it
+// generates on the live generator.
 func (s *Sim) FastForward(n uint64, warm bool) error {
 	if err := s.checkpointable(); err != nil {
 		return err
@@ -56,6 +58,7 @@ func (s *Sim) FastForward(n uint64, warm bool) error {
 	if n == 0 {
 		return nil
 	}
+	s.stream.settle()
 	wl := s.wl.(CheckpointableWorkload)
 	var lastPC uint64
 	if warm {
@@ -89,14 +92,12 @@ func (s *Sim) warmForward(wl Batcher, n uint64) (lastPC uint64) {
 	// send on either blocks.
 	free := make(chan []isa.Inst, ffRing)
 	full := make(chan []isa.Inst, ffRing)
-	stop := make(chan struct{})
 	for i := 0; i < ffRing; i++ {
 		free <- s.ffRing[i*ffBlock : (i+1)*ffBlock : (i+1)*ffBlock]
 	}
-	var genPanic any // written before full closes, read after
-	go func() {
+	var gen helper
+	gen.start(func(stop <-chan struct{}) {
 		defer close(full)
-		defer func() { genPanic = recover() }()
 		for left := n; left > 0; {
 			var blk []isa.Inst
 			select {
@@ -111,14 +112,11 @@ func (s *Sim) warmForward(wl Batcher, n uint64) (lastPC uint64) {
 			left -= uint64(len(blk))
 			full <- blk
 		}
-	}()
-	// On every exit, a warming panic included, release the generating
-	// stage and wait until it has closed full, its last act.
-	defer func() {
-		close(stop)
-		for range full {
-		}
-	}()
+	})
+	// On every exit, a warming panic included, stop the generating stage
+	// and wait for it; a generating panic, which closes full early, is
+	// re-raised here.
+	defer gen.join()
 
 	warmer, _ := s.pol.(lsq.Warmer)
 	age := s.nextAge
@@ -127,9 +125,6 @@ func (s *Sim) warmForward(wl Batcher, n uint64) (lastPC uint64) {
 		age += uint64(len(blk))
 		lastPC = blk[len(blk)-1].PC
 		free <- blk[:ffBlock]
-	}
-	if genPanic != nil {
-		panic(genPanic)
 	}
 	return lastPC
 }

@@ -43,7 +43,10 @@ type Workload interface {
 // after emitting a branch: wrong-path streams read the workload's
 // internal register/address state lazily, so generating past a branch
 // that may mispredict would let that state run ahead of the machine and
-// change the wrong-path instruction content.
+// change the wrong-path instruction content. The contract binds the
+// generator WrongPath reads, which for a streamed Sim (stream.go) is the
+// Sim's own, advanced only by replay; the producer's generator, which
+// serves no wrong path, runs past branches.
 type Batcher interface {
 	NextBatch(dst []isa.Inst) int
 }
@@ -98,7 +101,8 @@ func (w generatorWorkload) NextBatch(dst []isa.Inst) int { return w.g.NextBatch(
 // tapeWorkload reads the committed path from a trace.TapeReader and the
 // rest from the generator it replays through. It is not a
 // CheckpointableWorkload: a replaying generator's RNG is not where its
-// stream stands, so its state cannot be saved.
+// stream stands, and a shared tape keeps no snapshot to regenerate it
+// from, so its state cannot be saved (a streamed Sim's blocks keep one).
 type tapeWorkload struct {
 	generatorView
 	r *trace.TapeReader

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 
 	"dmdc/internal/xrand"
@@ -27,18 +28,19 @@ const (
 
 // branchSite is one static branch with its behavioral pattern machine.
 // Data-dependent sites are taken with the profile's Branch.RandBias, held
-// as a cut in drawCuts.
+// as a cut in drawCuts. A site is immutable; the machine's one piece of
+// state, the committed path's counter (a loop's iteration, a pattern's
+// position), is kept per generator (Generator.counters).
 type branchSite struct {
 	kind    branchKind
 	bias    bool   // direction for biased sites
 	loopLen int    // trip count for loop sites
 	pattern []bool // repeating sequence for pattern sites
-	// dynamic state (committed path only)
-	counter int
 }
 
-// direction advances the site's pattern machine and returns the outcome.
-func (s *branchSite) direction(rng *xrand.Rand, c *drawCuts) bool {
+// direction advances the site's pattern machine, whose counter is
+// *counter, and returns the outcome.
+func (s *branchSite) direction(rng *xrand.Rand, c *drawCuts, counter *int) bool {
 	switch s.kind {
 	case brBiased:
 		// Rare inversions keep the predictor's counters saturated but honest.
@@ -47,15 +49,15 @@ func (s *branchSite) direction(rng *xrand.Rand, c *drawCuts) bool {
 		}
 		return s.bias
 	case brLoop:
-		s.counter++
-		if s.counter >= s.loopLen {
-			s.counter = 0
+		*counter++
+		if *counter >= s.loopLen {
+			*counter = 0
 			return false // loop exit: fall through
 		}
 		return true // back edge taken
 	case brPattern:
-		out := s.pattern[s.counter]
-		s.counter = (s.counter + 1) % len(s.pattern)
+		out := s.pattern[*counter]
+		*counter = (*counter + 1) % len(s.pattern)
 		return out
 	default:
 		return rng.Less(c.randBias)
@@ -64,29 +66,30 @@ func (s *branchSite) direction(rng *xrand.Rand, c *drawCuts) bool {
 
 // replay advances the site's pattern machine past a recorded outcome,
 // exactly as direction did when it returned taken.
-func (s *branchSite) replay(taken bool) {
+func (s *branchSite) replay(taken bool, counter *int) {
 	switch s.kind {
 	case brLoop:
 		if taken {
-			s.counter++
+			*counter++
 		} else {
-			s.counter = 0
+			*counter = 0
 		}
 	case brPattern:
-		s.counter = (s.counter + 1) % len(s.pattern)
+		*counter = (*counter + 1) % len(s.pattern)
 	}
 }
 
-// guess returns a plausible direction without mutating state; used for
-// wrong-path streams so they cannot perturb the committed-path machines.
-func (s *branchSite) guess(rng *xrand.Rand, c *drawCuts) bool {
+// guess returns a plausible direction, given the site's committed-path
+// counter, without mutating state; used for wrong-path streams so they
+// cannot perturb the committed-path machines.
+func (s *branchSite) guess(rng *xrand.Rand, c *drawCuts, counter int) bool {
 	switch s.kind {
 	case brBiased:
 		return s.bias
 	case brLoop:
 		return true
 	case brPattern:
-		return s.pattern[s.counter]
+		return s.pattern[counter]
 	default:
 		return rng.Less(c.randBias)
 	}
@@ -159,8 +162,9 @@ func (b *block) branchPC() uint64 { return b.pc + uint64(len(b.ops))*4 }
 // identical streams. Not safe for concurrent use.
 type Generator struct {
 	prof      Profile
-	blocks    []block
+	blocks    []block // the profile's CFG, shared and immutable
 	pcToBlock map[uint64]int
+	counters  []int // each block's branch-site counter, on the committed path
 
 	rng  *xrand.Rand
 	cut  drawCuts
@@ -219,10 +223,10 @@ func NewGenerator(p Profile) *Generator {
 }
 
 // Reset makes g exactly the generator NewGenerator(p) would build, with
-// wrong-path reuse off. The block copy, the stream tables and both rand
-// states are reused whenever their capacity covers the new profile, so a
-// pooled generator is rebuilt without allocating. Like NewGenerator, it
-// panics on an invalid profile.
+// wrong-path reuse off. The site counters, the stream tables and both
+// rand states are reused whenever their capacity covers the new profile,
+// so a pooled generator is rebuilt without allocating. Like NewGenerator,
+// it panics on an invalid profile.
 func (g *Generator) Reset(p Profile) {
 	if err := p.Validate(); err != nil {
 		panic(err)
@@ -233,7 +237,7 @@ func (g *Generator) Reset(p Profile) {
 	}
 	*g = Generator{
 		prof:         p,
-		blocks:       g.blocks[:0],
+		counters:     g.counters[:0],
 		rng:          g.rng,
 		wpSpare:      spare,
 		cut:          newDrawCuts(p),
@@ -250,25 +254,21 @@ func (g *Generator) Reset(p Profile) {
 	g.rng.Seed(p.Seed)
 	// The static CFG is a pure function of the profile, built from its own
 	// RNG (seeded p.Seed^0x5eed_b10c, never touching g.rng), so it is
-	// cached per profile and shared. Each generator gets its own []block
-	// copy — branchSite.counter mutates per committed branch — while the
-	// per-block ops/sizes/pattern slices and the pcToBlock map are
-	// immutable after build and shared by every copy. The cache is
-	// unbounded but keyed by Profile values, a small fixed catalog in
-	// practice.
+	// cached per profile, and its blocks and pcToBlock map are shared by
+	// every generator of the profile: nothing in them changes after the
+	// build. What the committed path advances, the sites' counters, is
+	// each generator's own. The cache is unbounded but keyed by Profile
+	// values, a small fixed catalog in practice.
 	if tpl, ok := cfgCache.Load(p); ok {
 		t := tpl.(*cfgTemplate)
-		g.blocks = append(g.blocks, t.blocks...)
-		g.pcToBlock = t.pcToBlock
+		g.blocks, g.pcToBlock = t.blocks, t.pcToBlock
 	} else {
 		g.pcToBlock = make(map[uint64]int)
 		g.buildCFG()
-		// Counters are still zero here: generation has not started.
-		cfgCache.Store(p, &cfgTemplate{
-			blocks:    append([]block(nil), g.blocks...),
-			pcToBlock: g.pcToBlock,
-		})
+		cfgCache.Store(p, &cfgTemplate{blocks: g.blocks, pcToBlock: g.pcToBlock})
 	}
+	g.counters = slices.Grow(g.counters, len(g.blocks))[:len(g.blocks)]
+	clear(g.counters)
 	// Sequential streams: a handful of array walks at quad-word or
 	// cache-line stride, spread across the region.
 	nStreams := 6
@@ -285,8 +285,8 @@ func (g *Generator) Reset(p Profile) {
 	}
 }
 
-// cfgTemplate is the immutable product of buildCFG for one profile: block
-// copies with zeroed pattern counters plus the branch-PC lookup map.
+// cfgTemplate is the immutable product of buildCFG for one profile: the
+// blocks and the branch-PC lookup map.
 type cfgTemplate struct {
 	blocks    []block
 	pcToBlock map[uint64]int
@@ -437,7 +437,7 @@ func (g *Generator) next(in *isa.Inst) {
 	b := &g.blocks[g.cur]
 	if g.slot >= len(b.ops) {
 		// Branch slot.
-		taken := b.site.direction(g.rng, &g.cut)
+		taken := b.site.direction(g.rng, &g.cut, &g.counters[g.cur])
 		*in = isa.Inst{
 			Seq:    g.seq,
 			PC:     b.branchPC(),
@@ -852,7 +852,7 @@ func (g *Generator) attachWP() *xrand.Rand {
 func (w *WrongStream) Next() isa.Inst {
 	b := &w.g.blocks[w.cur]
 	if w.slot >= len(b.ops) {
-		taken := b.site.guess(w.rng, &w.g.cut)
+		taken := b.site.guess(w.rng, &w.g.cut, w.g.counters[w.cur])
 		in := isa.Inst{
 			PC:     b.branchPC(),
 			Op:     isa.OpBranch,

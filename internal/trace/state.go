@@ -33,8 +33,8 @@ func (g *Generator) State(c *checkpoint.Codec) {
 	}
 	for i := range g.blocks {
 		site := &g.blocks[i].site
-		c.Int(&site.counter)
-		switch n := site.counter; {
+		c.Int(&g.counters[i])
+		switch n := g.counters[i]; {
 		case site.kind == brLoop && (n < 0 || n >= site.loopLen):
 			c.Corrupt("loop counter %d outside trip count %d", n, site.loopLen)
 		case site.kind == brPattern && (n < 0 || n >= len(site.pattern)):

@@ -48,12 +48,17 @@ const (
 // p, reusing t's storage: a tape recorded again for a profile no larger
 // than before allocates nothing.
 func (t *Tape) Record(p Profile, n int) {
-	g := &t.end
-	g.Reset(p)
+	t.end.Reset(p)
 	t.prof = p
 	t.recs = slices.Grow(t.recs[:0], n)[:n]
+	t.end.record(t.recs)
+}
+
+// record generates the next len(recs) committed-path instructions and
+// writes each one's record into recs.
+func (g *Generator) record(recs []tapeRec) {
 	var in isa.Inst
-	for i := range t.recs {
+	for i := range recs {
 		// A sequential access moves the stream cursor to its stream and
 		// advances that stream's pointer, which never stays put.
 		stream, ptr := g.lastStream, g.seqPtrs[g.lastStream]
@@ -65,7 +70,7 @@ func (t *Tape) Record(p Profile, n int) {
 		if g.lastStream != stream || g.seqPtrs[stream] != ptr {
 			rec.flags |= uint8(g.lastStream+1) << recStreamShift
 		}
-		t.recs[i] = rec
+		recs[i] = rec
 	}
 }
 
@@ -103,8 +108,17 @@ func (r *TapeReader) NextBatch(dst []isa.Inst) int {
 		}
 		return r.g.NextBatch(dst)
 	}
-	g := r.g
-	recs := r.recs
+	n := r.g.replay(dst, r.recs)
+	r.recs = r.recs[n:]
+	return n
+}
+
+// replay writes into dst the instructions recs recorded, up to the first
+// branch or the end of dst or recs, and returns how many it wrote. It
+// walks g's CFG position and advances exactly the committed-path state
+// wrong-path streams read — the site pattern machines and the stream
+// pointers — as generating them would have.
+func (g *Generator) replay(dst []isa.Inst, recs []tapeRec) int {
 	if len(recs) > len(dst) {
 		recs = recs[:len(dst)]
 	}
@@ -113,7 +127,7 @@ func (r *TapeReader) NextBatch(dst []isa.Inst) int {
 		rec, in := &recs[i], &dst[i]
 		if g.slot >= len(b.ops) {
 			taken := rec.flags&recTaken != 0
-			b.site.replay(taken)
+			b.site.replay(taken, &g.counters[g.cur])
 			*in = isa.Inst{
 				Seq:    g.seq,
 				PC:     b.branchPC(),
@@ -131,7 +145,6 @@ func (r *TapeReader) NextBatch(dst []isa.Inst) int {
 				g.cur = b.fallthru
 			}
 			g.slot = 0
-			r.recs = r.recs[i+1:]
 			return i + 1
 		}
 		*in = isa.Inst{
@@ -150,7 +163,6 @@ func (r *TapeReader) NextBatch(dst []isa.Inst) int {
 		g.seq++
 		g.slot++
 	}
-	r.recs = r.recs[len(recs):]
 	return len(recs)
 }
 
@@ -169,9 +181,7 @@ func (r *TapeReader) Next() isa.Inst {
 func (g *Generator) continueFrom(src *Generator) {
 	*g.rng = *src.rng
 	g.seq, g.cur, g.slot = src.seq, src.cur, src.slot
-	for i := range g.blocks {
-		g.blocks[i].site.counter = src.blocks[i].site.counter
-	}
+	copy(g.counters, src.counters)
 	g.destRing, g.destRingLen = src.destRing, src.destRingLen
 	g.aluRing, g.aluRingLen = src.aluRing, src.aluRingLen
 	g.loadRing, g.loadRingLen = src.loadRing, src.loadRingLen
@@ -182,4 +192,59 @@ func (g *Generator) continueFrom(src *Generator) {
 	g.lastStream = src.lastStream
 	g.storeRing, g.storeHead = src.storeRing, src.storeHead
 	g.lastLoadAddr = src.lastLoadAddr
+}
+
+// A Block is a stretch of a generator's committed path recorded on one
+// goroutine for a generator on another to replay: tape records, as a Tape
+// keeps them, and the recording generator's committed-path state at the
+// first of them. A replaying generator that must stop part way through a
+// block regenerates its own state from that snapshot (Settle).
+type Block struct {
+	start Generator
+	recs  []tapeRec
+}
+
+// Record makes b the next n committed-path instructions of src and
+// advances src past them. b's storage is reused: recording into a block
+// that held as many records of the same profile allocates nothing.
+func (b *Block) Record(src *Generator, n int) {
+	b.start.Follow(src)
+	b.recs = slices.Grow(b.recs[:0], n)[:n]
+	src.record(b.recs)
+}
+
+// Len returns the number of instructions b holds.
+func (b *Block) Len() int { return len(b.recs) }
+
+// Replay writes into dst b's instructions from the i-th on, through g, up
+// to the first branch or the end of dst or b, and returns how many it
+// wrote. g must stand where the instructions before the i-th left the
+// recording generator; like a TapeReader, it advances only its CFG
+// position, pattern machines and stream pointers, so wrong paths drawn
+// from it are the live ones, but its other committed-path state goes
+// stale until Settle.
+func (b *Block) Replay(g *Generator, dst []isa.Inst, i int) int {
+	return g.replay(dst, b.recs[i:])
+}
+
+// Settle makes g the live generator that has generated b's first k
+// instructions: it copies b's snapshot into g's committed-path state, as
+// a TapeReader does at a tape's end, and generates the k instructions
+// again. g's wrong-path state is left as it was.
+func (b *Block) Settle(g *Generator, k int) {
+	g.continueFrom(&b.start)
+	var in isa.Inst
+	for range k {
+		g.next(&in)
+	}
+}
+
+// Follow makes g continue src's committed path: it resets g for src's
+// profile unless g was built for it, then copies src's committed-path
+// state (see continueFrom).
+func (g *Generator) Follow(src *Generator) {
+	if g.prof != src.prof {
+		g.Reset(src.prof)
+	}
+	g.continueFrom(src)
 }
