@@ -44,7 +44,7 @@
 #                    and a streamed run's record ring — ten times over at
 #                    one and two Ps (with one P the pipeline must still
 #                    make progress)
-#   make fuzz-short  90s split across the fuzz targets
+#   make fuzz-short  100s split across the fuzz targets
 #   make bench-module  vet and test cmd/dmdcbench, a module of its own that
 #                    `go build ./...` and `go test ./...` never reach
 #   make unlinked    build every cmd/* and examples/* program and the
@@ -96,10 +96,11 @@ race:
 soundness:
 	$(GO) test -run 'Soundness|Oracle|Watchdog|WrongPath|Fault|Invariant' ./internal/core/... ./internal/soundness/... ./internal/lsq/... ./internal/experiments/...
 
-# 90 seconds of fuzzing split across the targets (seed corpora always run
+# 100 seconds of fuzzing split across the targets (seed corpora always run
 # as part of tier-1; this explores beyond them). FuzzCheckpointRoundTrip's
 # inputs are ~345 KB checkpoints, which the fuzzer would spend its whole
-# budget minimizing, so that target does not minimize.
+# budget minimizing, so that target does not minimize; nor does
+# FuzzSQSearch, whose minimizing stalled exploration from the third second.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzPolicySoundness -fuzztime 20s ./internal/lsq/
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpecParse -fuzztime 10s ./internal/soundness/
@@ -107,6 +108,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/jobstore/
 	$(GO) test -run '^$$' -fuzz FuzzWakeupInvariants -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointRoundTrip -fuzztime 15s -fuzzminimizetime 0 ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzSQSearch -fuzztime 10s -fuzzminimizetime 0 ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 5s ./internal/resultcache/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime 5s ./internal/resultcache/
 	$(GO) test -run '^$$' -fuzz FuzzTraceReader -fuzztime 5s ./internal/tracefile/

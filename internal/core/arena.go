@@ -21,17 +21,18 @@ const wheelSlotCap = 8
 
 // An Arena owns every per-run table a Sim builds. The hot backing arrays
 // are the ROB struct-of-arrays halves, the MemOp arena, the event wheel,
-// and the scheduler and fetch queues; the state tables are the cache
-// hierarchy, the branch predictor, the invalidation RNG, for a Sim built
-// by New the trace generator with its committed-path and wrong-path RNGs,
-// and for a Sim that streams its committed path the producer's generator
-// and the ring of recorded blocks with their snapshots. Passing one to
-// New or NewWithWorkload via WithArena lets consecutive runs reuse the
-// storage: arrays are reset (zeroed or emptied, capacities kept) and
-// tables rebuilt in place through the Reset paths their constructors
-// use, never freed, so a warmed arena makes a run allocation-free on all
-// of them and bit-identical, checkpoint bytes included, to one on fresh
-// allocations.
+// the scheduler and fetch queues, and the store queue with its search
+// index and the data-wait list's producer marks; the state tables are
+// the cache hierarchy, the branch predictor, the invalidation RNG, for a
+// Sim built by New the trace generator with its committed-path and
+// wrong-path RNGs, and for a Sim that streams its committed path the
+// producer's generator and the ring of recorded blocks with their
+// snapshots. Passing one to New or NewWithWorkload via WithArena lets
+// consecutive runs reuse the storage: arrays are reset (zeroed or
+// emptied, capacities kept) and tables rebuilt in place through the
+// Reset paths their constructors use, never freed, so a warmed arena
+// makes a run allocation-free on all of them and bit-identical,
+// checkpoint bytes included, to one on fresh allocations.
 //
 // An Arena is exclusive to one live Sim at a time. Handing the same arena
 // to a second Sim while the first may still step corrupts both. Callers
@@ -52,6 +53,11 @@ type Arena struct {
 	consNext []int32
 	consPrev []int32
 	consOn   []int32
+
+	// Store-side state (see exec.go): the slot-indexed producer marks of
+	// the data-wait list and the store queue's search index.
+	dwMark []bool
+	sqIdx  sqIndex
 
 	dataWait      []wheelEv
 	sq            []sqEntry
@@ -107,10 +113,12 @@ func WithArena(a *Arena) Option {
 // ensure sizes the fixed arrays for cfg's ROB, resets every queue to
 // empty, and rebuilds the cache hierarchy and predictor for cfg and the
 // invalidation RNG from invSeed. A reused arena hands out exactly what a
-// fresh one holds: the ROB halves, the ready bitmap and the wakeup links
-// zeroed, every consumer list empty. The pipeline never reads a dead slot,
-// but a checkpoint encodes all of them, so a stale one would leak into
-// its bytes; TestArenaPoisonedReuse pins the rule.
+// fresh one holds: the ROB halves, the ready bitmap, the wakeup links and
+// the producer marks zeroed, every consumer list empty, the SQ index
+// empty. The pipeline never reads a dead slot, but a checkpoint encodes
+// all of them, so a stale one would leak into its bytes; a stale mark or
+// count would change when the pipeline walks, and a stale position what
+// a load finds. TestArenaPoisonedReuse pins the rule.
 func (a *Arena) ensure(cfg config.Machine, invSeed int64) error {
 	if err := a.mem.Reset(cfg.Memory); err != nil {
 		return err
@@ -130,6 +138,7 @@ func (a *Arena) ensure(cfg config.Machine, invSeed int64) error {
 		a.consNext = make([]int32, robSize)
 		a.consPrev = make([]int32, robSize)
 		a.consOn = make([]int32, robSize)
+		a.dwMark = make([]bool, robSize)
 	}
 	a.robHot = zeroed(a.robHot, robSize)
 	a.robData = zeroed(a.robData, robSize)
@@ -137,6 +146,8 @@ func (a *Arena) ensure(cfg config.Machine, invSeed int64) error {
 	a.readyBM = zeroed(a.readyBM, words)
 	a.consNext = zeroed(a.consNext, robSize)
 	a.consPrev = zeroed(a.consPrev, robSize)
+	a.dwMark = zeroed(a.dwMark, robSize)
+	a.sqIdx = sqIndex{}
 	a.consHead = a.consHead[:robSize]
 	a.consOn = a.consOn[:robSize]
 	for i := range a.consHead {
@@ -185,6 +196,8 @@ func (a *Arena) attach(s *Sim) {
 	s.consPrev = a.consPrev
 	s.consOn = a.consOn
 	s.readyCnt = 0
+	s.dwMark = a.dwMark
+	s.sqIdx = &a.sqIdx
 	s.dataWait = a.dataWait
 	s.sq = a.sq
 	s.fetchQ = a.fetchQ

@@ -233,11 +233,12 @@ func TestArenaReuseAcrossMachines(t *testing.T) {
 	check("restored "+last.String(), restored(nil), restored(a))
 }
 
-// poison fills every slice a owns, to capacity, with a non-zero byte
-// pattern: a run on a poisoned arena reads garbage wherever it reads
-// storage ensure did not reset. It finds the slices by reflection, so a
-// slice added to Arena later is poisoned too. The tables (caches,
-// predictor, RNGs) rebuild through their Reset paths, which their own
+// poison fills every slice a owns, to capacity, and every field of plain
+// data (the SQ index, the invalidation RNG) with a non-zero byte pattern:
+// a run on a poisoned arena reads garbage wherever it reads storage ensure
+// did not reset. It finds them by reflection, so a slice or plain field
+// added to Arena later is poisoned too. The other tables (caches,
+// predictor) rebuild through their Reset paths, which their own
 // TestResetMatchesNew* tests pin. The generators' dynamic state — the
 // arena generator's, the stream producer's and every block snapshot's —
 // is poisoned too, and so are the blocks' records: the stream must
@@ -246,8 +247,11 @@ func (a *Arena) poison(t *testing.T) {
 	t.Helper()
 	v := reflect.ValueOf(a).Elem()
 	for i := 0; i < v.NumField(); i++ {
-		if f := v.Field(i); f.Kind() == reflect.Slice {
+		switch f := v.Field(i); {
+		case f.Kind() == reflect.Slice:
 			poisonSlice(t, v.Type().Field(i).Name, f)
+		case plainData(f.Type()):
+			poisonValue(f)
 		}
 	}
 	poisonGenerator(t, reflect.ValueOf(&a.gen).Elem())
@@ -329,13 +333,14 @@ func plainData(t reflect.Type) bool {
 }
 
 // A poisoned arena must give every Result and checkpoint byte a fresh one
-// gives: ensure hands out exactly what a fresh arena holds. Each cell
-// saves a checkpoint after a warm fast-forward, before any detailed
-// cycle — it encodes every ROB slot and wakeup link as ensure left them —
-// then restores it on another poisoned arena and runs in detail twice,
-// the second run replaying the records the first left buffered, and
-// saves again part way through a streamed block. The machines' ROBs grow
-// and shrink along the sequence, and so do the profiles' CFGs.
+// gives: ensure hands out exactly what a fresh arena holds, the SQ index
+// and the data-wait marks included. Each cell saves a checkpoint after a
+// warm fast-forward, before any detailed cycle — it encodes every ROB
+// slot and wakeup link as ensure left them — then restores it on another
+// poisoned arena and runs in detail twice, the second run replaying the
+// records the first left buffered, and saves again part way through a
+// streamed block. The machines' ROBs grow and shrink along the sequence,
+// and so do the profiles' CFGs.
 func TestArenaPoisonedReuse(t *testing.T) {
 	const ff, n = 20_000, 3_000
 	cells := []arenaCell{
@@ -350,12 +355,22 @@ func TestArenaPoisonedReuse(t *testing.T) {
 		pass, end  []byte // checkpoints after the fast-forward and the runs
 		res, again string // the first run's Result and the resumed run's
 	}
+	// The sweep recounts the SQ index and the data-wait marks, which no
+	// Result or checkpoint shows until they go stale in a way that moves a
+	// cycle: it catches a reset ensure missed on the spot.
+	sweep := func(c arenaCell, s *Sim, when string) {
+		t.Helper()
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %s: %v", c, when, err)
+		}
+	}
 	run := func(c arenaCell, pass, detail *Arena) outcome {
 		t.Helper()
 		s, err := c.sim(pass)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sweep(c, s, "built")
 		if err := s.FastForward(ff, true); err != nil {
 			t.Fatal(err)
 		}
@@ -370,6 +385,7 @@ func TestArenaPoisonedReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sweep(c, r, "built for the restore")
 		if err := r.RestoreCheckpoint(o.pass); err != nil {
 			t.Fatal(err)
 		}
@@ -377,6 +393,7 @@ func TestArenaPoisonedReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sweep(c, r, "after the first run")
 		o.res = fingerprint(t, res)
 		if !r.midBlock() {
 			t.Fatalf("%s: the first run ended on a block boundary; pick another length", c)

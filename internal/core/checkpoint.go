@@ -116,7 +116,8 @@ func (s *Sim) RestoreCheckpoint(data []byte) error {
 // state visits the simulation's complete state in checkpoint format order.
 // Encoding only reads the Sim. Decoding overwrites it, checks every value
 // a later access could trip on, and rebuilds what the format leaves
-// implicit: queue heads at zero, the ready count, the wrong-path stream.
+// implicit: queue heads at zero, the ready count, the SQ index, the
+// data-wait marks, the wrong-path stream.
 func (s *Sim) state(c *checkpoint.Codec) {
 	robSize := s.cfg.ROBSize
 
@@ -305,6 +306,12 @@ func (s *Sim) state(c *checkpoint.Codec) {
 		default:
 			c.Corrupt("entry %d size %d", i, q.size)
 		}
+	}
+	if c.Decoding() && c.Err() == nil {
+		// The SQ index and the data-wait marks are derived from what was
+		// just decoded; nothing encodes them.
+		*s.sqIdx = sqIndexOf(s.sq)
+		s.rebuildWaitMarks()
 	}
 
 	s.bp.State(c)

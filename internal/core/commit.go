@@ -115,14 +115,37 @@ func (s *Sim) commitStage() {
 	}
 }
 
-// removeSQ drops the store-queue entry with the given age.
+// removeSQ drops the store-queue entry with the given age and keeps the
+// SQ index current.
 func (s *Sim) removeSQ(age uint64) {
 	for i := range s.sq {
-		if s.sq[i].age == age {
+		if st := &s.sq[i]; st.age == age {
+			x := s.sqIdx
+			if st.addrResolved {
+				x.count(st.addr, st.size, -1)
+			}
 			s.sq = append(s.sq[:i], s.sq[i+1:]...)
+			if i < x.unresolved {
+				x.unresolved--
+			} else if i == x.unresolved {
+				s.sqAdvance()
+			}
 			return
 		}
 	}
+}
+
+// truncateSQ drops the stores of age from and younger (an age-ordered
+// suffix) and keeps the SQ index current.
+func (s *Sim) truncateSQ(from uint64) {
+	x := s.sqIdx
+	for len(s.sq) > 0 && s.sq[len(s.sq)-1].age >= from {
+		if st := &s.sq[len(s.sq)-1]; st.addrResolved {
+			x.count(st.addr, st.size, -1)
+		}
+		s.sq = s.sq[:len(s.sq)-1]
+	}
+	x.unresolved = min(x.unresolved, len(s.sq))
 }
 
 // replay performs a memory-order replay: all instructions from the replay
@@ -243,6 +266,7 @@ func (s *Sim) squashAfter(keepAge uint64, save bool) {
 		// and unlinks itself here.
 		s.clearReady(slot)
 		s.unpark(slot)
+		s.dwMark[slot] = false // its waiting stores are younger: squashed too
 		if save && !h.wrongPath() {
 			saved = append(saved, d.inst)
 		}
@@ -268,10 +292,7 @@ func (s *Sim) squashAfter(keepAge uint64, save bool) {
 	s.squashScratch = saved
 	s.count = int(from - s.headAge)
 	s.nextAge = from // recycle ages so ROB ages stay contiguous
-	// Store queue: drop squashed stores (age-ordered suffix).
-	for len(s.sq) > 0 && s.sq[len(s.sq)-1].age >= from {
-		s.sq = s.sq[:len(s.sq)-1]
-	}
+	s.truncateSQ(from)
 	// Speculative-history repair: rewind to the checkpoint of the oldest
 	// squashed correct-path branch (its prediction never happened now).
 	if save && sawBranch {

@@ -230,18 +230,24 @@ type Sim struct {
 	consPrev []int32
 	consOn   []int32
 	dataWait []wheelEv // stores whose data operand is pending (epoch-tagged)
-	wheel    [][]wheelEv
-	epoch    uint32
-	iqInt    int
-	iqFP     int
+	// dwMark[p] is set while a store in dataWait waits on the result of
+	// slot p; dwPending is set when a marked slot completes, so the next
+	// completeStage walks dataWait (exec.go).
+	dwMark    []bool
+	dwPending bool
+	wheel     [][]wheelEv
+	epoch     uint32
+	iqInt     int
+	iqFP      int
 
 	// Register state.
 	regProducer [isa.NumRegs]uint64
 	freeInt     int
 	freeFP      int
 
-	// Store queue.
-	sq []sqEntry
+	// Store queue, age-ordered, and its search index (arena-backed).
+	sq    []sqEntry
+	sqIdx *sqIndex
 
 	// In-flight load count (policy capacity gate).
 	inflightLoads int

@@ -72,19 +72,7 @@ func (s *Sim) issueLoad(idx int, h *hotEntry) bool {
 		// One associative SQ search per attempt (rejected retries pay again).
 		s.sqSearches++
 		s.em.Add(energy.CompSQ, s.costSQSearch)
-		for i := range s.sq {
-			st := &s.sq[i]
-			if st.age >= h.age {
-				break // SQ is age-ordered
-			}
-			if !st.addrResolved {
-				unresolved = true
-				continue
-			}
-			if isa.Overlap(mem.Addr, mem.Size, st.addr, st.size) {
-				match = st // keep youngest (list is ascending)
-			}
-		}
+		match, unresolved = s.sqSearch(h.age, mem.Addr, mem.Size)
 	}
 	if match != nil {
 		if !isa.Contains(match.addr, match.size, mem.Addr, mem.Size) {
@@ -139,9 +127,7 @@ func (s *Sim) issueStore(idx int, h *hotEntry) {
 	h.state = stIssued
 	s.leaveIQ(h.op)
 	h.flags |= fAddrResolved
-	if st := s.sqFind(h.age); st != nil {
-		st.addrResolved = true
-	}
+	s.sqResolve(h.age)
 	s.em.Add(energy.CompSQ, s.costSQWrite)
 	mem := &s.memOps[idx]
 	mem.ResolveCycle = s.cycle
@@ -158,6 +144,9 @@ func (s *Sim) issueStore(idx int, h *hotEntry) {
 		s.markStoreDataReady(h.age)
 		s.scheduleCompletion(h.age, 1)
 	} else {
+		// The producer is incomplete; its completion triggers the walk
+		// that finds this store ready (completeStage).
+		s.dwMark[h.src2Idx] = true
 		s.dataWait = append(s.dataWait, wheelEv{age: h.age, epoch: h.epoch})
 	}
 }
@@ -168,10 +157,18 @@ func (s *Sim) markStoreDataReady(age uint64) {
 	}
 }
 
-// sqFind returns the store-queue entry for age, or nil. The SQ is
-// age-ordered, so a binary search replaces the linear scans that the store
-// issue and data-ready paths otherwise pay per store.
+// sqFind returns the store-queue entry for age, or nil.
 func (s *Sim) sqFind(age uint64) *sqEntry {
+	if i := s.sqPos(age); i < len(s.sq) && s.sq[i].age == age {
+		return &s.sq[i]
+	}
+	return nil
+}
+
+// sqPos returns the number of SQ entries older than age, which is also
+// the position of age's own entry if it has one. The SQ is age-ordered,
+// so a binary search replaces a linear scan.
+func (s *Sim) sqPos(age uint64) int {
 	lo, hi := 0, len(s.sq)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -181,18 +178,119 @@ func (s *Sim) sqFind(age uint64) *sqEntry {
 			hi = mid
 		}
 	}
-	if lo < len(s.sq) && s.sq[lo].age == age {
-		return &s.sq[lo]
+	return lo
+}
+
+// sqBuckets is the number of counters in the SQ index's granule filter.
+const sqBuckets = 256
+
+// sqIndex answers a load's store-queue search without walking the queue
+// (DESIGN.md §13, "The store side"). counts[b] counts, over every
+// address-resolved store in the SQ, the 8-byte granules it touches that
+// hash to bucket b; an access of at most 8 bytes (isa.Inst.Validate)
+// touches one granule or two, and a load can overlap a store only if they
+// share one, so a load whose buckets all read zero overlaps no resolved
+// store. unresolved is the SQ position of the oldest store whose address
+// is unresolved, len(sq) when there is none. Both are derived from the
+// SQ: no checkpoint encodes them, and restore rebuilds them.
+type sqIndex struct {
+	counts     [sqBuckets]uint16
+	unresolved int
+}
+
+// sqBucket hashes granule g (Fibonacci hashing: the top byte of the
+// product), so strided addresses spread over the buckets.
+func sqBucket(g uint64) uint8 { return uint8((g * 0x9e3779b97f4a7c15) >> 56) }
+
+// count adds d (+1 or -1) to the buckets of the granules that the access
+// [addr, addr+size) touches.
+func (x *sqIndex) count(addr uint64, size uint8, d int) {
+	g0, g1 := addr>>3, (addr+uint64(size)-1)>>3
+	x.counts[sqBucket(g0)] += uint16(d)
+	if g1 != g0 {
+		x.counts[sqBucket(g1)] += uint16(d)
 	}
-	return nil
+}
+
+// mayOverlap reports whether some resolved store could overlap the
+// access [addr, addr+size). False is a proof; true may be a collision.
+func (x *sqIndex) mayOverlap(addr uint64, size uint8) bool {
+	g0, g1 := addr>>3, (addr+uint64(size)-1)>>3
+	return x.counts[sqBucket(g0)] != 0 || (g1 != g0 && x.counts[sqBucket(g1)] != 0)
+}
+
+// sqSearch is a load's associative SQ search: it returns the youngest
+// store older than age whose resolved address overlaps [addr, addr+size),
+// or nil, and whether any older store's address is still unresolved. The
+// index answers the second question outright and most of the first; only
+// when the filter cannot rule a match out does the search walk back from
+// the youngest older store, stopping at the first overlap.
+func (s *Sim) sqSearch(age, addr uint64, size uint8) (match *sqEntry, unresolved bool) {
+	if len(s.sq) == 0 {
+		return nil, false
+	}
+	x := s.sqIdx
+	if p := x.unresolved; p < len(s.sq) && s.sq[p].age < age {
+		unresolved = true
+	}
+	if !x.mayOverlap(addr, size) {
+		return nil, unresolved
+	}
+	for i := s.sqPos(age) - 1; i >= 0; i-- {
+		st := &s.sq[i]
+		if st.addrResolved && isa.Overlap(addr, size, st.addr, st.size) {
+			return st, unresolved
+		}
+	}
+	return nil, unresolved
+}
+
+// sqResolve marks the store of age address-resolved and indexes it.
+func (s *Sim) sqResolve(age uint64) {
+	i := s.sqPos(age)
+	if i == len(s.sq) || s.sq[i].age != age {
+		return
+	}
+	st := &s.sq[i]
+	st.addrResolved = true
+	x := s.sqIdx
+	x.count(st.addr, st.size, 1)
+	if i == x.unresolved {
+		s.sqAdvance()
+	}
+}
+
+// sqAdvance moves the oldest-unresolved position past resolved stores.
+func (s *Sim) sqAdvance() {
+	x := s.sqIdx
+	for x.unresolved < len(s.sq) && s.sq[x.unresolved].addrResolved {
+		x.unresolved++
+	}
+}
+
+// sqIndexOf derives the index of sq from scratch (restore and the
+// invariant sweep).
+func sqIndexOf(sq []sqEntry) sqIndex {
+	x := sqIndex{unresolved: len(sq)}
+	for i := range sq {
+		switch st := &sq[i]; {
+		case st.addrResolved:
+			x.count(st.addr, st.size, 1)
+		case x.unresolved == len(sq):
+			x.unresolved = i
+		}
+	}
+	return x
 }
 
 // completeStage retires execution events: instructions finishing this
 // cycle become completed, mispredicted branches trigger recovery, and
 // stores waiting on data are re-examined.
 func (s *Sim) completeStage() {
-	// Stores whose data operand may have become ready.
-	if len(s.dataWait) > 0 {
+	// Stores whose data operand may have become ready: only a marked
+	// producer's completion, last cycle, can have readied one.
+	if s.dwPending {
+		s.dwPending = false
 		out := s.dataWait[:0]
 		for _, ev := range s.dataWait {
 			if !s.live(ev.age) {
@@ -235,6 +333,10 @@ func (s *Sim) completeStage() {
 			continue // premature event (data arrived separately)
 		}
 		h.state = stCompleted
+		if s.dwMark[idx] {
+			s.dwMark[idx] = false
+			s.dwPending = true
+		}
 		// Broadcast-free wakeup: only the consumers parked on this entry
 		// are marked ready. completeStage precedes issueStage, so they can
 		// issue this very cycle.
@@ -249,6 +351,23 @@ func (s *Sim) completeStage() {
 			s.resolveBranch(h, &s.robData[idx])
 		}
 	}
+}
+
+// rebuildWaitMarks derives the producer marks from dataWait (restore)
+// and has the next completeStage walk the list: the save may have fallen
+// between a marked producer's completion and the walk it triggers.
+func (s *Sim) rebuildWaitMarks() {
+	clear(s.dwMark)
+	for _, ev := range s.dataWait {
+		if !s.live(ev.age) {
+			continue
+		}
+		h := s.hotOf(ev.age)
+		if p := h.src2Idx; p >= 0 && h.epoch == ev.epoch && !srcReady(&s.robHot[p], h.src2Prod) {
+			s.dwMark[p] = true
+		}
+	}
+	s.dwPending = len(s.dataWait) > 0
 }
 
 // resolveBranch trains the predictor and, for mispredicted correct-path

@@ -335,6 +335,9 @@ func (s *Sim) insert(in *isa.Inst, mi *fetchMeta) {
 			s.inflightLoads++
 			s.polLoadDispatch(m)
 		} else {
+			// The new store's address is unresolved. The SQ index needs no
+			// update: with no older store unresolved, its position, len(sq)
+			// before the append, now names this one.
 			s.sq = append(s.sq, sqEntry{age: age, seq: in.Seq, addr: in.Addr, size: in.Size})
 			s.em.Add(energy.CompSQ, s.costSQWrite)
 			for _, mon := range s.monitors {

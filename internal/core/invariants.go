@@ -111,7 +111,65 @@ func (s *Sim) CheckInvariants() error {
 			return fmt.Errorf("rename map for r%d points at dead age %d", reg, age)
 		}
 	}
-	return s.checkWakeupInvariants()
+	if err := s.checkWakeupInvariants(); err != nil {
+		return err
+	}
+	return s.checkStoreSide()
+}
+
+// slotLive reports whether ROB slot idx lies in the live window.
+func (s *Sim) slotLive(idx int) bool {
+	off := idx - s.headIdx
+	if off < 0 {
+		off += len(s.robHot)
+	}
+	return off < s.count
+}
+
+// checkStoreSide verifies the store side's derived state against what it
+// is derived from. The SQ index's oldest-unresolved position and every
+// filter bucket are recounted from the SQ: a count too low hides a
+// forwarding store from a load. Every store on the data-wait list must
+// have a walk coming, its producer marked or a walk pending: a store that
+// could take its data with no walk coming is a lost wakeup, and would
+// never complete. A mark may sit only on a live, incomplete slot.
+func (s *Sim) checkStoreSide() error {
+	want, got := sqIndexOf(s.sq), s.sqIdx
+	if got.unresolved != want.unresolved {
+		return fmt.Errorf("SQ index names position %d as the oldest unresolved store, the SQ says %d",
+			got.unresolved, want.unresolved)
+	}
+	for b, n := range want.counts {
+		if got.counts[b] != n {
+			return fmt.Errorf("SQ filter bucket %d counts %d granules, the SQ's resolved stores hold %d",
+				b, got.counts[b], n)
+		}
+	}
+	for _, ev := range s.dataWait {
+		if !s.live(ev.age) {
+			return fmt.Errorf("data-wait list holds dead age %d", ev.age)
+		}
+		h := s.hotOf(ev.age)
+		if h.epoch != ev.epoch || !h.op.IsStore() || h.flags&(fAddrResolved|fDataReady) != fAddrResolved {
+			return fmt.Errorf("data-wait list holds age %d, which is not a resolved store waiting on its data", ev.age)
+		}
+		if s.dwPending {
+			continue
+		}
+		p := h.src2Idx
+		if p < 0 || srcReady(&s.robHot[p], h.src2Prod) {
+			return fmt.Errorf("store age %d can take its data but no data-wait walk is pending: lost wakeup", h.age)
+		}
+		if !s.dwMark[p] {
+			return fmt.Errorf("store age %d waits on slot %d, which is unmarked, and no data-wait walk is pending: lost wakeup", h.age, p)
+		}
+	}
+	for p, m := range s.dwMark {
+		if m && (!s.slotLive(p) || s.robHot[p].state == stCompleted) {
+			return fmt.Errorf("data-wait mark on slot %d, which is dead or completed", p)
+		}
+	}
+	return nil
 }
 
 // checkWakeupInvariants verifies the event-wakeup structures: the ready
@@ -129,18 +187,11 @@ func (s *Sim) checkWakeupInvariants() error {
 	if pop != s.readyCnt {
 		return fmt.Errorf("ready bitmap population %d, counter says %d", pop, s.readyCnt)
 	}
-	inWindow := func(idx int) bool {
-		off := idx - s.headIdx
-		if off < 0 {
-			off += n
-		}
-		return off < s.count
-	}
 	parked := 0
 	for idx := 0; idx < n; idx++ {
 		bit := s.readyAt(idx)
 		on := s.consOn[idx]
-		if !inWindow(idx) {
+		if !s.slotLive(idx) {
 			switch {
 			case bit:
 				return fmt.Errorf("ready bit set on dead slot %d", idx)
@@ -164,7 +215,7 @@ func (s *Sim) checkWakeupInvariants() error {
 		if on >= 0 {
 			parked++
 			p := &s.robHot[on]
-			if !inWindow(int(on)) {
+			if !s.slotLive(int(on)) {
 				return fmt.Errorf("slot %d parked on dead producer slot %d", idx, on)
 			}
 			if p.state == stCompleted {

@@ -206,6 +206,71 @@ func TestInvariantSweepCatchesLostWakeup(t *testing.T) {
 	}
 }
 
+// TestInvariantSweepCatchesStoreSideDrift plants, mid-run, a dropped
+// data-wait mark and, separately, a stale SQ filter count, and requires
+// the invariant sweep to fail the run with a *soundness.SoundnessError:
+// the every-cycle sweeps prove the store side's derived state exact only
+// if drift in it cannot slip through. The dropped mark leaves a store that
+// nothing will ever walk to; the stale count, one too low, would hide the
+// store from a load that must forward from it.
+func TestInvariantSweepCatchesStoreSideDrift(t *testing.T) {
+	script := []isa.Inst{
+		{Op: isa.OpIDiv, Dest: 8, Src1: 1, Src2: 2},
+		// The address is ready at once, the data waits on the divide.
+		{Op: isa.OpStore, Dest: isa.RegNone, Src1: 1, Src2: 8, Addr: 0x1000_0100, Size: 8},
+		{Op: isa.OpLoad, Dest: 9, Src1: 2, Src2: isa.RegNone, Addr: 0x1000_0104, Size: 4},
+		nop(11), nop(12), nop(13),
+	}
+	cases := []struct {
+		name  string
+		plant func(s *Sim) bool
+		want  string
+	}{
+		{"dropped mark", func(s *Sim) bool {
+			if s.dwPending {
+				return false
+			}
+			for _, ev := range s.dataWait {
+				if p := s.hotOf(ev.age).src2Idx; p >= 0 && s.dwMark[p] {
+					s.dwMark[p] = false
+					return true
+				}
+			}
+			return false
+		}, "lost wakeup"},
+		{"stale bucket", func(s *Sim) bool {
+			for i := range s.sq {
+				if st := &s.sq[i]; st.addrResolved {
+					s.sqIdx.count(st.addr, st.size, -1)
+					return true
+				}
+			}
+			return false
+		}, "SQ filter bucket"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := wakeupSim(append([]isa.Inst(nil), script...), WithInvariantChecking(1))
+			planted := false
+			for step := 0; step < 200 && !planted; step++ {
+				s.step()
+				planted = tc.plant(s)
+			}
+			if !planted {
+				t.Fatal("the state to corrupt never appeared")
+			}
+			_, err := s.Run(2000)
+			var se *soundness.SoundnessError
+			if !errors.As(err, &se) {
+				t.Fatalf("planted %s not detected: err = %v", tc.name, err)
+			}
+			if se.Kind != soundness.KindInvariant || !strings.Contains(se.Got, tc.want) {
+				t.Errorf("planted %s reported as %v: %s", tc.name, se.Kind, se.Got)
+			}
+		})
+	}
+}
+
 // TestEventWakeupInvariantSweep runs the replay-heavy violation script
 // with an every-cycle invariant sweep: the wakeup bitmap and consumer
 // lists must stay exact through squashes and replays.

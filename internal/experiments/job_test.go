@@ -2,12 +2,17 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"dmdc/internal/config"
 	"dmdc/internal/core"
+	"dmdc/internal/resultcache"
+	"dmdc/internal/trace"
 )
 
 // jobInsts keeps wire-job cells quick but non-trivial.
@@ -150,6 +155,66 @@ func TestJobCacheKeyMatchesSuite(t *testing.T) {
 	pspec := JobSpec{Machine: config.Config2(), Policy: "baseline", Benchmark: bench, Insts: jobInsts}
 	if pspec.CacheKey() == spec.CacheKey() {
 		t.Fatal("policy job collided with run-key job in the cache namespace")
+	}
+}
+
+// TestCacheKeyMatchesJSON pins resultcache.Key's hand-written encoding to
+// json.Marshal's, hashed the way keys were first defined: every cached
+// entry, and the benchmark's cells digest, is addressed by those bytes.
+// It covers every run key on every benchmark, a policy job on each
+// machine, a checkpoint interval, a fault campaign, an invalid machine,
+// and strings that encoding/json escapes in every string field.
+func TestCacheKeyMatchesJSON(t *testing.T) {
+	t.Parallel()
+	jsonKey := func(ks resultcache.KeySpec) string {
+		ks.Version = resultcache.FormatVersion
+		b, err := json.Marshal(ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	var jobs []JobSpec
+	for _, key := range RunKeys() {
+		for _, bench := range trace.Names() {
+			jobs = append(jobs, JobSpec{RunKey: key, Benchmark: bench, Insts: 500_000})
+		}
+	}
+	for _, m := range append(config.All(), config.IQPressure()) {
+		jobs = append(jobs, JobSpec{Machine: m, Policy: "dmdc", Benchmark: "gcc", Insts: 20_000})
+	}
+	bad := config.Config3()
+	bad.ROBSize, bad.BPred.BTBWays, bad.Memory.L1D.Latency = -1, -8, -1<<40
+	jobs = append(jobs,
+		JobSpec{Machine: config.Config2(), Policy: "dmdc", Benchmark: "gcc", Insts: 10_000,
+			Checkpoint: []byte{1}, CheckpointRef: strings.Repeat("0f", 32)},
+		JobSpec{RunKey: "baseline-config2", Benchmark: "gzip", Insts: 1, Faults: "alias=8192,spurious=101"},
+		JobSpec{Machine: bad, Policy: "cam", Benchmark: "mcf"},
+	)
+	// Each string holds one class of byte that encoding/json escapes, so
+	// every class must reach the escaping path on its own.
+	for _, s := range []string{"a<b", "a>b", "a&b", `say "hi"`, `back\slash`, "tab\tnew\nline", "bell\x01",
+		"del\x7f", "naïve", "\u2028\u2029", "bad \xff\xfe utf-8", "/~ plain", ""} {
+		m := config.Config1()
+		m.Name, m.Memory.L1I.Name, m.Memory.L2.Name = s, s+"i", s+"2"
+		jobs = append(jobs,
+			JobSpec{Machine: m, Policy: s, Benchmark: s, Insts: ^uint64(0), Faults: s, CheckpointRef: s},
+			JobSpec{RunKey: s, Benchmark: s})
+	}
+	for _, j := range jobs {
+		sp, _ := specForJob(j)
+		want := jsonKey(resultcache.KeySpec{Machine: sp.machine, RunKey: sp.key, Benchmark: j.Benchmark,
+			Insts: j.Insts, Faults: j.Faults, CheckpointRef: j.CheckpointRef})
+		if got := j.CacheKey(); got != want {
+			t.Fatalf("job %+v: key %s, json.Marshal gives %s", j, got, want)
+		}
+	}
+	if !testing.Short() { // allocation counts are load-sensitive
+		ks := resultcache.KeySpec{Machine: config.Config2(), RunKey: "dmdc-global-config2", Benchmark: "gcc", Insts: 500_000}
+		if n := testing.AllocsPerRun(100, func() { resultcache.Key(ks) }); n > 1 {
+			t.Errorf("Key allocates %v times a call, want only its result", n)
+		}
 	}
 }
 

@@ -43,17 +43,21 @@ func (y *YLAFile) state(c *checkpoint.Codec) {
 func winStores(c *checkpoint.Codec, ws *[]winStore) {
 	checkpoint.List(c, ws, maxList)
 	for i := range *ws {
-		w := &(*ws)[i]
-		c.U64(&w.age)
-		c.U64(&w.addr)
-		c.U8(&w.size)
-		c.U64(&w.resolveCycle)
-		c.U64(&w.endAge)
-		switch w.size {
-		case 1, 2, 4, 8:
-		default:
-			c.Corrupt("store size %d", w.size)
-		}
+		(*ws)[i].state(c)
+	}
+}
+
+// state visits one window store.
+func (w *winStore) state(c *checkpoint.Codec) {
+	c.U64(&w.age)
+	c.U64(&w.addr)
+	c.U8(&w.size)
+	c.U64(&w.resolveCycle)
+	c.U64(&w.endAge)
+	switch w.size {
+	case 1, 2, 4, 8:
+	default:
+		c.Corrupt("store size %d", w.size)
 	}
 }
 
@@ -278,14 +282,23 @@ func (a *AgeTable) State(c *checkpoint.Codec, _ func(age uint64) *MemOp) {
 }
 
 // State visits the value-based policy: the optional SVW filter table,
-// the recent-store window, and stats.
+// the recent-store ring, and stats.
 func (v *ValueBased) State(c *checkpoint.Codec, _ func(age uint64) *MemOp) {
 	c.Section("pol:valuebased")
 	checkpoint.Same(c, v.svw != nil, "SVW presence")
 	for i := range v.svw {
 		c.U64(&v.svw[i])
 	}
-	winStores(c, &v.recentStores)
+	// The ring is visited oldest first, a list in commit order, and
+	// restored with its oldest entry first.
+	n := c.Len(len(v.recentStores), recentWindow)
+	if c.Decoding() {
+		v.recentStores = v.ring()[:n]
+		v.recentHead = 0
+	}
+	for i := 0; i < n; i++ {
+		v.recentStores[(v.recentHead+i)%n].state(c)
+	}
 	c.U64(&v.storeSeq)
 	c.U64(&v.reexecutions)
 	c.U64(&v.svwFiltered)

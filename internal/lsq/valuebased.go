@@ -56,8 +56,11 @@ type ValueBased struct {
 	hash h0
 
 	// Committed-store tracking for the oracle comparison: recent stores
-	// that resolved "late" are the only possible violation sources.
+	// that resolved "late" are the only possible violation sources. The
+	// last recentWindow committed stores sit in a fixed ring: it fills by
+	// appending, then the oldest entry, at recentHead, is overwritten.
 	recentStores []winStore
+	recentHead   int
 	storeSeq     uint64
 
 	reexecutions uint64
@@ -111,12 +114,25 @@ func (v *ValueBased) StoreCommit(op *MemOp) {
 		v.em.Add(energy.CompCheckTable, energy.RAMAccess(v.cfg.SVWSize, 16))
 	}
 	// Track recent stores for the oracle comparison (bounded).
-	v.recentStores = append(v.recentStores, winStore{
-		age: op.Age, addr: op.Addr, size: op.Size, resolveCycle: op.ResolveCycle,
-	})
-	if len(v.recentStores) > 512 {
-		v.recentStores = v.recentStores[len(v.recentStores)-512:]
+	st := winStore{age: op.Age, addr: op.Addr, size: op.Size, resolveCycle: op.ResolveCycle}
+	if len(v.recentStores) < recentWindow {
+		v.recentStores = append(v.ring(), st)
+		return
 	}
+	v.recentStores[v.recentHead] = st
+	v.recentHead = (v.recentHead + 1) % recentWindow
+}
+
+// recentWindow is how many committed stores ValueBased keeps.
+const recentWindow = 512
+
+// ring returns the recent-store ring, its storage allocated once at its
+// full size.
+func (v *ValueBased) ring() []winStore {
+	if v.recentStores == nil {
+		v.recentStores = make([]winStore, 0, recentWindow)
+	}
+	return v.recentStores
 }
 
 // LoadCommit re-executes the load (an extra L1D access) unless the SVW
@@ -135,7 +151,8 @@ func (v *ValueBased) LoadCommit(op *MemOp) *Replay {
 	// the paper's Section 7 highlights. Charged to the L1D.
 	v.em.Add(energy.CompL1D, energy.RAMAccess(512, 64))
 	// Oracle value comparison: stale data iff an older overlapping store
-	// resolved after this load issued.
+	// resolved after this load issued. Any such store replays the load
+	// alike, so the ring is searched in storage order.
 	for i := range v.recentStores {
 		st := &v.recentStores[i]
 		if st.age < op.Age && isa.Overlap(st.addr, st.size, op.Addr, op.Size) &&

@@ -60,10 +60,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"dmdc/internal/cache"
 	"dmdc/internal/config"
 	"dmdc/internal/core"
 	"dmdc/internal/jobstore"
@@ -96,10 +98,13 @@ const (
 
 // KeySpec is the canonical key material for one cached result.
 type KeySpec struct {
-	// Version is filled in by Key; callers leave it zero.
+	// Version is the key's first JSON member; Key writes FormatVersion
+	// there whatever the field holds, so callers leave it zero.
 	Version int `json:"version"`
 	// Machine is the full machine configuration (all fields exported,
-	// so the JSON encoding captures every sizing parameter).
+	// so the JSON encoding captures every sizing parameter). A field
+	// added to config.Machine must be added to appendJSON too;
+	// TestCacheKeyMatchesJSON fails until it is.
 	Machine config.Machine `json:"machine"`
 	// RunKey is the experiment run-spec key (e.g. "dmdc-global-config2").
 	// It determines the policy factory, monitors, and injection options,
@@ -122,17 +127,89 @@ type KeySpec struct {
 }
 
 // Key returns the content address for a KeySpec: the hex SHA-256 of its
-// canonical JSON encoding with the current FormatVersion.
+// canonical JSON encoding with the current FormatVersion. The encoding is
+// written by hand into a buffer on the stack, so a lookup allocates only
+// the returned string, and is byte for byte what json.Marshal writes
+// (TestCacheKeyMatchesJSON in internal/experiments pins it): every key
+// and the benchmark's cells digest depend on those bytes.
 func Key(ks KeySpec) string {
-	ks.Version = FormatVersion
-	b, err := json.Marshal(ks)
-	if err != nil {
-		// KeySpec is a closed struct of marshalable fields; this cannot
-		// fail at runtime.
-		panic(fmt.Sprintf("resultcache: marshal key: %v", err))
+	var buf [1024]byte
+	sum := sha256.Sum256(ks.appendJSON(buf[:0]))
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
+}
+
+// appendJSON appends the JSON encoding of ks with Version set to
+// FormatVersion, in the struct's field order and with its tags.
+func (ks *KeySpec) appendJSON(b []byte) []byte {
+	b = strconv.AppendInt(append(b, `{"version":`...), FormatVersion, 10)
+	m := &ks.Machine
+	b = appendJSONString(append(b, `,"machine":{"Name":`...), m.Name)
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{
+		{"FetchWidth", m.FetchWidth}, {"IssueWidth", m.IssueWidth}, {"CommitWidth", m.CommitWidth},
+		{"ROBSize", m.ROBSize}, {"IQInt", m.IQInt}, {"IQFP", m.IQFP}, {"LQSize", m.LQSize},
+		{"SQSize", m.SQSize}, {"IntRegs", m.IntRegs}, {"FPRegs", m.FPRegs},
+		{"CheckTable", m.CheckTable}, {"IntALUs", m.IntALUs}, {"IntMulDiv", m.IntMulDiv},
+		{"FPALUs", m.FPALUs}, {"FPMulDiv", m.FPMulDiv}, {"MemPorts", m.MemPorts},
+		{"MispredictPenalty", m.MispredictPenalty},
+	} {
+		b = appendJSONInt(b, f.name, f.v)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	p := &m.BPred
+	b = strconv.AppendInt(append(b, `,"BPred":{"BimodalEntries":`...), int64(p.BimodalEntries), 10)
+	b = appendJSONInt(b, "GshareEntries", p.GshareEntries)
+	b = appendJSONInt(b, "HistoryBits", p.HistoryBits)
+	b = appendJSONInt(b, "MetaEntries", p.MetaEntries)
+	b = appendJSONInt(b, "BTBEntries", p.BTBEntries)
+	b = appendJSONInt(b, "BTBWays", p.BTBWays)
+	b = append(b, `},"Memory":{`...)
+	for _, l := range [...]struct {
+		open string
+		c    *cache.Config
+	}{{`"L1I":{"Name":`, &m.Memory.L1I}, {`,"L1D":{"Name":`, &m.Memory.L1D}, {`,"L2":{"Name":`, &m.Memory.L2}} {
+		c := l.c
+		b = appendJSONString(append(b, l.open...), c.Name)
+		b = appendJSONInt(b, "SizeB", c.SizeB)
+		b = appendJSONInt(b, "Ways", c.Ways)
+		b = appendJSONInt(b, "LineB", c.LineB)
+		b = appendJSONInt(b, "Latency", c.Latency)
+		b = append(b, '}')
+	}
+	b = appendJSONInt(b, "MemLatency", m.Memory.MemLatency)
+	b = appendJSONString(append(b, `}},"run_key":`...), ks.RunKey)
+	b = appendJSONString(append(b, `,"benchmark":`...), ks.Benchmark)
+	b = strconv.AppendUint(append(b, `,"insts":`...), ks.Insts, 10)
+	if ks.Faults != "" {
+		b = appendJSONString(append(b, `,"faults":`...), ks.Faults)
+	}
+	if ks.CheckpointRef != "" {
+		b = appendJSONString(append(b, `,"checkpoint_ref":`...), ks.CheckpointRef)
+	}
+	return append(b, '}')
+}
+
+// appendJSONInt appends the object member ,"name":v.
+func appendJSONInt(b []byte, name string, v int) []byte {
+	b = append(append(append(b, `,"`...), name...), `":`...)
+	return strconv.AppendInt(b, int64(v), 10)
+}
+
+// appendJSONString appends s as a JSON string. Printable ASCII other than
+// the quote, the backslash and the HTML-escaped <, > and & is copied as
+// is; a string with any other byte is left to encoding/json, which
+// escapes it as json.Marshal does.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // Stats is a point-in-time snapshot of a Store's counters. The Local*/Peer*/
