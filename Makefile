@@ -100,13 +100,15 @@ soundness:
 # as part of tier-1; this explores beyond them). FuzzCheckpointRoundTrip's
 # inputs are ~345 KB checkpoints, which the fuzzer would spend its whole
 # budget minimizing, so that target does not minimize; nor does
-# FuzzSQSearch, whose minimizing stalled exploration from the third second.
+# FuzzSQSearch, whose minimizing stalled exploration from the third second,
+# nor FuzzWakeupInvariants, whose runs take ~20 ms each: minimizing its
+# first new input would take the rest of its 5 s.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzPolicySoundness -fuzztime 20s ./internal/lsq/
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpecParse -fuzztime 10s ./internal/soundness/
 	$(GO) test -run '^$$' -fuzz FuzzTraceEventExport -fuzztime 10s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/jobstore/
-	$(GO) test -run '^$$' -fuzz FuzzWakeupInvariants -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzWakeupInvariants -fuzztime 5s -fuzzminimizetime 0 ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointRoundTrip -fuzztime 15s -fuzzminimizetime 0 ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzSQSearch -fuzztime 10s -fuzzminimizetime 0 ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 5s ./internal/resultcache/

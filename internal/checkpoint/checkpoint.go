@@ -20,7 +20,8 @@
 // value; the one behind a Decoder overwrites each field with the stored
 // value. Range checks sit next to the fields they guard (Corrupt), and
 // fields the restore target must already hold — header identity,
-// presence flags — go through Same, so encoding and decoding cannot drift
+// presence flags — go through Same, and fields it derives from what it
+// has restored go through Derived, so encoding and decoding cannot drift
 // apart.
 //
 // The format is fail-closed: every structural anomaly (truncation, bad
@@ -406,6 +407,18 @@ func (c *Codec) Rand(r *xrand.Rand) {
 // the stored value and fails with Mismatch unless it equals want. what
 // names the field in the error.
 func Same[T string | bool | uint8 | uint32 | uint64 | int64](c *Codec, want T, what string) {
+	same(c, want, what, Mismatch)
+}
+
+// Derived is Same for a field the decoder derives from state it has
+// already restored, which the payload records again: a stored value that
+// differs from the derived one is Corrupt.
+func Derived[T string | bool | uint8 | uint32 | uint64 | int64](c *Codec, want T, what string) {
+	same(c, want, what, Corrupt)
+}
+
+// same is the body of Same and Derived; kind classifies a mismatch.
+func same[T string | bool | uint8 | uint32 | uint64 | int64](c *Codec, want T, what string, kind ErrKind) {
 	got := want
 	switch p := any(&got).(type) {
 	case *string:
@@ -422,7 +435,7 @@ func Same[T string | bool | uint8 | uint32 | uint64 | int64](c *Codec, want T, w
 		c.I64(p)
 	}
 	if got != want {
-		c.fail(Mismatch, "%s %v, restore target has %v", what, got, want)
+		c.fail(kind, "%s %v, restore target has %v", what, got, want)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 
 // sample is a component with a field of every kind a layout visits, laid
 // out the way the simulator's components are: a section, an identity
-// field, a presence flag, a bounded list with a range check, the scalar
-// primitives, a string, and an RNG.
+// field, a presence flag, a bounded list with a range check and a field
+// derived from it, the scalar primitives, a string, and an RNG.
 type sample struct {
 	id    string
 	on    bool
@@ -45,6 +45,7 @@ func (s *sample) State(c *Codec) {
 			c.Corrupt("list value %d over 1000", s.list[i])
 		}
 	}
+	Derived(c, uint32(len(s.list)), "list length")
 	c.U8(&s.u8)
 	c.U16(&s.u16)
 	c.U32(&s.u32)
@@ -153,6 +154,7 @@ func TestCheckpointCodecErrors(t *testing.T) {
 		{"wrong section tag", encode(func(c *Codec) { c.Section("other") }), Corrupt},
 		{"wrong section marker", encode(u8(sectionMark + 1)), Corrupt},
 		{"header field differs", encode(func(c *Codec) { c.Section("sample"); Same(c, "b", "identity") }), Mismatch},
+		{"derived field differs", prefix(func(c *Codec) { u8(0)(c); u32(1)(c); v := uint16(5); c.U16(&v); u32(2)(c) }), Corrupt},
 		{"rng cursor out of range", func() []byte {
 			b := good() // the RNG is the layout's last field: tap, feed, vector
 			binary.LittleEndian.PutUint64(b[len(b)-8*(2+len(xrand.State{}.Vec)):], 1<<40)

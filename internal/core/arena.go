@@ -60,7 +60,7 @@ type Arena struct {
 	sqIdx  sqIndex
 
 	dataWait      []wheelEv
-	sq            []sqEntry
+	sq            []int32
 	fetchQ        []isa.Inst
 	fetchQMeta    []fetchMeta
 	replayQ       []isa.Inst

@@ -101,7 +101,7 @@ func (s *Sim) RestoreCheckpoint(data []byte) error {
 	if err := s.checkpointable(); err != nil {
 		return err
 	}
-	if s.cycle != 0 || s.committed != 0 || s.nextAge != 1 || s.count != 0 {
+	if s.cycle != 0 || s.committed != 0 || s.headAge != 1 || s.count != 0 {
 		return fmt.Errorf("core: restore target must be a pristine simulation")
 	}
 	d, err := checkpoint.NewDecoder(data)
@@ -116,8 +116,8 @@ func (s *Sim) RestoreCheckpoint(data []byte) error {
 // state visits the simulation's complete state in checkpoint format order.
 // Encoding only reads the Sim. Decoding overwrites it, checks every value
 // a later access could trip on, and rebuilds what the format leaves
-// implicit: queue heads at zero, the ready count, the SQ index, the
-// data-wait marks, the wrong-path stream.
+// implicit: queue heads at zero, the ready count, the store queue and its
+// index, the data-wait marks, the wrong-path stream.
 func (s *Sim) state(c *checkpoint.Codec) {
 	robSize := s.cfg.ROBSize
 
@@ -139,7 +139,8 @@ func (s *Sim) state(c *checkpoint.Codec) {
 
 	c.Section("core")
 	c.U64(&s.cycle)
-	c.U64(&s.nextAge)
+	nextAge := s.headAge + uint64(s.count) // the next age to dispatch
+	c.U64(&nextAge)
 	c.U64(&s.headAge)
 	c.Int(&s.headIdx)
 	c.Int(&s.count)
@@ -148,8 +149,8 @@ func (s *Sim) state(c *checkpoint.Codec) {
 		c.Corrupt("ROB count %d outside [0,%d]", s.count, robSize)
 	case s.headIdx < 0 || s.headIdx >= robSize:
 		c.Corrupt("ROB head index %d outside [0,%d)", s.headIdx, robSize)
-	case s.headAge == 0 || s.nextAge != s.headAge+uint64(s.count):
-		c.Corrupt("age invariant violated: head %d + count %d != next %d", s.headAge, s.count, s.nextAge)
+	case s.headAge == 0 || nextAge != s.headAge+uint64(s.count):
+		c.Corrupt("age invariant violated: head %d + count %d != next %d", s.headAge, s.count, nextAge)
 	}
 	c.U32(&s.epoch)
 	c.Int(&s.iqInt)
@@ -291,26 +292,40 @@ func (s *Sim) state(c *checkpoint.Codec) {
 		instState(c, &s.replayQ[i])
 	}
 
+	// The store queue is the ROB's live store slots, oldest first, so
+	// decoding derives it from the ROB. The section records each store's
+	// fields again, from its slot, and decoding requires every one back.
 	c.Section("sq")
-	checkpoint.List(c, &s.sq, maxQueue)
-	for i := range s.sq {
-		q := &s.sq[i]
-		c.U64(&q.age)
-		c.U64(&q.seq)
-		c.U64(&q.addr)
-		c.U8(&q.size)
-		c.Bool(&q.addrResolved)
-		c.Bool(&q.dataReady)
-		switch q.size {
+	if c.Decoding() {
+		s.sq = slices.Grow(s.sq[:0], s.cfg.SQSize)
+		for k, idx := 0, s.headIdx; k < s.count && c.Err() == nil; k++ {
+			if s.robHot[idx].op.IsStore() {
+				s.sq = append(s.sq, int32(idx))
+			}
+			if idx++; idx == robSize {
+				idx = 0
+			}
+		}
+	}
+	checkpoint.Derived(c, uint32(len(s.sq)), "store count")
+	for _, idx := range s.sq {
+		h, m := &s.robHot[idx], &s.memOps[idx]
+		checkpoint.Derived(c, h.age, "store age")
+		checkpoint.Derived(c, s.robData[idx].inst.Seq, "store sequence number")
+		checkpoint.Derived(c, m.Addr, "store address")
+		checkpoint.Derived(c, m.Size, "store size")
+		checkpoint.Derived(c, h.flags&fAddrResolved != 0, "store address resolved")
+		checkpoint.Derived(c, h.flags&fDataReady != 0, "store data ready")
+		switch m.Size {
 		case 1, 2, 4, 8:
 		default:
-			c.Corrupt("entry %d size %d", i, q.size)
+			c.Corrupt("store at slot %d size %d", idx, m.Size)
 		}
 	}
 	if c.Decoding() && c.Err() == nil {
 		// The SQ index and the data-wait marks are derived from what was
 		// just decoded; nothing encodes them.
-		*s.sqIdx = sqIndexOf(s.sq)
+		*s.sqIdx = s.sqIndexOf()
 		s.rebuildWaitMarks()
 	}
 

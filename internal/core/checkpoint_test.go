@@ -501,6 +501,44 @@ func TestCheckpointDMDCQueue(t *testing.T) {
 	wantCorrupt(t, "dmdc-queue", blob)
 }
 
+// TestCheckpointSQDerived: the store queue is the ROB's live store slots
+// in age order, and its section records each store's age, sequence
+// number, address, size and readiness again, so a recorded store that
+// disagrees with its slot, or a store too few, is corrupt.
+func TestCheckpointSQDerived(t *testing.T) {
+	blob := saveWhen(t, "dmdc", func(s *Sim) bool { return len(s.sq) >= 2 })
+	// The section opens with the store count; each store then takes 27
+	// bytes: age, sequence number, address, size, resolved, data ready.
+	tag := []byte{0xA5, 2, 0, 0, 0, 's', 'q'}
+	p := bytes.Index(blob, tag) + len(tag)
+	if p < len(tag) {
+		t.Fatal("no sq section in the blob")
+	}
+	n := int(binary.LittleEndian.Uint32(blob[p:]))
+	if n < 2 {
+		t.Fatalf("the blob records %d stores, want at least 2", n)
+	}
+	const entry = 27
+	first := p + 4
+	cases := []struct {
+		name string
+		edit func(b []byte) []byte
+	}{
+		{"address one quad word off", func(b []byte) []byte { b[first+16] ^= 0x08; return b }},
+		{"data-ready byte flipped", func(b []byte) []byte { b[first+26] ^= 1; return b }},
+		{"one store fewer", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[p:], uint32(n-1))
+			last := first + (n-1)*entry
+			return append(b[:last], b[last+entry:]...)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wantCorrupt(t, "dmdc", tc.edit(append([]byte(nil), blob...)))
+		})
+	}
+}
+
 // ckptSave runs a fresh sim of pol over bench for insts instructions and
 // returns its checkpoint.
 func ckptSave(t testing.TB, bench, pol string, insts uint64) []byte {

@@ -72,7 +72,7 @@ func (s *Sim) commitStage() {
 			for _, m := range s.monitors {
 				m.StoreCommit(mem)
 			}
-			s.removeSQ(age)
+			s.popSQ()
 		}
 		if s.oracle != nil {
 			if err := s.oracle.Commit(d.inst, s.memAt(idx), age, s.cycle); err != nil {
@@ -115,37 +115,28 @@ func (s *Sim) commitStage() {
 	}
 }
 
-// removeSQ drops the store-queue entry with the given age and keeps the
-// SQ index current.
-func (s *Sim) removeSQ(age uint64) {
-	for i := range s.sq {
-		if st := &s.sq[i]; st.age == age {
-			x := s.sqIdx
-			if st.addrResolved {
-				x.count(st.addr, st.size, -1)
-			}
-			s.sq = append(s.sq[:i], s.sq[i+1:]...)
-			if i < x.unresolved {
-				x.unresolved--
-			} else if i == x.unresolved {
-				s.sqAdvance()
-			}
-			return
-		}
+// popSQ drops the oldest store, the one committing (stores commit in age
+// order), from the store queue and keeps the SQ index current.
+func (s *Sim) popSQ() {
+	s.sqUncount(s.sq[0])
+	s.sq = s.sq[:copy(s.sq, s.sq[1:])]
+	if x := s.sqIdx; x.unresolved > 0 {
+		x.unresolved--
+	} else {
+		s.sqAdvance()
 	}
 }
 
 // truncateSQ drops the stores of age from and younger (an age-ordered
-// suffix) and keeps the SQ index current.
+// suffix) and keeps the SQ index current. Squash calls it before any
+// dispatch reuses the squashed slots, whose hot state and MemOps it reads.
 func (s *Sim) truncateSQ(from uint64) {
-	x := s.sqIdx
-	for len(s.sq) > 0 && s.sq[len(s.sq)-1].age >= from {
-		if st := &s.sq[len(s.sq)-1]; st.addrResolved {
-			x.count(st.addr, st.size, -1)
-		}
-		s.sq = s.sq[:len(s.sq)-1]
+	n := s.sqPos(from)
+	for _, idx := range s.sq[n:] {
+		s.sqUncount(idx)
 	}
-	x.unresolved = min(x.unresolved, len(s.sq))
+	s.sq = s.sq[:n]
+	s.sqIdx.unresolved = min(s.sqIdx.unresolved, n)
 }
 
 // replay performs a memory-order replay: all instructions from the replay
@@ -290,8 +281,7 @@ func (s *Sim) squashAfter(keepAge uint64, save bool) {
 		}
 	}
 	s.squashScratch = saved
-	s.count = int(from - s.headAge)
-	s.nextAge = from // recycle ages so ROB ages stay contiguous
+	s.count = int(from - s.headAge) // recycle ages so ROB ages stay contiguous
 	s.truncateSQ(from)
 	// Speculative-history repair: rewind to the checkpoint of the oldest
 	// squashed correct-path branch (its prediction never happened now).

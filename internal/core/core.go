@@ -92,17 +92,6 @@ type robData struct {
 	predicted    bool // correct-path branch that consulted the predictor
 }
 
-// sqEntry is one store-queue slot (core-owned: forwarding is common to all
-// LQ policies).
-type sqEntry struct {
-	age          uint64
-	seq          uint64 // trace sequence number (forwarding identity)
-	addr         uint64
-	size         uint8
-	addrResolved bool
-	dataReady    bool
-}
-
 // Option customizes a Sim.
 type Option func(*Sim)
 
@@ -167,12 +156,12 @@ type Sim struct {
 	commitHook func(isa.Inst) // set by tests: sees every committed instruction
 	ptrace     *pipeTrace
 
-	cycle   uint64
-	nextAge uint64
+	cycle uint64
 
-	// ROB ring buffer; ages of live entries are contiguous. robHot,
-	// robData, and memOps are parallel struct-of-arrays sharing slot
-	// indices. memOps is an arena: every memory instruction's MemOp
+	// ROB ring buffer; ages of live entries are contiguous, from headAge
+	// up to the next age to dispatch, headAge+count. robHot, robData,
+	// and memOps are parallel struct-of-arrays sharing slot indices.
+	// memOps is an arena: every memory instruction's MemOp
 	// lives in the slot matching its ROB slot, overwritten in place
 	// when the age recycles — policies receive stable pointers into it
 	// and must drop them by commit/squash time (the same lifetime
@@ -245,8 +234,11 @@ type Sim struct {
 	freeInt     int
 	freeFP      int
 
-	// Store queue, age-ordered, and its search index (arena-backed).
-	sq    []sqEntry
+	// Store queue: the ROB slots of the in-flight stores, oldest first
+	// (core-owned: forwarding is common to all LQ policies). A store's
+	// age, address, size, sequence number and readiness live in its slot
+	// alone. sqIdx is the queue's search index (arena-backed).
+	sq    []int32
 	sqIdx *sqIndex
 
 	// In-flight load count (policy capacity gate).
@@ -375,7 +367,6 @@ func build(cfg config.Machine, wl Workload, prof *trace.Profile, pol lsq.Policy,
 		wl:             wl,
 		pol:            pol,
 		em:             em,
-		nextAge:        1,
 		headAge:        1,
 		freeInt:        cfg.IntRegs - isa.NumIntRegs,
 		freeFP:         cfg.FPRegs - isa.NumFPRegs,

@@ -5,6 +5,7 @@ import (
 
 	"dmdc/internal/energy"
 	"dmdc/internal/isa"
+	"dmdc/internal/lsq"
 )
 
 // scheduleCompletion enqueues age on the event wheel lat cycles from now,
@@ -58,14 +59,14 @@ func (s *Sim) leaveIQ(op isa.Op) {
 // rejected and must retry.
 func (s *Sim) issueLoad(idx int, h *hotEntry) bool {
 	mem := &s.memOps[idx]
-	var (
-		match      *sqEntry // youngest older store with resolved overlapping address
-		unresolved bool     // any older store with unresolved address
-	)
+	// match is the ROB slot of the youngest older store whose resolved
+	// address overlaps the load, -1 if none; unresolved reports whether
+	// any older store's address is unresolved.
+	match, unresolved := -1, false
 	// Store-side age filter: a load older than the oldest in-flight store
 	// provably has nothing to forward from or wait on, so the associative
 	// SQ search is skipped (Section 3, "Filtering for stores").
-	if s.sqFilter && (len(s.sq) == 0 || h.age < s.sq[0].age) {
+	if s.sqFilter && (len(s.sq) == 0 || h.age < s.robHot[s.sq[0]].age) {
 		s.sqSearchFiltered++
 		s.em.Add(energy.CompYLA, energy.RegisterOp(20))
 	} else {
@@ -74,15 +75,15 @@ func (s *Sim) issueLoad(idx int, h *hotEntry) bool {
 		s.em.Add(energy.CompSQ, s.costSQSearch)
 		match, unresolved = s.sqSearch(h.age, mem.Addr, mem.Size)
 	}
-	if match != nil {
-		if !isa.Contains(match.addr, match.size, mem.Addr, mem.Size) {
+	if match >= 0 {
+		if st := &s.memOps[match]; !isa.Contains(st.Addr, st.Size, mem.Addr, mem.Size) {
 			// Partial match: the SQ cannot assemble the value; reject and
 			// retry until the store drains.
 			s.loadRejections++
 			h.notBefore = s.cycle + 4
 			return true
 		}
-		if !match.dataReady {
+		if s.robHot[match].flags&fDataReady == 0 {
 			// Address matches but the store's data is not ready: the SQ
 			// rejects the load to retry later (POWER4-style, footnote 1).
 			s.loadRejections++
@@ -98,9 +99,9 @@ func (s *Sim) issueLoad(idx int, h *hotEntry) bool {
 	mem.SafeAtIssue = !unresolved
 	mem.FwdSeq = 0
 	var lat int
-	if match != nil {
+	if match >= 0 {
 		s.forwards++
-		mem.FwdSeq = match.seq
+		mem.FwdSeq = s.robData[match].inst.Seq
 		lat = s.cfg.Memory.L1D.Latency // forwarding takes an L1-hit-like time
 	} else {
 		s.em.Add(energy.CompL1D, s.costL1D)
@@ -120,14 +121,13 @@ func (s *Sim) issueLoad(idx int, h *hotEntry) bool {
 	return false
 }
 
-// issueStore resolves the store's address: the SQ entry is updated, the
+// issueStore resolves the store's address: the SQ index counts it, the
 // policy runs its dependence check (the baseline may demand a replay), and
 // the store completes once its data operand is also ready.
 func (s *Sim) issueStore(idx int, h *hotEntry) {
 	h.state = stIssued
 	s.leaveIQ(h.op)
-	h.flags |= fAddrResolved
-	s.sqResolve(h.age)
+	s.sqResolve(idx)
 	s.em.Add(energy.CompSQ, s.costSQWrite)
 	mem := &s.memOps[idx]
 	mem.ResolveCycle = s.cycle
@@ -141,7 +141,6 @@ func (s *Sim) issueStore(idx int, h *hotEntry) {
 	if h.src2Idx < 0 || srcReady(&s.robHot[h.src2Idx], h.src2Prod) {
 		h.src2Idx = -1
 		h.flags |= fDataReady
-		s.markStoreDataReady(h.age)
 		s.scheduleCompletion(h.age, 1)
 	} else {
 		// The producer is incomplete; its completion triggers the walk
@@ -151,20 +150,6 @@ func (s *Sim) issueStore(idx int, h *hotEntry) {
 	}
 }
 
-func (s *Sim) markStoreDataReady(age uint64) {
-	if st := s.sqFind(age); st != nil {
-		st.dataReady = true
-	}
-}
-
-// sqFind returns the store-queue entry for age, or nil.
-func (s *Sim) sqFind(age uint64) *sqEntry {
-	if i := s.sqPos(age); i < len(s.sq) && s.sq[i].age == age {
-		return &s.sq[i]
-	}
-	return nil
-}
-
 // sqPos returns the number of SQ entries older than age, which is also
 // the position of age's own entry if it has one. The SQ is age-ordered,
 // so a binary search replaces a linear scan.
@@ -172,7 +157,7 @@ func (s *Sim) sqPos(age uint64) int {
 	lo, hi := 0, len(s.sq)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if s.sq[mid].age < age {
+		if s.robHot[s.sq[mid]].age < age {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -202,10 +187,10 @@ type sqIndex struct {
 // product), so strided addresses spread over the buckets.
 func sqBucket(g uint64) uint8 { return uint8((g * 0x9e3779b97f4a7c15) >> 56) }
 
-// count adds d (+1 or -1) to the buckets of the granules that the access
-// [addr, addr+size) touches.
-func (x *sqIndex) count(addr uint64, size uint8, d int) {
-	g0, g1 := addr>>3, (addr+uint64(size)-1)>>3
+// count adds d (+1 or -1) to the buckets of the granules that the store
+// m's access touches.
+func (x *sqIndex) count(m *lsq.MemOp, d int) {
+	g0, g1 := m.Addr>>3, (m.Addr+uint64(m.Size)-1)>>3
 	x.counts[sqBucket(g0)] += uint16(d)
 	if g1 != g0 {
 		x.counts[sqBucket(g1)] += uint16(d)
@@ -219,64 +204,69 @@ func (x *sqIndex) mayOverlap(addr uint64, size uint8) bool {
 	return x.counts[sqBucket(g0)] != 0 || (g1 != g0 && x.counts[sqBucket(g1)] != 0)
 }
 
-// sqSearch is a load's associative SQ search: it returns the youngest
-// store older than age whose resolved address overlaps [addr, addr+size),
-// or nil, and whether any older store's address is still unresolved. The
-// index answers the second question outright and most of the first; only
-// when the filter cannot rule a match out does the search walk back from
-// the youngest older store, stopping at the first overlap.
-func (s *Sim) sqSearch(age, addr uint64, size uint8) (match *sqEntry, unresolved bool) {
+// sqSearch is a load's associative SQ search: it returns the ROB slot of
+// the youngest store older than age whose resolved address overlaps
+// [addr, addr+size), or -1, and whether any older store's address is
+// still unresolved. The index answers the second question outright and
+// most of the first; only when the filter cannot rule a match out does
+// the search walk back from the youngest older store, stopping at the
+// first overlap.
+func (s *Sim) sqSearch(age, addr uint64, size uint8) (match int, unresolved bool) {
 	if len(s.sq) == 0 {
-		return nil, false
+		return -1, false
 	}
 	x := s.sqIdx
-	if p := x.unresolved; p < len(s.sq) && s.sq[p].age < age {
+	if p := x.unresolved; p < len(s.sq) && s.robHot[s.sq[p]].age < age {
 		unresolved = true
 	}
 	if !x.mayOverlap(addr, size) {
-		return nil, unresolved
+		return -1, unresolved
 	}
 	for i := s.sqPos(age) - 1; i >= 0; i-- {
-		st := &s.sq[i]
-		if st.addrResolved && isa.Overlap(addr, size, st.addr, st.size) {
+		st := int(s.sq[i])
+		if m := &s.memOps[st]; s.robHot[st].flags&fAddrResolved != 0 && isa.Overlap(addr, size, m.Addr, m.Size) {
 			return st, unresolved
 		}
 	}
-	return nil, unresolved
+	return -1, unresolved
 }
 
-// sqResolve marks the store of age address-resolved and indexes it.
-func (s *Sim) sqResolve(age uint64) {
-	i := s.sqPos(age)
-	if i == len(s.sq) || s.sq[i].age != age {
-		return
-	}
-	st := &s.sq[i]
-	st.addrResolved = true
+// sqResolve marks the store in ROB slot idx address-resolved and indexes
+// it.
+func (s *Sim) sqResolve(idx int) {
+	s.robHot[idx].flags |= fAddrResolved
 	x := s.sqIdx
-	x.count(st.addr, st.size, 1)
-	if i == x.unresolved {
+	x.count(&s.memOps[idx], 1)
+	if p := x.unresolved; p < len(s.sq) && int(s.sq[p]) == idx {
 		s.sqAdvance()
+	}
+}
+
+// sqUncount drops the store in ROB slot idx from the filter if it counts
+// there, as it leaves the SQ.
+func (s *Sim) sqUncount(idx int32) {
+	if s.robHot[idx].flags&fAddrResolved != 0 {
+		s.sqIdx.count(&s.memOps[idx], -1)
 	}
 }
 
 // sqAdvance moves the oldest-unresolved position past resolved stores.
 func (s *Sim) sqAdvance() {
 	x := s.sqIdx
-	for x.unresolved < len(s.sq) && s.sq[x.unresolved].addrResolved {
+	for x.unresolved < len(s.sq) && s.robHot[s.sq[x.unresolved]].flags&fAddrResolved != 0 {
 		x.unresolved++
 	}
 }
 
-// sqIndexOf derives the index of sq from scratch (restore and the
+// sqIndexOf derives the SQ's index from scratch (restore and the
 // invariant sweep).
-func sqIndexOf(sq []sqEntry) sqIndex {
-	x := sqIndex{unresolved: len(sq)}
-	for i := range sq {
-		switch st := &sq[i]; {
-		case st.addrResolved:
-			x.count(st.addr, st.size, 1)
-		case x.unresolved == len(sq):
+func (s *Sim) sqIndexOf() sqIndex {
+	x := sqIndex{unresolved: len(s.sq)}
+	for i, idx := range s.sq {
+		switch {
+		case s.robHot[idx].flags&fAddrResolved != 0:
+			x.count(&s.memOps[idx], 1)
+		case x.unresolved == len(s.sq):
 			x.unresolved = i
 		}
 	}
@@ -303,7 +293,6 @@ func (s *Sim) completeStage() {
 			if h.src2Idx < 0 || srcReady(&s.robHot[h.src2Idx], h.src2Prod) {
 				h.src2Idx = -1
 				h.flags |= fDataReady
-				s.markStoreDataReady(ev.age)
 				s.scheduleCompletion(ev.age, 1)
 				continue
 			}

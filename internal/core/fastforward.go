@@ -71,10 +71,9 @@ func (s *Sim) FastForward(n uint64, warm bool) error {
 			lastPC = buf[k-1].PC
 		}
 	}
-	s.nextAge += n
+	s.headAge += n
 	s.committed += n
 	s.cycle += n
-	s.headAge = s.nextAge
 	s.lastCommitCycle = s.cycle
 	s.lastGenPC = lastPC + 4
 	return nil
@@ -119,7 +118,7 @@ func (s *Sim) warmForward(wl Batcher, n uint64) (lastPC uint64) {
 	defer gen.join()
 
 	warmer, _ := s.pol.(lsq.Warmer)
-	age := s.nextAge
+	age := s.headAge
 	for blk := range full {
 		s.warmBlock(blk, age, warmer)
 		age += uint64(len(blk))

@@ -273,8 +273,7 @@ func (s *Sim) dispatchStage() {
 // insert allocates the ROB entry and all side structures for one
 // instruction.
 func (s *Sim) insert(in *isa.Inst, mi *fetchMeta) {
-	age := s.nextAge
-	s.nextAge++
+	age := s.headAge + uint64(s.count)
 	idx := s.headIdx + s.count
 	if idx >= len(s.robHot) {
 		idx -= len(s.robHot)
@@ -338,7 +337,7 @@ func (s *Sim) insert(in *isa.Inst, mi *fetchMeta) {
 			// The new store's address is unresolved. The SQ index needs no
 			// update: with no older store unresolved, its position, len(sq)
 			// before the append, now names this one.
-			s.sq = append(s.sq, sqEntry{age: age, seq: in.Seq, addr: in.Addr, size: in.Size})
+			s.sq = append(s.sq, int32(idx))
 			s.em.Add(energy.CompSQ, s.costSQWrite)
 			for _, mon := range s.monitors {
 				mon.StoreDispatch(m)

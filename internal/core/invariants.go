@@ -49,6 +49,10 @@ func (s *Sim) CheckInvariants() error {
 		case h.op.IsLoad():
 			loads++
 		case h.op.IsStore():
+			// The store queue is exactly the ROB's store slots, oldest first.
+			if stores >= len(s.sq) || int(s.sq[stores]) != idx {
+				return fmt.Errorf("store queue drifted: entry %d is not the store at ROB slot %d (age %d)", stores, idx, h.age)
+			}
 			stores++
 		}
 	}
@@ -61,19 +65,6 @@ func (s *Sim) CheckInvariants() error {
 	}
 	if stores != len(s.sq) {
 		return fmt.Errorf("store queue drifted: %d entries, rob says %d stores", len(s.sq), stores)
-	}
-	for i := 1; i < len(s.sq); i++ {
-		if s.sq[i].age <= s.sq[i-1].age {
-			return fmt.Errorf("store queue not age-ordered at %d", i)
-		}
-	}
-	for _, sq := range s.sq {
-		if !s.live(sq.age) {
-			return fmt.Errorf("store queue holds dead age %d", sq.age)
-		}
-		if !s.hotOf(sq.age).op.IsStore() {
-			return fmt.Errorf("store queue entry %d maps to a non-store", sq.age)
-		}
 	}
 	// Physical-register accounting: free + in-flight destinations = pool.
 	var intDests, fpDests int
@@ -134,7 +125,7 @@ func (s *Sim) slotLive(idx int) bool {
 // could take its data with no walk coming is a lost wakeup, and would
 // never complete. A mark may sit only on a live, incomplete slot.
 func (s *Sim) checkStoreSide() error {
-	want, got := sqIndexOf(s.sq), s.sqIdx
+	want, got := s.sqIndexOf(), s.sqIdx
 	if got.unresolved != want.unresolved {
 		return fmt.Errorf("SQ index names position %d as the oldest unresolved store, the SQ says %d",
 			got.unresolved, want.unresolved)

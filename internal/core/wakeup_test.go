@@ -239,9 +239,9 @@ func TestInvariantSweepCatchesStoreSideDrift(t *testing.T) {
 			return false
 		}, "lost wakeup"},
 		{"stale bucket", func(s *Sim) bool {
-			for i := range s.sq {
-				if st := &s.sq[i]; st.addrResolved {
-					s.sqIdx.count(st.addr, st.size, -1)
+			for _, idx := range s.sq {
+				if s.robHot[idx].flags&fAddrResolved != 0 {
+					s.sqIdx.count(&s.memOps[idx], -1)
 					return true
 				}
 			}

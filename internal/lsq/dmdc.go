@@ -74,9 +74,10 @@ func (c DMDCConfig) Validate() error {
 }
 
 // tableEntry is one checking-table entry: a 4-bit WRT bitmap (one bit per
-// 2-byte granule of the quad word), an INV bit, and a bookkeeping flag
-// recording whether WRT bits were promoted from INV (so replays can be
-// attributed to write-serialization enforcement in reports).
+// 2-byte granule of the quad word), an INV bit, and a flag recording
+// whether WRT bits were promoted from INV. The flag changes no replay's
+// cause (classify attributes a replay without it); it stays only because
+// every DMDC checkpoint records it, one byte per entry.
 type tableEntry struct {
 	wrt         uint8
 	inv         bool
@@ -326,7 +327,7 @@ func (d *DMDC) LoadCommit(op *MemOp) *Replay {
 	d.em.Add(energy.CompCheckTable, energy.RAMAccess(d.cfg.TableSize, 5))
 	e := &d.table[op.HashKey]
 	if e.wrt&op.Bitmap != 0 {
-		cause := d.classify(op, e.invPromoted)
+		cause := d.classify(op)
 		d.replays[cause]++
 		d.endChecking()
 		return &Replay{FromAge: op.Age, Cause: cause}
@@ -367,7 +368,7 @@ func (d *DMDC) queueCheck(op *MemOp) *Replay {
 	for i := range d.windowStores { // all in the queue: none overflowed
 		ws := &d.windowStores[i]
 		if isa.Overlap(op.Addr, op.Size, ws.addr, ws.size) {
-			cause := d.classify(op, false)
+			cause := d.classify(op)
 			d.replays[cause]++
 			d.endChecking()
 			return &Replay{FromAge: op.Age, Cause: cause}
@@ -378,7 +379,7 @@ func (d *DMDC) queueCheck(op *MemOp) *Replay {
 
 // classify attributes a replay per the paper's Table 3 taxonomy, using the
 // oracle timing captured on the MemOps.
-func (d *DMDC) classify(op *MemOp, invPromoted bool) Cause {
+func (d *DMDC) classify(op *MemOp) Cause {
 	var addrAfterX, addrAfterY bool
 	for i := range d.windowStores {
 		ws := &d.windowStores[i]
@@ -428,8 +429,6 @@ func (d *DMDC) classify(op *MemOp, invPromoted bool) Cause {
 		return CauseFalseHashX
 	case hashY && found:
 		return CauseFalseHashY
-	case invPromoted:
-		return CauseInvalidation
 	default:
 		// A store record was dropped by the windowStores cap, or the WRT
 		// bits came from an invalidation promotion.
