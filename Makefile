@@ -44,7 +44,7 @@
 #                    and a streamed run's record ring — ten times over at
 #                    one and two Ps (with one P the pipeline must still
 #                    make progress)
-#   make fuzz-short  100s split across the fuzz targets
+#   make fuzz-short  105s split across the fuzz targets
 #   make bench-module  vet and test cmd/dmdcbench, a module of its own that
 #                    `go build ./...` and `go test ./...` never reach
 #   make unlinked    build every cmd/* and examples/* program and the
@@ -96,15 +96,18 @@ race:
 soundness:
 	$(GO) test -run 'Soundness|Oracle|Watchdog|WrongPath|Fault|Invariant' ./internal/core/... ./internal/soundness/... ./internal/lsq/... ./internal/experiments/...
 
-# 100 seconds of fuzzing split across the targets (seed corpora always run
+# 105 seconds of fuzzing split across the targets (seed corpora always run
 # as part of tier-1; this explores beyond them). FuzzCheckpointRoundTrip's
 # inputs are ~345 KB checkpoints, which the fuzzer would spend its whole
 # budget minimizing, so that target does not minimize; nor does
 # FuzzSQSearch, whose minimizing stalled exploration from the third second,
-# nor FuzzWakeupInvariants, whose runs take ~20 ms each: minimizing its
-# first new input would take the rest of its 5 s.
+# nor FuzzValueBasedCommit, which like it expands a few input bytes into a
+# long schedule (up to ~6,000 operations), nor FuzzWakeupInvariants, whose
+# runs take ~20 ms each: minimizing its first new input would take the
+# rest of its 5 s.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzPolicySoundness -fuzztime 20s ./internal/lsq/
+	$(GO) test -run '^$$' -fuzz FuzzValueBasedCommit -fuzztime 5s -fuzzminimizetime 0 ./internal/lsq/
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpecParse -fuzztime 10s ./internal/soundness/
 	$(GO) test -run '^$$' -fuzz FuzzTraceEventExport -fuzztime 10s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/jobstore/

@@ -208,6 +208,16 @@ func (s *Sim) state(c *checkpoint.Codec) {
 			c.Corrupt("slot %d operand index out of range", i)
 		}
 	}
+	// The live window holds consecutive ages from the head, which every
+	// age-to-slot lookup and the derived SQ's order assume.
+	for k, idx := 0, s.headIdx; c.Decoding() && c.Err() == nil && k < s.count; k++ {
+		if want := s.headAge + uint64(k); s.robHot[idx].age != want {
+			c.Corrupt("live slot %d has age %d, want %d", k, s.robHot[idx].age, want)
+		}
+		if idx++; idx == robSize {
+			idx = 0
+		}
+	}
 	for i := range s.robData {
 		rd := &s.robData[i]
 		instState(c, &rd.inst)

@@ -539,6 +539,70 @@ func TestCheckpointSQDerived(t *testing.T) {
 	}
 }
 
+// TestCheckpointROBContiguous: the live ROB slots hold consecutive ages
+// from the head, so a live slot whose age is moved is corrupt. The slot
+// holds neither a load nor a store, so no SQ or policy record names it.
+func TestCheckpointROBContiguous(t *testing.T) {
+	var slot int
+	var age uint64
+	blob := saveWhen(t, "dmdc", func(s *Sim) bool {
+		for k := 1; k < s.count; k++ {
+			idx := (s.headIdx + k) % len(s.robHot)
+			if h := &s.robHot[idx]; !h.op.IsMem() {
+				slot, age = idx, h.age
+				return true
+			}
+		}
+		return false
+	})
+	// Each slot's hot entry takes 55 bytes and opens with its age.
+	tag := []byte{0xA5, 3, 0, 0, 0, 'r', 'o', 'b'}
+	at := bytes.Index(blob, tag)
+	if at < 0 {
+		t.Fatal("no rob section in the blob")
+	}
+	if at += len(tag) + 55*slot; binary.LittleEndian.Uint64(blob[at:]) != age {
+		t.Fatalf("slot %d's age %d is not where the rob section puts it", slot, age)
+	}
+	binary.LittleEndian.PutUint64(blob[at:], age+3)
+	wantCorrupt(t, "dmdc", blob)
+}
+
+// TestCheckpointValueBasedRing: the value-based policy's recent-store
+// ring holds the newest committed stores, every one until it fills, so a
+// ring whose length is not the store count (capped at the ring's size) is
+// corrupt.
+func TestCheckpointValueBasedRing(t *testing.T) {
+	blob := ckptSave(t, "gcc", "valuebased", 1500)
+	// The section opens with the SVW presence byte and 64 table entries,
+	// then the ring's length and its stores, 33 bytes each, then the
+	// store count.
+	p := polSection(t, blob, "pol:valuebased") + 1 + 64*8
+	n := int(binary.LittleEndian.Uint32(blob[p:]))
+	seq := p + 4 + 33*n
+	if n == 0 || uint64(n) != binary.LittleEndian.Uint64(blob[seq:]) {
+		t.Fatalf("ring of %d for %d stores, want a partly filled ring", n, binary.LittleEndian.Uint64(blob[seq:]))
+	}
+	cases := []struct {
+		name string
+		edit func(b []byte) []byte
+	}{
+		{"one store more", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[seq:], uint64(n+1))
+			return b
+		}},
+		{"oldest store dropped", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[p:], uint32(n-1))
+			return append(b[:p+4], b[p+4+33:]...)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wantCorrupt(t, "valuebased", tc.edit(append([]byte(nil), blob...)))
+		})
+	}
+}
+
 // ckptSave runs a fresh sim of pol over bench for insts instructions and
 // returns its checkpoint.
 func ckptSave(t testing.TB, bench, pol string, insts uint64) []byte {

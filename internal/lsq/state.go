@@ -282,7 +282,10 @@ func (a *AgeTable) State(c *checkpoint.Codec, _ func(age uint64) *MemOp) {
 }
 
 // State visits the value-based policy: the optional SVW filter table,
-// the recent-store ring, and stats.
+// the recent-store ring, and stats. The ring holds the newest committed
+// stores, all of them until it fills, and the commit check relies on
+// that, so decoding requires its length to be the store count capped at
+// its size.
 func (v *ValueBased) State(c *checkpoint.Codec, _ func(age uint64) *MemOp) {
 	c.Section("pol:valuebased")
 	checkpoint.Same(c, v.svw != nil, "SVW presence")
@@ -300,6 +303,9 @@ func (v *ValueBased) State(c *checkpoint.Codec, _ func(age uint64) *MemOp) {
 		v.recentStores[(v.recentHead+i)%n].state(c)
 	}
 	c.U64(&v.storeSeq)
+	if uint64(n) != min(v.storeSeq, recentWindow) {
+		c.Corrupt("recent-store ring of %d for %d committed stores", n, v.storeSeq)
+	}
 	c.U64(&v.reexecutions)
 	c.U64(&v.svwFiltered)
 	v.replays.State(c)

@@ -97,7 +97,8 @@ func (v *ValueBased) LoadCapacity() int { return v.cfg.LoadCap }
 func (v *ValueBased) LoadDispatch(*MemOp) {}
 
 // LoadIssue records the issue-time store sequence on the op: if no store
-// to the load's bucket commits after this point, the load is invulnerable.
+// to the load's bucket commits after this point, the load is invulnerable,
+// and only the stores committed after it are checked at commit.
 func (v *ValueBased) LoadIssue(op *MemOp) {
 	// Reuse EndAge as "store sequence at issue" scratch state.
 	op.EndAge = v.storeSeq
@@ -151,9 +152,17 @@ func (v *ValueBased) LoadCommit(op *MemOp) *Replay {
 	// the paper's Section 7 highlights. Charged to the L1D.
 	v.em.Add(energy.CompL1D, energy.RAMAccess(512, 64))
 	// Oracle value comparison: stale data iff an older overlapping store
-	// resolved after this load issued. Any such store replays the load
-	// alike, so the ring is searched in storage order.
-	for i := range v.recentStores {
+	// resolved after this load issued. Stores commit in age order, and a
+	// cycle commits before it issues, so the first op.EndAge stores
+	// committed, and resolved, before the load issued: only the newest
+	// storeSeq − EndAge entries of the ring can be stale. They are read
+	// newest first; any match replays the load alike.
+	n := min(v.storeSeq-op.EndAge, uint64(len(v.recentStores)))
+	for i := v.recentHead; n > 0; n-- {
+		if i == 0 {
+			i = len(v.recentStores)
+		}
+		i--
 		st := &v.recentStores[i]
 		if st.age < op.Age && isa.Overlap(st.addr, st.size, op.Addr, op.Size) &&
 			op.IssueCycle < st.resolveCycle {
